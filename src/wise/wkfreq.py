@@ -12,7 +12,11 @@ Seeding is a two-level MinHash scheme: band signatures group rows into
 buckets, bucket sketches are hashed again to merge near-duplicate
 buckets into bins, and each bin contributes one FreqItem candidate;
 candidates are deduplicated and reduced to k by a distance-weighted
-sampling pass.
+sampling pass.  The level-2 work is batched: buckets form one sparse
+membership matrix M, so ``M @ X`` yields every bucket's integer column
+counts at once; one ICWS grid over all coordinates supplies every bucket
+sketch; bins are unions of buckets with equal sketches, numbered by
+first occurrence, and their counts come from one more product.
 """
 
 from __future__ import annotations
@@ -178,18 +182,18 @@ def _key_grid(omega: np.ndarray | None, p: int, hash_ids: np.ndarray, seed: int)
 
 
 def _segment_argmin(kv: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Position of each row segment's first minimum within kv."""
+    """Position of each row segment's first minimum within kv (-1 if empty)."""
     counts = np.diff(indptr)
     if counts.size and np.all(counts == counts[0]) and counts[0] > 0:
         width = counts[0]
         return indptr[:-1] + np.argmin(kv.reshape(-1, width), axis=1)
-    out = np.empty(counts.size, dtype=np.int64)
-    for i in range(counts.size):
-        lo, hi = indptr[i], indptr[i + 1]
-        if lo == hi:
-            out[i] = -1
-        else:
-            out[i] = lo + int(np.argmin(kv[lo:hi]))
+    out = np.full(counts.size, -1, dtype=np.int64)
+    live = counts > 0
+    if np.any(live):
+        starts = indptr[:-1][live]
+        low = np.repeat(np.minimum.reduceat(kv, starts), counts[live])
+        pos = np.where(kv == low, np.arange(kv.size), kv.size)
+        out[live] = np.minimum.reduceat(pos, starts)
     return out
 
 
@@ -215,9 +219,8 @@ def cws_signatures(X: sparse.csr_matrix, omega, hash_ids: np.ndarray, seed: int)
 # --- FreqItem centers ---------------------------------------------------------
 
 
-def _keep_mask(s: np.ndarray, alpha: float) -> np.ndarray:
+def _keep_mask(s: np.ndarray, alpha: float, s_max) -> np.ndarray:
     """Coordinates carrying at least alpha of the peak aggregate mass."""
-    s_max = s.max()
     return (s > 0) & (s >= alpha * s_max)
 
 
@@ -234,7 +237,7 @@ def freqitem_center(cluster: list[SparseWeightedVector], alpha: float) -> FreqIt
     coords = np.array(sorted(agg), dtype=np.int64)
     s = np.array([agg[t][0] for t in coords])
     f = np.array([agg[t][1] for t in coords])
-    keep = _keep_mask(s, alpha)
+    keep = _keep_mask(s, alpha, s.max())
     return FreqItemCenter(
         idx=coords[keep],
         val=s[keep] / np.maximum(1, f[keep]),
@@ -242,18 +245,41 @@ def freqitem_center(cluster: list[SparseWeightedVector], alpha: float) -> FreqIt
     )
 
 
-def _freqitem_from_counts(f: np.ndarray, omega: np.ndarray | None, alpha: float, size: int) -> FreqItemCenter:
-    """Center from column activation counts of binary members."""
-    s = f.astype(np.float64) if omega is None else f * omega
-    keep = _keep_mask(s, alpha)
-    idx = np.flatnonzero(keep)
-    val = s[idx] / np.maximum(1, f[idx])
-    return FreqItemCenter(idx=idx.astype(np.int64), val=val, size=size)
+def _indicator(groups: np.ndarray, n_groups: int) -> sparse.csr_matrix:
+    """Groups x items 0/1 matrix marking the group of each item."""
+    items = np.arange(groups.size)
+    data = np.ones(groups.size, dtype=np.int64)
+    return sparse.csr_matrix((data, (groups, items)), shape=(n_groups, groups.size))
 
 
-def _column_counts(X: sparse.csr_matrix, rows: np.ndarray) -> np.ndarray:
-    sub = X[rows]
-    return np.asarray(sub.sum(axis=0)).ravel().astype(np.int64)
+def _freqitems(F: sparse.csr_matrix, omega: np.ndarray | None, alpha: float) -> sparse.csr_matrix:
+    """Row-wise FreqItem centers from column activation counts.
+
+    Row g of ``F`` counts, per coordinate, the binary members of one group
+    (``M @ X`` for a membership matrix ``M``).  Row g of the result keeps
+    the coordinates carrying at least alpha of that row's peak mass, each
+    valued by its average contribution.
+    """
+    F.sort_indices()
+    f = F.data.astype(np.int64)
+    s = f.astype(np.float64) if omega is None else f * omega[F.indices]
+    lens = np.diff(F.indptr)
+    rows = np.repeat(np.arange(F.shape[0]), lens)
+    s_max = np.zeros(F.shape[0])
+    live = lens > 0
+    if np.any(live):
+        s_max[live] = np.maximum.reduceat(s, F.indptr[:-1][live])
+    keep = _keep_mask(s, alpha, s_max[rows])
+    indptr = np.zeros(F.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=F.shape[0]), out=indptr[1:])
+    val = s[keep] / np.maximum(1, f[keep])
+    return sparse.csr_matrix((val, F.indices[keep], indptr), shape=F.shape)
+
+
+def _as_centers(C: sparse.csr_matrix, sizes: np.ndarray) -> list[FreqItemCenter]:
+    """Split a block of row-wise centers into FreqItemCenter objects."""
+    bounds = zip(C.indptr[:-1].tolist(), C.indptr[1:].tolist(), sizes.tolist())
+    return [FreqItemCenter(C.indices[lo:hi], C.data[lo:hi], size) for lo, hi, size in bounds]
 
 
 # --- Distance kernels ---------------------------------------------------------
@@ -304,30 +330,99 @@ def _distances_plain(X_int, centers) -> np.ndarray:
 
 
 def _band_buckets(coords: np.ndarray, comps: np.ndarray, nonempty: np.ndarray, params: ClusterParams):
-    """Group rows by identical band signatures, per table."""
+    """Group nonempty rows by identical band signatures, per table.
+
+    Returns the bucket membership matrix (buckets x n): one row per group
+    of at least two rows, in (table, band, signature) order.
+    """
     n = coords.shape[0]
-    buckets = []
-    h = 0
-    for _table in range(params.lsh_tables):
-        for _band in range(params.lsh_bands):
-            sig = np.concatenate(
-                [coords[:, h:h + params.lsh_rows], comps[:, h:h + params.lsh_rows]],
-                axis=1,
-            )
-            h += params.lsh_rows
-            view = np.ascontiguousarray(sig).view(
-                np.dtype((np.void, sig.dtype.itemsize * sig.shape[1]))
-            ).ravel()
-            _, inverse, counts = np.unique(view, return_inverse=True, return_counts=True)
-            order = np.argsort(inverse, kind="stable")
-            offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            for g in range(len(counts)):
-                members = order[offsets[g]:offsets[g + 1]]
-                members = members[nonempty[members]]
-                if members.size >= 2:
-                    buckets.append(np.sort(members))
-    return buckets
+    live = np.flatnonzero(nonempty)
+    coords, comps = coords[live], comps[live]
+    members, sizes = [], []
+    for h in range(0, params.lsh_tables * params.lsh_bands * params.lsh_rows, params.lsh_rows):
+        sig = np.concatenate(
+            [coords[:, h:h + params.lsh_rows], comps[:, h:h + params.lsh_rows]],
+            axis=1,
+        )
+        view = np.ascontiguousarray(sig).view(
+            np.dtype((np.void, sig.dtype.itemsize * sig.shape[1]))
+        ).ravel()
+        _, inverse, counts = np.unique(view, return_inverse=True, return_counts=True)
+        order = np.argsort(inverse, kind="stable")
+        shared = counts >= 2
+        members.append(live[order[shared[inverse[order]]]])
+        sizes.append(counts[shared])
+    indices = np.concatenate(members)
+    indptr = np.zeros(sum(c.size for c in sizes) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(sizes), out=indptr[1:])
+    data = np.ones(indices.size, dtype=np.int64)
+    return sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n))
+
+
+def _bin_candidates(
+    X: sparse.csr_matrix,
+    omega: np.ndarray | None,
+    buckets: sparse.csr_matrix,
+    beta: float,
+    hash_ids: np.ndarray,
+    seed: int,
+    cap: int,
+) -> list[FreqItemCenter]:
+    """FreqItem candidates of the ``cap`` largest level-2 bins.
+
+    Each bucket's FreqItem is sketched with the ``hash_ids`` band, and
+    buckets whose sketches agree merge into one bin holding the union of
+    their members.  Bins are ordered by first occurrence, then stably by
+    decreasing size.
+    """
+    if buckets.shape[0] == 0:
+        return []
+    C = _freqitems(buckets @ X, omega, beta)
+    live = np.diff(C.indptr) > 0
+    buckets, C = buckets[live], C[live]
+    if buckets.shape[0] == 0:
+        return []
+    if not np.all(np.isfinite(C.data) & (C.data > 0)):
+        raise ConfigError("values must be finite and positive")
+
+    # One ICWS grid over all coordinates serves every bucket sketch; keys
+    # of each bucket's retained coordinates are its own ICWS keys.
+    r, ln_c, shift = _icws_parts(seed, hash_ids, np.arange(X.shape[1], dtype=np.int64))
+    cols = C.indices
+    ln_a, t_k = _icws_keys(C.data[None, :], r[:, cols], ln_c[:, cols], shift[:, cols])
+    pos = np.stack([_segment_argmin(keys, C.indptr) for keys in ln_a])
+    sig = np.concatenate([cols[pos], np.take_along_axis(t_k, pos, axis=1)]).T
+
+    _, first, inverse = np.unique(sig, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    union = _indicator(rank[inverse.ravel()], first.size) @ buckets
+    union.data[:] = 1
+    sizes = np.diff(union.indptr)
+    top = np.argsort(-sizes, kind="stable")[:cap]
+    return _as_centers(_freqitems(union[top] @ X, omega, beta), sizes[top])
+
+
+def _seed_from_candidates(candidates, X, omega, nonempty, params: ClusterParams, rng) -> list[FreqItemCenter]:
+    """Merge near-duplicate candidates, reduce them to k, pad with rows."""
+    kept: list[FreqItemCenter] = []
+    merged_counts: list[int] = []
+    for cand in candidates:
+        vec = SparseWeightedVector(cand.idx, cand.val)
+        matched = False
+        for i, other in enumerate(kept):
+            if weighted_jaccard(vec, SparseWeightedVector(other.idx, other.val)) >= params.dedup_sim:
+                merged_counts[i] += cand.size
+                matched = True
+                break
+        if not matched:
+            kept.append(cand)
+            merged_counts.append(cand.size)
+
+    centers = _reduce_candidates(kept, merged_counts, params.k, rng)
+    if len(centers) < params.k:
+        centers = _pad_with_rows(centers, X, omega, nonempty, params.k, rng)
+    return centers
 
 
 def silk_seed(
@@ -355,44 +450,8 @@ def silk_seed(
     # one hash collides with probability J_w, which would glue together
     # buckets that are only mildly similar.
     level2_ids = level1 + np.arange(4, dtype=np.int64)
-    bins: dict[tuple, np.ndarray] = {}
-    for members in buckets:
-        counts = _column_counts(X, members)
-        center = _freqitem_from_counts(counts, omega, params.beta, members.size)
-        if center.idx.size == 0:
-            continue
-        hc, ht = cws_sketch(SparseWeightedVector(center.idx, center.val), level2_ids, seed)
-        key = tuple(hc.tolist()) + tuple(ht.tolist())
-        prev = bins.get(key)
-        bins[key] = members if prev is None else np.union1d(prev, members)
-
-    candidates = []
-    for members in bins.values():
-        counts = _column_counts(X, members)
-        candidates.append(_freqitem_from_counts(counts, omega, params.beta, members.size))
-
-    cap = max(4 * k, 32)
-    candidates.sort(key=lambda c: -c.size)
-    candidates = candidates[:cap]
-
-    kept: list[FreqItemCenter] = []
-    merged_counts: list[int] = []
-    for cand in candidates:
-        vec = SparseWeightedVector(cand.idx, cand.val)
-        matched = False
-        for i, other in enumerate(kept):
-            if weighted_jaccard(vec, SparseWeightedVector(other.idx, other.val)) >= params.dedup_sim:
-                merged_counts[i] += cand.size
-                matched = True
-                break
-        if not matched:
-            kept.append(cand)
-            merged_counts.append(cand.size)
-
-    centers = _reduce_candidates(kept, merged_counts, k, rng)
-    if len(centers) < k:
-        centers = _pad_with_rows(centers, X, omega, nonempty, k, rng)
-    return centers
+    candidates = _bin_candidates(X, omega, buckets, params.beta, level2_ids, seed, cap=max(4 * k, 32))
+    return _seed_from_candidates(candidates, X, omega, nonempty, params, rng)
 
 
 def _reduce_candidates(cands, weights, k, rng, restarts: int = 8) -> list[FreqItemCenter]:
@@ -541,20 +600,13 @@ def cluster(
         if labels_prev is not None and np.array_equal(labels, labels_prev):
             break
         labels_prev = labels
-        centers = []
-        for c in range(params.k):
-            members = np.flatnonzero(labels == c)
-            centers.append(
-                _freqitem_from_counts(_column_counts(X, members), omega, params.alpha, members.size)
-            )
+        # recenter on these labels; a fixed-point break returns these centers
+        counts = _indicator(labels, params.k) @ X
+        sizes = np.bincount(labels, minlength=params.k)
+        centers = _as_centers(_freqitems(counts, omega, params.alpha), sizes)
     else:
-        log.debug("cluster: stopped at max_iter=%d without label fixed point", params.max_iter)
+        log.warning("cluster: stopped at max_iter=%d without label fixed point", params.max_iter)
 
-    members = [np.flatnonzero(labels == c) for c in range(params.k)]
-    centers = [
-        _freqitem_from_counts(_column_counts(X, m), omega, params.alpha, m.size)
-        for m in members
-    ]
     return ClusterResult(
         labels=labels,
         centers=centers,

@@ -7,8 +7,17 @@ from math import factorial
 
 import numpy as np
 
+from wise._rng import derive_seed
 from wise.data_model import ColumnSchema, table_from_raw
+from wise.errors import DataError
 from wise.forest import ForestParams, predict_tree, train_tree
+from wise.wkfreq import (
+    FreqItemCenter,
+    SparseWeightedVector,
+    _seed_from_candidates,
+    cws_signatures,
+    cws_sketch,
+)
 
 
 def numeric_table(values):
@@ -106,3 +115,84 @@ def set_partitions(n):
 
     grow([], -1)
     return out
+
+
+def column_counts(X, rows):
+    """Integer column counts of the given rows, from one row slice."""
+    return np.asarray(X[rows].sum(axis=0)).ravel().astype(np.int64)
+
+
+def freqitem_from_counts(f, omega, alpha, size):
+    """FreqItem center of one member set from its column counts."""
+    s = f.astype(np.float64) if omega is None else f * omega
+    keep = (s > 0) & (s >= alpha * s.max())
+    idx = np.flatnonzero(keep)
+    return FreqItemCenter(idx=idx.astype(np.int64), val=s[idx] / np.maximum(1, f[idx]), size=size)
+
+
+def reference_centers(X, labels, omega, alpha, k):
+    """Per-cluster FreqItem centers of a labelling, one row slice each."""
+    members = [np.flatnonzero(labels == c) for c in range(k)]
+    return [freqitem_from_counts(column_counts(X, m), omega, alpha, m.size) for m in members]
+
+
+def reference_silk_seed(X, omega, params, seed):
+    """Per-bucket form of ``wkfreq.silk_seed``.
+
+    Buckets are collected one signature group at a time, each bucket's
+    counts come from its own row slice, each bucket FreqItem is sketched
+    by ``cws_sketch`` on its own coordinates, and bins merge through a
+    dict keyed by the sketch, in insertion order.
+    """
+    k = params.k
+    if X.shape[0] < k:
+        raise DataError(f"need at least k={k} rows, got {X.shape[0]}")
+    rng = np.random.default_rng(derive_seed(seed, "silk"))
+    level1 = params.lsh_tables * params.lsh_bands * params.lsh_rows
+    coords, comps = cws_signatures(X, omega, np.arange(level1, dtype=np.int64), seed)
+    nonempty = coords[:, 0] >= 0
+    if not np.any(nonempty):
+        raise DataError("all rows have empty effective support")
+
+    buckets = []
+    for h in range(0, level1, params.lsh_rows):
+        sig = np.concatenate(
+            [coords[:, h:h + params.lsh_rows], comps[:, h:h + params.lsh_rows]], axis=1)
+        view = np.ascontiguousarray(sig).view(
+            np.dtype((np.void, sig.dtype.itemsize * sig.shape[1]))).ravel()
+        _, inverse, counts = np.unique(view, return_inverse=True, return_counts=True)
+        order = np.argsort(inverse, kind="stable")
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        for g in range(len(counts)):
+            members = order[offsets[g]:offsets[g + 1]]
+            members = members[nonempty[members]]
+            if members.size >= 2:
+                buckets.append(np.sort(members))
+
+    level2_ids = level1 + np.arange(4, dtype=np.int64)
+    bins = {}
+    for members in buckets:
+        center = freqitem_from_counts(column_counts(X, members), omega, params.beta, members.size)
+        if center.idx.size == 0:
+            continue
+        hc, ht = cws_sketch(SparseWeightedVector(center.idx, center.val), level2_ids, seed)
+        key = tuple(hc.tolist()) + tuple(ht.tolist())
+        prev = bins.get(key)
+        bins[key] = members if prev is None else np.union1d(prev, members)
+
+    candidates = [
+        freqitem_from_counts(column_counts(X, m), omega, params.beta, m.size)
+        for m in bins.values()
+    ]
+    candidates.sort(key=lambda c: -c.size)
+    candidates = candidates[:max(4 * k, 32)]
+    return _seed_from_candidates(candidates, X, omega, nonempty, params, rng)
+
+
+def assert_same_centers(got, want):
+    """Centers agree in order, size and every coordinate and value bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.size == b.size
+        assert a.idx.dtype == b.idx.dtype and np.array_equal(a.idx, b.idx)
+        assert a.val.dtype == b.val.dtype and a.val.tobytes() == b.val.tobytes()

@@ -18,7 +18,13 @@ from wise.wkfreq import (
     silk_seed,
     weighted_jaccard,
 )
-from helpers import random_sparse_binary
+from wise.pipeline import one_hot_records
+from helpers import (
+    assert_same_centers,
+    random_sparse_binary,
+    reference_centers,
+    reference_silk_seed,
+)
 
 
 def vec(idx, val=None):
@@ -168,6 +174,31 @@ def test_silk_seed_k1_and_too_few_rows():
         silk_seed(X[:0], None, ClusterParams(k=1, seed=0), seed=0)
 
 
+def _silk_inputs():
+    rng = np.random.default_rng(12)
+    X = random_sparse_binary(rng, n=150, p=40, min_nnz=4, max_nnz=8)
+    omega = rng.uniform(0.1, 1.0, 40)
+    omega[rng.choice(40, size=8, replace=False)] = 0.0
+    yield "weighted, zero weights", X, omega, ClusterParams(k=5, beta=0.4, seed=3)
+    truth = rng.integers(0, 3, 200)
+    L = np.where(rng.random((200, 8)) < 0.85, truth[:, None] * 2, rng.integers(0, 6, (200, 8)))
+    yield "one-hot records", one_hot_records(L, 6), None, ClusterParams(k=3, beta=0.4, seed=8)
+    base = random_sparse_binary(rng, n=12, p=30)
+    dup = base[rng.integers(0, 12, 120)]
+    yield "duplicate rows", dup, rng.uniform(0.2, 1.0, 30), ClusterParams(k=4, beta=0.5, seed=1)
+    yield "duplicate rows, unweighted", dup, None, ClusterParams(k=6, seed=2)
+    single, _ = repeated_disjoint(k=3, copies=1)
+    yield "no buckets", single, None, ClusterParams(k=3, seed=5)
+
+
+def test_silk_seed_matches_per_bucket_reference():
+    for name, X, omega, params in _silk_inputs():
+        got = silk_seed(X, omega, params, seed=params.seed)
+        want = reference_silk_seed(X, omega, params, seed=params.seed)
+        assert len(got) == params.k, name
+        assert_same_centers(got, want)
+
+
 def test_cluster_perfect_partition():
     X, truth = repeated_disjoint(k=3, copies=7)
     res = cluster(X, ClusterParams(k=3, seed=21))
@@ -194,8 +225,14 @@ def test_cluster_converged_labels_are_a_fixed_point():
     X = random_sparse_binary(rng, n=80, p=40)
     params = ClusterParams(k=4, seed=7)
     first = cluster(X, params)
+    assert first.n_iter < params.max_iter
+    assert_same_centers(first.centers, reference_centers(X, first.labels, None, params.alpha, 4))
     again = cluster(X, params, initial_centers=first.centers)
     assert np.array_equal(first.labels, again.labels)
+    # stopped by max_iter: the centers still belong to the returned labels
+    capped = cluster(X, ClusterParams(k=4, seed=7, max_iter=1))
+    assert capped.n_iter == 1
+    assert_same_centers(capped.centers, reference_centers(X, capped.labels, None, params.alpha, 4))
 
 
 def test_cluster_assignment_step_never_increases_cost():
