@@ -9,8 +9,7 @@ hashed bucket, or a width-c one-hot block depending on the mode.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -64,15 +63,15 @@ class BepMatrix:
     def p(self) -> int:
         return self.matrix.shape[1]
 
-    def row_support(self, i: int) -> np.ndarray:
-        return self.matrix.indices[self.matrix.indptr[i]:self.matrix.indptr[i + 1]]
 
-
-def block_offset(x: float, B: int) -> int:
-    """Quantize x in [0,1] to an offset in {0..B}, rounding half away from zero."""
-    if not (0.0 <= x <= 1.0):
-        raise DataError(f"value {x} outside [0,1]")
-    return int(math.floor(B * x + 0.5))
+def block_offset(x, B: int):
+    """Quantize x in [0,1] (scalar or array) to offsets in {0..B}, rounding half up."""
+    x = np.asarray(x, dtype=np.float64)
+    outside = ~((x >= 0) & (x <= 1))
+    if np.any(outside):
+        raise DataError(f"value {x[outside].flat[0]} outside [0,1]")
+    offsets = np.floor(B * x + 0.5).astype(np.int64)
+    return int(offsets) if offsets.ndim == 0 else offsets
 
 
 def encode_numeric_value(x: float, B: int) -> BlockCode:
@@ -80,30 +79,9 @@ def encode_numeric_value(x: float, B: int) -> BlockCode:
     return BlockCode(offset=block_offset(x, B), B=B)
 
 
-def nominal_bit(label: str, col: ColumnSchema, mode: str, B: int, hash_seed: int) -> int:
-    """Bit index of a category label within its group.
-
-    one_hot and expand place the label at its level position (one_hot
-    additionally requires the level count to fit in B bits); hash maps
-    the label through FNV-1a 64-bit folded with the seed, mod B.
-    """
-    if mode == "hash":
-        return mix64(fnv1a64(label.encode("utf-8")) ^ (hash_seed & (1 << 64) - 1)) % B
-    levels = col.levels
-    try:
-        position = levels.index(label)
-    except ValueError:
-        raise DataError(f"column {col.name!r}: unknown label {label!r}") from None
-    if mode == "one_hot" and len(levels) > B:
-        raise ConfigError(
-            f"column {col.name!r} has {len(levels)} categories but B={B}; "
-            "use nominal_mode='hash' or 'expand'"
-        )
-    return position
-
-
-def encode_nominal_value(label: str, col: ColumnSchema, mode: str, B: int, hash_seed: int) -> int:
-    return nominal_bit(label, col, mode, B, hash_seed)
+def nominal_bit(label: str, B: int, hash_seed: int) -> int:
+    """Hashed bit of a category label: FNV-1a 64-bit folded with the seed, mod B."""
+    return mix64(fnv1a64(label.encode("utf-8")) ^ (hash_seed & (1 << 64) - 1)) % B
 
 
 def _group_width(col: ColumnSchema, cfg: BepConfig) -> int:
@@ -124,48 +102,27 @@ def encode_table(table: MixedTable, cfg: BepConfig) -> BepMatrix:
     if table.n == 0:
         raise DataError("cannot encode an empty table")
     B = cfg.B
-    starts, kinds = [], []
+    bit_groups = []
     p = 0
     for col in table.schema:
-        starts.append(p)
-        kinds.append(col.kind)
-        p += _group_width(col, cfg)
-    bit_groups = [
-        (start, start + _group_width(col, cfg))
-        for start, col in zip(starts, table.schema)
-    ]
+        bit_groups.append((p, p + _group_width(col, cfg)))
+        p = bit_groups[-1][1]
 
     per_col_indices = []
-    for j, col in enumerate(table.schema):
-        start = starts[j]
+    for j, (col, (start, _)) in enumerate(zip(table.schema, bit_groups)):
         raw = table.column(j)
-        if col.kind == "numeric":
-            x = normalize_numeric(raw).values
-        elif col.kind == "ordinal":
-            x = ordinal_to_scalar(raw, col).values
-        else:
-            x = None
-        if x is not None:
-            if np.any(x < 0) or np.any(x > 1):
-                raise DataError(f"column {col.name!r}: normalized value outside [0,1]")
-            offsets = np.floor(B * x + 0.5).astype(np.int64)
-            block = np.arange(B, dtype=np.int64)
-            per_col_indices.append(start + offsets[:, None] + block[None, :])
-        else:
-            levels = col.levels
+        if col.kind == "nominal":
             if cfg.nominal_mode == "hash":
                 level_bits = np.array(
-                    [nominal_bit(lab, col, "hash", B, cfg.hash_seed) for lab in levels],
-                    dtype=np.int64,
+                    [nominal_bit(lab, B, cfg.hash_seed) for lab in col.levels], dtype=np.int64
                 )
             else:
-                level_bits = np.arange(len(levels), dtype=np.int64)
-                if cfg.nominal_mode == "one_hot" and len(levels) > B:
-                    raise ConfigError(
-                        f"column {col.name!r} has {len(levels)} categories but B={B}; "
-                        "use nominal_mode='hash' or 'expand'"
-                    )
+                level_bits = np.arange(col.n_levels(), dtype=np.int64)
             per_col_indices.append(start + level_bits[raw][:, None])
+            continue
+        x = normalize_numeric(raw) if col.kind == "numeric" else ordinal_to_scalar(raw, col)
+        offsets = block_offset(x, B)
+        per_col_indices.append(start + offsets[:, None] + np.arange(B, dtype=np.int64)[None, :])
 
     indices = np.concatenate(per_col_indices, axis=1)
     nnz_per_row = indices.shape[1]
@@ -174,7 +131,9 @@ def encode_table(table: MixedTable, cfg: BepConfig) -> BepMatrix:
         (np.ones(indices.size, dtype=np.uint8), indices.ravel(), indptr),
         shape=(table.n, p),
     )
-    return BepMatrix(matrix=matrix, bit_groups=bit_groups, group_kinds=kinds, config=cfg)
+    return BepMatrix(
+        matrix=matrix, bit_groups=bit_groups, group_kinds=[c.kind for c in table.schema], config=cfg
+    )
 
 
 def jaccard_distance(a, b) -> float:

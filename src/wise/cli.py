@@ -21,12 +21,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bep import BepConfig, dump_bep, encode_table
+from .bep import dump_bep, encode_table
 from .data_model import MixedTable, load_table
 from .dfi import compute_explanations, faithfulness_eval, global_ranking
 from .errors import ConfigError, DataError, InvariantError
-from .forest import ForestParams
-from .lofo import FeatureWeightVector, QdParams, views_matrix
+from .lofo import FeatureWeightVector, views_matrix
 from .metrics import evaluate
 from .pipeline import (
     ABLATIONS,
@@ -47,36 +46,37 @@ WORKERS_ENV = "WISE_WORKERS"
 # Config file keys.  The Greek names are the canonical spellings; the
 # ASCII forms are accepted as aliases and normalized on load.
 ALIASES = {"lambda_QD": "λ_QD", "alpha0": "α0", "beta0": "β0", "alpha": "α"}
-CANONICAL_KEYS = (
-    "B", "T", "m", "λ_QD", "k0", "α0", "β0", "K", "α",
-    "seed", "eps", "max_iter", "explain_cap", "background",
-    "nominal_mode", "hash_seed",
-    "max_depth", "min_samples_leaf", "train_sample_frac", "features_per_split",
-)
+# key -> (PipelineConfig sub-config or None for a top-level field, field name),
+# in the order result.json lists them
+CONFIG_FIELDS = {
+    "B": ("bep", "B"),
+    "T": ("forest", "T"),
+    "m": ("qd", "m"),
+    "λ_QD": ("qd", "lam"),
+    "k0": (None, "k0"),
+    "α0": (None, "alpha0"),
+    "β0": (None, "beta0"),
+    "K": (None, "K"),
+    "α": (None, "alpha"),
+    "seed": (None, "seed"),
+    "eps": (None, "eps"),
+    "max_iter": (None, "max_iter"),
+    "explain_cap": (None, "explain_cap"),
+    "background": (None, "background"),
+    "nominal_mode": ("bep", "nominal_mode"),
+    "hash_seed": ("bep", "hash_seed"),
+    "max_depth": ("forest", "max_depth"),
+    "min_samples_leaf": ("forest", "min_samples_leaf"),
+    "train_sample_frac": ("forest", "train_sample_frac"),
+    "features_per_split": ("forest", "features_per_split"),
+}
+CANONICAL_KEYS = tuple(CONFIG_FIELDS)
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
     return {
-        "B": cfg.bep.B,
-        "T": cfg.forest.T,
-        "m": cfg.qd.m,
-        "λ_QD": cfg.qd.lam,
-        "k0": cfg.k0,
-        "α0": cfg.alpha0,
-        "β0": cfg.beta0,
-        "K": cfg.K,
-        "α": cfg.alpha,
-        "seed": cfg.seed,
-        "eps": cfg.eps,
-        "max_iter": cfg.max_iter,
-        "explain_cap": cfg.explain_cap,
-        "background": cfg.background,
-        "nominal_mode": cfg.bep.nominal_mode,
-        "hash_seed": cfg.bep.hash_seed,
-        "max_depth": cfg.forest.max_depth,
-        "min_samples_leaf": cfg.forest.min_samples_leaf,
-        "train_sample_frac": cfg.forest.train_sample_frac,
-        "features_per_split": cfg.forest.features_per_split,
+        key: getattr(cfg if sub is None else getattr(cfg, sub), name)
+        for key, (sub, name) in CONFIG_FIELDS.items()
     }
 
 
@@ -91,30 +91,20 @@ def build_config(entries: dict) -> PipelineConfig:
             raise ConfigError(f"config key {key!r} given twice")
         normalized[key] = value
 
-    base = config_to_dict(PipelineConfig())
-    base.update(normalized)
+    # each value takes the type of its default; features_per_split is None or a float
+    base = PipelineConfig()
+    changes: dict = {None: {}, "bep": {}, "forest": {}, "qd": {}}
     try:
-        bep = BepConfig(B=int(base["B"]), nominal_mode=str(base["nominal_mode"]),
-                        hash_seed=int(base["hash_seed"]))
-        fps = base["features_per_split"]
-        forest = ForestParams(
-            T=int(base["T"]),
-            max_depth=int(base["max_depth"]),
-            min_samples_leaf=int(base["min_samples_leaf"]),
-            train_sample_frac=float(base["train_sample_frac"]),
-            features_per_split=None if fps is None else float(fps),
-        )
-        qd = QdParams(m=int(base["m"]), lam=float(base["λ_QD"]))
-        return PipelineConfig(
-            bep=bep, forest=forest, qd=qd,
-            k0=int(base["k0"]), alpha0=float(base["α0"]), beta0=float(base["β0"]),
-            K=int(base["K"]), alpha=float(base["α"]),
-            seed=int(base["seed"]), eps=float(base["eps"]),
-            max_iter=int(base["max_iter"]),
-            explain_cap=int(base["explain_cap"]), background=int(base["background"]),
-        )
+        for key, value in normalized.items():
+            sub, name = CONFIG_FIELDS[key]
+            default = getattr(base if sub is None else getattr(base, sub), name)
+            cast = float if default is None else type(default)
+            changes[sub][name] = None if value is None and default is None else cast(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
+    top = changes.pop(None)
+    parts = {sub: replace(getattr(base, sub), **fields) for sub, fields in changes.items()}
+    return replace(base, **parts, **top)
 
 
 def load_config(path, overrides, seed_flag) -> PipelineConfig:
@@ -352,12 +342,13 @@ def cmd_cluster(args) -> int:
     table, _ = _load_input(args)
     names = [c.name for c in table.schema]
     bepm = encode_table(table, cfg.bep)
+    workers = _workers(args)
     if args.weights is not None:
         views = read_views(args.weights, names)
     else:
-        views = make_views(table, cfg, ablation=args.ablation or "uniform")
+        views = make_views(table, cfg, ablation=args.ablation or "uniform", workers=workers)
     L, _centers = stage_one(
-        bepm, views, cfg.k0, cfg.alpha0, cfg.beta0, cfg.seed, cfg.max_iter, _workers(args)
+        bepm, views, cfg.k0, cfg.alpha0, cfg.beta0, cfg.seed, cfg.max_iter, workers
     )
     y = stage_two(one_hot_records(L, cfg.k0), cfg.K, cfg.alpha, cfg.beta0, cfg.seed, cfg.max_iter)
     os.makedirs(args.out, exist_ok=True)

@@ -85,15 +85,6 @@ class MixedTable:
         raise DataError(f"no column named {name!r}")
 
 
-@dataclass
-class NormalizedColumn:
-    """Min-max scaled column; a constant column maps to all zeros."""
-
-    values: np.ndarray
-    min: float
-    max: float
-
-
 def load_schema(schema_path) -> list[ColumnSchema]:
     """Parse a JSON schema file: a list of {name, kind, ordered_levels?}."""
     with open(schema_path, encoding="utf-8") as fh:
@@ -242,16 +233,16 @@ def write_table(table: MixedTable, csv_path, truth=None, truth_name: str = "labe
             writer.writerow(out)
 
 
-def normalize_numeric(values) -> NormalizedColumn:
+def normalize_numeric(values) -> np.ndarray:
     """Min-max scale to [0,1]; a constant column becomes all zeros."""
     arr = np.asarray(values, dtype=np.float64)
     lo, hi = float(arr.min()), float(arr.max())
     if hi == lo:
-        return NormalizedColumn(np.zeros_like(arr), lo, hi)
-    return NormalizedColumn((arr - lo) / (hi - lo), lo, hi)
+        return np.zeros_like(arr)
+    return (arr - lo) / (hi - lo)
 
 
-def ordinal_to_scalar(codes, col: ColumnSchema) -> NormalizedColumn:
+def ordinal_to_scalar(codes, col: ColumnSchema) -> np.ndarray:
     """Map ordinal level indices onto [0,1] preserving order."""
     if col.kind != "ordinal":
         raise DataError(f"column {col.name!r} is not ordinal")
@@ -260,8 +251,8 @@ def ordinal_to_scalar(codes, col: ColumnSchema) -> NormalizedColumn:
     if codes.size and (codes.min() < 0 or codes.max() >= c):
         raise DataError(f"column {col.name!r}: level index out of range")
     if c == 1:
-        return NormalizedColumn(np.zeros(len(codes)), 0.0, 0.0)
-    return NormalizedColumn(codes.astype(np.float64) / (c - 1), 0.0, float(c - 1))
+        return np.zeros(len(codes))
+    return codes.astype(np.float64) / (c - 1)
 
 
 def design_matrix(table: MixedTable):
@@ -278,7 +269,7 @@ def design_matrix(table: MixedTable):
     for j, col in enumerate(table.schema):
         raw = table.column(j)
         if col.kind == "numeric":
-            X[:, j] = normalize_numeric(raw).values
+            X[:, j] = normalize_numeric(raw)
         else:
             X[:, j] = raw.astype(np.float64)
             is_nominal[j] = col.kind == "nominal"

@@ -56,10 +56,15 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
-    def goes_left(self, x: np.ndarray) -> bool:
+    def goes_left(self, column: np.ndarray) -> np.ndarray:
+        """Routing of this node's split feature values: True means left.
+
+        Nominal splits send listed category codes left; threshold splits
+        send values <= threshold left.
+        """
         if self.categories is not None:
-            return int(x[self.feature]) in self.categories
-        return x[self.feature] <= self.threshold
+            return np.isin(column.astype(np.int64), np.fromiter(self.categories, dtype=np.int64))
+        return column <= self.threshold
 
 
 @dataclass
@@ -254,16 +259,8 @@ def train_tree(
         if best is None:
             return _leaf(yn, task, n_classes)
         _, f, threshold, cats = best
-        if cats is not None:
-            mask = np.isin(X[idx, f].astype(np.int64), np.fromiter(cats, dtype=np.int64))
-        else:
-            mask = X[idx, f] <= threshold
-        node = TreeNode(
-            n_samples=idx.size,
-            feature=f,
-            threshold=threshold,
-            categories=cats,
-        )
+        node = TreeNode(n_samples=idx.size, feature=f, threshold=threshold, categories=cats)
+        mask = node.goes_left(X[idx, f])
         node.left = grow(idx[mask], depth + 1)
         node.right = grow(idx[~mask], depth + 1)
         return node
@@ -285,13 +282,7 @@ def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
         if node.is_leaf:
             out[idx] = node.value
             return
-        if node.categories is not None:
-            mask = np.isin(
-                X[idx, node.feature].astype(np.int64),
-                np.fromiter(node.categories, dtype=np.int64),
-            )
-        else:
-            mask = X[idx, node.feature] <= node.threshold
+        mask = node.goes_left(X[idx, node.feature])
         walk(node.left, idx[mask])
         walk(node.right, idx[~mask])
 
@@ -379,9 +370,3 @@ def train_forest(table: MixedTable, target: int, params: ForestParams) -> Forest
         target_index=target,
         input_columns=cols,
     )
-
-
-def predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Forest prediction: mean value or averaged probability rows."""
-    preds = [predict_tree(t.root, X) for t in model.trees]
-    return np.mean(preds, axis=0)

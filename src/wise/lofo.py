@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,15 +179,7 @@ def candidates_from_forest(
 def _sense_one(args):
     table, target, forest_params, qd_params, explain_cap, background_size = args
     seed_j = derive_seed(forest_params.seed, "lofo", target)
-    params_j = ForestParams(
-        T=forest_params.T,
-        max_depth=forest_params.max_depth,
-        min_samples_leaf=forest_params.min_samples_leaf,
-        train_sample_frac=forest_params.train_sample_frac,
-        features_per_split=forest_params.features_per_split,
-        seed=seed_j,
-    )
-    model = train_forest(table, target, params_j)
+    model = train_forest(table, target, replace(forest_params, seed=seed_j))
     X_all, _ = design_matrix(table)
     X_inputs = X_all[:, model.input_columns]
     cands = candidates_from_forest(model, X_inputs, seed_j, explain_cap, background_size)

@@ -33,21 +33,13 @@ def contingency(y_pred, y_true) -> ContingencyTable:
         raise DataError(f"label shapes differ: {y_pred.shape} vs {y_true.shape}")
     if y_pred.size == 0:
         raise DataError("empty label arrays")
-    if y_pred.size <= 64:
-        # plain dicts beat numpy dispatch overhead at this scale
-        pmap, tmap, cells = {}, {}, {}
-        for a, b in zip(y_pred.tolist(), y_true.tolist()):
-            i = pmap.setdefault(a, len(pmap))
-            j = tmap.setdefault(b, len(tmap))
-            cells[(i, j)] = cells.get((i, j), 0) + 1
-        counts = np.zeros((len(pmap), len(tmap)), dtype=np.int64)
-        for (i, j), v in cells.items():
-            counts[i, j] = v
-    else:
-        _, pi = np.unique(y_pred, return_inverse=True)
-        _, ti = np.unique(y_true, return_inverse=True)
-        counts = np.zeros((int(pi.max()) + 1, int(ti.max()) + 1), dtype=np.int64)
-        np.add.at(counts, (pi, ti), 1)
+    # labels index rows and columns in sorted order, as np.unique would
+    pred, true = y_pred.tolist(), y_true.tolist()
+    rows = {a: i for i, a in enumerate(sorted(set(pred)))}
+    cols = {b: j for j, b in enumerate(sorted(set(true)))}
+    width = len(cols)
+    cells = [rows[a] * width + cols[b] for a, b in zip(pred, true)]
+    counts = np.bincount(cells, minlength=len(rows) * width).reshape(len(rows), width)
     return ContingencyTable(
         counts=counts,
         row_sums=counts.sum(axis=1),
@@ -131,9 +123,9 @@ def gower_columns(table: MixedTable, rows: np.ndarray) -> np.ndarray:
     for j, col in enumerate(table.schema):
         raw = table.column(j)[rows]
         if col.kind == "numeric":
-            cols[:, j] = normalize_numeric(raw).values
+            cols[:, j] = normalize_numeric(raw)
         elif col.kind == "ordinal":
-            cols[:, j] = ordinal_to_scalar(raw, col).values
+            cols[:, j] = ordinal_to_scalar(raw, col)
         else:
             cols[:, j] = raw
     return cols

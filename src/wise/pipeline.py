@@ -193,7 +193,6 @@ def run_wise(
     config: PipelineConfig,
     ablation: str = "none",
     workers: int = 1,
-    with_instances: bool = True,
 ) -> WiseResult:
     """Full run: encode, sense views, round clusterings, final clustering,
     explanations.  Pure function of (table, config, ablation)."""
@@ -208,9 +207,6 @@ def run_wise(
     explanations = compute_explanations(
         L, y, views_matrix(views), config.K, config.k0, config.eps,
     )
-    if not with_instances:
-        explanations.W_instance = np.zeros((0, table.d))
-        explanations.W_instance_raw = np.zeros((0, table.d))
     if y.shape != (table.n,) or L.shape != (table.n, len(views)):
         raise InvariantError("result shapes are inconsistent")
     return WiseResult(

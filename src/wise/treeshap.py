@@ -30,12 +30,6 @@ from .forest import TreeNode, predict_tree
 
 
 @dataclass
-class ShapAttribution:
-    phi: np.ndarray
-    base_value: float
-
-
-@dataclass
 class GlobalAttribution:
     s: np.ndarray
     explained_count: int
@@ -50,9 +44,9 @@ def _leaf_scalar(value, output_index: int | None) -> float:
 
 
 def _collect_leaves(root: TreeNode):
-    """Flatten the tree into (path tests, leaf value) pairs.
+    """Flatten the tree into (path, leaf value) pairs.
 
-    Each path test is (feature, threshold, categories, went_left).
+    Each path step is (internal node, went_left).
     """
     leaves = []
 
@@ -60,26 +54,19 @@ def _collect_leaves(root: TreeNode):
         if node.is_leaf:
             leaves.append((tuple(path), node.value))
             return
-        test = (node.feature, node.threshold, node.categories)
-        walk(node.left, path + [test + (True,)])
-        walk(node.right, path + [test + (False,)])
+        walk(node.left, path + [(node, True)])
+        walk(node.right, path + [(node, False)])
 
     walk(root, [])
     return leaves
 
 
-def _follows(X: np.ndarray, tests) -> np.ndarray:
-    """Whether each row of X routes along every given test of one feature."""
+def _follows(X: np.ndarray, steps) -> np.ndarray:
+    """Whether each row of X routes along every given path step."""
     ok = np.ones(X.shape[0], dtype=bool)
-    for feature, threshold, categories, went_left in tests:
-        if categories is not None:
-            goes_left = np.isin(
-                X[:, feature].astype(np.int64),
-                np.fromiter(categories, dtype=np.int64),
-            )
-        else:
-            goes_left = X[:, feature] <= threshold
-        ok &= goes_left if went_left else ~goes_left
+    for node, went_left in steps:
+        left = node.goes_left(X[:, node.feature])
+        ok &= left if went_left else ~left
     return ok
 
 
@@ -121,8 +108,8 @@ def shap_matrix(
             continue  # depth-0 tree: constant, no attribution
         leaf_value = _leaf_scalar(value, output_index)
         by_feature: dict[int, list] = {}
-        for test in path:
-            by_feature.setdefault(test[0], []).append(test)
+        for step in path:
+            by_feature.setdefault(step[0].feature, []).append(step)
         feats = sorted(by_feature)
         q = len(feats)
         fx = np.stack([_follows(rows, by_feature[f]) for f in feats])       # (q, E)
@@ -148,17 +135,6 @@ def shap_matrix(
         base_pred = base_pred[:, output_index]
     base_value = float(base_pred.mean())
     return phi, base_value
-
-
-def interventional_shap(
-    root: TreeNode,
-    row: np.ndarray,
-    background: np.ndarray,
-    output_index: int | None = None,
-) -> ShapAttribution:
-    """Shapley attribution of one row against a background reference set."""
-    phi, base = shap_matrix(root, np.asarray(row)[None, :], background, output_index)
-    return ShapAttribution(phi=phi[0], base_value=base)
 
 
 def aggregate_global(

@@ -104,18 +104,18 @@ class ClusterResult:
     history: list[tuple[float | None, float]]
 
 
-def weighted_jaccard(v: SparseWeightedVector, u: SparseWeightedVector) -> float:
-    """Similarity sum(min)/sum(max); two empty vectors are identical (1)."""
+def weighted_jaccard(v, u) -> float:
+    """Similarity sum(min)/sum(max); two empty vectors are identical (1).
+
+    Reads only ``idx``, ``val`` and ``total``, so a SparseWeightedVector
+    and a FreqItemCenter compare alike.
+    """
     common, ia, ib = np.intersect1d(v.idx, u.idx, assume_unique=True, return_indices=True)
     smin = float(np.minimum(v.val[ia], u.val[ib]).sum())
     smax = v.total + u.total - smin
     if smax == 0.0:
         return 1.0
     return smin / smax
-
-
-def jaccard_pair_distance(v, u) -> float:
-    return 1.0 - weighted_jaccard(v, u)
 
 
 # --- Consistent Weighted Sampling -------------------------------------------
@@ -145,12 +145,6 @@ def _icws_keys(values: np.ndarray, r, ln_c, beta):
     ln_y = r * (t_k - beta)
     ln_a = ln_c - ln_y - r
     return ln_a, t_k.astype(np.int64)
-
-
-def cws_hash(v: SparseWeightedVector, h: int, seed: int) -> tuple[int, int]:
-    """One weighted-MinHash draw: (argmin coordinate, discretized companion)."""
-    coords, comps = cws_sketch(v, np.array([h], dtype=np.int64), seed)
-    return int(coords[0]), int(comps[0])
 
 
 def cws_sketch(v: SparseWeightedVector, hash_ids: np.ndarray, seed: int):
@@ -219,32 +213,6 @@ def cws_signatures(X: sparse.csr_matrix, omega, hash_ids: np.ndarray, seed: int)
 # --- FreqItem centers ---------------------------------------------------------
 
 
-def _keep_mask(s: np.ndarray, alpha: float, s_max) -> np.ndarray:
-    """Coordinates carrying at least alpha of the peak aggregate mass."""
-    return (s > 0) & (s >= alpha * s_max)
-
-
-def freqitem_center(cluster: list[SparseWeightedVector], alpha: float) -> FreqItemCenter:
-    """Aggregate members into a center: keep heavy coordinates, average them."""
-    if not cluster:
-        raise DataError("empty cluster has no FreqItem center")
-    agg: dict[int, list[float]] = {}
-    for vec in cluster:
-        for t, v in zip(vec.idx.tolist(), vec.val.tolist()):
-            slot = agg.setdefault(t, [0.0, 0])
-            slot[0] += v
-            slot[1] += 1
-    coords = np.array(sorted(agg), dtype=np.int64)
-    s = np.array([agg[t][0] for t in coords])
-    f = np.array([agg[t][1] for t in coords])
-    keep = _keep_mask(s, alpha, s.max())
-    return FreqItemCenter(
-        idx=coords[keep],
-        val=s[keep] / np.maximum(1, f[keep]),
-        size=len(cluster),
-    )
-
-
 def _indicator(groups: np.ndarray, n_groups: int) -> sparse.csr_matrix:
     """Groups x items 0/1 matrix marking the group of each item."""
     items = np.arange(groups.size)
@@ -269,7 +237,7 @@ def _freqitems(F: sparse.csr_matrix, omega: np.ndarray | None, alpha: float) -> 
     live = lens > 0
     if np.any(live):
         s_max[live] = np.maximum.reduceat(s, F.indptr[:-1][live])
-    keep = _keep_mask(s, alpha, s_max[rows])
+    keep = (s > 0) & (s >= alpha * s_max[rows])
     indptr = np.zeros(F.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows[keep], minlength=F.shape[0]), out=indptr[1:])
     val = s[keep] / np.maximum(1, f[keep])
@@ -404,22 +372,29 @@ def _bin_candidates(
 
 
 def _seed_from_candidates(candidates, X, omega, nonempty, params: ClusterParams, rng) -> list[FreqItemCenter]:
-    """Merge near-duplicate candidates, reduce them to k, pad with rows."""
-    kept: list[FreqItemCenter] = []
+    """Merge near-duplicate candidates, reduce them to k, pad with rows.
+
+    One pairwise similarity matrix serves both the merge and the reduction.
+    """
+    m = len(candidates)
+    sim = np.eye(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            sim[i, j] = sim[j, i] = weighted_jaccard(candidates[i], candidates[j])
+    kept: list[int] = []
     merged_counts: list[int] = []
-    for cand in candidates:
-        vec = SparseWeightedVector(cand.idx, cand.val)
-        matched = False
-        for i, other in enumerate(kept):
-            if weighted_jaccard(vec, SparseWeightedVector(other.idx, other.val)) >= params.dedup_sim:
-                merged_counts[i] += cand.size
-                matched = True
+    for c, cand in enumerate(candidates):
+        for slot, i in enumerate(kept):
+            if sim[c, i] >= params.dedup_sim:
+                merged_counts[slot] += cand.size
                 break
-        if not matched:
-            kept.append(cand)
+        else:
+            kept.append(c)
             merged_counts.append(cand.size)
 
-    centers = _reduce_candidates(kept, merged_counts, params.k, rng)
+    centers = _reduce_candidates(
+        [candidates[i] for i in kept], merged_counts, sim[np.ix_(kept, kept)], params.k, rng
+    )
     if len(centers) < params.k:
         centers = _pad_with_rows(centers, X, omega, nonempty, params.k, rng)
     return centers
@@ -454,9 +429,10 @@ def silk_seed(
     return _seed_from_candidates(candidates, X, omega, nonempty, params, rng)
 
 
-def _reduce_candidates(cands, weights, k, rng, restarts: int = 8) -> list[FreqItemCenter]:
+def _reduce_candidates(cands, weights, sim, k, rng, restarts: int = 8) -> list[FreqItemCenter]:
     """Pick k candidates by weight*distance^2 sampling, best of several
     restarts under the weighted quantization cost over the candidate set.
+    ``sim`` holds the candidates' pairwise weighted Jaccard similarities.
 
     The first restart anchors on the heaviest candidate; later restarts
     sample the first pick by weight, so a misleadingly heavy blended
@@ -465,12 +441,7 @@ def _reduce_candidates(cands, weights, k, rng, restarts: int = 8) -> list[FreqIt
     if len(cands) <= k:
         return list(cands)
     weights = np.asarray(weights, dtype=np.float64)
-    vecs = [SparseWeightedVector(c.idx, c.val) for c in cands]
     m = len(cands)
-    sim = np.eye(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            sim[i, j] = sim[j, i] = weighted_jaccard(vecs[i], vecs[j])
     dmat = 1.0 - sim
 
     def sample(score) -> int:

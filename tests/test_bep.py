@@ -16,7 +16,7 @@ from wise.bep import (
     nominal_bit,
     quantization_bounds,
 )
-from wise.data_model import ColumnSchema, table_from_raw
+from wise.data_model import ColumnSchema, normalize_numeric, ordinal_to_scalar, table_from_raw
 from wise.errors import ConfigError, DataError
 from helpers import numeric_table
 
@@ -31,6 +31,10 @@ def test_block_code_endpoints():
 def test_block_offset_rounds_half_up():
     assert block_offset(0.125, 4) == 1   # 4*0.125 + 0.5 = 1.0
     assert block_offset(0.1, 4) == 0
+    assert type(block_offset(0.5, 4)) is int
+    assert block_offset(np.array([0.125, 0.1, 1.0]), 4).tolist() == [1, 0, 4]
+    with pytest.raises(DataError, match="outside"):
+        block_offset(np.array([0.5, np.nan]), 4)
     with pytest.raises(DataError, match="outside"):
         block_offset(1.5, 4)
 
@@ -43,23 +47,17 @@ def test_bep_config_validation():
 
 
 def test_nominal_bit_modes():
-    col = ColumnSchema("c", "nominal", observed_levels=["a", "b", "c"])
-    assert nominal_bit("c", col, "one_hot", 4, 0) == 2
-    wide = ColumnSchema("c", "nominal", observed_levels=[f"v{i}" for i in range(10)])
-    with pytest.raises(ConfigError, match="hash.*expand"):
-        nominal_bit("v0", wide, "one_hot", 4, 0)
-    assert nominal_bit("v7", wide, "expand", 4, 0) == 7
-    h = nominal_bit("v7", wide, "hash", 4, 0)
+    table = table_from_raw([ColumnSchema("c", "nominal")], [("a",), ("b",), ("c",), ("b",)])
+    one_hot = encode_table(table, BepConfig(B=4, nominal_mode="one_hot"))
+    assert one_hot.matrix.indices.tolist() == [0, 1, 2, 1]   # level positions
+    hashed = encode_table(table, BepConfig(B=4, nominal_mode="hash", hash_seed=5))
+    assert hashed.matrix.indices.tolist() == [nominal_bit(lab, 4, 5) for lab in "abcb"]
+    h = nominal_bit("v7", 4, 0)
     assert 0 <= h < 4
-    assert h == nominal_bit("v7", wide, "hash", 4, 0)
+    assert h == nominal_bit("v7", 4, 0)
     # the seed reshuffles buckets: over 10 labels at least one must move
-    moved = [
-        nominal_bit(f"v{i}", wide, "hash", 4, 0) != nominal_bit(f"v{i}", wide, "hash", 4, 99)
-        for i in range(10)
-    ]
+    moved = [nominal_bit(f"v{i}", 4, 0) != nominal_bit(f"v{i}", 4, 99) for i in range(10)]
     assert any(moved)
-    with pytest.raises(DataError, match="unknown label"):
-        nominal_bit("zzz", col, "one_hot", 4, 0)
 
 
 def test_encode_numeric_column_offsets_and_overlap():
@@ -67,11 +65,43 @@ def test_encode_numeric_column_offsets_and_overlap():
     # sit at offsets 0, 2, 4: rows 0 and 1 share 2 bits, rows 0 and 2 none
     bepm = encode_table(numeric_table([20, 28, 40]), BepConfig(B=4))
     assert bepm.p == 8
-    assert bepm.row_support(0).tolist() == [0, 1, 2, 3]
-    assert bepm.row_support(1).tolist() == [2, 3, 4, 5]
-    assert bepm.row_support(2).tolist() == [4, 5, 6, 7]
-    assert np.intersect1d(bepm.row_support(0), bepm.row_support(1)).size == 2
-    assert np.intersect1d(bepm.row_support(0), bepm.row_support(2)).size == 0
+    rows = [bepm.matrix[i].indices for i in range(3)]
+    assert rows[0].tolist() == [0, 1, 2, 3]
+    assert rows[1].tolist() == [2, 3, 4, 5]
+    assert rows[2].tolist() == [4, 5, 6, 7]
+    assert np.intersect1d(rows[0], rows[1]).size == 2
+    assert np.intersect1d(rows[0], rows[2]).size == 0
+
+
+def test_encode_scalar_bits_are_block_codes():
+    # the encoder's numeric and ordinal bits are encode_numeric_value's
+    # block, shifted to the column's group start
+    rng = np.random.default_rng(8)
+    levels = ["lo", "mid", "hi", "top"]
+    schema = [
+        ColumnSchema("num", "numeric"),
+        ColumnSchema("cat", "nominal"),
+        ColumnSchema("ord", "ordinal", ordered_levels=levels),
+        ColumnSchema("wide", "numeric"),
+    ]
+    rows = [
+        (rng.random(), f"v{rng.integers(3)}", levels[rng.integers(4)], rng.normal(0, 50))
+        for _ in range(200)
+    ]
+    table = table_from_raw(schema, rows)
+    for B in (3, 5, 8):
+        bepm = encode_table(table, BepConfig(B=B))
+        scalars = {
+            0: normalize_numeric(table.column(0)),
+            2: ordinal_to_scalar(table.column(2), schema[2]),
+            3: normalize_numeric(table.column(3)),
+        }
+        for i in range(table.n):
+            bits = bepm.matrix[i].indices
+            for j, x in scalars.items():
+                start, stop = bepm.bit_groups[j]
+                want = start + encode_numeric_value(float(x[i]), B).bits
+                assert bits[(bits >= start) & (bits < stop)].tolist() == want.tolist()
 
 
 def test_encode_nominal_only_is_one_hot():
@@ -105,6 +135,7 @@ def test_encode_expand_and_hash_widths():
     table = table_from_raw(schema, [(f"v{i}",) for i in range(10)])
     expand = encode_table(table, BepConfig(B=4, nominal_mode="expand"))
     assert expand.p == 10
+    assert expand.matrix.indices.tolist() == list(range(10))   # level positions
     hashed = encode_table(table, BepConfig(B=4, nominal_mode="hash"))
     assert hashed.p == 4
     assert np.all(np.diff(hashed.matrix.indptr) == 1)

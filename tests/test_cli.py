@@ -225,6 +225,24 @@ def test_stagewise_commands_compose(tmp_path):
     assert "ari" in json.loads(metrics_out.read_text())
 
 
+def test_cluster_command_senses_with_workers(tmp_path, monkeypatch):
+    csv_path, schema_path = synth_dataset(tmp_path)
+    seen = []
+    make_views = cli.make_views
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("workers", 1))
+        return make_views(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_views", spy)
+    assert cli.main(
+        ["cluster", "--data", str(csv_path), "--schema", str(schema_path),
+         "--truth-column", "label", "--ablation", "none", "--out", str(tmp_path / "c"),
+         "--workers", "2", "--seed", "42"] + FAST_OVERRIDES
+    ) == 0
+    assert seen == [2]
+
+
 def test_exit_code_two_for_config_errors(tmp_path, capsys):
     csv_path, schema_path = synth_dataset(tmp_path)
     rc = cli.main(

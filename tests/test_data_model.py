@@ -120,16 +120,16 @@ def test_column_index():
 
 
 def test_normalize_numeric_examples():
-    assert np.allclose(normalize_numeric([20, 28, 40]).values, [0.0, 0.4, 1.0])
-    assert np.allclose(normalize_numeric([5, 5, 5]).values, [0.0, 0.0, 0.0])
-    assert np.allclose(normalize_numeric([0, 1]).values, [0.0, 1.0])
+    assert np.allclose(normalize_numeric([20, 28, 40]), [0.0, 0.4, 1.0])
+    assert np.allclose(normalize_numeric([5, 5, 5]), [0.0, 0.0, 0.0])
+    assert np.allclose(normalize_numeric([0, 1]), [0.0, 1.0])
 
 
 def test_ordinal_to_scalar_examples():
     col = ColumnSchema("s", "ordinal", ordered_levels=["low", "mid", "high"])
-    assert np.allclose(ordinal_to_scalar([0, 2, 1], col).values, [0.0, 1.0, 0.5])
+    assert np.allclose(ordinal_to_scalar([0, 2, 1], col), [0.0, 1.0, 0.5])
     single = ColumnSchema("s", "ordinal", ordered_levels=["only"])
-    assert np.allclose(ordinal_to_scalar([0], single).values, [0.0])
+    assert np.allclose(ordinal_to_scalar([0], single), [0.0])
     with pytest.raises(DataError, match="out of range"):
         ordinal_to_scalar([3], col)
     with pytest.raises(DataError, match="not ordinal"):

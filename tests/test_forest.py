@@ -6,13 +6,10 @@ import pytest
 from wise.data_model import ColumnSchema, table_from_raw
 from wise.errors import ConfigError, DataError
 from wise.forest import (
-    ForestModel,
     ForestParams,
-    TreeFit,
     TreeNode,
     _heldout_quality,
     fit_forest,
-    predict,
     predict_tree,
     train_forest,
     train_tree,
@@ -97,18 +94,29 @@ def test_train_tree_rejects_empty_input():
         train_tree(np.zeros((0, 2)), np.zeros(0), grow_params(), np.random.default_rng(0))
 
 
-def test_predict_tree_stump_and_forest_average():
+def test_predict_tree_stump():
     leaf0 = TreeNode(n_samples=1, value=0.0)
     leaf1 = TreeNode(n_samples=1, value=1.0)
     stump = TreeNode(n_samples=2, feature=0, threshold=0.5, left=leaf0, right=leaf1)
     assert predict_tree(stump, np.array([[0.2]]))[0] == 0.0
     assert predict_tree(stump, np.array([[0.7]]))[0] == 1.0
-    fits = [TreeFit(stump, np.arange(2), np.arange(0), 1.0, None)] * 3
-    model = ForestModel(trees=fits, task="regression", target_index=None,
-                        input_columns=np.array([0]), is_nominal=np.array([False]),
-                        n_classes=0, params=grow_params(T=3))
-    X = np.array([[0.2], [0.7]])
-    assert np.array_equal(predict(model, X), predict_tree(stump, X))
+    assert predict_tree(stump, np.array([[0.5]]))[0] == 0.0   # ties go left
+
+
+def test_goes_left_routes_like_predict_tree():
+    # threshold and float-coded nominal splits, each leaf valued by its side
+    left, right = TreeNode(n_samples=1, value=0.0), TreeNode(n_samples=1, value=1.0)
+    numeric = TreeNode(n_samples=2, feature=1, threshold=0.4, left=left, right=right)
+    nominal = TreeNode(n_samples=2, feature=0, categories=frozenset({0, 2}), left=left, right=right)
+    rng = np.random.default_rng(12)
+    X = np.column_stack([rng.integers(0, 4, 100).astype(float), rng.random(100)])
+    X[:5, 1] = 0.4
+    for node in (numeric, nominal):
+        went_left = node.goes_left(X[:, node.feature])
+        assert went_left.dtype == bool and went_left.any() and not went_left.all()
+        assert np.array_equal(predict_tree(node, X) == 0.0, went_left)
+    assert np.array_equal(nominal.goes_left(X[:, 0]), np.isin(X[:, 0], [0.0, 2.0]))
+    assert np.all(numeric.goes_left(X[:5, 1]))
 
 
 def test_copy_target_forest_has_perfect_quality():
@@ -153,7 +161,8 @@ def test_forest_shapes_and_determinism():
         assert fit.heldout_rows.size == 40
         assert np.intersect1d(fit.train_rows, fit.heldout_rows).size == 0
     model2 = fit_forest(X, y, "regression", params)
-    assert np.array_equal(predict(model, X), predict(model2, X))
+    for a, b in zip(model.trees, model2.trees):
+        assert np.array_equal(predict_tree(a.root, X), predict_tree(b.root, X))
 
 
 def test_train_forest_needs_two_columns():

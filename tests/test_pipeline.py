@@ -227,13 +227,6 @@ def test_run_wise_smoke_shapes_and_determinism():
     assert res1.explanations.W_instance.shape == (table.n, table.d)
 
 
-def test_run_wise_instance_toggle():
-    table, _ = planted_small()
-    res = run_wise(table, SMALL_CONFIG, with_instances=False)
-    assert res.explanations.W_instance.shape == (0, table.d)
-    assert res.explanations.W_instance_raw.shape == (0, table.d)
-
-
 def test_run_wise_uniform_ablation_path():
     table, truth = planted_small()
     res = run_wise(table, SMALL_CONFIG, ablation="uniform")

@@ -6,14 +6,14 @@ import pytest
 from helpers import random_tree, shap_oracle
 from wise.errors import ConfigError, DataError
 from wise.forest import TreeNode, predict_tree
-from wise.treeshap import aggregate_global, interventional_shap, shap_matrix
+from wise.treeshap import aggregate_global, shap_matrix
 
 
 def test_depth_zero_tree_has_no_attribution():
     root = TreeNode(n_samples=5, value=2.5)
-    att = interventional_shap(root, np.array([0.3, 0.7]), np.random.random((4, 2)))
-    assert np.allclose(att.phi, 0.0)
-    assert att.base_value == 2.5
+    phi, base = shap_matrix(root, np.array([0.3, 0.7])[None], np.random.random((4, 2)))
+    assert np.allclose(phi, 0.0)
+    assert base == 2.5
 
 
 def test_stump_attribution_example():
@@ -22,9 +22,9 @@ def test_stump_attribution_example():
     stump = TreeNode(n_samples=2, feature=1, threshold=0.5, left=leaf0, right=leaf1)
     x = np.array([0.9, 1.0, 0.1])
     background = np.array([[0.0, 0.0, 0.0]])
-    att = interventional_shap(stump, x, background)
-    assert np.allclose(att.phi, [0.0, 1.0, 0.0])
-    assert att.base_value == 0.0
+    phi, base = shap_matrix(stump, x[None], background)
+    assert np.allclose(phi[0], [0.0, 1.0, 0.0])
+    assert base == 0.0
 
 
 def test_matches_oracle_on_random_trees():
@@ -90,8 +90,8 @@ def test_aggregate_global_conventions():
     assert np.allclose(aggregate_global(constant, E, background).s, 0.0)
 
     one = aggregate_global(stump, E[:1], background)
-    att = interventional_shap(stump, E[0], background)
-    assert np.allclose(one.s, np.abs(att.phi))
+    phi, _ = shap_matrix(stump, E[0][None], background)
+    assert np.allclose(one.s, np.abs(phi[0]))
 
     with pytest.raises(DataError, match="explain set"):
         aggregate_global(stump, np.zeros((0, 3)), background)

@@ -10,11 +10,9 @@ from wise.wkfreq import (
     FreqItemCenter,
     SparseWeightedVector,
     cluster,
-    cws_hash,
+    _freqitems,
     cws_signatures,
     cws_sketch,
-    freqitem_center,
-    jaccard_pair_distance,
     silk_seed,
     weighted_jaccard,
 )
@@ -64,16 +62,24 @@ def test_weighted_jaccard_examples():
     assert weighted_jaccard(vec([0, 1]), vec([2, 3])) == 0.0
     assert weighted_jaccard(vec([4, 9], [1, 2]), vec([4, 9], [2, 1])) == pytest.approx(0.5)
     assert weighted_jaccard(vec([]), vec([])) == 1.0
-    assert jaccard_pair_distance(vec([0]), vec([0])) == 0.0
+    # seeding compares FreqItem centers directly
+    a = FreqItemCenter(np.array([4, 9]), np.array([1.0, 2.0]), 3)
+    b = FreqItemCenter(np.array([4, 9]), np.array([2.0, 1.0]), 1)
+    assert weighted_jaccard(a, b) == weighted_jaccard(vec([4, 9], [1, 2]), vec([4, 9], [2, 1]))
+
+
+def one_hash(v, h, seed):
+    coords, comps = cws_sketch(v, [h], seed)
+    return int(coords[0]), int(comps[0])
 
 
 def test_cws_hash_basics():
     v = vec([3, 17, 41], [0.5, 2.0, 1.0])
-    assert cws_hash(v, 0, seed=9) == cws_hash(v, 0, seed=9)
-    assert cws_hash(v, 0, seed=9) != cws_hash(v, 0, seed=10) or cws_hash(v, 1, seed=9) != cws_hash(v, 1, seed=10)
+    assert one_hash(v, 0, seed=9) == one_hash(v, 0, seed=9)
+    assert one_hash(v, 0, seed=9) != one_hash(v, 0, seed=10) or one_hash(v, 1, seed=9) != one_hash(v, 1, seed=10)
     single = vec([7], [3.0])
     for h in range(5):
-        assert cws_hash(single, h, seed=1)[0] == 7
+        assert one_hash(single, h, seed=1)[0] == 7
     with pytest.raises(DataError, match="empty vector"):
         cws_sketch(vec([]), np.arange(3), seed=0)
 
@@ -83,7 +89,7 @@ def test_cws_sketch_matches_single_hashes():
     hash_ids = np.arange(8, dtype=np.int64)
     coords, comps = cws_sketch(v, hash_ids, seed=5)
     for h in range(8):
-        assert (int(coords[h]), int(comps[h])) == cws_hash(v, h, seed=5)
+        assert (int(coords[h]), int(comps[h])) == one_hash(v, h, seed=5)
 
 
 def test_cws_collision_rate_tracks_weighted_jaccard():
@@ -123,18 +129,23 @@ def test_cws_signatures_skip_zero_weight_support():
 
 
 def test_freqitem_center_examples():
-    # members {0,1} and {1,2}: s = (1,2,1), alpha=0.6 keeps only coordinate 1
-    center = freqitem_center([vec([0, 1]), vec([1, 2])], alpha=0.6)
-    assert center.idx.tolist() == [1]
-    assert center.val.tolist() == [1.0]
-    assert center.size == 2
-    single = freqitem_center([vec([3, 8], [2.0, 1.0])], alpha=0.0)
-    assert single.idx.tolist() == [3, 8]
-    assert single.val.tolist() == [2.0, 1.0]
-    peak = freqitem_center([vec([3, 8], [2.0, 1.0])], alpha=1.0)
-    assert peak.idx.tolist() == [3]
-    with pytest.raises(DataError, match="empty cluster"):
-        freqitem_center([], alpha=0.5)
+    # members {0,1} and {1,2}: counts (1,2,1), alpha=0.6 keeps only coordinate 1
+    pair = sparse.csr_matrix(np.array([[1, 2, 1]]))
+    center = _freqitems(pair, None, alpha=0.6)
+    assert center.indices.tolist() == [1]
+    assert center.data.tolist() == [1.0]
+    # one member {3,8} under weights 2 and 1
+    single = sparse.csr_matrix(([1, 1], [3, 8], [0, 2]), shape=(1, 10))
+    omega = np.zeros(10)
+    omega[[3, 8]] = [2.0, 1.0]
+    every = _freqitems(single, omega, alpha=0.0)
+    assert every.indices.tolist() == [3, 8]
+    assert every.data.tolist() == [2.0, 1.0]
+    peak = _freqitems(single, omega, alpha=1.0)
+    assert peak.indices.tolist() == [3]
+    # rows are independent centers; an empty row stays empty
+    both = _freqitems(sparse.vstack([pair, sparse.csr_matrix((1, 3))]).tocsr(), None, alpha=0.6)
+    assert np.diff(both.indptr).tolist() == [1, 0]
 
 
 def test_cluster_params_validation():
