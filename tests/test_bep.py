@@ -89,13 +89,13 @@ def test_encode_scalar_bits_are_block_codes():
         for _ in range(200)
     ]
     table = table_from_raw(schema, rows)
+    scalars = {
+        0: normalize_numeric(table.column(0)),
+        2: ordinal_to_scalar(table.column(2), schema[2]),
+        3: normalize_numeric(table.column(3)),
+    }
     for B in (3, 5, 8):
         bepm = encode_table(table, BepConfig(B=B))
-        scalars = {
-            0: normalize_numeric(table.column(0)),
-            2: ordinal_to_scalar(table.column(2), schema[2]),
-            3: normalize_numeric(table.column(3)),
-        }
         for i in range(table.n):
             bits = bepm.matrix[i].indices
             for j, x in scalars.items():
