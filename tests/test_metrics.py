@@ -54,14 +54,22 @@ def acc_oracle(y_pred, y_true):
     return best / counts.sum()
 
 
-def test_contingency_counts_in_sorted_label_order():
+def test_contingency_small_path_counts_and_string_labels():
+    ct = contingency(["a", "b", "a", "b", "a"], [1, 1, 2, 2, 1])
+    assert ct.counts.tolist() == [[2, 1], [1, 1]]
+    assert ct.row_sums.tolist() == [3, 2]
+    assert ct.col_sums.tolist() == [3, 2]
+    assert ct.n == 5
+
     ct = contingency(["b", "a", "b", "a", "b"], [2, 1, 1, 2, 2])
-    # rows/cols indexed in sorted label order: a, b / 1, 2
+    # rows/cols indexed in sorted label order, not first occurrence: a, b / 1, 2
     assert ct.counts.tolist() == [[1, 1], [1, 2]]
     assert ct.row_sums.tolist() == [2, 3]
     assert ct.col_sums.tolist() == [2, 3]
     assert ct.n == 5
 
+
+def test_contingency_large_path_matches_manual_counts():
     rng = np.random.default_rng(2)
     y_pred = rng.integers(0, 4, 200)
     y_true = rng.integers(0, 3, 200)
