@@ -150,12 +150,15 @@ def _load_input(args) -> tuple[MixedTable, list | None]:
     return load_table(args.data, args.schema, truth_column=truth)
 
 
-def write_labels(path, labels) -> None:
+def write_labels(path, labels, row_ids=None) -> None:
+    """One line per row: its source data-row index (default 0..n-1) and label."""
+    if row_ids is None:
+        row_ids = range(len(labels))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row_index", "cluster_id"])
-        for i, c in enumerate(labels):
-            writer.writerow([i, int(c)])
+        for i, c in zip(row_ids, labels):
+            writer.writerow([int(i), int(c)])
 
 
 def read_labels(path) -> np.ndarray:
@@ -206,13 +209,16 @@ def read_views(path, names: list[str]) -> list[FeatureWeightVector]:
     return views
 
 
-def write_records(path, L: np.ndarray, k0: int) -> None:
+def write_records(path, L: np.ndarray, k0: int, row_ids=None) -> None:
+    """The record matrix, one line per row led by its source data-row index."""
+    if row_ids is None:
+        row_ids = range(L.shape[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k0", k0])
         writer.writerow(["row_index"] + [f"round_{r}" for r in range(L.shape[1])])
-        for i in range(L.shape[0]):
-            writer.writerow([i] + [int(x) for x in L[i]])
+        for i, row in zip(row_ids, L):
+            writer.writerow([int(i)] + [int(x) for x in row])
 
 
 def read_records(path) -> tuple[np.ndarray, int]:
@@ -273,7 +279,7 @@ def cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     names = [c.name for c in table.schema]
 
-    write_labels(os.path.join(args.out, "labels.csv"), result.labels)
+    write_labels(os.path.join(args.out, "labels.csv"), result.labels, table.row_ids)
     write_views(os.path.join(args.out, "weights.csv"), result.views, names)
 
     payload = {
@@ -352,8 +358,8 @@ def cmd_cluster(args) -> int:
     )
     y = stage_two(one_hot_records(L, cfg.k0), cfg.K, cfg.alpha, cfg.beta0, cfg.seed, cfg.max_iter)
     os.makedirs(args.out, exist_ok=True)
-    write_records(os.path.join(args.out, "records.csv"), L, cfg.k0)
-    write_labels(os.path.join(args.out, "labels.csv"), y)
+    write_records(os.path.join(args.out, "records.csv"), L, cfg.k0, table.row_ids)
+    write_labels(os.path.join(args.out, "labels.csv"), y, table.row_ids)
     print(f"stage I: {L.shape[1]} rounds; stage II: K={cfg.K} sizes={np.bincount(y).tolist()}")
     return 0
 

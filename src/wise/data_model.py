@@ -57,10 +57,19 @@ class ColumnSchema:
 
 @dataclass
 class MixedTable:
-    """A validated table: schema plus type-resolved cells."""
+    """A validated table: schema plus type-resolved cells.
+
+    ``row_ids`` holds each kept row's 0-based data-row index in its source
+    (the loader drops rows with missing cells); by default 0..n-1.
+    """
 
     schema: list[ColumnSchema]
     rows: list[list]
+    row_ids: np.ndarray | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.row_ids is None:
+            self.row_ids = np.arange(len(self.rows), dtype=np.int64)
 
     @property
     def n(self) -> int:
@@ -162,7 +171,7 @@ def load_table(csv_path, schema_path, truth_column: str | None = None):
             raise DataError(f"{csv_path}: truth column {truth_column!r} not found")
 
         level_maps = [{} for _ in schema]
-        rows, truth, dropped = [], [], 0
+        rows, row_ids, truth, dropped = [], [], [], 0
         for lineno, record in enumerate(reader, start=2):
             if len(record) != len(header):
                 raise DataError(f"{csv_path}:{lineno}: expected {len(header)} cells")
@@ -176,13 +185,14 @@ def load_table(csv_path, schema_path, truth_column: str | None = None):
                     for j, (raw, col) in enumerate(zip(raw_cells, schema))
                 ]
             )
+            row_ids.append(lineno - 2)
             if truth_pos is not None:
                 truth.append(record[truth_pos].strip())
     if dropped:
         log.info("%s: dropped %d rows with missing cells", csv_path, dropped)
     if not rows:
         raise DataError(f"{csv_path}: no complete rows")
-    table = MixedTable(schema=schema, rows=rows)
+    table = MixedTable(schema=schema, rows=rows, row_ids=np.asarray(row_ids, dtype=np.int64))
     return table, (truth if truth_pos is not None else None)
 
 

@@ -542,7 +542,8 @@ def cluster(
         raise ConfigError(f"expected {params.k} initial centers, got {len(centers)}")
 
     rows = np.arange(n)
-    labels_prev = None
+    labels_prev = labels_prev2 = None   # labels of the last two iterations
+    prev_mean = 0.0
     history: list[tuple[float | None, float]] = []
     labels = np.zeros(n, dtype=np.int64)
     final_mean = 0.0
@@ -570,11 +571,24 @@ def cluster(
 
         if labels_prev is not None and np.array_equal(labels, labels_prev):
             break
-        labels_prev = labels
+        # An iteration is a function of the labels it recentered on, so labels
+        # equal to those of two iterations back alternate until max_iter.
+        # Stop now with what iteration max_iter would return.
+        cycle = labels_prev2 is not None and np.array_equal(labels, labels_prev2)
+        if cycle:
+            log.warning("cluster: labels alternate between two labellings from iteration %d; "
+                        "returning the state of iteration max_iter=%d", n_iter, params.max_iter)
+            if (params.max_iter - n_iter) % 2:
+                # iteration max_iter ends on the previous labels, whose centers these are
+                labels, final_mean = labels_prev, prev_mean
+                break
+        labels_prev2, labels_prev, prev_mean = labels_prev, labels, final_mean
         # recenter on these labels; a fixed-point break returns these centers
         counts = _indicator(labels, params.k) @ X
         sizes = np.bincount(labels, minlength=params.k)
         centers = _as_centers(_freqitems(counts, omega, params.alpha), sizes)
+        if cycle:
+            break
     else:
         log.warning("cluster: stopped at max_iter=%d without label fixed point", params.max_iter)
 

@@ -11,9 +11,15 @@ from wise._rng import derive_seed
 from wise.data_model import ColumnSchema, table_from_raw
 from wise.errors import DataError
 from wise.forest import ForestParams, predict_tree, train_tree
+from wise.treeshap import _leaf_scalar, _weight_tables
 from wise.wkfreq import (
     FreqItemCenter,
     SparseWeightedVector,
+    _as_centers,
+    _distances_plain,
+    _distances_weighted,
+    _freqitems,
+    _indicator,
     _seed_from_candidates,
     cws_signatures,
     cws_sketch,
@@ -196,3 +202,104 @@ def assert_same_centers(got, want):
         assert a.size == b.size
         assert a.idx.dtype == b.idx.dtype and np.array_equal(a.idx, b.idx)
         assert a.val.dtype == b.val.dtype and a.val.tobytes() == b.val.tobytes()
+
+
+def _path_leaves(root):
+    """(path, leaf value) pairs, left subtree first; a step is (node, went_left)."""
+    leaves = []
+
+    def walk(node, path):
+        if node.is_leaf:
+            leaves.append((tuple(path), node.value))
+            return
+        walk(node.left, path + [(node, True)])
+        walk(node.right, path + [(node, False)])
+
+    walk(root, [])
+    return leaves
+
+
+def _follows_steps(X, steps):
+    """Whether each row of X routes along every given path step."""
+    ok = np.ones(X.shape[0], dtype=bool)
+    for node, went_left in steps:
+        left = node.goes_left(X[:, node.feature])
+        ok &= left if went_left else ~left
+    return ok
+
+
+def reference_shap_matrix(root, rows, background, output_index=None):
+    """Per-leaf form of ``treeshap.shap_matrix``.
+
+    Every leaf routes the explain and background rows along its whole
+    path again and builds the (q, E, G) aligned/dead cubes of its q path
+    features; the base value comes from a separate ``predict_tree`` pass.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    background = np.atleast_2d(np.asarray(background, dtype=np.float64))
+    phi = np.zeros(rows.shape)
+    for path, value in _path_leaves(root):
+        if not path:
+            continue
+        leaf_value = _leaf_scalar(value, output_index)
+        by_feature = {}
+        for step in path:
+            by_feature.setdefault(step[0].feature, []).append(step)
+        feats = sorted(by_feature)
+        fx = np.stack([_follows_steps(rows, by_feature[f]) for f in feats])
+        fz = np.stack([_follows_steps(background, by_feature[f]) for f in feats])
+        A = fx[:, :, None] & ~fz[:, None, :]
+        B = ~fx[:, :, None] & fz[:, None, :]
+        reach = ~(~fx[:, :, None] & ~fz[:, None, :]).any(axis=0)
+        a = A.sum(axis=0)
+        b = B.sum(axis=0)
+        wa_tab, wb_tab = _weight_tables(len(feats))
+        wa = wa_tab[a, b]
+        wb = wb_tab[a, b]
+        for qi, f in enumerate(feats):
+            pos = np.where(reach & A[qi], wa, 0.0)
+            neg = np.where(reach & B[qi], wb, 0.0)
+            phi[:, f] += leaf_value * (pos - neg).mean(axis=1)
+    base_pred = predict_tree(root, background)
+    if base_pred.ndim == 2:
+        base_pred = base_pred[:, output_index]
+    return phi, float(base_pred.mean())
+
+
+def reference_lloyd(X, params, weights, initial_centers):
+    """The Lloyd loop of ``wkfreq.cluster`` with no early stop but a label fixed point.
+
+    Returns (labels, centers, mean_distance, n_iter) after at most
+    ``params.max_iter`` iterations from the given centers.
+    """
+    X = X.tocsr()
+    n = X.shape[0]
+    omega = None
+    if weights is not None:
+        omega = np.asarray(weights, dtype=np.float64)
+        omega = omega / omega.max()
+    X_int = X.astype(np.int64) if omega is None else None
+    centers = initial_centers
+    rows = np.arange(n)
+    labels_prev = None
+    n_iter = 0
+    for _ in range(params.max_iter):
+        D = _distances_plain(X_int, centers) if omega is None else _distances_weighted(X, omega, centers)
+        labels = D.argmin(axis=1)
+        assigned = D[rows, labels]
+        counts = np.bincount(labels, minlength=params.k)
+        if np.any(counts == 0):
+            spare = assigned.copy()
+            for cid in np.flatnonzero(counts == 0):
+                worst = int(np.argmax(spare))
+                labels[worst] = cid
+                assigned[worst] = D[worst, cid]
+                spare[worst] = -np.inf
+        final_mean = float(assigned.mean())
+        n_iter += 1
+        if labels_prev is not None and np.array_equal(labels, labels_prev):
+            break
+        labels_prev = labels
+        sizes = np.bincount(labels, minlength=params.k)
+        centers = _as_centers(_freqitems(_indicator(labels, params.k) @ X, omega, params.alpha), sizes)
+    return labels, centers, final_mean, n_iter

@@ -243,6 +243,29 @@ def test_cluster_command_senses_with_workers(tmp_path, monkeypatch):
     assert seen == [2]
 
 
+def test_row_index_names_the_source_row_after_dropped_rows(tmp_path):
+    csv_path, schema_path = synth_dataset(tmp_path)
+    lines = csv_path.read_text().splitlines()
+    n = len(lines) - 1
+    # blank one cell of data rows 3 and 10 (0-based): the loader drops both
+    for data_row in (3, 10):
+        cells = lines[1 + data_row].split(",")
+        cells[0] = ""
+        lines[1 + data_row] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "c"
+    assert cli.main(
+        ["cluster", "--data", str(csv_path), "--schema", str(schema_path),
+         "--truth-column", "label", "--out", str(out), "--workers", "1",
+         "--seed", "42"] + FAST_OVERRIDES
+    ) == 0
+    kept = [i for i in range(n) if i not in (3, 10)]
+    labels = np.loadtxt(out / "labels.csv", delimiter=",", skiprows=1, dtype=np.int64)
+    assert labels[:, 0].tolist() == kept
+    records = np.loadtxt(out / "records.csv", delimiter=",", skiprows=2, dtype=np.int64)
+    assert records[:, 0].tolist() == kept
+
+
 def test_exit_code_two_for_config_errors(tmp_path, capsys):
     csv_path, schema_path = synth_dataset(tmp_path)
     rc = cli.main(

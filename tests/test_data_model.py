@@ -75,6 +75,7 @@ def test_load_drops_rows_with_missing_cells(tmp_path):
     table, _ = load_table(csv_path, schema_path)
     assert table.n == 2
     assert np.allclose(table.column(0), [20.0, 40.0])
+    assert table.row_ids.tolist() == [0, 3]
 
 
 def test_load_all_rows_missing(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_tree, shap_oracle
+from helpers import random_tree, reference_shap_matrix, shap_oracle
 from wise.errors import ConfigError, DataError
 from wise.forest import TreeNode, predict_tree
 from wise.treeshap import aggregate_global, shap_matrix
@@ -95,3 +95,88 @@ def test_aggregate_global_conventions():
 
     with pytest.raises(DataError, match="explain set"):
         aggregate_global(stump, np.zeros((0, 3)), background)
+
+
+def assert_matches_reference(root, rows, background, output_index=None):
+    phi, base = shap_matrix(root, rows, background, output_index)
+    phi_r, base_r = reference_shap_matrix(root, rows, background, output_index)
+    assert phi.shape == phi_r.shape and phi.tobytes() == phi_r.tobytes()
+    assert base == base_r
+
+
+def internal_nodes(root):
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            out.append(node)
+            stack += [node.left, node.right]
+    return out
+
+
+def has_repeated_path_feature(node, seen=()):
+    if node.is_leaf:
+        return False
+    if node.feature in seen:
+        return True
+    below = seen + (node.feature,)
+    return has_repeated_path_feature(node.left, below) or has_repeated_path_feature(node.right, below)
+
+
+def test_bitwise_equal_to_per_leaf_reference():
+    rng = np.random.default_rng(41)
+    repeated = nominal = 0
+    for trial in range(24):
+        d = int(rng.integers(2, 7))
+        task, n_classes, out = "regression", 0, None
+        if trial % 3 == 1:
+            task, n_classes, out = "classification", 3, int(rng.integers(0, 3))
+        root, X, is_nominal = random_tree(rng, d, task, n_classes, depth=int(rng.integers(2, 7)),
+                                          nominal_frac=1.0 if trial % 4 == 0 else 0.3)
+        repeated += has_repeated_path_feature(root)
+        nominal += any(node.categories is not None for node in internal_nodes(root))
+        background = X[rng.choice(40, size=int(rng.integers(1, 20)), replace=False)]
+        rows = X[rng.choice(40, size=int(rng.integers(1, 40)), replace=False)]
+        assert_matches_reference(root, rows, background, out)
+        # many duplicate explain rows: few distinct follow patterns per leaf
+        dup = X[rng.integers(0, 3, size=60)]
+        assert_matches_reference(root, dup, background, out)
+    assert repeated > 0 and nominal > 0
+
+
+def test_bitwise_equal_beyond_64_path_features():
+    # a right-going chain over 70 features: the deepest leaves have 70 path features
+    d = 70
+    node = TreeNode(n_samples=1, value=100.0)
+    for f in reversed(range(d)):
+        node = TreeNode(n_samples=1, feature=f, threshold=0.5,
+                        left=TreeNode(n_samples=1, value=float(f)), right=node)
+    rng = np.random.default_rng(43)
+    base_row = np.where(rng.random(d) < 0.9, 0.9, 0.1)
+    rows = np.tile(base_row, (30, 1))
+    # patterns that agree on the first 64 features and differ only beyond them
+    rows[10:20, 66] = 0.1
+    rows[20:30, 68] = 0.1
+    rows[25:, 69] = 0.9
+    rows[:5] = np.where(rng.random((5, d)) < 0.5, 0.9, 0.1)
+    background = np.full((4, d), 0.9)
+    background[1, 67] = 0.1
+    background[2, 3] = 0.1
+    assert_matches_reference(node, rows, background)
+
+
+def test_one_walk_routes_each_internal_node_once(monkeypatch):
+    rng = np.random.default_rng(47)
+    root, X, _ = random_tree(rng, 4, depth=6)
+    calls = {}
+    goes_left = TreeNode.goes_left
+
+    def counted(self, column):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return goes_left(self, column)
+
+    monkeypatch.setattr(TreeNode, "goes_left", counted)
+    shap_matrix(root, X[:25], X[25:])
+    nodes = internal_nodes(root)
+    assert len(nodes) > 3
+    assert calls == {id(node): 1 for node in nodes}

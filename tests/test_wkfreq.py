@@ -1,5 +1,8 @@
 """Weighted k-FreqItems: similarity kernels, sketches, seeding, Lloyd loop."""
 
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -16,11 +19,16 @@ from wise.wkfreq import (
     silk_seed,
     weighted_jaccard,
 )
-from wise.pipeline import one_hot_records
+from wise._rng import derive_seed
+from wise.bep import encode_table
+from wise.cli import build_config
+from wise.pipeline import lift_weights, make_views, one_hot_records
+from wise.synth import SynthParams, synth_table
 from helpers import (
     assert_same_centers,
     random_sparse_binary,
     reference_centers,
+    reference_lloyd,
     reference_silk_seed,
 )
 
@@ -244,6 +252,32 @@ def test_cluster_converged_labels_are_a_fixed_point():
     capped = cluster(X, ClusterParams(k=4, seed=7, max_iter=1))
     assert capped.n_iter == 1
     assert_same_centers(capped.centers, reference_centers(X, capped.labels, None, params.alpha, 4))
+
+
+def test_cluster_two_cycle_stops_early_with_the_max_iter_state(caplog):
+    # stage-one round 2 of a planted table (m=1) alternates between two
+    # labellings from iteration 5 on
+    table, _ = synth_table(SynthParams(n=2000, seed=3))
+    cfg = build_config({"m": 1})
+    bep = encode_table(table, cfg.bep)
+    view = make_views(table, cfg)[2]
+    omega = lift_weights(view.w, bep.bit_groups)
+    params = ClusterParams(k=cfg.k0, alpha=cfg.alpha0, beta=cfg.beta0, max_iter=cfg.max_iter,
+                           seed=derive_seed(cfg.seed, "stage1", 2))
+    seeds = silk_seed(bep.matrix, omega / omega.max(), params, params.seed)
+    # both parities of the iterations left after the cycle shows
+    for max_iter in (params.max_iter, params.max_iter + 1):
+        p = replace(params, max_iter=max_iter)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="wise.wkfreq"):
+            got = cluster(bep.matrix, p, weights=omega)
+        labels, centers, mean, n_iter = reference_lloyd(bep.matrix, p, omega, seeds)
+        assert n_iter == max_iter
+        assert got.n_iter < max_iter
+        assert "alternate" in caplog.text
+        assert np.array_equal(got.labels, labels)
+        assert_same_centers(got.centers, centers)
+        assert got.mean_distance == mean
 
 
 def test_cluster_assignment_step_never_increases_cost():
