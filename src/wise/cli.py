@@ -161,16 +161,39 @@ def write_labels(path, labels, row_ids=None) -> None:
             writer.writerow([int(i), int(c)])
 
 
-def read_labels(path) -> np.ndarray:
+def _read_int_rows(path, reader, width: int, row_ids) -> np.ndarray:
+    """The reader's remaining lines as an int64 array of ``width`` columns.
+
+    Given ``row_ids``, the first column (row_index) must equal them.
+    """
+    rows = []
+    for row in reader:
+        if len(row) != width:
+            raise DataError(f"{path} line {reader.line_num}: expected {width} cells, got {len(row)}")
+        rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: no rows")
+    try:
+        data = np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: expected integer cells ({exc})") from None
+    if row_ids is not None and not np.array_equal(data[:, 0], row_ids):
+        raise DataError(f"{path}: row_index does not name the {len(row_ids)} rows of the table")
+    return data
+
+
+def read_labels(path, row_ids=None) -> np.ndarray:
+    """Cluster ids in file order; given ``row_ids``, the row_index column must equal them."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["row_index", "cluster_id"]:
             raise DataError(f"{path}: expected header row_index,cluster_id")
-        out = []
-        for row in reader:
-            out.append(int(row[1]))
-    return np.asarray(out, dtype=np.int64)
+        data = _read_int_rows(path, reader, 2, row_ids)
+    labels = data[:, 1]
+    if labels.min() < 0 or labels.max() >= labels.size:
+        raise DataError(f"{path}: cluster_id must lie in 0..{labels.size - 1}")
+    return labels
 
 
 def write_views(path, views: list[FeatureWeightVector], names: list[str]) -> None:
@@ -221,18 +244,23 @@ def write_records(path, L: np.ndarray, k0: int, row_ids=None) -> None:
             writer.writerow([int(i)] + [int(x) for x in row])
 
 
-def read_records(path) -> tuple[np.ndarray, int]:
+def read_records(path, row_ids=None) -> tuple[np.ndarray, int]:
+    """Record matrix and k0; given ``row_ids``, the row_index column must equal them."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or first[0] != "k0":
+        first = next(reader, None) or []
+        header = next(reader, None) or []
+        if len(first) != 2 or first[0] != "k0" or len(header) < 2 or header[0] != "row_index":
             raise DataError(f"{path}: expected a record-matrix dump")
-        k0 = int(first[1])
-        next(reader)  # column header
-        rows = [[int(x) for x in row[1:]] for row in reader]
-    if not rows:
-        raise DataError(f"{path}: no records")
-    return np.asarray(rows, dtype=np.int64), k0
+        try:
+            k0 = int(first[1])
+        except ValueError:
+            raise DataError(f"{path}: k0 must be an integer, got {first[1]!r}") from None
+        data = _read_int_rows(path, reader, len(header), row_ids)
+    L = data[:, 1:]
+    if L.min() < 0 or L.max() >= k0:
+        raise DataError(f"{path}: records must lie in 0..k0-1 (k0={k0})")
+    return L, k0
 
 
 def explanation_report(table, result, top_q: int, faithfulness=None, with_instances=False) -> dict:
@@ -368,8 +396,8 @@ def cmd_explain(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
     table, _ = _load_input(args)
     names = [c.name for c in table.schema]
-    L, k0 = read_records(args.records)
-    y = read_labels(args.labels)
+    L, k0 = read_records(args.records, table.row_ids)
+    y = read_labels(args.labels, table.row_ids)
     views = read_views(args.weights, names)
     ex = compute_explanations(L, y, views_matrix(views), int(y.max()) + 1, k0, cfg.eps)
     sizes = np.bincount(y)
@@ -393,9 +421,7 @@ def cmd_explain(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
     table, truth = _load_input(args)
-    y = read_labels(args.labels)
-    if y.size != table.n:
-        raise DataError(f"{y.size} labels for {table.n} rows")
+    y = read_labels(args.labels, table.row_ids)
     metrics = evaluate(table, y, truth, seed=cfg.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, ensure_ascii=False, indent=2)

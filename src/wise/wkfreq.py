@@ -5,8 +5,10 @@ rows are binary supports (a CSR matrix) and a single non-negative weight
 vector over coordinates is shared by all rows of a round, so row i's
 weighted vector is omega * x_i.  Centers are general sparse weighted
 vectors (retained coordinates with average contributions).  Passing
-``weights=None`` selects a genuinely unweighted kernel: plain Jaccard on
-integer set sizes and integer FreqItem counting, the original method.
+``weights=None`` means omega = 1, which is plain k-FreqItems: every
+FreqItem value is 1.0 and every row total, intersection and union is an
+exact small integer in float64, so each weighted Jaccard distance is the
+same IEEE division as the integer plain-Jaccard one.
 
 Seeding is a two-level MinHash scheme: band signatures group rows into
 buckets, bucket sketches are hashed again to merge near-duplicate
@@ -159,17 +161,16 @@ def cws_sketch(v: SparseWeightedVector, hash_ids: np.ndarray, seed: int):
     return v.idx[j], t_k[rows, j]
 
 
-def _key_grid(omega: np.ndarray | None, p: int, hash_ids: np.ndarray, seed: int):
+def _key_grid(omega: np.ndarray, hash_ids: np.ndarray, seed: int):
     """Precomputed ICWS keys for every coordinate (rows share weights).
 
     Coordinates with zero weight get +inf keys so they never win.
-    Returns (keys, companions), each of shape (len(hash_ids), p).
+    Returns (keys, companions), each of shape (len(hash_ids), omega.size).
     """
-    coords = np.arange(p, dtype=np.int64)
+    coords = np.arange(omega.size, dtype=np.int64)
     r, ln_c, beta = _icws_parts(seed, hash_ids, coords)
-    values = np.ones(p) if omega is None else omega
-    active = values > 0
-    safe = np.where(active, values, 1.0)
+    active = omega > 0
+    safe = np.where(active, omega, 1.0)
     ln_a, t_k = _icws_keys(safe[None, :], r, ln_c, beta)
     ln_a[:, ~active] = np.inf
     return ln_a, t_k
@@ -196,8 +197,8 @@ def cws_signatures(X: sparse.csr_matrix, omega, hash_ids: np.ndarray, seed: int)
 
     Rows whose effective support is empty get coordinate -1.
     """
-    n, p = X.shape
-    keys, tks = _key_grid(omega, p, hash_ids, seed)
+    n = X.shape[0]
+    keys, tks = _key_grid(omega, hash_ids, seed)
     coords_out = np.full((n, len(hash_ids)), -1, dtype=np.int64)
     comp_out = np.zeros((n, len(hash_ids)), dtype=np.int64)
     cols = X.indices
@@ -220,7 +221,7 @@ def _indicator(groups: np.ndarray, n_groups: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, (groups, items)), shape=(n_groups, groups.size))
 
 
-def _freqitems(F: sparse.csr_matrix, omega: np.ndarray | None, alpha: float) -> sparse.csr_matrix:
+def _freqitems(F: sparse.csr_matrix, omega: np.ndarray, alpha: float) -> sparse.csr_matrix:
     """Row-wise FreqItem centers from column activation counts.
 
     Row g of ``F`` counts, per coordinate, the binary members of one group
@@ -230,7 +231,7 @@ def _freqitems(F: sparse.csr_matrix, omega: np.ndarray | None, alpha: float) -> 
     """
     F.sort_indices()
     f = F.data.astype(np.int64)
-    s = f.astype(np.float64) if omega is None else f * omega[F.indices]
+    s = f * omega[F.indices]
     lens = np.diff(F.indptr)
     rows = np.repeat(np.arange(F.shape[0]), lens)
     s_max = np.zeros(F.shape[0])
@@ -250,47 +251,25 @@ def _as_centers(C: sparse.csr_matrix, sizes: np.ndarray) -> list[FreqItemCenter]
     return [FreqItemCenter(C.indices[lo:hi], C.data[lo:hi], size) for lo, hi, size in bounds]
 
 
-# --- Distance kernels ---------------------------------------------------------
+# --- Distance kernel ----------------------------------------------------------
 
 
-def _center_matrix(centers: list[FreqItemCenter], p: int, cap) -> sparse.csr_matrix:
+def _distances(X, row_tot, omega, centers) -> np.ndarray:
+    """1 - sum(min)/sum(max) between omega-weighted rows and centers.
+
+    ``X`` is the binary data as float64 and ``row_tot`` its row totals
+    ``X @ omega``; both are loop invariants of ``cluster``.
+    """
     indptr = np.zeros(len(centers) + 1, dtype=np.int64)
     np.cumsum([c.idx.size for c in centers], out=indptr[1:])
-    indices = (
-        np.concatenate([c.idx for c in centers])
-        if centers and indptr[-1]
-        else np.array([], dtype=np.int64)
-    )
-    data = (
-        np.concatenate([cap(c) for c in centers])
-        if centers and indptr[-1]
-        else np.array([], dtype=np.float64)
-    )
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(centers), p))
-
-
-def _distances_weighted(X, omega, centers) -> np.ndarray:
-    """1 - sum(min)/sum(max) between omega-weighted rows and centers."""
-    p = X.shape[1]
-    M = _center_matrix(centers, p, lambda c: np.minimum(omega[c.idx], c.val))
-    smin = np.asarray((X @ M.T).todense(), dtype=np.float64)
-    row_tot = X @ omega
+    indices = np.concatenate([c.idx for c in centers])
+    data = np.concatenate([np.minimum(omega[c.idx], c.val) for c in centers])
+    M = sparse.csr_matrix((data, indices, indptr), shape=(len(centers), X.shape[1]))
+    smin = (X @ M.T).toarray()
     cen_tot = np.array([c.total for c in centers])
     union = row_tot[:, None] + cen_tot[None, :] - smin
     with np.errstate(invalid="ignore", divide="ignore"):
         sim = np.where(union > 0, smin / np.where(union > 0, union, 1.0), 1.0)
-    return 1.0 - sim
-
-
-def _distances_plain(X_int, centers) -> np.ndarray:
-    """Plain Jaccard distance between binary rows and center supports."""
-    p = X_int.shape[1]
-    M = _center_matrix(centers, p, lambda c: np.ones(c.idx.size)).astype(np.int64)
-    inter = np.asarray((X_int @ M.T).todense(), dtype=np.int64)
-    row_sz = np.diff(X_int.indptr)
-    cen_sz = np.array([c.idx.size for c in centers], dtype=np.int64)
-    union = row_sz[:, None] + cen_sz[None, :] - inter
-    sim = np.where(union > 0, inter / np.where(union > 0, union, 1), 1.0)
     return 1.0 - sim
 
 
@@ -329,7 +308,7 @@ def _band_buckets(coords: np.ndarray, comps: np.ndarray, nonempty: np.ndarray, p
 
 def _bin_candidates(
     X: sparse.csr_matrix,
-    omega: np.ndarray | None,
+    omega: np.ndarray,
     buckets: sparse.csr_matrix,
     beta: float,
     hash_ids: np.ndarray,
@@ -402,7 +381,7 @@ def _seed_from_candidates(candidates, X, omega, nonempty, params: ClusterParams,
 
 def silk_seed(
     X: sparse.csr_matrix,
-    omega: np.ndarray | None,
+    omega: np.ndarray,
     params: ClusterParams,
     seed: int,
 ) -> list[FreqItemCenter]:
@@ -471,12 +450,8 @@ def _reduce_candidates(cands, weights, sim, k, rng, restarts: int = 8) -> list[F
 
 def _row_center(X, omega, i) -> FreqItemCenter:
     support = X.indices[X.indptr[i]:X.indptr[i + 1]].astype(np.int64)
-    if omega is not None:
-        support = support[omega[support] > 0]
-        val = omega[support]
-    else:
-        val = np.ones(support.size)
-    return FreqItemCenter(idx=support, val=val, size=1)
+    support = support[omega[support] > 0]
+    return FreqItemCenter(idx=support, val=omega[support], size=1)
 
 
 def _pad_with_rows(centers, X, omega, nonempty, k, rng) -> list[FreqItemCenter]:
@@ -512,19 +487,18 @@ def cluster(
     X: sparse.csr_matrix,
     params: ClusterParams,
     weights: np.ndarray | None = None,
-    initial_centers: list[FreqItemCenter] | None = None,
 ) -> ClusterResult:
     """Weighted k-FreqItems: assign to nearest center, recompute FreqItems.
 
-    ``weights`` is the shared per-coordinate weight vector (None for the
-    plain unweighted engine).  Weights are scale-normalized to max 1,
+    ``weights`` is the shared per-coordinate weight vector; None means all
+    ones, plain k-FreqItems.  Weights are scale-normalized to max 1,
     which leaves every weighted Jaccard distance unchanged.
     """
     X = X.tocsr()
     n, p = X.shape
     if n < params.k:
         raise DataError(f"need at least k={params.k} rows, got {n}")
-    omega = None
+    omega = np.ones(p)
     if weights is not None:
         omega = np.asarray(weights, dtype=np.float64)
         if omega.shape != (p,):
@@ -536,10 +510,9 @@ def cluster(
             raise ConfigError("weights are all zero")
         omega = omega / peak
 
-    X_int = X.astype(np.int64) if omega is None else None
-    centers = initial_centers or silk_seed(X, omega, params, params.seed)
-    if len(centers) != params.k:
-        raise ConfigError(f"expected {params.k} initial centers, got {len(centers)}")
+    centers = silk_seed(X, omega, params, params.seed)
+    X_float = X.astype(np.float64)
+    row_tot = X_float @ omega
 
     rows = np.arange(n)
     labels_prev = labels_prev2 = None   # labels of the last two iterations
@@ -549,10 +522,7 @@ def cluster(
     final_mean = 0.0
     n_iter = 0
     for _ in range(params.max_iter):
-        if omega is None:
-            D = _distances_plain(X_int, centers)
-        else:
-            D = _distances_weighted(X, omega, centers)
+        D = _distances(X_float, row_tot, omega, centers)
         labels = D.argmin(axis=1)
         assigned = D[rows, labels]
         pre_mean = float(D[rows, labels_prev].mean()) if labels_prev is not None else None

@@ -16,8 +16,7 @@ from wise.wkfreq import (
     FreqItemCenter,
     SparseWeightedVector,
     _as_centers,
-    _distances_plain,
-    _distances_weighted,
+    _distances,
     _freqitems,
     _indicator,
     _seed_from_candidates,
@@ -266,25 +265,41 @@ def reference_shap_matrix(root, rows, background, output_index=None):
     return phi, float(base_pred.mean())
 
 
+def distances_plain(X_int, centers):
+    """Plain Jaccard distance between binary rows and center supports, in integers."""
+    inter = np.stack([np.asarray(X_int[:, c.idx].sum(axis=1)).ravel() for c in centers], axis=1)
+    row_sz = np.diff(X_int.indptr)
+    cen_sz = np.array([c.idx.size for c in centers], dtype=np.int64)
+    union = row_sz[:, None] + cen_sz[None, :] - inter
+    sim = np.where(union > 0, inter / np.where(union > 0, union, 1), 1.0)
+    return 1.0 - sim
+
+
 def reference_lloyd(X, params, weights, initial_centers):
     """The Lloyd loop of ``wkfreq.cluster`` with no early stop but a label fixed point.
 
     Returns (labels, centers, mean_distance, n_iter) after at most
-    ``params.max_iter`` iterations from the given centers.
+    ``params.max_iter`` iterations from the given centers.  With
+    ``weights=None`` it is plain k-FreqItems in integer arithmetic:
+    set-size Jaccard distances and integer-count FreqItem centers.
     """
     X = X.tocsr()
     n = X.shape[0]
-    omega = None
-    if weights is not None:
+    if weights is None:
+        X_int = X.astype(np.int64)
+    else:
         omega = np.asarray(weights, dtype=np.float64)
         omega = omega / omega.max()
-    X_int = X.astype(np.int64) if omega is None else None
+        X_float = X.astype(np.float64)
     centers = initial_centers
     rows = np.arange(n)
     labels_prev = None
     n_iter = 0
     for _ in range(params.max_iter):
-        D = _distances_plain(X_int, centers) if omega is None else _distances_weighted(X, omega, centers)
+        if weights is None:
+            D = distances_plain(X_int, centers)
+        else:
+            D = _distances(X_float, X_float @ omega, omega, centers)
         labels = D.argmin(axis=1)
         assigned = D[rows, labels]
         counts = np.bincount(labels, minlength=params.k)
@@ -300,6 +315,9 @@ def reference_lloyd(X, params, weights, initial_centers):
         if labels_prev is not None and np.array_equal(labels, labels_prev):
             break
         labels_prev = labels
-        sizes = np.bincount(labels, minlength=params.k)
-        centers = _as_centers(_freqitems(_indicator(labels, params.k) @ X, omega, params.alpha), sizes)
+        if weights is None:
+            centers = reference_centers(X, labels, None, params.alpha, params.k)
+        else:
+            sizes = np.bincount(labels, minlength=params.k)
+            centers = _as_centers(_freqitems(_indicator(labels, params.k) @ X, omega, params.alpha), sizes)
     return labels, centers, final_mean, n_iter

@@ -243,16 +243,20 @@ def test_cluster_command_senses_with_workers(tmp_path, monkeypatch):
     assert seen == [2]
 
 
-def test_row_index_names_the_source_row_after_dropped_rows(tmp_path):
-    csv_path, schema_path = synth_dataset(tmp_path)
+def blank_rows(csv_path, data_rows=(3, 10)):
+    """Blank one cell of the given 0-based data rows, so the loader drops them."""
     lines = csv_path.read_text().splitlines()
-    n = len(lines) - 1
-    # blank one cell of data rows 3 and 10 (0-based): the loader drops both
-    for data_row in (3, 10):
+    for data_row in data_rows:
         cells = lines[1 + data_row].split(",")
         cells[0] = ""
         lines[1 + data_row] = ",".join(cells)
     csv_path.write_text("\n".join(lines) + "\n")
+    return len(lines) - 1
+
+
+def test_row_index_names_the_source_row_after_dropped_rows(tmp_path):
+    csv_path, schema_path = synth_dataset(tmp_path)
+    n = blank_rows(csv_path)
     out = tmp_path / "c"
     assert cli.main(
         ["cluster", "--data", str(csv_path), "--schema", str(schema_path),
@@ -264,6 +268,91 @@ def test_row_index_names_the_source_row_after_dropped_rows(tmp_path):
     assert labels[:, 0].tolist() == kept
     records = np.loadtxt(out / "records.csv", delimiter=",", skiprows=2, dtype=np.int64)
     assert records[:, 0].tolist() == kept
+
+
+@pytest.fixture(scope="module")
+def dropped_rows_run(tmp_path_factory):
+    """Input args and the weights, records and labels `wise cluster` writes
+    for a synth CSV whose data rows 3 and 10 are dropped on load."""
+    tmp = tmp_path_factory.mktemp("dropped")
+    csv_path, schema_path = synth_dataset(tmp)
+    blank_rows(csv_path)
+    io_args = ["--data", str(csv_path), "--schema", str(schema_path), "--truth-column", "label"]
+    weights = tmp / "weights.csv"
+    assert cli.main(["sense"] + io_args + ["--out", str(weights), "--workers", "1"]
+                    + FAST_OVERRIDES) == 0
+    assert cli.main(["cluster"] + io_args + ["--weights", str(weights), "--out", str(tmp / "c"),
+                                             "--workers", "1"] + FAST_OVERRIDES) == 0
+    return io_args, weights, tmp / "c" / "records.csv", tmp / "c" / "labels.csv"
+
+
+def stage_command(run, command, out, records=None, labels=None):
+    io_args, weights, records_0, labels_0 = run
+    files = ["--labels", str(labels or labels_0)]
+    if command == "explain":
+        files += ["--records", str(records or records_0), "--weights", str(weights)]
+    return cli.main([command] + io_args + files + ["--out", str(out)] + FAST_OVERRIDES)
+
+
+def edited(path, out, edit):
+    """Copy of a CSV dump with ``edit`` applied to its list of split lines."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    edit(rows)
+    out.write_text("".join(",".join(row) + "\n" for row in rows))
+    return out
+
+
+def shift_ids(first):
+    def edit(rows):
+        for row in rows[first:]:
+            row[0] = str(int(row[0]) + 1000)
+    return edit
+
+
+def set_cell(line, col, value):
+    def edit(rows):
+        rows[line][col] = value
+    return edit
+
+
+def drop_last_cell(line):
+    def edit(rows):
+        rows[line].pop()
+    return edit
+
+
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+def test_stage_files_of_a_table_with_dropped_rows_are_accepted(dropped_rows_run, tmp_path, command):
+    assert stage_command(dropped_rows_run, command, tmp_path / "out.json") == 0
+
+
+BAD_LABELS = {
+    "negative-cluster-id": set_cell(1, 1, "-1"),
+    "non-integer-cluster-id": set_cell(1, 1, "two"),
+    "short-row": drop_last_cell(1),
+    "shifted-row-index": shift_ids(1),
+}
+BAD_RECORDS = {
+    "entry-at-k0": set_cell(2, 1, "4"),   # FAST_OVERRIDES set k0=4
+    "non-integer-entry": set_cell(2, 1, "1.5"),
+    "short-row": drop_last_cell(2),
+    "shifted-row-index": shift_ids(2),
+}
+
+
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+@pytest.mark.parametrize("case", list(BAD_LABELS))
+def test_bad_labels_file_exits_three(dropped_rows_run, tmp_path, capsys, command, case):
+    labels = edited(dropped_rows_run[3], tmp_path / "labels.csv", BAD_LABELS[case])
+    assert stage_command(dropped_rows_run, command, tmp_path / "out.json", labels=labels) == 3
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", list(BAD_RECORDS))
+def test_bad_records_file_exits_three(dropped_rows_run, tmp_path, capsys, case):
+    records = edited(dropped_rows_run[2], tmp_path / "records.csv", BAD_RECORDS[case])
+    assert stage_command(dropped_rows_run, "explain", tmp_path / "out.json", records=records) == 3
+    assert "data error" in capsys.readouterr().err
 
 
 def test_exit_code_two_for_config_errors(tmp_path, capsys):

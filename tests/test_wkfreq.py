@@ -24,6 +24,7 @@ from wise.bep import encode_table
 from wise.cli import build_config
 from wise.pipeline import lift_weights, make_views, one_hot_records
 from wise.synth import SynthParams, synth_table
+from test_acceptance import GATE_SEED
 from helpers import (
     assert_same_centers,
     random_sparse_binary,
@@ -139,7 +140,7 @@ def test_cws_signatures_skip_zero_weight_support():
 def test_freqitem_center_examples():
     # members {0,1} and {1,2}: counts (1,2,1), alpha=0.6 keeps only coordinate 1
     pair = sparse.csr_matrix(np.array([[1, 2, 1]]))
-    center = _freqitems(pair, None, alpha=0.6)
+    center = _freqitems(pair, np.ones(3), alpha=0.6)
     assert center.indices.tolist() == [1]
     assert center.data.tolist() == [1.0]
     # one member {3,8} under weights 2 and 1
@@ -152,7 +153,7 @@ def test_freqitem_center_examples():
     peak = _freqitems(single, omega, alpha=1.0)
     assert peak.indices.tolist() == [3]
     # rows are independent centers; an empty row stays empty
-    both = _freqitems(sparse.vstack([pair, sparse.csr_matrix((1, 3))]).tocsr(), None, alpha=0.6)
+    both = _freqitems(sparse.vstack([pair, sparse.csr_matrix((1, 3))]).tocsr(), np.ones(3), alpha=0.6)
     assert np.diff(both.indptr).tolist() == [1, 0]
 
 
@@ -168,7 +169,7 @@ def test_cluster_params_validation():
 def test_silk_seed_recovers_disjoint_supports():
     X, _ = repeated_disjoint(k=4, copies=6)
     params = ClusterParams(k=4, seed=13)
-    centers = silk_seed(X, None, params, seed=13)
+    centers = silk_seed(X, np.ones(X.shape[1]), params, seed=13)
     got = sorted(tuple(c.idx.tolist()) for c in centers)
     want = sorted(tuple(range(c * 5, c * 5 + 5)) for c in range(4))
     assert got == want
@@ -178,7 +179,7 @@ def test_silk_seed_pads_when_no_buckets_form():
     # one copy of each support: every LSH bucket is a singleton, so the
     # candidate list is empty and distinct rows pad the seed set
     X, _ = repeated_disjoint(k=3, copies=1)
-    centers = silk_seed(X, None, ClusterParams(k=3, seed=5), seed=5)
+    centers = silk_seed(X, np.ones(X.shape[1]), ClusterParams(k=3, seed=5), seed=5)
     got = sorted(tuple(c.idx.tolist()) for c in centers)
     want = sorted(tuple(range(c * 5, c * 5 + 5)) for c in range(3))
     assert got == want
@@ -186,11 +187,12 @@ def test_silk_seed_pads_when_no_buckets_form():
 
 def test_silk_seed_k1_and_too_few_rows():
     X, _ = repeated_disjoint(k=1, copies=4)
-    centers = silk_seed(X, None, ClusterParams(k=1, seed=0), seed=0)
+    ones = np.ones(X.shape[1])
+    centers = silk_seed(X, ones, ClusterParams(k=1, seed=0), seed=0)
     assert len(centers) == 1
     assert centers[0].idx.tolist() == [0, 1, 2, 3, 4]
     with pytest.raises(DataError, match="need at least"):
-        silk_seed(X[:0], None, ClusterParams(k=1, seed=0), seed=0)
+        silk_seed(X[:0], ones, ClusterParams(k=1, seed=0), seed=0)
 
 
 def _silk_inputs():
@@ -201,13 +203,13 @@ def _silk_inputs():
     yield "weighted, zero weights", X, omega, ClusterParams(k=5, beta=0.4, seed=3)
     truth = rng.integers(0, 3, 200)
     L = np.where(rng.random((200, 8)) < 0.85, truth[:, None] * 2, rng.integers(0, 6, (200, 8)))
-    yield "one-hot records", one_hot_records(L, 6), None, ClusterParams(k=3, beta=0.4, seed=8)
+    yield "one-hot records", one_hot_records(L, 6), np.ones(48), ClusterParams(k=3, beta=0.4, seed=8)
     base = random_sparse_binary(rng, n=12, p=30)
     dup = base[rng.integers(0, 12, 120)]
     yield "duplicate rows", dup, rng.uniform(0.2, 1.0, 30), ClusterParams(k=4, beta=0.5, seed=1)
-    yield "duplicate rows, unweighted", dup, None, ClusterParams(k=6, seed=2)
+    yield "duplicate rows, unweighted", dup, np.ones(30), ClusterParams(k=6, seed=2)
     single, _ = repeated_disjoint(k=3, copies=1)
-    yield "no buckets", single, None, ClusterParams(k=3, seed=5)
+    yield "no buckets", single, np.ones(15), ClusterParams(k=3, seed=5)
 
 
 def test_silk_seed_matches_per_bucket_reference():
@@ -246,8 +248,9 @@ def test_cluster_converged_labels_are_a_fixed_point():
     first = cluster(X, params)
     assert first.n_iter < params.max_iter
     assert_same_centers(first.centers, reference_centers(X, first.labels, None, params.alpha, 4))
-    again = cluster(X, params, initial_centers=first.centers)
-    assert np.array_equal(first.labels, again.labels)
+    again, centers, _, _ = reference_lloyd(X, params, None, first.centers)
+    assert np.array_equal(first.labels, again)
+    assert_same_centers(centers, first.centers)
     # stopped by max_iter: the centers still belong to the returned labels
     capped = cluster(X, ClusterParams(k=4, seed=7, max_iter=1))
     assert capped.n_iter == 1
@@ -306,8 +309,8 @@ def test_cluster_weight_validation_and_scale_invariance():
 
 
 def test_cluster_unweighted_reduction_quick():
-    # all-equal weights select the weighted kernel yet must reproduce the
-    # plain-Jaccard engine bit for bit (the full sweep is in acceptance)
+    # explicit all-equal weights go through validation and scaling, yet must
+    # match weights=None; the integer plain-Jaccard check is the oracle test below
     rng = np.random.default_rng(9)
     for trial in range(3):
         X = random_sparse_binary(rng, n=120, p=50)
@@ -317,15 +320,27 @@ def test_cluster_unweighted_reduction_quick():
         assert np.array_equal(plain.labels, weighted.labels)
 
 
+def test_unweighted_cluster_matches_integer_jaccard_oracle():
+    # gate 6's 20 draws: weights=None runs the weighted kernel at omega = 1,
+    # so it is checked here against plain k-FreqItems in integer arithmetic
+    rng = np.random.default_rng(GATE_SEED)
+    for _ in range(20):
+        n = int(rng.integers(50, 501))
+        p = int(rng.integers(20, 61))
+        X = random_sparse_binary(rng, n, p)
+        params = ClusterParams(k=int(rng.integers(2, 7)), seed=int(rng.integers(2**31)))
+        got = cluster(X, params)
+        labels, centers, mean, n_iter = reference_lloyd(
+            X, params, None, silk_seed(X, np.ones(p), params, params.seed))
+        assert np.array_equal(got.labels, labels)
+        assert_same_centers(got.centers, centers)
+        assert got.mean_distance == mean
+        assert got.n_iter == n_iter
+
+
 def test_cluster_repairs_empty_clusters():
     # only 2 distinct rows but k=3: the third cluster must be refilled
     X, _ = repeated_disjoint(k=2, copies=5)
     res = cluster(X, ClusterParams(k=3, seed=11))
     assert np.bincount(res.labels, minlength=3).min() >= 1
 
-
-def test_cluster_initial_center_count_checked():
-    X, _ = repeated_disjoint(k=2, copies=3)
-    bad = [FreqItemCenter(np.array([0]), np.array([1.0]), 1)]
-    with pytest.raises(ConfigError, match="initial centers"):
-        cluster(X, ClusterParams(k=2, seed=0), initial_centers=bad)
