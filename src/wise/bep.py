@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from ._rng import fnv1a64, mix64
-from .data_model import ColumnSchema, MixedTable, normalize_numeric, ordinal_to_scalar
+from .data_model import ColumnSchema, MixedTable, unit_column
 from .errors import ConfigError, DataError
 
 NOMINAL_MODES = ("one_hot", "hash", "expand")
@@ -99,8 +99,6 @@ def _group_width(col: ColumnSchema, cfg: BepConfig) -> int:
 
 def encode_table(table: MixedTable, cfg: BepConfig) -> BepMatrix:
     """Encode every column of the table into one sparse binary matrix."""
-    if table.n == 0:
-        raise DataError("cannot encode an empty table")
     B = cfg.B
     bit_groups = []
     p = 0
@@ -110,7 +108,6 @@ def encode_table(table: MixedTable, cfg: BepConfig) -> BepMatrix:
 
     per_col_indices = []
     for j, (col, (start, _)) in enumerate(zip(table.schema, bit_groups)):
-        raw = table.column(j)
         if col.kind == "nominal":
             if cfg.nominal_mode == "hash":
                 level_bits = np.array(
@@ -118,10 +115,9 @@ def encode_table(table: MixedTable, cfg: BepConfig) -> BepMatrix:
                 )
             else:
                 level_bits = np.arange(col.n_levels(), dtype=np.int64)
-            per_col_indices.append(start + level_bits[raw][:, None])
+            per_col_indices.append(start + level_bits[table.column(j)][:, None])
             continue
-        x = normalize_numeric(raw) if col.kind == "numeric" else ordinal_to_scalar(raw, col)
-        offsets = block_offset(x, B)
+        offsets = block_offset(unit_column(table, j), B)
         per_col_indices.append(start + offsets[:, None] + np.arange(B, dtype=np.int64)[None, :])
 
     indices = np.concatenate(per_col_indices, axis=1)

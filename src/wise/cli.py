@@ -25,7 +25,7 @@ from .bep import dump_bep, encode_table
 from .data_model import MixedTable, load_table
 from .dfi import compute_explanations, faithfulness_eval, global_ranking
 from .errors import ConfigError, DataError, InvariantError
-from .lofo import FeatureWeightVector, views_matrix
+from .lofo import FeatureWeightVector, check_simplex, views_matrix
 from .metrics import evaluate
 from .pipeline import (
     ABLATIONS,
@@ -218,17 +218,24 @@ def read_views(path, names: list[str]) -> list[FeatureWeightVector]:
         if header[4:] != names:
             raise DataError(f"{path}: weight columns do not match the schema")
         for row in reader:
-            views.append(
-                FeatureWeightVector(
-                    w=np.array([float(x) for x in row[4:]]),
-                    target=index[row[0]],
-                    tree=int(row[2]),
-                    quality=float(row[3]),
-                    rank=int(row[1]),
+            where = f"{path} line {reader.line_num}"
+            if len(row) != len(header) or row[0] not in index:
+                raise DataError(f"{where}: expected {len(header)} cells led by a column name")
+            try:
+                views.append(
+                    FeatureWeightVector(
+                        w=np.array([float(x) for x in row[4:]]),
+                        target=index[row[0]],
+                        tree=int(row[2]),
+                        quality=float(row[3]),
+                        rank=int(row[1]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from None
     if not views:
         raise DataError(f"{path}: no weight vectors")
+    check_simplex(views)
     return views
 
 

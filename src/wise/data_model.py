@@ -1,11 +1,12 @@
 """Mixed-type tabular data with an explicit per-column schema.
 
-Columns are numeric, ordinal, or nominal.  Cells are stored in a
-type-resolved form: numeric as floats, ordinal as indices into the
-schema's ordered level list, nominal as indices into the levels observed
-at load time (first-occurrence order, which keeps downstream encodings
-deterministic).  Rows with missing cells are dropped at load and the
-count is logged; there is no imputation.
+A table is columnar: one read-only array per column.  Numeric columns
+hold float64 values, ordinal columns int64 indices into the schema's
+ordered level list, nominal columns int64 indices into the levels
+observed at load time (first-occurrence order, which keeps downstream
+encodings deterministic).  Both loaders parse cell by cell, then
+transpose rows into columns.  Rows with missing cells are dropped at
+load and the count is logged; there is no imputation.
 """
 
 from __future__ import annotations
@@ -55,43 +56,50 @@ class ColumnSchema:
         return len(self.levels)
 
 
-@dataclass
+@dataclass(eq=False)
 class MixedTable:
-    """A validated table: schema plus type-resolved cells.
+    """A validated table: schema plus one typed, read-only array per column.
 
     ``row_ids`` holds each kept row's 0-based data-row index in its source
     (the loader drops rows with missing cells); by default 0..n-1.
     """
 
     schema: list[ColumnSchema]
-    rows: list[list]
-    row_ids: np.ndarray | None = field(default=None, compare=False)
+    columns: list[np.ndarray]
+    row_ids: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.row_ids is None:
-            self.row_ids = np.arange(len(self.rows), dtype=np.int64)
+        if len(self.columns) != len(self.schema):
+            raise DataError(f"{len(self.columns)} columns for {len(self.schema)} schema entries")
+        self.columns = [np.array(values, dtype=np.float64 if col.kind == "numeric" else np.int64)
+                        for values, col in zip(self.columns, self.schema)]
+        n = self.columns[0].size if self.columns else 0
+        if any(arr.shape != (n,) for arr in self.columns):
+            raise DataError("columns must be 1-D and of equal length")
+        if n == 0:
+            raise DataError("table has no rows")
+        for arr in self.columns:
+            arr.flags.writeable = False
+        self.row_ids = np.asarray(np.arange(n) if self.row_ids is None else self.row_ids,
+                                  dtype=np.int64)
+        if self.row_ids.shape != (n,):
+            raise DataError(f"{self.row_ids.size} row ids for {n} rows")
+
+    def __reduce__(self):
+        # rebuild through the constructor, so unpickled columns are read-only too
+        return MixedTable, (self.schema, self.columns, self.row_ids)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.columns[0].size
 
     @property
     def d(self) -> int:
         return len(self.schema)
 
     def column(self, j: int) -> np.ndarray:
-        """Column j as a float array (numeric) or int codes (ordinal/nominal)."""
-        col = self.schema[j]
-        cells = [row[j] for row in self.rows]
-        if col.kind == "numeric":
-            return np.asarray(cells, dtype=np.float64)
-        return np.asarray(cells, dtype=np.int64)
-
-    def column_index(self, name: str) -> int:
-        for j, col in enumerate(self.schema):
-            if col.name == name:
-                return j
-        raise DataError(f"no column named {name!r}")
+        """Column j: float64 values (numeric) or int64 level codes (ordinal/nominal)."""
+        return self.columns[j]
 
 
 def load_schema(schema_path) -> list[ColumnSchema]:
@@ -120,27 +128,32 @@ def load_schema(schema_path) -> list[ColumnSchema]:
     return schema
 
 
-def _parse_cell(raw: str, col: ColumnSchema, level_index: dict) -> object:
+def _parse_cell(raw, col: ColumnSchema, level_index: dict):
+    """A float (numeric), level index (ordinal) or first-occurrence code (nominal)."""
     if col.kind == "numeric":
         try:
             value = float(raw)
-        except ValueError:
+        except (TypeError, ValueError):
             raise DataError(f"column {col.name!r}: unparseable numeric {raw!r}") from None
         if not np.isfinite(value):
             raise DataError(f"column {col.name!r}: non-finite numeric {raw!r}")
         return value
+    label = str(raw)
     if col.kind == "ordinal":
         try:
-            return col.ordered_levels.index(raw)
+            return col.ordered_levels.index(label)
         except ValueError:
             raise DataError(
-                f"column {col.name!r}: level {raw!r} not in ordered_levels"
+                f"column {col.name!r}: level {label!r} not in ordered_levels"
             ) from None
-    # nominal: register levels in first-occurrence order
-    if raw not in level_index:
-        level_index[raw] = len(col.observed_levels)
-        col.observed_levels.append(raw)
-    return level_index[raw]
+    if label not in level_index:
+        level_index[label] = len(col.observed_levels)
+        col.observed_levels.append(label)
+    return level_index[label]
+
+
+def _parse_row(cells, schema: list[ColumnSchema], level_maps: list[dict]) -> list:
+    return [_parse_cell(cell, col, lm) for cell, col, lm in zip(cells, schema, level_maps)]
 
 
 def load_table(csv_path, schema_path, truth_column: str | None = None):
@@ -175,16 +188,11 @@ def load_table(csv_path, schema_path, truth_column: str | None = None):
         for lineno, record in enumerate(reader, start=2):
             if len(record) != len(header):
                 raise DataError(f"{csv_path}:{lineno}: expected {len(header)} cells")
-            raw_cells = [record[pos] for pos in positions]
-            if any(cell.strip() in MISSING_TOKENS for cell in raw_cells):
+            raw_cells = [record[pos].strip() for pos in positions]
+            if any(cell in MISSING_TOKENS for cell in raw_cells):
                 dropped += 1
                 continue
-            rows.append(
-                [
-                    _parse_cell(raw.strip(), col, level_maps[j])
-                    for j, (raw, col) in enumerate(zip(raw_cells, schema))
-                ]
-            )
+            rows.append(_parse_row(raw_cells, schema, level_maps))
             row_ids.append(lineno - 2)
             if truth_pos is not None:
                 truth.append(record[truth_pos].strip())
@@ -192,7 +200,7 @@ def load_table(csv_path, schema_path, truth_column: str | None = None):
         log.info("%s: dropped %d rows with missing cells", csv_path, dropped)
     if not rows:
         raise DataError(f"{csv_path}: no complete rows")
-    table = MixedTable(schema=schema, rows=rows, row_ids=np.asarray(row_ids, dtype=np.int64))
+    table = MixedTable(schema, list(zip(*rows)), row_ids)
     return table, (truth if truth_pos is not None else None)
 
 
@@ -208,19 +216,10 @@ def table_from_raw(schema: list[ColumnSchema], raw_rows) -> MixedTable:
     for raw in raw_rows:
         if len(raw) != len(schema):
             raise DataError(f"row has {len(raw)} cells, schema has {len(schema)}")
-        row = []
-        for j, (cell, col) in enumerate(zip(raw, schema)):
-            if col.kind == "numeric":
-                value = float(cell)
-                if not np.isfinite(value):
-                    raise DataError(f"column {col.name!r}: non-finite numeric {cell!r}")
-                row.append(value)
-            else:
-                row.append(_parse_cell(str(cell), col, level_maps[j]))
-        rows.append(row)
+        rows.append(_parse_row(raw, schema, level_maps))
     if not rows:
         raise DataError("no rows")
-    return MixedTable(schema=schema, rows=rows)
+    return MixedTable(schema, list(zip(*rows)))
 
 
 def write_table(table: MixedTable, csv_path, truth=None, truth_name: str = "label"):
@@ -228,19 +227,19 @@ def write_table(table: MixedTable, csv_path, truth=None, truth_name: str = "labe
     header = [c.name for c in table.schema]
     if truth is not None:
         header.append(truth_name)
+    cells = []
+    for col, values in zip(table.schema, table.columns):
+        if col.kind == "numeric":
+            cells.append([repr(x) for x in values.tolist()])
+        else:
+            levels = col.levels
+            cells.append([levels[c] for c in values.tolist()])
+    if truth is not None:
+        cells.append(truth)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, row in enumerate(table.rows):
-            out = []
-            for cell, col in zip(row, table.schema):
-                if col.kind == "numeric":
-                    out.append(repr(cell))
-                else:
-                    out.append(col.levels[cell])
-            if truth is not None:
-                out.append(truth[i])
-            writer.writerow(out)
+        writer.writerows(zip(*cells, strict=True))
 
 
 def normalize_numeric(values) -> np.ndarray:
@@ -265,22 +264,29 @@ def ordinal_to_scalar(codes, col: ColumnSchema) -> np.ndarray:
     return codes.astype(np.float64) / (c - 1)
 
 
+def unit_column(table: MixedTable, j: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """Column j over ``rows`` (default all): numeric min-max scaled over those
+    rows, ordinal levels mapped onto [0,1] in order, nominal codes as they
+    are (they only ever compare by equality)."""
+    col = table.schema[j]
+    values = table.columns[j] if rows is None else table.columns[j][rows]
+    if col.kind == "numeric":
+        return normalize_numeric(values)
+    if col.kind == "ordinal":
+        return ordinal_to_scalar(values, col)
+    return values
+
+
 def design_matrix(table: MixedTable):
     """Dense feature matrix for the dependency models.
 
-    Numeric columns are min-max normalized, ordinal columns keep their
-    integer level codes (ordered, so threshold splits apply), nominal
-    columns keep integer codes and are marked for category-membership
-    splits.  Returns ``(X, is_nominal)``.
+    Columns are ``unit_column`` scaled, except that ordinal columns keep
+    their integer level codes (ordered, so threshold splits apply).
+    Nominal columns keep integer codes and are marked for
+    category-membership splits.  Returns ``(X, is_nominal)``.
     """
-    n, d = table.n, table.d
-    X = np.empty((n, d), dtype=np.float64)
-    is_nominal = np.zeros(d, dtype=bool)
+    X = np.empty((table.n, table.d), dtype=np.float64)
     for j, col in enumerate(table.schema):
-        raw = table.column(j)
-        if col.kind == "numeric":
-            X[:, j] = normalize_numeric(raw)
-        else:
-            X[:, j] = raw.astype(np.float64)
-            is_nominal[j] = col.kind == "nominal"
+        X[:, j] = table.columns[j] if col.kind == "ordinal" else unit_column(table, j)
+    is_nominal = np.array([col.kind == "nominal" for col in table.schema])
     return X, is_nominal

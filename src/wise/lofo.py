@@ -219,11 +219,16 @@ def sense_all(
     else:
         per_target = [_sense_one(t) for t in tasks]
     views = [v for group in per_target for v in group]
+    check_simplex(views)
+    return views
+
+
+def check_simplex(views: list[FeatureWeightVector]) -> None:
+    """Every weight vector must be non-negative and sum to 1 (within 1e-12)."""
     for view in views:
         total = float(view.w.sum())
-        if np.any(view.w < 0) or abs(total - 1.0) > 1e-12:
+        if not (np.all(view.w >= 0) and abs(total - 1.0) <= 1e-12):
             raise DataError(f"view for target {view.target} left the simplex (sum {total})")
-    return views
 
 
 def views_matrix(views: list[FeatureWeightVector]) -> np.ndarray:

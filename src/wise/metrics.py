@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data_model import MixedTable, normalize_numeric, ordinal_to_scalar
+from .data_model import MixedTable, unit_column
 from .errors import DataError
 
 
@@ -112,25 +112,6 @@ def acc_hungarian(y_pred, y_true) -> float:
     return float(ct.counts[rows, cols].sum()) / ct.n
 
 
-def gower_columns(table: MixedTable, rows: np.ndarray) -> np.ndarray:
-    """Per-column scalarization for Gower distances on a row subset.
-
-    Numeric columns min-max normalize over the subset; ordinal columns
-    map level indices onto [0,1]; nominal columns keep codes (compared
-    by mismatch, so the code values never enter arithmetic).
-    """
-    cols = np.empty((rows.size, table.d))
-    for j, col in enumerate(table.schema):
-        raw = table.column(j)[rows]
-        if col.kind == "numeric":
-            cols[:, j] = normalize_numeric(raw)
-        elif col.kind == "ordinal":
-            cols[:, j] = ordinal_to_scalar(raw, col)
-        else:
-            cols[:, j] = raw
-    return cols
-
-
 def _gower_block(A: np.ndarray, B: np.ndarray, is_nominal: np.ndarray) -> np.ndarray:
     """Mean per-column Gower dissimilarity between row blocks A and B."""
     out = np.zeros((A.shape[0], B.shape[0]))
@@ -163,7 +144,8 @@ def swc_gower(table: MixedTable, y, subsample_size: int = 5000, seed: int = 0) -
     K = labels.size
     if K < 2:
         raise DataError("silhouette needs at least 2 clusters in the sample")
-    cols = gower_columns(table, rows)
+    # numeric columns scale over the subsample, not the full table
+    cols = np.column_stack([unit_column(table, j, rows) for j in range(table.d)])
     is_nominal = np.array([c.kind == "nominal" for c in table.schema])
     m = rows.size
     sizes = np.bincount(yi, minlength=K)

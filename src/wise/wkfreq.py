@@ -23,6 +23,7 @@ first occurrence, and their counts come from one more product.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from dataclasses import dataclass
 
@@ -515,13 +516,11 @@ def cluster(
     row_tot = X_float @ omega
 
     rows = np.arange(n)
-    labels_prev = labels_prev2 = None   # labels of the last two iterations
-    prev_mean = 0.0
+    labels_prev = None
+    seen: dict[bytes, int] = {}                 # digest of each labelling -> first iteration
+    trail: list[tuple[np.ndarray, float]] = []  # (labels, mean distance) of each iteration
     history: list[tuple[float | None, float]] = []
-    labels = np.zeros(n, dtype=np.int64)
-    final_mean = 0.0
-    n_iter = 0
-    for _ in range(params.max_iter):
+    for n_iter in range(1, params.max_iter + 1):
         D = _distances(X_float, row_tot, omega, centers)
         labels = D.argmin(axis=1)
         assigned = D[rows, labels]
@@ -537,27 +536,29 @@ def cluster(
                 assigned[worst] = D[worst, cid]
                 spare[worst] = -np.inf
         final_mean = float(assigned.mean())
-        n_iter += 1
+        trail.append((labels, final_mean))
 
-        if labels_prev is not None and np.array_equal(labels, labels_prev):
-            break
-        # An iteration is a function of the labels it recentered on, so labels
-        # equal to those of two iterations back alternate until max_iter.
-        # Stop now with what iteration max_iter would return.
-        cycle = labels_prev2 is not None and np.array_equal(labels, labels_prev2)
-        if cycle:
-            log.warning("cluster: labels alternate between two labellings from iteration %d; "
-                        "returning the state of iteration max_iter=%d", n_iter, params.max_iter)
-            if (params.max_iter - n_iter) % 2:
-                # iteration max_iter ends on the previous labels, whose centers these are
-                labels, final_mean = labels_prev, prev_mean
-                break
-        labels_prev2, labels_prev, prev_mean = labels_prev, labels, final_mean
+        first = seen.setdefault(hashlib.blake2b(labels.tobytes()).digest(), n_iter)
+        if first == n_iter - 1:
+            break   # fixed point
+        # An iteration is a function of the labels it recentered on, so from a
+        # repeated labelling on, the loop cycles with period n_iter - first until
+        # max_iter.  Stop now with the state iteration max_iter would reach.
+        if first < n_iter:
+            period = n_iter - first
+            log.warning("cluster: labels alternate among %d labellings from iteration %d; "
+                        "returning the state of iteration max_iter=%d",
+                        period, first, params.max_iter)
+            # iteration max_iter lies whole periods after iteration n_iter - back,
+            # which is inside the cycle, so it ends in the same state
+            back = (n_iter - params.max_iter) % period
+            labels, final_mean = trail[n_iter - 1 - back]
+        labels_prev = labels
         # recenter on these labels; a fixed-point break returns these centers
         counts = _indicator(labels, params.k) @ X
         sizes = np.bincount(labels, minlength=params.k)
         centers = _as_centers(_freqitems(counts, omega, params.alpha), sizes)
-        if cycle:
+        if first < n_iter:
             break
     else:
         log.warning("cluster: stopped at max_iter=%d without label fixed point", params.max_iter)

@@ -143,13 +143,6 @@ def test_encode_expand_and_hash_widths():
         encode_table(table, BepConfig(B=4, nominal_mode="one_hot"))
 
 
-def test_encode_empty_table():
-    table = table_from_raw([ColumnSchema("a", "numeric")], [(0.5,)])
-    table.rows = []
-    with pytest.raises(DataError, match="empty table"):
-        encode_table(table, BepConfig())
-
-
 def test_jaccard_distance_examples():
     assert jaccard_distance([0, 1, 2, 3], [0, 1, 2, 3]) == 0.0
     assert jaccard_distance([0, 1], [2, 3]) == 1.0

@@ -286,12 +286,17 @@ def dropped_rows_run(tmp_path_factory):
     return io_args, weights, tmp / "c" / "records.csv", tmp / "c" / "labels.csv"
 
 
-def stage_command(run, command, out, records=None, labels=None):
-    io_args, weights, records_0, labels_0 = run
-    files = ["--labels", str(labels or labels_0)]
-    if command == "explain":
-        files += ["--records", str(records or records_0), "--weights", str(weights)]
-    return cli.main([command] + io_args + files + ["--out", str(out)] + FAST_OVERRIDES)
+def stage_command(run, command, out, records=None, labels=None, weights=None):
+    io_args, weights_0, records_0, labels_0 = run
+    labels = ["--labels", str(labels or labels_0)]
+    weights = ["--weights", str(weights or weights_0)]
+    files = {
+        "cluster": weights,
+        "explain": labels + ["--records", str(records or records_0)] + weights,
+        "evaluate": labels,
+    }[command]
+    return cli.main([command] + io_args + files + ["--out", str(out), "--workers", "1"]
+                    + FAST_OVERRIDES)
 
 
 def edited(path, out, edit):
@@ -340,6 +345,17 @@ BAD_RECORDS = {
 }
 
 
+BAD_WEIGHTS = {   # line 1 is the first view; cells are target, rank, tree, quality, weights
+    "non-float-weight": set_cell(1, 4, "heavy"),
+    "nan-weight": set_cell(1, 4, "nan"),
+    "off-simplex": set_cell(1, 4, "2.0"),
+    "short-row": drop_last_cell(1),
+    "unknown-target": set_cell(1, 0, "no_such_column"),
+    "non-integer-rank": set_cell(1, 1, "first"),
+    "non-integer-tree": set_cell(1, 2, "1.5"),
+}
+
+
 @pytest.mark.parametrize("command", ["explain", "evaluate"])
 @pytest.mark.parametrize("case", list(BAD_LABELS))
 def test_bad_labels_file_exits_three(dropped_rows_run, tmp_path, capsys, command, case):
@@ -352,6 +368,14 @@ def test_bad_labels_file_exits_three(dropped_rows_run, tmp_path, capsys, command
 def test_bad_records_file_exits_three(dropped_rows_run, tmp_path, capsys, case):
     records = edited(dropped_rows_run[2], tmp_path / "records.csv", BAD_RECORDS[case])
     assert stage_command(dropped_rows_run, "explain", tmp_path / "out.json", records=records) == 3
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["explain", "cluster"])
+@pytest.mark.parametrize("case", list(BAD_WEIGHTS))
+def test_bad_weights_file_exits_three(dropped_rows_run, tmp_path, capsys, command, case):
+    weights = edited(dropped_rows_run[1], tmp_path / "weights.csv", BAD_WEIGHTS[case])
+    assert stage_command(dropped_rows_run, command, tmp_path / "out", weights=weights) == 3
     assert "data error" in capsys.readouterr().err
 
 

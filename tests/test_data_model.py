@@ -1,4 +1,6 @@
-"""Schema validation, CSV loading, and column scalarization."""
+"""Schema validation, columnar storage, CSV loading, and column scalarization."""
+
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from wise.data_model import (
     normalize_numeric,
     ordinal_to_scalar,
     table_from_raw,
+    unit_column,
     write_table,
 )
 from wise.errors import DataError
@@ -113,13 +116,6 @@ def test_schema_validation_errors(tmp_path):
         load_table(csv_path, schema_path)
 
 
-def test_column_index():
-    table = table_from_raw([ColumnSchema("a", "numeric")], [(1.0,)])
-    assert table.column_index("a") == 0
-    with pytest.raises(DataError, match="no column named"):
-        table.column_index("b")
-
-
 def test_normalize_numeric_examples():
     assert np.allclose(normalize_numeric([20, 28, 40]), [0.0, 0.4, 1.0])
     assert np.allclose(normalize_numeric([5, 5, 5]), [0.0, 0.0, 0.0])
@@ -144,7 +140,7 @@ def test_table_from_raw_matches_csv_loader(tmp_path):
     loaded, _ = load_table(csv_path, schema_path)
     schema = [ColumnSchema("age", "numeric"), ColumnSchema("color", "nominal")]
     built = table_from_raw(schema, [(20, "red"), (28, "blue"), (40, "red")])
-    assert built.rows == loaded.rows
+    assert_same_columns(built, loaded)
     assert built.schema[1].observed_levels == loaded.schema[1].observed_levels
 
 
@@ -154,6 +150,10 @@ def test_table_from_raw_errors():
         table_from_raw(schema, [(1.0,)])
     with pytest.raises(DataError, match="non-finite"):
         table_from_raw(schema, [(float("nan"), "x")])
+    with pytest.raises(DataError, match="unparseable numeric 'x'"):
+        table_from_raw(schema, [("x", "x")])
+    with pytest.raises(DataError, match="unparseable numeric None"):
+        table_from_raw(schema, [(None, "x")])
     with pytest.raises(DataError, match="no rows"):
         table_from_raw(schema, [])
 
@@ -177,7 +177,7 @@ def test_write_table_round_trip(tmp_path):
     )
     back, truth = load_table(csv_path, schema_path, truth_column="label")
     assert truth == ["c0", "c1", "c0"]
-    assert back.rows == table.rows
+    assert_same_columns(back, table)
 
 
 def test_design_matrix_kinds():
@@ -195,6 +195,114 @@ def test_design_matrix_kinds():
 
 
 def test_mixed_table_shapes():
-    table = MixedTable(schema=[ColumnSchema("a", "numeric")], rows=[[1.0], [2.0]])
+    table = MixedTable(schema=[ColumnSchema("a", "numeric")], columns=[[1.0, 2.0]])
     assert (table.n, table.d) == (2, 1)
     assert table.column(0).dtype == np.float64
+    assert table.row_ids.tolist() == [0, 1]
+
+
+def test_columns_are_typed_read_only_and_stay_so_through_pickle():
+    schema = [
+        ColumnSchema("num", "numeric"),
+        ColumnSchema("ord", "ordinal", ordered_levels=["a", "b"]),
+        ColumnSchema("cat", "nominal"),
+    ]
+    table = table_from_raw(schema, [(1, "b", "x"), (2.5, "a", "y")])
+    for t in (table, pickle.loads(pickle.dumps(table))):
+        assert [t.column(j).dtype for j in range(3)] == [np.float64, np.int64, np.int64]
+        for j in range(3):
+            assert t.column(j) is t.column(j)      # the stored array, not a copy
+            assert not t.column(j).flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                t.column(j)[0] = 0
+        assert t.column(1).tolist() == [1, 0]
+    # the table owns its arrays: editing the caller's input changes nothing
+    values = np.array([1.0, 2.0])
+    owned = MixedTable([ColumnSchema("a", "numeric")], [values])
+    values[0] = 9.0
+    assert owned.column(0).tolist() == [1.0, 2.0]
+    assert values.flags.writeable
+
+
+def test_mixed_table_rejects_malformed_columns():
+    schema = [ColumnSchema("a", "numeric"), ColumnSchema("b", "nominal")]
+    with pytest.raises(DataError, match="1 columns for 2 schema entries"):
+        MixedTable(schema, [[1.0, 2.0]])
+    with pytest.raises(DataError, match="equal length"):
+        MixedTable(schema, [[1.0, 2.0], [0]])
+    with pytest.raises(DataError, match="no rows"):
+        MixedTable(schema, [[], []])
+    with pytest.raises(DataError, match="3 row ids for 2 rows"):
+        MixedTable(schema, [[1.0, 2.0], [0, 1]], row_ids=[0, 1, 2])
+
+
+def test_unit_column_kinds_and_row_subset():
+    schema = [
+        ColumnSchema("num", "numeric"),
+        ColumnSchema("ord", "ordinal", ordered_levels=["a", "b", "c"]),
+        ColumnSchema("cat", "nominal"),
+    ]
+    table = table_from_raw(schema, [(10, "a", "x"), (20, "c", "y"), (30, "b", "x")])
+    assert unit_column(table, 0).tolist() == [0.0, 0.5, 1.0]
+    assert unit_column(table, 1).tolist() == [0.0, 1.0, 0.5]
+    assert unit_column(table, 2).tolist() == [0, 1, 0]
+    # numeric columns scale over the chosen rows only
+    rows = np.array([0, 1])
+    assert unit_column(table, 0, rows).tolist() == [0.0, 1.0]
+    assert unit_column(table, 1, rows).tolist() == [0.0, 1.0]
+    X, _ = design_matrix(table)
+    assert X[:, 0].tolist() == unit_column(table, 0).tolist()
+
+
+def assert_same_columns(a, b):
+    assert [c.levels for c in a.schema] == [c.levels for c in b.schema]
+    for j in range(a.d):
+        assert a.column(j).dtype == b.column(j).dtype
+        assert np.array_equal(a.column(j), b.column(j))
+
+
+def random_mixed_csv(rng, path, n):
+    """A random mixed table as CSV, a few rows blanked; the label is the data-row index.
+
+    Returns the schema JSON.
+    """
+    levels = ["lo", "mid", "hi"]
+    lines = ["x,size,color,label"]
+    for i in range(n):
+        cells = [
+            repr(float(rng.normal(scale=10.0 ** rng.integers(-3, 4)))),
+            levels[rng.integers(3)],
+            f"c{rng.integers(5)}",
+            str(i),
+        ]
+        if rng.random() < 0.15:
+            cells[rng.integers(3)] = rng.choice(["", "?", "NA"])
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+    return (
+        '[{"name": "x", "kind": "numeric"},'
+        ' {"name": "size", "kind": "ordinal", "ordered_levels": ["lo", "mid", "hi"]},'
+        ' {"name": "color", "kind": "nominal"}]'
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_load_write_load_round_trip_on_random_tables(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    csv_path = tmp_path / "in.csv"
+    schema_path = tmp_path / "schema.json"
+    n = int(rng.integers(20, 200))
+    schema_path.write_text(random_mixed_csv(rng, csv_path, n))
+    first, truth = load_table(csv_path, schema_path, truth_column="label")
+    assert first.n < n                                    # some rows were dropped
+    assert first.row_ids.tolist() == [int(t) for t in truth]
+    out = tmp_path / "out.csv"
+    write_table(first, out, truth=truth)
+    back, back_truth = load_table(out, schema_path, truth_column="label")
+    assert_same_columns(back, first)
+    assert back_truth == truth
+    # the written file holds only the kept rows, so its row ids count afresh
+    assert back.row_ids.tolist() == list(range(first.n))
+    again = tmp_path / "again.csv"
+    write_table(back, again, truth=back_truth)
+    assert again.read_bytes() == out.read_bytes()

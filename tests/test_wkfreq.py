@@ -257,19 +257,19 @@ def test_cluster_converged_labels_are_a_fixed_point():
     assert_same_centers(capped.centers, reference_centers(X, capped.labels, None, params.alpha, 4))
 
 
-def test_cluster_two_cycle_stops_early_with_the_max_iter_state(caplog):
-    # stage-one round 2 of a planted table (m=1) alternates between two
-    # labellings from iteration 5 on
-    table, _ = synth_table(SynthParams(n=2000, seed=3))
+def assert_cycle_stop_matches_max_iter_state(caplog, synth_seed, r, period):
+    """Stage-one round r of a planted n=2000 table (m=1) stops on its label cycle
+    with the state the uncut loop reaches at max_iter, for every residue of
+    the iterations left modulo the period."""
+    table, _ = synth_table(SynthParams(n=2000, seed=synth_seed))
     cfg = build_config({"m": 1})
     bep = encode_table(table, cfg.bep)
-    view = make_views(table, cfg)[2]
+    view = make_views(table, cfg)[r]
     omega = lift_weights(view.w, bep.bit_groups)
     params = ClusterParams(k=cfg.k0, alpha=cfg.alpha0, beta=cfg.beta0, max_iter=cfg.max_iter,
-                           seed=derive_seed(cfg.seed, "stage1", 2))
+                           seed=derive_seed(cfg.seed, "stage1", r))
     seeds = silk_seed(bep.matrix, omega / omega.max(), params, params.seed)
-    # both parities of the iterations left after the cycle shows
-    for max_iter in (params.max_iter, params.max_iter + 1):
+    for max_iter in range(params.max_iter, params.max_iter + period):
         p = replace(params, max_iter=max_iter)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="wise.wkfreq"):
@@ -277,10 +277,22 @@ def test_cluster_two_cycle_stops_early_with_the_max_iter_state(caplog):
         labels, centers, mean, n_iter = reference_lloyd(bep.matrix, p, omega, seeds)
         assert n_iter == max_iter
         assert got.n_iter < max_iter
-        assert "alternate" in caplog.text
+        assert f"alternate among {period} labellings" in caplog.text
         assert np.array_equal(got.labels, labels)
         assert_same_centers(got.centers, centers)
         assert got.mean_distance == mean
+
+
+def test_cluster_two_cycle_stops_early_with_the_max_iter_state(caplog):
+    # stage-one round 2 of synth seed 3 alternates between two labellings
+    # from iteration 5 on
+    assert_cycle_stop_matches_max_iter_state(caplog, synth_seed=3, r=2, period=2)
+
+
+def test_cluster_four_cycle_stops_early_with_the_max_iter_state(caplog):
+    # stage-one round 7 of synth seed 1505 repeats the labels of iteration 11
+    # at iteration 15, which a two-cycle check never sees
+    assert_cycle_stop_matches_max_iter_state(caplog, synth_seed=1505, r=7, period=4)
 
 
 def test_cluster_assignment_step_never_increases_cost():
