@@ -150,6 +150,14 @@ def _load_input(args) -> tuple[MixedTable, list | None]:
     return load_table(args.data, args.schema, truth_column=truth)
 
 
+def _write_json(path, obj) -> None:
+    """Indented UTF-8 JSON plus a newline.  A NaN or infinity raises before
+    the file is opened, so no file that is not JSON gets written."""
+    text = json.dumps(obj, ensure_ascii=False, indent=2, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 def write_labels(path, labels, row_ids=None) -> None:
     """One line per row: its source data-row index (default 0..n-1) and label."""
     if row_ids is None:
@@ -307,9 +315,14 @@ def explanation_report(table, result, top_q: int, faithfulness=None, with_instan
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
+    for flag, value in (("--top-q", args.top_q), ("--trials", args.trials)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     workers = _workers(args)
     print(f"seed {cfg.seed}, {workers} workers, ablation {args.ablation}")
     table, truth = _load_input(args)
+    if args.faithfulness and args.top_q > table.d:
+        raise ConfigError(f"--top-q {args.top_q} exceeds the table's {table.d} features")
     result = run_wise(table, cfg, ablation=args.ablation, workers=workers)
     os.makedirs(args.out, exist_ok=True)
     names = [c.name for c in table.schema]
@@ -328,9 +341,7 @@ def cmd_run(args) -> int:
     }
     if args.dump_records:
         payload["record_matrix"] = result.L.tolist()
-    with open(os.path.join(args.out, "result.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "result.json"), payload)
 
     faith = None
     if args.faithfulness:
@@ -340,15 +351,11 @@ def cmd_run(args) -> int:
             top_k=[args.top_q], trials=args.trials, seed=cfg.seed,
         )
     report = explanation_report(table, result, args.top_q, faith, args.instances)
-    with open(os.path.join(args.out, "explanations.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "explanations.json"), report)
 
     if truth is not None:
         metrics = evaluate(table, result.labels, truth, seed=cfg.seed)
-        with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
+        _write_json(os.path.join(args.out, "metrics.json"), metrics)
 
     sizes = np.bincount(result.labels, minlength=cfg.K)
     print(f"K={cfg.K} sizes={sizes.tolist()} deviation={result.explanations.consistency_deviation:.2e}")
@@ -418,9 +425,7 @@ def cmd_explain(args) -> int:
     }
     if args.instances:
         report["instance_weights"] = ex.W_instance.tolist()
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    _write_json(args.out, report)
     print(f"consistency deviation {ex.consistency_deviation:.2e} -> {args.out}")
     return 0
 
@@ -430,9 +435,7 @@ def cmd_evaluate(args) -> int:
     table, truth = _load_input(args)
     y = read_labels(args.labels, table.row_ids)
     metrics = evaluate(table, y, truth, seed=cfg.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    _write_json(args.out, metrics)
     print(json.dumps(metrics, ensure_ascii=False))
     return 0
 

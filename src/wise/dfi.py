@@ -238,6 +238,8 @@ def faithfulness_eval(
     same probe on `trials` random k-subsets.  Returns one record per k
     plus the all-features reference.
     """
+    if trials < 1:
+        raise ConfigError(f"trials={trials} must be >= 1")
     y = np.asarray(y, dtype=np.int64)
     d = table.d
     n_classes = int(y.max()) + 1
@@ -248,8 +250,8 @@ def faithfulness_eval(
     all_acc, all_f1 = _probe_tree_scores(X, y, np.arange(d), is_nominal, n_classes, probe_depth)
     records = []
     for k in top_k:
-        if k > d:
-            raise ConfigError(f"top_k={k} exceeds {d} features")
+        if not 1 <= k <= d:
+            raise ConfigError(f"top_k={k} must lie in 1..{d}")
         dfi_acc, dfi_f1 = _probe_tree_scores(X, y, ranking[:k], is_nominal, n_classes, probe_depth)
         rand_acc, rand_f1 = [], []
         for _ in range(trials):

@@ -38,6 +38,10 @@ class ForestParams:
             raise ConfigError("train_sample_frac must lie in (0, 1]")
         if self.min_samples_leaf < 1:
             raise ConfigError("min_samples_leaf must be >= 1")
+        if self.max_depth < 0:
+            raise ConfigError("max_depth must be >= 0")
+        if self.features_per_split is not None and not (0.0 < self.features_per_split <= 1.0):
+            raise ConfigError("features_per_split must lie in (0, 1]")
 
 
 @dataclass
@@ -80,11 +84,7 @@ class TreeFit:
 class ForestModel:
     trees: list[TreeFit]
     task: str                      # "regression" | "classification"
-    target_index: int | None
     input_columns: np.ndarray      # original column ids of the model inputs
-    is_nominal: np.ndarray         # per model input
-    n_classes: int
-    params: ForestParams
 
     @property
     def quality(self) -> list[float]:
@@ -106,111 +106,98 @@ def _impurity(y: np.ndarray, task: str, n_classes: int) -> float:
     return float(1.0 - np.dot(frac, frac))
 
 
-def _numeric_split(x, y, task, n_classes, min_leaf):
-    """Best threshold for one feature: (gain, threshold) or None.
-
-    Gain is the decrease in weighted child impurity, computed from
-    prefix statistics over the sorted column.
-    """
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    n = xs.size
-    cut = np.flatnonzero(xs[:-1] < xs[1:]) + 1  # left part sizes
-    cut = cut[(cut >= min_leaf) & (cut <= n - min_leaf)]
-    if cut.size == 0:
-        return None
+def _target_stats(y: np.ndarray, task: str, n_classes: int) -> np.ndarray:
+    """Per-row target statistics whose column sums describe any set of rows:
+    (y, y^2) for regression, the one-hot class row for classification."""
     if task == "regression":
-        csum = np.cumsum(ys)
-        csum2 = np.cumsum(ys * ys)
-        nl = cut
-        nr = n - nl
-        sse_l = csum2[cut - 1] - csum[cut - 1] ** 2 / nl
-        sse_r = (csum2[-1] - csum2[cut - 1]) - (csum[-1] - csum[cut - 1]) ** 2 / nr
-        sse_p = csum2[-1] - csum[-1] ** 2 / n
+        stats = np.empty((y.size, 2))
+        stats[:, 0] = y
+        stats[:, 1] = y * y
+        return stats
+    stats = np.zeros((y.size, n_classes))
+    stats[np.arange(y.size), y.astype(np.int64)] = 1.0
+    return stats
+
+
+# The scan runs once per candidate feature of every node, so it and the two
+# split functions call array methods, which skip the Python-level dispatch
+# of their np.* function forms.
+def _best_cut(left, total, nl, n, task, min_leaf):
+    """Best admissible cut of a node of n rows: (gain, index into nl) or None.
+
+    Row i of ``left`` holds the summed target statistics of the nl[i] rows
+    on the left of cut i, ``total`` those of the whole node.  A cut is
+    admissible when both sides keep at least ``min_leaf`` rows.  Gain is the
+    decrease in weighted child impurity (SSE / n for regression, Gini for
+    classification), the CART prefix scan; ties go to the first cut.
+    """
+    # nl increases strictly, so the admissible cuts form one run
+    lo, hi = nl.searchsorted((min_leaf, n - min_leaf + 1))
+    if lo >= hi:
+        return None
+    left, nl = left[lo:hi], nl[lo:hi]
+    nr = n - nl
+    right = total - left
+    if task == "regression":
+        sse_l = left[:, 1] - left[:, 0] ** 2 / nl
+        sse_r = right[:, 1] - right[:, 0] ** 2 / nr
+        sse_p = total[1] - total[0] ** 2 / n
         gains = (sse_p - sse_l - sse_r) / n
     else:
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), ys.astype(np.int64)] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        nl = cut.astype(np.float64)
-        nr = n - nl
-        left = prefix[cut - 1]
-        right = prefix[-1] - left
-        gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
-        total = prefix[-1] / n
-        gini_p = 1.0 - np.sum(total**2)
+        gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
+        gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
+        gini_p = 1.0 - ((total / n) ** 2).sum()
         gains = gini_p - (nl * gini_l + nr * gini_r) / n
-    best = int(np.argmax(gains))
+    best = int(gains.argmax())
     gain = float(gains[best])
-    if gain <= 0.0:
+    if not 0.0 < gain < np.inf:  # no gain, or statistics that overflowed
         return None
-    pos = cut[best]
-    threshold = float((xs[pos - 1] + xs[pos]) / 2.0)
-    return gain, threshold, None
+    return gain, int(lo) + best
 
 
-def _nominal_split(x, y, task, n_classes, min_leaf):
-    """Best category-membership split: (gain, None, left category set).
+def _numeric_split(x, stats, task, min_leaf):
+    """Best threshold for one feature: (gain, threshold, None) or None.
+
+    Candidate cuts sit where the sorted column changes value; the threshold
+    is the midpoint of the two values around the best cut.
+    """
+    order = x.argsort(kind="stable")
+    xs = x[order]
+    cut = (xs[:-1] < xs[1:]).nonzero()[0] + 1  # left part sizes
+    prefix = stats.take(order, axis=0).cumsum(axis=0)
+    found = _best_cut(prefix.take(cut - 1, axis=0), prefix[-1], cut, xs.size, task, min_leaf)
+    if found is None:
+        return None
+    gain, i = found
+    pos = cut[i]
+    return gain, float((xs[pos - 1] + xs[pos]) / 2.0), None
+
+
+def _nominal_split(x, stats, task, min_leaf):
+    """Best category-membership split: (gain, None, left category set) or None.
 
     Categories are ordered by their target statistic (mean target for
     regression, share of the node's majority class for classification)
     and prefixes of that order are scanned, the standard CART device.
     """
     codes = x.astype(np.int64)
-    cats = np.unique(codes)
+    cnt = np.bincount(codes)
+    cats = cnt.nonzero()[0]
     if cats.size < 2:
         return None
-    n = codes.size
-    if task == "regression":
-        sums = np.zeros(cats.size)
-        sqs = np.zeros(cats.size)
-        cnt = np.zeros(cats.size)
-        pos = np.searchsorted(cats, codes)
-        np.add.at(sums, pos, y)
-        np.add.at(sqs, pos, y * y)
-        np.add.at(cnt, pos, 1.0)
-        stat = sums / cnt
-        order = np.argsort(stat, kind="stable")
-        csum, csq, ccnt = np.cumsum(sums[order]), np.cumsum(sqs[order]), np.cumsum(cnt[order])
-        nl = ccnt[:-1]
-        nr = n - nl
-        ok = (nl >= min_leaf) & (nr >= min_leaf)
-        if not np.any(ok):
-            return None
-        sse_l = csq[:-1] - csum[:-1] ** 2 / nl
-        sse_r = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / nr
-        sse_p = csq[-1] - csum[-1] ** 2 / n
-        gains = np.where(ok, (sse_p - sse_l - sse_r) / n, -np.inf)
-    else:
-        ys = y.astype(np.int64)
-        counts = np.zeros((cats.size, n_classes))
-        pos = np.searchsorted(cats, codes)
-        np.add.at(counts, (pos, ys), 1.0)
-        cnt = counts.sum(axis=1)
-        majority = int(np.argmax(counts.sum(axis=0)))
-        stat = counts[:, majority] / cnt
-        order = np.argsort(stat, kind="stable")
-        prefix = np.cumsum(counts[order], axis=0)
-        nl = prefix[:-1].sum(axis=1)
-        nr = n - nl
-        ok = (nl >= min_leaf) & (nr >= min_leaf)
-        if not np.any(ok):
-            return None
-        left = prefix[:-1]
-        right = prefix[-1] - left
-        with np.errstate(invalid="ignore", divide="ignore"):
-            gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-            gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
-        total = prefix[-1] / n
-        gini_p = 1.0 - np.sum(total**2)
-        gains = np.where(ok, gini_p - (nl * gini_l + nr * gini_r) / n, -np.inf)
-    best = int(np.argmax(gains))
-    gain = float(gains[best])
-    if not np.isfinite(gain) or gain <= 0.0:
+    # per-category sums of every statistic, each added in row order
+    s = stats.shape[1]
+    flat = (codes[:, None] * s + np.arange(s)).ravel()
+    agg = np.bincount(flat, weights=stats.ravel(), minlength=cnt.size * s).reshape(-1, s)[cats]
+    cnt = cnt[cats]
+    key = 0 if task == "regression" else int(agg.sum(axis=0).argmax())
+    order = (agg[:, key] / cnt).argsort(kind="stable")
+    prefix = agg[order].cumsum(axis=0)
+    found = _best_cut(prefix[:-1], prefix[-1], cnt[order].cumsum()[:-1], codes.size, task, min_leaf)
+    if found is None:
         return None
-    left_cats = frozenset(int(cats[i]) for i in order[: best + 1])
-    return gain, None, left_cats
+    gain, i = found
+    return gain, None, frozenset(int(c) for c in cats[order[: i + 1]])
 
 
 def _mtry(d: int, task: str, params: ForestParams) -> int:
@@ -247,13 +234,11 @@ def train_tree(
         ):
             return _leaf(yn, task, n_classes)
         chosen = np.sort(rng.choice(d, size=mtry, replace=False))
+        stats = _target_stats(yn, task, n_classes)
         best = None
         for f in chosen:
-            col = X[idx, f]
-            if is_nominal[f]:
-                found = _nominal_split(col, yn, task, n_classes, params.min_samples_leaf)
-            else:
-                found = _numeric_split(col, yn, task, n_classes, params.min_samples_leaf)
+            split = _nominal_split if is_nominal[f] else _numeric_split
+            found = split(X[idx, f], stats, task, params.min_samples_leaf)
             if found is not None and (best is None or found[0] > best[0]):
                 best = (found[0], int(f), found[1], found[2])
         if best is None:
@@ -297,13 +282,10 @@ def fit_forest(
     params: ForestParams,
     is_nominal: np.ndarray | None = None,
     n_classes: int = 0,
-    target_index: int | None = None,
     input_columns: np.ndarray | None = None,
 ) -> ForestModel:
     """Train T trees on independent row subsamples; score each on its held-out rows."""
     n, d = X.shape
-    if is_nominal is None:
-        is_nominal = np.zeros(d, dtype=bool)
     if input_columns is None:
         input_columns = np.arange(d)
     trees = []
@@ -317,15 +299,7 @@ def fit_forest(
         majority = int(np.bincount(y_tr.astype(np.int64), minlength=n_classes).argmax()) if task == "classification" else None
         quality = _heldout_quality(root, X, y, heldout, task)
         trees.append(TreeFit(root, train_rows, heldout, quality, majority))
-    return ForestModel(
-        trees=trees,
-        task=task,
-        target_index=target_index,
-        input_columns=np.asarray(input_columns),
-        is_nominal=np.asarray(is_nominal, dtype=bool),
-        n_classes=n_classes,
-        params=params,
-    )
+    return ForestModel(trees=trees, task=task, input_columns=np.asarray(input_columns))
 
 
 def _heldout_quality(root: TreeNode, X, y, heldout: np.ndarray, task: str) -> float:
@@ -350,23 +324,8 @@ def train_forest(table: MixedTable, target: int, params: ForestParams) -> Forest
         raise DataError("need at least two columns for a leave-one-out model")
     X_all, nominal_all = design_matrix(table)
     cols = np.array([j for j in range(table.d) if j != target])
-    X = X_all[:, cols]
-    kind = table.schema[target].kind
-    if kind == "nominal":
-        task = "classification"
-        y = X_all[:, target]
-        n_classes = table.schema[target].n_levels()
-    else:
-        task = "regression"
-        y = X_all[:, target]
-        n_classes = 0
-    return fit_forest(
-        X,
-        y,
-        task,
-        params,
-        is_nominal=nominal_all[cols],
-        n_classes=n_classes,
-        target_index=target,
-        input_columns=cols,
-    )
+    col = table.schema[target]
+    task = "classification" if col.kind == "nominal" else "regression"
+    n_classes = col.n_levels() if task == "classification" else 0
+    return fit_forest(X_all[:, cols], X_all[:, target], task, params,
+                      is_nominal=nominal_all[cols], n_classes=n_classes, input_columns=cols)

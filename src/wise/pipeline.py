@@ -56,6 +56,8 @@ class PipelineConfig:
         for name in ("alpha0", "beta0", "alpha"):
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ConfigError(f"{name} must lie in [0,1]")
+        if self.explain_cap < 1 or self.background < 1:
+            raise ConfigError("explain_cap and background must be >= 1")
 
 
 @dataclass

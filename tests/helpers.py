@@ -101,6 +101,113 @@ def random_tree(rng, d, task="regression", n_classes=0, depth=3, nominal_frac=0.
     return root, X, is_nominal
 
 
+def reference_numeric_split(x, y, task, n_classes, min_leaf):
+    """Per-task prefix scan of one threshold feature: (gain, threshold, None) or None.
+
+    Reference for ``forest._numeric_split``: the SSE and Gini formulas are
+    written out separately, on statistics rebuilt from ``y`` for each call.
+    """
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    n = xs.size
+    cut = np.flatnonzero(xs[:-1] < xs[1:]) + 1  # left part sizes
+    cut = cut[(cut >= min_leaf) & (cut <= n - min_leaf)]
+    if cut.size == 0:
+        return None
+    if task == "regression":
+        csum = np.cumsum(ys)
+        csum2 = np.cumsum(ys * ys)
+        nl = cut
+        nr = n - nl
+        sse_l = csum2[cut - 1] - csum[cut - 1] ** 2 / nl
+        sse_r = (csum2[-1] - csum2[cut - 1]) - (csum[-1] - csum[cut - 1]) ** 2 / nr
+        sse_p = csum2[-1] - csum[-1] ** 2 / n
+        gains = (sse_p - sse_l - sse_r) / n
+    else:
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), ys.astype(np.int64)] = 1.0
+        prefix = np.cumsum(onehot, axis=0)
+        nl = cut.astype(np.float64)
+        nr = n - nl
+        left = prefix[cut - 1]
+        right = prefix[-1] - left
+        gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
+        gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+        total = prefix[-1] / n
+        gini_p = 1.0 - np.sum(total**2)
+        gains = gini_p - (nl * gini_l + nr * gini_r) / n
+    best = int(np.argmax(gains))
+    gain = float(gains[best])
+    if gain <= 0.0:
+        return None
+    pos = cut[best]
+    threshold = float((xs[pos - 1] + xs[pos]) / 2.0)
+    return gain, threshold, None
+
+
+def reference_nominal_split(x, y, task, n_classes, min_leaf):
+    """Per-task category-prefix scan: (gain, None, left category set) or None.
+
+    Reference for ``forest._nominal_split``: per-category sums by
+    ``np.add.at``, categories ordered by mean target (regression) or share
+    of the node's majority class (classification).
+    """
+    codes = x.astype(np.int64)
+    cats = np.unique(codes)
+    if cats.size < 2:
+        return None
+    n = codes.size
+    if task == "regression":
+        sums = np.zeros(cats.size)
+        sqs = np.zeros(cats.size)
+        cnt = np.zeros(cats.size)
+        pos = np.searchsorted(cats, codes)
+        np.add.at(sums, pos, y)
+        np.add.at(sqs, pos, y * y)
+        np.add.at(cnt, pos, 1.0)
+        stat = sums / cnt
+        order = np.argsort(stat, kind="stable")
+        csum, csq, ccnt = np.cumsum(sums[order]), np.cumsum(sqs[order]), np.cumsum(cnt[order])
+        nl = ccnt[:-1]
+        nr = n - nl
+        ok = (nl >= min_leaf) & (nr >= min_leaf)
+        if not np.any(ok):
+            return None
+        sse_l = csq[:-1] - csum[:-1] ** 2 / nl
+        sse_r = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / nr
+        sse_p = csq[-1] - csum[-1] ** 2 / n
+        gains = np.where(ok, (sse_p - sse_l - sse_r) / n, -np.inf)
+    else:
+        ys = y.astype(np.int64)
+        counts = np.zeros((cats.size, n_classes))
+        pos = np.searchsorted(cats, codes)
+        np.add.at(counts, (pos, ys), 1.0)
+        cnt = counts.sum(axis=1)
+        majority = int(np.argmax(counts.sum(axis=0)))
+        stat = counts[:, majority] / cnt
+        order = np.argsort(stat, kind="stable")
+        prefix = np.cumsum(counts[order], axis=0)
+        nl = prefix[:-1].sum(axis=1)
+        nr = n - nl
+        ok = (nl >= min_leaf) & (nr >= min_leaf)
+        if not np.any(ok):
+            return None
+        left = prefix[:-1]
+        right = prefix[-1] - left
+        with np.errstate(invalid="ignore", divide="ignore"):
+            gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
+            gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+        total = prefix[-1] / n
+        gini_p = 1.0 - np.sum(total**2)
+        gains = np.where(ok, gini_p - (nl * gini_l + nr * gini_r) / n, -np.inf)
+    best = int(np.argmax(gains))
+    gain = float(gains[best])
+    if not np.isfinite(gain) or gain <= 0.0:
+        return None
+    left_cats = frozenset(int(cats[i]) for i in order[: best + 1])
+    return gain, None, left_cats
+
+
 def set_partitions(n):
     """All set partitions of range(n) as canonical label tuples.
 

@@ -389,6 +389,44 @@ def test_exit_code_two_for_config_errors(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+BAD_RUN_FLAGS = {
+    "features_per_split=2": ["--set", "features_per_split=2"],
+    "features_per_split=-1": ["--set", "features_per_split=-1"],
+    "max_depth=-1": ["--set", "max_depth=-1"],
+    "explain_cap=0": ["--set", "explain_cap=0"],
+    "background=0": ["--set", "background=0"],
+    "top-q=0": ["--faithfulness", "--top-q", "0"],
+    "trials=0": ["--faithfulness", "--trials", "0"],
+    "top-q=-1": ["--top-q", "-1"],
+    "top-q-above-d": ["--faithfulness", "--top-q", "9"],   # the table has 8 columns
+}
+
+
+@pytest.mark.parametrize("flags", list(BAD_RUN_FLAGS.values()), ids=list(BAD_RUN_FLAGS))
+def test_run_rejects_out_of_range_values_before_training(tmp_path, capsys, monkeypatch, flags):
+    csv_path, schema_path = synth_dataset(tmp_path, n=60)
+
+    def never(*args, **kwargs):
+        raise AssertionError("run_wise called despite a bad value")
+
+    monkeypatch.setattr(cli, "run_wise", never)
+    rc = cli.main(
+        ["run", "--data", str(csv_path), "--schema", str(schema_path), "--truth-column",
+         "label", "--out", str(tmp_path / "x"), "--workers", "1"] + flags
+    )
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_write_json_rejects_non_finite_numbers(tmp_path):
+    path = tmp_path / "out.json"
+    cli._write_json(path, {"name": "é", "values": [1.5, 2]})
+    assert path.read_text(encoding="utf-8") == '{\n  "name": "é",\n  "values": [\n    1.5,\n    2\n  ]\n}\n'
+    with pytest.raises(ValueError):
+        cli._write_json(path, {"random_accuracy": float("nan")})
+    assert path.read_text(encoding="utf-8").startswith('{\n  "name"')
+
+
 def test_exit_code_three_for_missing_data(tmp_path, capsys):
     rc = cli.main(
         ["run", "--data", str(tmp_path / "absent.csv"),

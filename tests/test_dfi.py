@@ -293,3 +293,7 @@ def test_faithfulness_rejects_oversized_k():
     table, y, W_cluster, sizes = faithfulness_fixture()
     with pytest.raises(ConfigError, match="top_k=4"):
         faithfulness_eval(table, y, W_cluster, sizes, top_k=[4])
+    with pytest.raises(ConfigError, match="top_k=0"):
+        faithfulness_eval(table, y, W_cluster, sizes, top_k=[0])
+    with pytest.raises(ConfigError, match="trials=0"):
+        faithfulness_eval(table, y, W_cluster, sizes, top_k=[1], trials=0)

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from helpers import reference_nominal_split, reference_numeric_split
 from wise.data_model import ColumnSchema, table_from_raw
 from wise.errors import ConfigError, DataError
 from wise.forest import (
     ForestParams,
     TreeNode,
     _heldout_quality,
+    _nominal_split,
+    _numeric_split,
+    _target_stats,
     fit_forest,
     predict_tree,
     train_forest,
@@ -30,6 +34,12 @@ def test_forest_params_validation():
         ForestParams(train_sample_frac=0.0)
     with pytest.raises(ConfigError, match="min_samples_leaf"):
         ForestParams(min_samples_leaf=0)
+    with pytest.raises(ConfigError, match="max_depth"):
+        ForestParams(max_depth=-1)
+    for frac in (0.0, -1.0, 1.5, 2.0):
+        with pytest.raises(ConfigError, match="features_per_split"):
+            ForestParams(features_per_split=frac)
+    ForestParams(max_depth=0, features_per_split=1.0)
 
 
 def test_constant_target_gives_single_leaf():
@@ -87,6 +97,59 @@ def test_nominal_split_regression_target():
     assert root.categories is not None
     pred = predict_tree(root, codes[:, None])
     assert abs(pred[codes == 1].mean() - 5.0) < 0.1
+
+
+def both_splits(x, y, task, n_classes, min_leaf):
+    """(new, reference) results of the numeric and of the nominal scan on one node."""
+    stats = _target_stats(y, task, n_classes)
+    return [
+        (_numeric_split(x, stats, task, min_leaf), reference_numeric_split(x, y, task, n_classes, min_leaf)),
+        (_nominal_split(x, stats, task, min_leaf), reference_nominal_split(x, y, task, n_classes, min_leaf)),
+    ]
+
+
+def random_node(rng, task):
+    n = int(rng.integers(2, 80))
+    n_classes = int(rng.integers(2, 7))
+    if task == "regression":
+        y = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), n)
+        if rng.random() < 0.3:
+            y = np.round(y)                            # tied targets, tied gains
+    else:                                              # often misses some classes
+        present = rng.choice(n_classes, size=int(rng.integers(1, n_classes + 1)), replace=False)
+        y = rng.choice(present, size=n).astype(float)
+    levels = int(rng.integers(1, 9))                   # 1 level: a single category
+    x = rng.integers(0, levels, n).astype(float) if rng.random() < 0.7 else rng.random(n)
+    return x, y, n_classes, int(rng.integers(1, 9))
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_split_scanners_match_reference_oracles(task):
+    """Gain, threshold and category set equal the per-task oracles bit for bit."""
+    rng = np.random.default_rng(31 if task == "regression" else 32)
+    found = {"numeric": [0, 0], "nominal": [0, 0]}    # [no split, split]
+    for _ in range(600):
+        x, y, n_classes, min_leaf = random_node(rng, task)
+        for kind, (got, want) in zip(found, both_splits(x, y, task, n_classes, min_leaf)):
+            assert got == want
+            found[kind][want is not None] += 1
+    assert all(min(counts) > 50 for counts in found.values())
+
+    tied = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0])
+    y = np.array([0.0, 1.0, 0.0, 2.0, 2.0, 3.0, 1.0, 1.0])
+    cases = [
+        (tied, y, 4, 1, True),                                  # tied x values
+        (np.full(8, 3.0), y, 4, 1, False),                      # a single category
+        (tied, y, 4, 4, False),                                 # min_leaf leaves no cut
+        (tied, np.array([1.0, 1, 1, 3, 3, 3, 3, 3]), 5, 1, True),  # classes 0, 2, 4 missing
+        (tied, np.full(8, 2.0), 4, 1, False),                   # constant target: gain 0
+        (np.array([0.0, 0.0, 1, 1]), np.array([0.0, 1, 0, 1]), 2, 1, False),  # gain exactly 0
+    ]
+    for x, y, n_classes, min_leaf, splits in cases:
+        results = both_splits(x, y, task, n_classes, min_leaf)
+        for got, want in results:
+            assert got == want
+        assert (results[0][1] is not None) == splits
 
 
 def test_train_tree_rejects_empty_input():

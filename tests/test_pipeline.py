@@ -69,6 +69,9 @@ def test_pipeline_config_validation():
         PipelineConfig(alpha0=1.5)
     with pytest.raises(ConfigError, match="beta0"):
         PipelineConfig(beta0=-0.1)
+    for name in ("explain_cap", "background"):
+        with pytest.raises(ConfigError, match="explain_cap and background"):
+            PipelineConfig(**{name: 0})
 
 
 def test_uniform_ablation_views():
