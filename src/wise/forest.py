@@ -11,7 +11,7 @@ ordering categories by their target statistic and scanning prefixes.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +55,19 @@ class TreeNode:
     categories: frozenset | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
+    # categories as a lookup table: entry c + 1 says whether code c goes left
+    _left_codes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.categories is not None:
+            codes = np.fromiter(self.categories, dtype=np.int64)
+            if (codes < 0).any():
+                raise DataError("category codes must be non-negative")
+            # entry 0 and the last entry stay False: negative codes clip to the
+            # first, codes past the largest category to the last
+            table = np.zeros(int(codes.max(initial=-1)) + 3, dtype=bool)
+            table[codes + 1] = True
+            self._left_codes = table
 
     @property
     def is_leaf(self) -> bool:
@@ -63,11 +76,11 @@ class TreeNode:
     def goes_left(self, column: np.ndarray) -> np.ndarray:
         """Routing of this node's split feature values: True means left.
 
-        Nominal splits send listed category codes left; threshold splits
-        send values <= threshold left.
+        Nominal splits send listed category codes left, every other code
+        right; threshold splits send values <= threshold left.
         """
-        if self.categories is not None:
-            return np.isin(column.astype(np.int64), np.fromiter(self.categories, dtype=np.int64))
+        if self._left_codes is not None:
+            return self._left_codes.take(column.astype(np.int64) + 1, mode="clip")
         return column <= self.threshold
 
 

@@ -12,11 +12,11 @@ the remaining 1-q kept on the target column itself.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._pool import map_indices
 from ._rng import derive_seed
 from .data_model import MixedTable, design_matrix
 from .errors import ConfigError, DataError
@@ -176,8 +176,8 @@ def candidates_from_forest(
     return out
 
 
-def _sense_one(args):
-    table, target, forest_params, qd_params, explain_cap, background_size = args
+def _sense_one(shared, target: int):
+    table, forest_params, qd_params, explain_cap, background_size = shared
     seed_j = derive_seed(forest_params.seed, "lofo", target)
     model = train_forest(table, target, replace(forest_params, seed=seed_j))
     X_all, _ = design_matrix(table)
@@ -209,15 +209,8 @@ def sense_all(
     """
     if table.d < 2:
         raise DataError("weight sensing needs at least two columns")
-    tasks = [
-        (table, j, forest_params, qd_params, explain_cap, background_size)
-        for j in range(table.d)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_target = list(pool.map(_sense_one, tasks))
-    else:
-        per_target = [_sense_one(t) for t in tasks]
+    shared = (table, forest_params, qd_params, explain_cap, background_size)
+    per_target = map_indices(_sense_one, shared, table.d, workers)
     views = [v for group in per_target for v in group]
     check_simplex(views)
     return views

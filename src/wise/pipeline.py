@@ -11,12 +11,12 @@ index), so results are identical for any worker-pool size.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
 
+from ._pool import map_indices
 from ._rng import derive_seed
 from .bep import BepConfig, BepMatrix, encode_table
 from .data_model import MixedTable
@@ -128,10 +128,11 @@ def make_views(
     )
 
 
-def _run_round(args):
-    X, omega, k0, alpha0, beta0, max_iter, seed = args
-    params = ClusterParams(k=k0, alpha=alpha0, beta=beta0, max_iter=max_iter, seed=seed)
-    res = cluster(X, params, weights=omega)
+def _run_round(shared, r: int):
+    X, omegas, k0, alpha0, beta0, max_iter, seed = shared
+    params = ClusterParams(k=k0, alpha=alpha0, beta=beta0, max_iter=max_iter,
+                           seed=derive_seed(seed, "stage1", r))
+    res = cluster(X, params, weights=omegas[r])
     return res.labels, res.centers
 
 
@@ -148,15 +149,9 @@ def stage_one(
     """One weighted clustering round per view; labels land in L by round index."""
     if not views:
         raise ConfigError("stage one needs at least one view")
-    tasks = []
-    for r, view in enumerate(views):
-        omega = lift_weights(view.w, bep.bit_groups)
-        tasks.append((bep.matrix, omega, k0, alpha0, beta0, max_iter, derive_seed(seed, "stage1", r)))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_round, tasks))
-    else:
-        results = [_run_round(t) for t in tasks]
+    omegas = [lift_weights(view.w, bep.bit_groups) for view in views]
+    shared = (bep.matrix, omegas, k0, alpha0, beta0, max_iter, seed)
+    results = map_indices(_run_round, shared, len(views), workers)
     L = np.stack([labels for labels, _ in results], axis=1)
     centers = [c for _, c in results]
     if L.min() < 0 or L.max() >= k0:

@@ -18,19 +18,30 @@ under every coalition.  Summing over leaves and averaging over the
 background set gives the interventional attribution; the brute-force
 coalition oracle in the test suite is the arbiter for this algebra.
 
-One walk of the tree serves every leaf.  The explained and background
-rows are routed together, once per internal node, and each child
-inherits per-feature "follows" masks (a feature split twice on a path
-ANDs its masks).  At a leaf with q path features the pair (x, z) is
-reachable iff no feature is unfollowed by both, a matrix product of the
-unfollowed masks; where it is reachable, a counts the features z does
-not follow and b those x does not follow.  Explained rows with the same
-follow pattern get the same attribution at that leaf, so each distinct
-pattern is attributed once and the result is scattered back.  The
-per-reference terms and their mean over the background set are the
-same floating-point operations, in the same order, as a per-row
-evaluation, so the attributions do not depend on how rows group.  The
-background rows' leaves, recorded on the same walk, give the base value.
+One walk of the tree serves every leaf, and one vectorized pass serves
+the whole tree.  The explained and background rows are routed together,
+once per internal node, and each child inherits per-feature "follows"
+masks (a feature split twice on a path ANDs its masks).  The masks of
+all L leaves are stacked into one (L, Q, rows) array: a leaf's path
+features fill its first slots in ascending order, and every other slot
+is followed by every row, so it counts toward no reach, a or b.  A pair
+(x, z) reaches a leaf iff no slot is unfollowed by both; there a counts
+the slots z does not follow and b those x does not follow.  Explained
+rows with the same follow pattern at a leaf share every term, so one
+sort of (leaf, packed pattern) keys leaves each distinct pattern to be
+attributed once, and one weight table of the tree's largest Q serves
+every leaf (the factorial prefix does not depend on q).
+
+The stacking changes no floating-point reduction.  Each (pattern, path
+feature) term is still the mean of the same per-reference vector along
+a contiguous last axis.  The vector of a feature x does not follow is
+zero minus wb wherever the pair is reachable (its positive part is
+provably zero), the same for every such feature, so it is averaged once
+per pattern.  Contributions enter phi leaf by leaf in walk order.  The
+attributions are therefore bit-identical to a per-leaf, per-row
+evaluation (the per-leaf reference in the test suite checks this) and
+do not depend on how rows group.  The background rows' leaves, read off
+the same stack, give the base value.
 """
 
 from __future__ import annotations
@@ -49,14 +60,6 @@ class GlobalAttribution:
     explained_count: int
 
 
-def _leaf_scalar(value, output_index: int | None) -> float:
-    if np.ndim(value) == 0:
-        return float(value)
-    if output_index is None:
-        raise ConfigError("classification tree needs an explanation output index")
-    return float(value[output_index])
-
-
 def _weight_tables(q: int):
     fact = np.ones(2 * q + 1)
     for i in range(1, 2 * q + 1):
@@ -70,33 +73,79 @@ def _weight_tables(q: int):
     return wa, wb
 
 
-def _leaves(node: TreeNode, XZ: np.ndarray, follows: dict):
-    """Yield (leaf value, follows) for every leaf, left subtree first.
+def _leaves(node: TreeNode, XZ: np.ndarray, follows: dict, out: list) -> list:
+    """Append (leaf value, follows) for every leaf to ``out``, left subtree first.
 
     ``follows[f]`` says, per row of XZ, whether the row routes toward the
     leaf at every split on feature f along its path.  Each internal node
     routes all rows once; a feature that repeats on a path ANDs its masks.
     """
     if node.is_leaf:
-        yield node.value, follows
-        return
+        out.append((node.value, follows))
+        return out
     f = node.feature
     left = node.goes_left(XZ[:, f])
     for child, side in ((node.left, left), (node.right, ~left)):
         below = dict(follows)
         below[f] = follows[f] & side if f in follows else side
-        yield from _leaves(child, XZ, below)
+        _leaves(child, XZ, below, out)
+    return out
 
 
-def _distinct_columns(F: np.ndarray):
-    """Distinct columns of a boolean matrix and each column's group index."""
-    order = np.lexsort(F)
-    ranked = F[:, order]
+def _patterns(FX: np.ndarray):
+    """Distinct (leaf, follow pattern) pairs of the explained rows.
+
+    FX is (L, Q, E).  Returns one flat (leaf, row) index per distinct
+    pair and each (leaf, row)'s pair number.  The sort key is an int64
+    when leaf and pattern bits fit, else a byte string (leaf index, then
+    the packed pattern).
+    """
+    L, Q, E = FX.shape
+    if Q + L.bit_length() < 63:
+        bits = np.left_shift(1, np.arange(Q, dtype=np.int64))
+        pattern = (FX * bits[:, None]).sum(axis=1)
+        keys = (np.left_shift(np.arange(L, dtype=np.int64), Q)[:, None] | pattern).ravel()
+    else:
+        packed = np.packbits(FX, axis=1).transpose(0, 2, 1)
+        leaf = np.arange(L, dtype=">i8").view(np.uint8).reshape(L, 1, 8)
+        keys = np.concatenate([np.broadcast_to(leaf, (L, E, 8)), packed], axis=2).reshape(L * E, -1)
+        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    order = keys.argsort()
+    ranked = keys[order]
     new = np.ones(order.size, dtype=bool)
-    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    new[1:] = ranked[1:] != ranked[:-1]
     inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ranked[:, new], inverse
+    inverse[order] = new.cumsum() - 1
+    return order[new], inverse
+
+
+def _pattern_terms(nfx, real, nfz, cell, wa, nwb):
+    """Mean per-reference term of every (pattern, path slot) over the background.
+
+    nfx (P, Q): slots the pattern's explained rows do not follow; real
+    (P, Q): slots that hold a path feature of the pattern's leaf; nfz
+    (P, Q, G): slots each reference does not follow, for that leaf; cell
+    (P, G): the references' a times the width of the flat weight tables
+    wa and nwb (= -wb), whose entry 0 (a = b = 0) is zero.
+    """
+    # reach[p, g]: no slot is unfollowed by both rows; there a counts the
+    # slots only x follows and b those only z follows
+    reach = ~(nfx[:, :, None] & nfz).any(axis=1)
+    # an unreached pair reads entry 0, the zero term
+    cell = (cell + nfx.sum(axis=1)[:, None]) * reach
+    # every slot x does not follow has the same terms: no positive part, -wb
+    terms = np.empty(nfx.shape)
+    terms[:] = nwb.take(cell).mean(axis=1)[:, None]
+    p, s = (real & ~nfx).nonzero()
+    cell = cell[p]
+    cell *= nfz[p, s]
+    terms[p, s] = wa.take(cell).mean(axis=1)
+    return terms
+
+
+# patterns go through _pattern_terms in blocks of about this many (pattern,
+# slot, reference) elements, which bounds its temporaries at a few MB
+_BLOCK = 1 << 16
 
 
 def shap_matrix(
@@ -117,48 +166,58 @@ def shap_matrix(
     if rows.shape[1] != background.shape[1]:
         raise DataError("explained rows and background disagree on feature count")
     n_expl, d = rows.shape
-    phi = np.zeros((n_expl, d))
-    tables = {}
-    reached = []  # (background rows, leaf value) per leaf
-
     XZ = np.concatenate([rows, background])
-    for value, follows in _leaves(root, XZ, {}):
-        feats = sorted(follows)
-        q = len(feats)
-        F = np.array([follows[f] for f in feats], dtype=bool).reshape(q, XZ.shape[0])
-        # each background row reaches exactly the leaf whose path it follows throughout
-        reached.append((np.flatnonzero(F[:, n_expl:].all(axis=0)), value))
-        if not q:
-            continue  # depth-0 tree: constant, no attribution
-        leaf_value = _leaf_scalar(value, output_index)
-        fx, inverse = _distinct_columns(F[:, :n_expl])   # (q, U) distinct explain patterns
-        nfx = ~fx
-        nfz = ~F[:, n_expl:]                              # (q, G)
-        # reach[u, g]: no path feature is unfollowed by both rows (exact 0/1 counts)
-        reach = (nfx.T.astype(np.float32) @ nfz.astype(np.float32)) == 0
-        if q not in tables:
-            tables[q] = _weight_tables(q)
-        wa_tab, wb_tab = tables[q]
-        # where reach holds: a = features only x follows, b = features only z follows
-        a = nfz.sum(axis=0)
-        b = nfx.sum(axis=0)
-        wa = wa_tab[a[None, :], b[:, None]]
-        wb = wb_tab[a[None, :], b[:, None]]
-        # (q, U, G): row [qi, u] holds feature qi's per-reference terms for pattern u
-        pos = np.where(reach & nfz[:, None, :], wa, 0.0)
-        neg = np.where(reach & nfx[:, :, None], wb, 0.0)
-        phi[:, feats] += (leaf_value * (pos - neg).mean(axis=2))[:, inverse].T
+    leaves = _leaves(root, XZ, {}, [])
 
-    # background predictions laid out as predict_tree returns them
-    base_pred = np.zeros((background.shape[0],) + np.shape(reached[0][1]))
-    for idx, value in reached:
-        base_pred[idx] = value
-    if base_pred.ndim == 2:
+    # F[l, s]: follow mask of leaf l's s-th path feature (ascending); unused
+    # slots are followed by every row, so they count toward neither a nor b
+    masks, slot_leaf, slot, feature = [], [], [], []
+    for l, (_, follows) in enumerate(leaves):
+        feats = sorted(follows)
+        masks += [follows[f] for f in feats]
+        slot_leaf += [l] * len(feats)
+        slot += range(len(feats))
+        feature += feats
+    L = len(leaves)
+    Q = max(slot, default=-1) + 1
+    F = np.ones((L, Q, XZ.shape[0]), dtype=bool)
+    real = np.zeros((L, Q), dtype=bool)
+    if masks:
+        F[slot_leaf, slot] = masks
+        real[slot_leaf, slot] = True
+
+    values = np.array([value for value, _ in leaves], dtype=np.float64)
+    if values.ndim == 2:
         if output_index is None:
             raise ConfigError("classification tree needs an explanation output index")
-        base_pred = base_pred[:, output_index]
-    base_value = float(base_pred.mean())
-    return phi, base_value
+        values = values[:, output_index]
+    # each background row reaches exactly the leaf whose path it follows throughout
+    base_value = float(values[F[:, :, n_expl:].all(axis=1).argmax(axis=0)].mean())
+    if not Q:
+        return np.zeros((n_expl, d)), base_value  # depth-0 tree: constant, no attribution
+
+    # explained rows of one leaf with the same follow pattern share every term
+    first, inverse = _patterns(F[:, :, :n_expl])
+    leaf_of, row_of = np.divmod(first, n_expl)
+    nfx = ~F[leaf_of, :, row_of]                          # (P, Q)
+    nfz = ~F[:, :, n_expl:]                               # (L, Q, G)
+    wa, wb = _weight_tables(Q)
+    cell = nfz.sum(axis=1) * wa.shape[1]                  # flat table row of each a
+    wa, nwb = wa.ravel(), 0.0 - wb.ravel()
+    terms = np.empty(nfx.shape)
+    step = max(1, _BLOCK // nfz[0].size)
+    for lo in range(0, terms.shape[0], step):
+        at = leaf_of[lo : lo + step]
+        terms[lo : lo + step] = _pattern_terms(nfx[lo : lo + step], real[at], nfz[at], cell[at],
+                                               wa, nwb)
+    terms *= values[leaf_of][:, None]
+
+    # bincount adds in index order: phi[i, f] sums its leaves' terms in walk order
+    slot_leaf, slot = np.array(slot_leaf), np.array(slot)
+    contrib = terms.ravel().take(inverse.reshape(L, n_expl)[slot_leaf] * Q + slot[:, None])
+    cells = np.arange(n_expl) * d + np.array(feature)[:, None]
+    phi = np.bincount(cells.ravel(), weights=contrib.ravel(), minlength=n_expl * d)
+    return phi.reshape(n_expl, d), base_value
 
 
 def aggregate_global(

@@ -9,9 +9,9 @@ import numpy as np
 
 from wise._rng import derive_seed
 from wise.data_model import ColumnSchema, table_from_raw
-from wise.errors import DataError
+from wise.errors import ConfigError, DataError
 from wise.forest import ForestParams, predict_tree, train_tree
-from wise.treeshap import _leaf_scalar, _weight_tables
+from wise.treeshap import _weight_tables
 from wise.wkfreq import (
     FreqItemCenter,
     SparseWeightedVector,
@@ -332,6 +332,14 @@ def _follows_steps(X, steps):
         left = node.goes_left(X[:, node.feature])
         ok &= left if went_left else ~left
     return ok
+
+
+def _leaf_scalar(value, output_index):
+    if np.ndim(value) == 0:
+        return float(value)
+    if output_index is None:
+        raise ConfigError("classification tree needs an explanation output index")
+    return float(value[output_index])
 
 
 def reference_shap_matrix(root, rows, background, output_index=None):

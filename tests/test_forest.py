@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import reference_nominal_split, reference_numeric_split
+from helpers import random_tree, reference_nominal_split, reference_numeric_split
 from wise.data_model import ColumnSchema, table_from_raw
 from wise.errors import ConfigError, DataError
 from wise.forest import (
@@ -18,6 +18,7 @@ from wise.forest import (
     train_forest,
     train_tree,
 )
+from wise.treeshap import shap_matrix
 
 
 def grow_params(**kw):
@@ -180,6 +181,64 @@ def test_goes_left_routes_like_predict_tree():
         assert np.array_equal(predict_tree(node, X) == 0.0, went_left)
     assert np.array_equal(nominal.goes_left(X[:, 0]), np.isin(X[:, 0], [0.0, 2.0]))
     assert np.all(numeric.goes_left(X[:5, 1]))
+
+
+def isin_predict(root, X):
+    """predict_tree with every nominal split routed by np.isin."""
+    out = [None] * X.shape[0]
+
+    def walk(node, idx):
+        if node.is_leaf:
+            for i in idx:
+                out[i] = node.value
+            return
+        col = X[idx, node.feature]
+        if node.categories is None:
+            left = col <= node.threshold
+        else:
+            left = np.isin(col.astype(np.int64), list(node.categories))
+        walk(node.left, idx[left])
+        walk(node.right, idx[~left])
+
+    walk(root, np.arange(X.shape[0]))
+    return np.array(out, dtype=float)
+
+
+def test_category_lookup_routes_like_isin():
+    # codes missing from the set, codes past its largest, negative codes and an empty set
+    left, right = TreeNode(n_samples=1, value=0.0), TreeNode(n_samples=1, value=1.0)
+    codes = np.arange(-3, 12, dtype=float)
+    background = np.array([[0.0], [2.0], [7.0], [11.0]])
+    for cats in ({0, 2}, {1}, {3, 5, 6}, {0}, {9}, set()):
+        node = TreeNode(n_samples=2, feature=0, categories=frozenset(cats), left=left, right=right)
+        want = np.isin(codes.astype(np.int64), list(cats))
+        assert np.array_equal(node.goes_left(codes), want)
+        assert np.array_equal(predict_tree(node, codes[:, None]), (~want).astype(float))
+        # a stump's attribution is its output minus the mean reference output
+        phi, base = shap_matrix(node, codes[:, None], background)
+        f_z = 1.0 - np.isin(background[:, 0], list(cats))
+        assert base == f_z.mean()
+        assert np.allclose(phi[:, 0], (~want) - f_z.mean(), rtol=0.0, atol=1e-12)
+    with pytest.raises(DataError, match="non-negative"):
+        TreeNode(n_samples=2, feature=0, categories=frozenset({-1, 2}))
+
+
+def test_grown_trees_route_unseen_codes_like_isin():
+    # trees grown on codes 0..2 asked about codes 0..5
+    rng = np.random.default_rng(31)
+    for trial in range(12):
+        task, n_classes = ("classification", 3) if trial % 2 else ("regression", 0)
+        root, X, is_nominal = random_tree(rng, 4, task, n_classes, depth=5, nominal_frac=0.6)
+        probe = X.copy()
+        probe[:, is_nominal] = rng.integers(0, 6, (X.shape[0], int(is_nominal.sum())))
+        want = isin_predict(root, probe)
+        assert np.array_equal(predict_tree(root, probe), want)
+        # attributions add up to the isin-routed output
+        out = 1 if task == "classification" else None
+        phi, base = shap_matrix(root, probe[:20], probe[20:], out)
+        if out is not None:
+            want = want[:, out]
+        assert np.allclose(base + phi.sum(axis=1), want[:20], rtol=0.0, atol=1e-9)
 
 
 def test_copy_target_forest_has_perfect_quality():

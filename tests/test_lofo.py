@@ -20,6 +20,7 @@ from wise.lofo import (
     sense_all,
     views_matrix,
 )
+from wise.synth import SynthParams, synth_table
 
 SENSE_PARAMS = ForestParams(
     T=6, max_depth=8, min_samples_leaf=5, train_sample_frac=0.5, seed=11
@@ -231,14 +232,16 @@ def test_sense_all_detects_functional_dependence():
 
 
 def test_sense_all_worker_count_is_invisible():
-    table = copy_feature_table(n=200)
     params = ForestParams(T=4, max_depth=6, min_samples_leaf=5, train_sample_frac=0.5, seed=2)
-    serial = sense_all(table, params, QdParams(m=2, lam=0.5), workers=1)
-    pooled = sense_all(table, params, QdParams(m=2, lam=0.5), workers=2)
-    assert [(v.target, v.tree, v.rank) for v in serial] == [
-        (v.target, v.tree, v.rank) for v in pooled
-    ]
-    assert np.array_equal(views_matrix(serial), views_matrix(pooled))
+    mixed, _ = synth_table(SynthParams(n=200, seed=3))
+    for table in (copy_feature_table(n=200), mixed):
+        serial = sense_all(table, params, QdParams(m=2, lam=0.5), workers=1)
+        pooled = sense_all(table, params, QdParams(m=2, lam=0.5), workers=2)
+        assert len(serial) == len(pooled) == 2 * table.d
+        for a, b in zip(serial, pooled):
+            assert (a.target, a.tree, a.rank) == (b.target, b.tree, b.rank)
+            assert np.float64(a.quality).tobytes() == np.float64(b.quality).tobytes()
+            assert a.w.dtype == b.w.dtype and a.w.tobytes() == b.w.tobytes()
 
 
 def test_sense_all_needs_two_columns():

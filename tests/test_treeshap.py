@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import random_tree, reference_shap_matrix, shap_oracle
+from wise import treeshap
+from wise.data_model import design_matrix
 from wise.errors import ConfigError, DataError
-from wise.forest import TreeNode, predict_tree
+from wise.forest import ForestParams, TreeNode, predict_tree, train_forest
+from wise.synth import SynthParams, synth_table
 from wise.treeshap import aggregate_global, shap_matrix
 
 
@@ -101,7 +104,7 @@ def assert_matches_reference(root, rows, background, output_index=None):
     phi, base = shap_matrix(root, rows, background, output_index)
     phi_r, base_r = reference_shap_matrix(root, rows, background, output_index)
     assert phi.shape == phi_r.shape and phi.tobytes() == phi_r.tobytes()
-    assert base == base_r
+    assert np.float64(base).tobytes() == np.float64(base_r).tobytes()
 
 
 def internal_nodes(root):
@@ -180,3 +183,33 @@ def test_one_walk_routes_each_internal_node_once(monkeypatch):
     nodes = internal_nodes(root)
     assert len(nodes) > 3
     assert calls == {id(node): 1 for node in nodes}
+
+
+def leaf_patterns(root, rows):
+    """Per leaf, the distinct follow patterns of rows packed into integers."""
+    out = []
+    for _, follows in treeshap._leaves(root, rows, {}, []):
+        bits = [follows[f].astype(np.int64) << slot for slot, f in enumerate(sorted(follows))]
+        out.append(set(np.sum(bits, axis=0).tolist()))
+    return out
+
+
+@pytest.mark.parametrize("block", [treeshap._BLOCK, 4096], ids=["default-blocks", "small-blocks"])
+def test_bitwise_equal_on_deep_lofo_forest(monkeypatch, block):
+    # the deep sensing setting: 20 trees of 5-row leaves on half-row samples
+    monkeypatch.setattr(treeshap, "_BLOCK", block)
+    table, _ = synth_table(SynthParams(n=400, seed=4))
+    X, _ = design_matrix(table)
+    params = ForestParams(T=20, min_samples_leaf=5, train_sample_frac=0.5, seed=9)
+    shared_patterns = 0
+    for target, task in ((0, "regression"), (2, "classification")):
+        model = train_forest(table, target, params)
+        assert model.task == task
+        X_in = X[:, model.input_columns]
+        for fit in model.trees:
+            rows, background = X_in[fit.heldout_rows], X_in[fit.train_rows[::3]]
+            assert_matches_reference(fit.root, rows, background, fit.majority_class)
+            # two leaves with the same packed pattern: a key without the leaf merges them
+            seen = leaf_patterns(fit.root, rows)
+            shared_patterns += sum(len(a & b) for i, a in enumerate(seen) for b in seen[i + 1:])
+    assert shared_patterns > 0
