@@ -25,11 +25,13 @@ def _run(index: int):
 
 
 def map_indices(func, shared, count: int, workers: int) -> list:
-    """``[func(shared, i) for i in range(count)]``, on ``workers`` processes when > 1.
+    """``[func(shared, i) for i in range(count)]``, on up to ``workers`` processes.
 
-    One pool serves the whole call and is shut down before it returns, so
-    its workers are reaped.  Results come back in index order.
+    One pool of at most ``count`` processes serves the whole call and is
+    shut down before it returns, so its workers are reaped.  Results come
+    back in index order.
     """
+    workers = min(workers, count)
     if workers <= 1:
         return [func(shared, i) for i in range(count)]
     with ProcessPoolExecutor(max_workers=workers, initializer=_install,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,12 +243,18 @@ def write_table(table: MixedTable, csv_path, truth=None, truth_name: str = "labe
         writer.writerows(zip(*cells, strict=True))
 
 
-def normalize_numeric(values) -> np.ndarray:
-    """Min-max scale to [0,1]; a constant column becomes all zeros."""
+def normalize_numeric(values, name: str = "values") -> np.ndarray:
+    """Min-max scale to [0,1]; a constant column becomes all zeros.
+
+    A column whose range overflows float64 cannot be scaled; ``name`` names
+    it in the error.
+    """
     arr = np.asarray(values, dtype=np.float64)
     lo, hi = float(arr.min()), float(arr.max())
     if hi == lo:
         return np.zeros_like(arr)
+    if not math.isfinite(hi - lo):
+        raise DataError(f"column {name!r}: range {lo!r} to {hi!r} is too wide to scale")
     return (arr - lo) / (hi - lo)
 
 
@@ -271,7 +278,7 @@ def unit_column(table: MixedTable, j: int, rows: np.ndarray | None = None) -> np
     col = table.schema[j]
     values = table.columns[j] if rows is None else table.columns[j][rows]
     if col.kind == "numeric":
-        return normalize_numeric(values)
+        return normalize_numeric(values, col.name)
     if col.kind == "ordinal":
         return ordinal_to_scalar(values, col)
     return values

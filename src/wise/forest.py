@@ -6,6 +6,11 @@ classification for nominal ones) and as the shallow probe tree of the
 explanation faithfulness harness.  Numeric and ordinal inputs split on
 thresholds; nominal inputs split on category-membership sets found by
 ordering categories by their target statistic and scanning prefixes.
+
+The trees of a forest grow together (``_Grower``): each step takes the
+next node of every tree and scans all its candidate splits in a few
+array passes.  Every tree keeps its own node order and random stream, so
+it comes out bit for bit as it would grown alone.
 """
 
 from __future__ import annotations
@@ -104,21 +109,6 @@ class ForestModel:
         return [t.quality for t in self.trees]
 
 
-def _leaf(y: np.ndarray, task: str, n_classes: int) -> TreeNode:
-    if task == "regression":
-        return TreeNode(n_samples=y.size, value=float(y.mean()))
-    probs = np.bincount(y.astype(np.int64), minlength=n_classes) / y.size
-    return TreeNode(n_samples=y.size, value=probs)
-
-
-def _impurity(y: np.ndarray, task: str, n_classes: int) -> float:
-    if task == "regression":
-        return float(np.var(y))
-    counts = np.bincount(y.astype(np.int64), minlength=n_classes)
-    frac = counts / y.size
-    return float(1.0 - np.dot(frac, frac))
-
-
 def _target_stats(y: np.ndarray, task: str, n_classes: int) -> np.ndarray:
     """Per-row target statistics whose column sums describe any set of rows:
     (y, y^2) for regression, the one-hot class row for classification."""
@@ -132,85 +122,150 @@ def _target_stats(y: np.ndarray, task: str, n_classes: int) -> np.ndarray:
     return stats
 
 
-# The scan runs once per candidate feature of every node, so it and the two
-# split functions call array methods, which skip the Python-level dispatch
-# of their np.* function forms.
-def _best_cut(left, total, nl, n, task, min_leaf):
-    """Best admissible cut of a node of n rows: (gain, index into nl) or None.
+# Padded scan arrays hold about this many elements; a step whose candidate
+# splits need more is scanned in several blocks, widest nodes first.
+_BLOCK = 1 << 14
 
-    Row i of ``left`` holds the summed target statistics of the nl[i] rows
-    on the left of cut i, ``total`` those of the whole node.  A cut is
-    admissible when both sides keep at least ``min_leaf`` rows.  Gain is the
-    decrease in weighted child impurity (SSE / n for regression, Gini for
-    classification), the CART prefix scan; ties go to the first cut.
+# Regression targets that spread wider than this have a squared deviation
+# from their mean too large to underflow, so their variance is not zero.
+_SPREAD = 1e-150
+
+
+def _cut_gains(left, nl, pair, total, n, task):
+    """Gain of each candidate cut: the decrease in weighted child impurity.
+
+    Cut k puts ``nl[k]`` rows with summed target statistics ``left[k]`` on
+    the left of node ``pair[k]``, which has ``n`` rows and statistics
+    ``total``.  Impurity is SSE / n for regression and Gini for
+    classification: the CART prefix scan.  Each operation is the
+    elementwise (or last-axis) form of the scan of a single node, so every
+    gain has the bits it has there; the parent's squared sum goes through
+    ``float_power`` because a single node squares a scalar, which rounds
+    like ``pow``, not like ``** 2`` on an array.
     """
-    # nl increases strictly, so the admissible cuts form one run
-    lo, hi = nl.searchsorted((min_leaf, n - min_leaf + 1))
-    if lo >= hi:
-        return None
-    left, nl = left[lo:hi], nl[lo:hi]
-    nr = n - nl
-    right = total - left
+    nn = n[pair]
+    nr = nn - nl
+    right = total[pair] - left
     if task == "regression":
         sse_l = left[:, 1] - left[:, 0] ** 2 / nl
         sse_r = right[:, 1] - right[:, 0] ** 2 / nr
-        sse_p = total[1] - total[0] ** 2 / n
-        gains = (sse_p - sse_l - sse_r) / n
-    else:
-        gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
-        gini_p = 1.0 - ((total / n) ** 2).sum()
-        gains = gini_p - (nl * gini_l + nr * gini_r) / n
-    best = int(gains.argmax())
-    gain = float(gains[best])
-    if not 0.0 < gain < np.inf:  # no gain, or statistics that overflowed
-        return None
-    return gain, int(lo) + best
+        sse_p = total[:, 1] - np.float_power(total[:, 0], 2.0) / n
+        return (sse_p[pair] - sse_l - sse_r) / nn
+    # class shares squared in place, x * x as ``** 2`` computes it
+    share = left / nl[:, None]
+    gini_l = 1.0 - np.multiply(share, share, out=share).sum(axis=1)
+    share = np.divide(right, nr[:, None], out=right)
+    gini_r = 1.0 - np.multiply(share, share, out=share).sum(axis=1)
+    gini_p = 1.0 - ((total / n[:, None]) ** 2).sum(axis=1)
+    return gini_p[pair] - (nl * gini_l + nr * gini_r) / nn
 
 
-def _numeric_split(x, stats, task, min_leaf):
-    """Best threshold for one feature: (gain, threshold, None) or None.
+def _first_best(pair, pos, gains, count, width):
+    """Per node, (gain, position) of its first best cut; gain -inf if none splits.
 
-    Candidate cuts sit where the sorted column changes value; the threshold
-    is the midpoint of the two values around the best cut.
+    Positions without a cut count as -inf.  As in a one-node scan, a NaN
+    gain wins the argmax, and a best gain outside (0, inf) (no gain, or
+    statistics that overflowed) means no split.
     """
-    order = x.argsort(kind="stable")
-    xs = x[order]
-    cut = (xs[:-1] < xs[1:]).nonzero()[0] + 1  # left part sizes
-    prefix = stats.take(order, axis=0).cumsum(axis=0)
-    found = _best_cut(prefix.take(cut - 1, axis=0), prefix[-1], cut, xs.size, task, min_leaf)
-    if found is None:
-        return None
-    gain, i = found
-    pos = cut[i]
-    return gain, float((xs[pos - 1] + xs[pos]) / 2.0), None
+    table = np.full((count, width), -np.inf)
+    table[pair, pos] = gains
+    best = table.argmax(axis=1)
+    gain = table[np.arange(count), best]
+    gain[~((gain > 0.0) & (gain < np.inf))] = -np.inf
+    return gain, best
 
 
-def _nominal_split(x, stats, task, min_leaf):
-    """Best category-membership split: (gain, None, left category set) or None.
+def _scan_thresholds(rows, values, size, stats, task, min_leaf):
+    """Best threshold split of each of P nodes, each on one feature.
 
-    Categories are ordered by their target statistic (mean target for
-    regression, share of the node's majority class for classification)
-    and prefixes of that order are scanned, the standard CART device.
+    Row p of ``rows`` lists the ``size[p]`` rows of node p sorted stably by
+    the feature, padded with the index of ``stats``' trailing zero row;
+    ``values`` holds the matching feature values.  Cuts sit where the
+    sorted values change and are admissible when both sides keep
+    ``min_leaf`` rows, so no cut touches the padding.  Each node's prefix
+    sums start from zero and the padding follows its rows, so they are
+    those of the node alone.
+    Returns per node the gain (-inf: no split) and the threshold, the
+    midpoint of the two values around the chosen cut.
     """
-    codes = x.astype(np.int64)
-    cnt = np.bincount(codes)
-    cats = cnt.nonzero()[0]
-    if cats.size < 2:
-        return None
-    # per-category sums of every statistic, each added in row order
+    count, width = rows.shape
+    cut = np.arange(1, width)  # left part sizes
+    admissible = ((values[:, :-1] < values[:, 1:]) & (cut >= min_leaf)
+                  & (cut <= (size - min_leaf)[:, None]))
+    pair, pos = admissible.nonzero()
+    prefix = stats[rows].cumsum(axis=1)
+    total = prefix[np.arange(count), size - 1]
+    gains = _cut_gains(prefix[pair, pos], pos + 1, pair, total, size, task)
+    gain, best = _first_best(pair, pos + 1, gains, count, width)
+    threshold = np.full(count, np.nan)
+    ok = (gain > -np.inf).nonzero()[0]
+    threshold[ok] = (values[ok, best[ok] - 1] + values[ok, best[ok]]) / 2.0
+    return gain, threshold
+
+
+def _scan_categories(pair, codes, rows, count, stats, task, min_leaf):
+    """Best category-membership split of each of ``count`` nodes, each on one feature.
+
+    Element i puts row ``rows[i]``, whose feature code is ``codes[i]``, in
+    node ``pair[i]``; each node lists its rows in row order.  Categories are
+    ordered by their target statistic (mean target for regression, share of
+    the node's majority class for classification) and prefixes of that
+    order are scanned, the standard CART device.  Per-category sums add a
+    node's rows in row order, as one-node sums do.  Returns per node the
+    gain (-inf: no split), its categories in scan order (padded with -1)
+    and how many of them go left.
+    """
     s = stats.shape[1]
-    flat = (codes[:, None] * s + np.arange(s)).ravel()
-    agg = np.bincount(flat, weights=stats.ravel(), minlength=cnt.size * s).reshape(-1, s)[cats]
-    cnt = cnt[cats]
-    key = 0 if task == "regression" else int(agg.sum(axis=0).argmax())
-    order = (agg[:, key] / cnt).argsort(kind="stable")
-    prefix = agg[order].cumsum(axis=0)
-    found = _best_cut(prefix[:-1], prefix[-1], cnt[order].cumsum()[:-1], codes.size, task, min_leaf)
-    if found is None:
-        return None
-    gain, i = found
-    return gain, None, frozenset(int(c) for c in cats[order[: i + 1]])
+    levels = int(codes.max()) + 1
+    key = pair * levels + codes
+    cnt = np.bincount(key, minlength=count * levels).reshape(count, levels)
+    flat = (key[:, None] * s + np.arange(s)).ravel()
+    agg = np.bincount(flat, weights=stats[rows].ravel(),
+                      minlength=count * levels * s).reshape(count, levels, s)
+    size = cnt.sum(axis=1)
+    p, c = cnt.nonzero()  # present categories, by node and then code
+    m = np.bincount(p, minlength=count)
+    first = m.cumsum() - m
+    cnt_v, agg_v = cnt[p, c], agg[p, c]
+    if task == "regression":
+        stat = agg_v[:, 0] / cnt_v
+    else:
+        majority = agg.sum(axis=1).argmax(axis=1)
+        stat = agg_v[np.arange(p.size), majority[p]] / cnt_v
+    width = int(m.max())
+    col = np.arange(width)
+    stat_pad = np.full((count, width), np.nan)
+    stat_pad[p, np.arange(p.size) - first[p]] = stat
+    # NaN pads sort after every category, NaN statistics included
+    order = stat_pad.argsort(axis=1, kind="stable")
+    src = np.where(col < m[:, None], first[:, None] + order, p.size)
+    prefix = np.vstack([agg_v, np.zeros((1, s))])[src].cumsum(axis=1)
+    nl = np.append(cnt_v, 0)[src].cumsum(axis=1)
+    admissible = ((col < (m - 1)[:, None]) & (nl >= min_leaf)
+                  & (nl <= (size - min_leaf)[:, None]))
+    node, pos = admissible.nonzero()
+    total = prefix[np.arange(count), np.maximum(m - 1, 0)]
+    gains = _cut_gains(prefix[node, pos], nl[node, pos], node, total, size, task)
+    gain, best = _first_best(node, pos, gains, count, width)
+    return gain, np.append(c, -1)[src], best + 1
+
+
+def _pure(y, start, size, task):
+    """Whether the target of each segment ``y[start:start + size]`` is pure:
+    one class, or a variance of exactly zero.
+
+    Targets that spread wider than ``_SPREAD`` have a nonzero variance.  A
+    nearly or fully constant target still goes through ``np.var``: the
+    mean of equal values can differ from them, and tiny deviations can
+    square to zero.
+    """
+    spread = np.maximum.reduceat(y, start) - np.minimum.reduceat(y, start)
+    if task == "classification":
+        return (spread == 0).tolist()
+    pure = [False] * size.size
+    for i in (~(spread > _SPREAD)).nonzero()[0].tolist():
+        pure[i] = float(np.var(y[start[i]:start[i] + size[i]])) == 0.0
+    return pure
 
 
 def _mtry(d: int, task: str, params: ForestParams) -> int:
@@ -219,6 +274,272 @@ def _mtry(d: int, task: str, params: ForestParams) -> int:
     if task == "classification":
         return max(1, int(round(np.sqrt(d))))
     return max(1, int(round(d / 3.0)))
+
+
+def _stable_order(column):
+    """``column.argsort(kind="stable")``, from the faster quicksort when no two values tie."""
+    order = column.argsort()
+    xs = column[order]
+    if (xs[:-1] < xs[1:]).all():
+        return order
+    return column.argsort(kind="stable")
+
+
+def _blocks(width, per_row):
+    """Index groups of pairs, widest first, each padding to about _BLOCK elements."""
+    order = np.argsort(-width, kind="stable")
+    i = 0
+    while i < order.size:
+        step = max(1, _BLOCK // (int(width[order[i]]) * per_row))
+        yield order[i:i + step]
+        i += step
+
+
+class _Grower:
+    """Grows several trees on one (X, y) in lockstep.
+
+    Each tree keeps its own depth-first order (left subtree first) and its
+    own rng, so its feature draws come in the order of a tree grown alone.
+    A step takes the next pending node of every tree and scans all their
+    (node, drawn feature) pairs at once.  A node is settled as a leaf when
+    it is made, so the pending nodes are the ones that try to split.
+
+    A node holds its rows in blocks: sorted stably by each threshold
+    feature, then in row order.  A split sends every block's rows to the
+    children by one gather that keeps each block sorted, so no node sorts.
+    Held-out rows go down with their node and take the value of the leaf
+    they reach.
+    """
+
+    def __init__(self, X, y, task, params, is_nominal, n_classes, rngs, train, heldout):
+        X = np.asarray(X, dtype=np.float64)
+        n, d = X.shape
+        is_nominal = np.zeros(d, dtype=bool) if is_nominal is None else np.asarray(is_nominal, dtype=bool)
+        self.n, self.d = n, d
+        self.task, self.params, self.n_classes = task, params, n_classes
+        # integer targets sum exactly, so as floats they give the same means and variances
+        self.y = np.asarray(y, dtype=np.float64) if task == "regression" else y.astype(np.int64)
+        self.is_nominal = is_nominal
+        self.mtry = _mtry(d, task, params)
+        stats = _target_stats(y, task, n_classes)
+        self.stats = np.vstack([stats, np.zeros((1, stats.shape[1]))])  # row n pads
+        xt = np.empty((d, n + 1))
+        xt[:, :n] = X.T
+        xt[:, n] = np.nan
+        self.xt = xt.ravel()  # X[r, f] is xt[f * (n + 1) + r]
+        codes = X[:, is_nominal]
+        if codes.size and codes.min() < 0:
+            raise DataError("category codes must be non-negative")
+        self.levels = int(codes.max()) + 1 if codes.size else 0
+        numeric = (~is_nominal).nonzero()[0]
+        self.B = numeric.size + 1
+        self.block = np.full(d, numeric.size)
+        self.block[numeric] = np.arange(numeric.size)
+        order = np.vstack([_stable_order(X[:, f]) for f in numeric] + [np.arange(n)])
+        T = len(rngs)
+        self.rngs = rngs
+        self.roots = [None] * T
+        self.stacks = [[] for _ in range(T)]
+        self.goes = np.zeros(T * n, dtype=bool)
+        self.pred = np.zeros(T * n, dtype=np.float64 if task == "regression" else np.int64)
+        new = []
+        for u in range(T):
+            member = np.zeros(n, dtype=bool)
+            member[train[u]] = True
+            new.append((u, None, True, 0, order[member[order]], heldout[u], train[u].size))
+        leaves = []
+        self._settle(new, leaves)
+        self._make_leaves(leaves)
+
+    def grow(self) -> list[TreeNode]:
+        """The trees' roots; ``pred`` then holds each tree's held-out predictions
+        (values, or classes) at ``tree * n + row``."""
+        while any(self.stacks):
+            self._step()
+        return self.roots
+
+    def _settle(self, new, leaves):
+        """Sort new nodes (u, parent, is_left, depth, blocks, held, size) into
+        ``leaves`` and their trees' stacks, keeping their order."""
+        B, max_depth = self.B, self.params.max_depth
+        min_size = 2 * self.params.min_samples_leaf
+        test = []
+        for item in new:
+            m = item[6]
+            rows = item[4][(B - 1) * m:]
+            if item[3] >= max_depth or m < min_size:
+                leaves.append((item[0], item[1], item[2], rows, item[5]))
+            else:
+                test.append((item, rows))
+        if not test:
+            return
+        size = np.array([rows.size for _, rows in test])
+        yv = self.y[np.concatenate([rows for _, rows in test])]
+        for (item, rows), pure in zip(test, _pure(yv, size.cumsum() - size, size, self.task)):
+            if pure:
+                leaves.append((item[0], item[1], item[2], rows, item[5]))
+            else:
+                self.stacks[item[0]].append(item[1:])
+
+    def _make_leaves(self, leaves):
+        """Make (u, parent, is_left, rows in row order, held) into leaf nodes."""
+        if not leaves:
+            return
+        size = np.array([item[3].size for item in leaves])
+        yv = self.y[np.concatenate([item[3] for item in leaves])]
+        if self.task == "regression":
+            # the sum and division of ndarray.mean, without its overhead
+            bounds = size.cumsum().tolist()
+            values = [float(np.add.reduce(yv[e - m:e]) / m) for e, m in zip(bounds, size.tolist())]
+            pred = np.array(values)
+        else:
+            C = self.n_classes
+            leaf = np.repeat(np.arange(size.size), size)
+            counts = np.bincount(leaf * C + yv, minlength=size.size * C).reshape(-1, C)
+            probs = counts / size[:, None]
+            values = list(probs)
+            pred = probs.argmax(axis=1)
+        roots = self.roots
+        for (u, parent, is_left, _, _), m, value in zip(leaves, size.tolist(), values):
+            node = TreeNode(n_samples=m, value=value)
+            if parent is None:
+                roots[u] = node
+            elif is_left:
+                parent.left = node
+            else:
+                parent.right = node
+        hsize = np.array([item[4].size for item in leaves])
+        if hsize.any():
+            base = np.array([item[0] for item in leaves]) * self.n
+            self.pred[np.repeat(base, hsize) + np.concatenate([item[4] for item in leaves])] = \
+                np.repeat(pred, hsize)
+
+    def _step(self):
+        """Try to split the next pending node of every tree."""
+        active = [(u, stack.pop()) for u, stack in enumerate(self.stacks) if stack]
+        A, B, n, mtry = len(active), self.B, self.n, self.mtry
+        min_leaf = self.params.min_samples_leaf
+        draws = np.array([self.rngs[u].choice(self.d, size=mtry, replace=False) for u, _ in active])
+        draws.sort(axis=1)
+        feat = draws.ravel()  # pair a * mtry + j: node a, its j-th drawn feature
+        size = np.array([entry[5] for _, entry in active])
+        blocks = np.concatenate([entry[3] for _, entry in active])
+        first = (B * size).cumsum() - B * size
+        owner = np.repeat(np.arange(A), mtry)
+        width = size[owner]
+        nominal = self.is_nominal[feat]
+        gain = np.full(feat.size, -np.inf)
+        threshold = np.full(feat.size, np.nan)
+        s = self.stats.shape[1]
+        num = (~nominal).nonzero()[0]
+        if num.size:
+            start = first[owner[num]] + self.block[feat[num]] * width[num]
+            for g in _blocks(width[num], s):
+                p = num[g]
+                col = np.arange(int(width[p].max()))
+                rows = np.where(col < width[p][:, None],
+                                blocks.take(start[g][:, None] + col, mode="clip"), n)
+                values = self.xt.take(feat[p][:, None] * (n + 1) + rows)
+                gain[p], threshold[p] = _scan_thresholds(
+                    rows, values, width[p], self.stats, self.task, min_leaf)
+        where = {}  # nominal pair -> (categories in scan order, row, left counts)
+        nom = nominal.nonzero()[0]
+        if nom.size:
+            start = first[owner[nom]] + (B - 1) * width[nom]
+            for g in _blocks(np.full(nom.size, self.levels), s):
+                p, w = nom[g], width[nom[g]]
+                seg = np.repeat(np.arange(p.size), w)
+                rows = blocks[np.arange(int(w.sum())) + np.repeat(start[g] - (w.cumsum() - w), w)]
+                codes = self.xt.take(feat[p][seg] * (n + 1) + rows).astype(np.int64)
+                gain[p], ordered, n_left = _scan_categories(
+                    seg, codes, rows, p.size, self.stats, self.task, min_leaf)
+                for i, q in enumerate(p.tolist()):
+                    where[q] = (ordered, i, n_left)
+        # first best feature of each node; the draws are sorted, so ties go to the lowest
+        pick = (gain.reshape(A, mtry).argmax(axis=1) + np.arange(A) * mtry).tolist()
+        leaves, grown = [], []
+        for a, (u, (parent, is_left, depth, blk, held, m)) in enumerate(active):
+            p = pick[a]
+            if not gain[p] > 0.0:
+                leaves.append((u, parent, is_left, blk[(B - 1) * m:], held))
+                continue
+            if nominal[p]:
+                ordered, i, n_left = where[p]
+                node = TreeNode(n_samples=m, feature=int(feat[p]),
+                                categories=frozenset(ordered[i, :n_left[i]].tolist()))
+            else:
+                node = TreeNode(n_samples=m, feature=int(feat[p]), threshold=float(threshold[p]))
+            if parent is None:
+                self.roots[u] = node
+            elif is_left:
+                parent.left = node
+            else:
+                parent.right = node
+            grown.append((a, u, node, depth, held, m))
+        if grown:
+            self._split(grown, blocks, first, leaves)
+        self._make_leaves(leaves)
+
+    def _split(self, grown, blocks, first, leaves):
+        """Send the rows and held-out rows of every split node to its children."""
+        B, n, K = self.B, self.n, len(grown)
+        # threshold splits first: each kind's rows are then contiguous below
+        grown.sort(key=lambda g: g[2].categories is not None)
+        kt = sum(g[2].categories is None for g in grown)
+        u = np.array([g[1] for g in grown])
+        m = np.array([g[5] for g in grown])
+        held = [g[4] for g in grown]
+        hsize = np.array([h.size for h in held])
+        start = [int(first[g[0]]) for g in grown]
+        # the nodes' rows in row order, then their held-out rows
+        rows = np.concatenate([blocks[s + (B - 1) * g[5]:s + B * g[5]]
+                               for s, g in zip(start, grown)] + held)
+        length = np.concatenate([m, hsize])
+        base = np.array([g[2].feature for g in grown]) * (n + 1)
+        values = self.xt.take(rows + np.repeat(np.concatenate([base, base]), length))
+        M = int(m.sum())
+        mt, ht = int(m[:kt].sum()), int(hsize[:kt].sum())
+        total = rows.size
+        goes = np.empty(total + 1, dtype=bool)
+        goes[total] = False  # lets an empty last segment count from a real index
+        if kt:
+            thr = np.array([g[2].threshold for g in grown[:kt]])
+            goes[:mt] = values[:mt] <= np.repeat(thr, m[:kt])
+            goes[M:M + ht] = values[M:M + ht] <= np.repeat(thr, hsize[:kt])
+        if kt < K:
+            # the nodes' own lookup tables (entry c + 1: code c goes left), padded with False
+            own_tables = [g[2]._left_codes for g in grown[kt:]]
+            width = max(t.size for t in own_tables)
+            table = np.zeros((K - kt, width), dtype=bool)
+            for k, t in enumerate(own_tables):
+                table[k, :t.size] = t
+            offset = np.arange(K - kt) * width
+            for part, lens in ((slice(mt, M), m[kt:]), (slice(M + ht, total), hsize[kt:])):
+                code = values[part].astype(np.int64) + 1
+                code.clip(0, width - 1, out=code)
+                goes[part] = table.ravel().take(code + np.repeat(offset, lens))
+        # rows sent left per segment; an empty segment sends none
+        bounds = length.cumsum() - length
+        nl, hl = np.where(length > 0, np.add.reduceat(goes, bounds, dtype=np.intp), 0).reshape(2, K)
+        self.goes[rows[:M] + np.repeat(u * n, m)] = goes[:M]
+        own = np.concatenate([blocks[s:s + B * g[5]] for s, g in zip(start, grown)])
+        side = self.goes[own + np.repeat(u * n, B * m)]
+        left_b, right_b = own[side], own[~side]
+        ho, hgoes = rows[M:], goes[M:total]
+        left_h, right_h = ho[hgoes], ho[~hgoes]
+        nr, hr = m - nl, hsize - hl
+        new = []
+        for g, lb, rb, lh, rh, nk, rk, hk, qk in zip(
+                grown, ((B * nl).cumsum() - B * nl).tolist(), ((B * nr).cumsum() - B * nr).tolist(),
+                (hl.cumsum() - hl).tolist(), (hr.cumsum() - hr).tolist(),
+                nl.tolist(), nr.tolist(), hl.tolist(), hr.tolist()):
+            _, uk, parent, depth = g[:4]
+            # a right child waits for its sibling's subtree: copy it out of this step's arrays
+            new.append((uk, parent, False, depth + 1, right_b[rb:rb + B * rk].copy(),
+                        right_h[rh:rh + qk].copy(), rk))
+            new.append((uk, parent, True, depth + 1, left_b[lb:lb + B * nk],
+                        left_h[lh:lh + hk], nk))
+        self._settle(new, leaves)
 
 
 def train_tree(
@@ -230,40 +551,12 @@ def train_tree(
     is_nominal: np.ndarray | None = None,
     n_classes: int = 0,
 ) -> TreeNode:
-    """Grow one CART tree greedily; ties go to the lowest feature index."""
+    """Grow one CART tree greedily on every row; ties go to the lowest feature index."""
     if X.shape[0] == 0:
         raise DataError("cannot train a tree on zero rows")
-    d = X.shape[1]
-    if is_nominal is None:
-        is_nominal = np.zeros(d, dtype=bool)
-    mtry = _mtry(d, task, params)
-
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        yn = y[idx]
-        if (
-            depth >= params.max_depth
-            or idx.size < 2 * params.min_samples_leaf
-            or _impurity(yn, task, n_classes) == 0.0
-        ):
-            return _leaf(yn, task, n_classes)
-        chosen = np.sort(rng.choice(d, size=mtry, replace=False))
-        stats = _target_stats(yn, task, n_classes)
-        best = None
-        for f in chosen:
-            split = _nominal_split if is_nominal[f] else _numeric_split
-            found = split(X[idx, f], stats, task, params.min_samples_leaf)
-            if found is not None and (best is None or found[0] > best[0]):
-                best = (found[0], int(f), found[1], found[2])
-        if best is None:
-            return _leaf(yn, task, n_classes)
-        _, f, threshold, cats = best
-        node = TreeNode(n_samples=idx.size, feature=f, threshold=threshold, categories=cats)
-        mask = node.goes_left(X[idx, f])
-        node.left = grow(idx[mask], depth + 1)
-        node.right = grow(idx[~mask], depth + 1)
-        return node
-
-    return grow(np.arange(X.shape[0]), 0)
+    grower = _Grower(X, y, task, params, is_nominal, n_classes, [rng],
+                     [np.arange(X.shape[0])], [np.zeros(0, dtype=np.intp)])
+    return grower.grow()[0]
 
 
 def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -273,18 +566,17 @@ def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
         probe = probe.left
     width = None if np.isscalar(probe.value) else len(probe.value)
     out = np.zeros(X.shape[0]) if width is None else np.zeros((X.shape[0], width))
-
-    def walk(node: TreeNode, idx: np.ndarray):
+    pending = [(root, np.arange(X.shape[0]))]
+    while pending:
+        node, idx = pending.pop()
         if idx.size == 0:
-            return
+            continue
         if node.is_leaf:
             out[idx] = node.value
-            return
+            continue
         mask = node.goes_left(X[idx, node.feature])
-        walk(node.left, idx[mask])
-        walk(node.right, idx[~mask])
-
-    walk(root, np.arange(X.shape[0]))
+        pending.append((node.right, idx[~mask]))
+        pending.append((node.left, idx[mask]))
     return out
 
 
@@ -301,29 +593,34 @@ def fit_forest(
     n, d = X.shape
     if input_columns is None:
         input_columns = np.arange(d)
-    trees = []
     sample_size = max(1, int(round(params.train_sample_frac * n)))
+    rngs, train, heldout = [], [], []
     for u in range(params.T):
         rng = np.random.default_rng(derive_seed(params.seed, "tree", u))
-        train_rows = np.sort(rng.choice(n, size=sample_size, replace=False))
-        heldout = np.setdiff1d(np.arange(n), train_rows, assume_unique=True)
-        y_tr = y[train_rows]
-        root = train_tree(X[train_rows], y_tr, params, rng, task, is_nominal, n_classes)
+        rows = np.sort(rng.choice(n, size=sample_size, replace=False))
+        rngs.append(rng)
+        train.append(rows)
+        heldout.append(np.setdiff1d(np.arange(n), rows, assume_unique=True))
+    grower = _Grower(X, y, task, params, is_nominal, n_classes, rngs, train, heldout)
+    trees = []
+    for u, root in enumerate(grower.grow()):
+        y_tr = y[train[u]]
         majority = int(np.bincount(y_tr.astype(np.int64), minlength=n_classes).argmax()) if task == "classification" else None
-        quality = _heldout_quality(root, X, y, heldout, task)
-        trees.append(TreeFit(root, train_rows, heldout, quality, majority))
+        quality = _heldout_quality(grower.pred[u * n + heldout[u]], y[heldout[u]], task)
+        trees.append(TreeFit(root, train[u], heldout[u], quality, majority))
     return ForestModel(trees=trees, task=task, input_columns=np.asarray(input_columns))
 
 
-def _heldout_quality(root: TreeNode, X, y, heldout: np.ndarray, task: str) -> float:
-    """Accuracy (classification) or R+ = max(0, R^2) (regression) on held-out rows."""
-    if heldout.size == 0:
+def _heldout_quality(pred: np.ndarray, truth: np.ndarray, task: str) -> float:
+    """Accuracy (classification) or R+ = max(0, R^2) (regression) of held-out predictions.
+
+    ``pred`` holds predicted classes (classification) or values (regression).
+    """
+    if truth.size == 0:
         log.warning("tree has no held-out rows (train_sample_frac too high); quality set to 0")
         return 0.0
-    pred = predict_tree(root, X[heldout])
-    truth = y[heldout]
     if task == "classification":
-        return float(np.mean(pred.argmax(axis=1) == truth))
+        return float(np.mean(pred == truth))
     ss_res = float(np.sum((truth - pred) ** 2))
     ss_tot = float(np.sum((truth - truth.mean()) ** 2))
     if ss_tot == 0.0:

@@ -1,7 +1,9 @@
 """Config plumbing, stage-file round trips, exit codes, and end-to-end runs."""
 
 import argparse
+import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -434,3 +436,21 @@ def test_exit_code_three_for_missing_data(tmp_path, capsys):
     )
     assert rc == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_exit_code_three_names_a_column_whose_range_overflows(tmp_path, capsys):
+    csv_path, schema_path = synth_dataset(tmp_path, n=60)
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("num_noise_0")
+    rows[1][col], rows[2][col] = "-1e308", "1e308"
+    with open(csv_path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["run", "--data", str(csv_path), "--schema", str(schema_path),
+                       "--truth-column", "label", "--out", str(tmp_path / "x"),
+                       "--workers", "1"] + FAST_OVERRIDES)
+    assert rc == 3
+    assert "data error: column 'num_noise_0'" in capsys.readouterr().err
+    assert not caught

@@ -122,6 +122,15 @@ def test_normalize_numeric_examples():
     assert np.allclose(normalize_numeric([0, 1]), [0.0, 1.0])
 
 
+def test_normalize_numeric_rejects_a_range_that_overflows():
+    with pytest.raises(DataError, match="'price': range -1e[+]308 to 1e[+]308"):
+        normalize_numeric([-1e308, 0.0, 1e308], "price")
+    assert normalize_numeric([-1e308, 0.0]).tolist() == [0.0, 1.0]
+    table = table_from_raw([ColumnSchema("price", "numeric")], [(-1e308,), (1e308,)])
+    with pytest.raises(DataError, match="column 'price'"):
+        unit_column(table, 0)
+
+
 def test_ordinal_to_scalar_examples():
     col = ColumnSchema("s", "ordinal", ordered_levels=["low", "mid", "high"])
     assert np.allclose(ordinal_to_scalar([0, 2, 1], col), [0.0, 1.0, 0.5])

@@ -1,23 +1,35 @@
 """CART trees and leave-one-feature-out forests."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
-from helpers import random_tree, reference_nominal_split, reference_numeric_split
-from wise.data_model import ColumnSchema, table_from_raw
+from helpers import (
+    random_tree,
+    reference_fit_forest,
+    reference_impurity,
+    reference_nominal_split,
+    reference_numeric_split,
+    reference_train_tree,
+)
+from wise.data_model import ColumnSchema, design_matrix, table_from_raw
 from wise.errors import ConfigError, DataError
 from wise.forest import (
     ForestParams,
     TreeNode,
     _heldout_quality,
-    _nominal_split,
-    _numeric_split,
+    _pure,
+    _scan_categories,
+    _scan_thresholds,
     _target_stats,
     fit_forest,
     predict_tree,
     train_forest,
     train_tree,
 )
+from wise.synth import SynthParams, synth_table
 from wise.treeshap import shap_matrix
 
 
@@ -100,13 +112,40 @@ def test_nominal_split_regression_target():
     assert abs(pred[codes == 1].mean() - 5.0) < 0.1
 
 
-def both_splits(x, y, task, n_classes, min_leaf):
-    """(new, reference) results of the numeric and of the nominal scan on one node."""
-    stats = _target_stats(y, task, n_classes)
-    return [
-        (_numeric_split(x, stats, task, min_leaf), reference_numeric_split(x, y, task, n_classes, min_leaf)),
-        (_nominal_split(x, stats, task, min_leaf), reference_nominal_split(x, y, task, n_classes, min_leaf)),
-    ]
+def scan_nodes(nodes, task, n_classes, min_leaf):
+    """Both batched scans of (x, y) nodes, all scanned at once.
+
+    Per node: (threshold split, category split), each (gain, threshold,
+    category set) or None, the form of the reference oracles.
+    """
+    size = np.array([x.size for x, _ in nodes])
+    first = size.cumsum() - size
+    stats = _target_stats(np.concatenate([y for _, y in nodes]), task, n_classes)
+    stats = np.vstack([stats, np.zeros((1, stats.shape[1]))])
+    rows = np.full((len(nodes), size.max()), size.sum())
+    values = np.full(rows.shape, np.nan)
+    for p, (x, _) in enumerate(nodes):
+        order = x.argsort(kind="stable")
+        rows[p, :x.size] = first[p] + order
+        values[p, :x.size] = x[order]
+    gain, threshold = _scan_thresholds(rows, values, size, stats, task, min_leaf)
+    pair = np.repeat(np.arange(len(nodes)), size)
+    codes = np.concatenate([x for x, _ in nodes]).astype(np.int64)
+    cat_gain, ordered, n_left = _scan_categories(
+        pair, codes, np.arange(size.sum()), len(nodes), stats, task, min_leaf)
+    out = []
+    for p in range(len(nodes)):
+        num = (float(gain[p]), float(threshold[p]), None) if gain[p] > -np.inf else None
+        cat = None
+        if cat_gain[p] > -np.inf:
+            cat = (float(cat_gain[p]), None, frozenset(ordered[p, :n_left[p]].tolist()))
+        out.append((num, cat))
+    return out
+
+
+def oracles(x, y, task, n_classes, min_leaf):
+    return (reference_numeric_split(x, y, task, n_classes, min_leaf),
+            reference_nominal_split(x, y, task, n_classes, min_leaf))
 
 
 def random_node(rng, task):
@@ -126,15 +165,23 @@ def random_node(rng, task):
 
 @pytest.mark.parametrize("task", ["regression", "classification"])
 def test_split_scanners_match_reference_oracles(task):
-    """Gain, threshold and category set equal the per-task oracles bit for bit."""
+    """Gain, threshold and category set equal the per-task oracles bit for bit,
+    for nodes scanned one at a time and for nodes of mixed sizes scanned at once."""
     rng = np.random.default_rng(31 if task == "regression" else 32)
     found = {"numeric": [0, 0], "nominal": [0, 0]}    # [no split, split]
+    nodes = []
     for _ in range(600):
         x, y, n_classes, min_leaf = random_node(rng, task)
-        for kind, (got, want) in zip(found, both_splits(x, y, task, n_classes, min_leaf)):
-            assert got == want
-            found[kind][want is not None] += 1
+        nodes.append((x, y))
+        want = oracles(x, y, task, n_classes, min_leaf)
+        assert scan_nodes([(x, y)], task, n_classes, min_leaf) == [want]
+        for kind, split in zip(found, want):
+            found[kind][split is not None] += 1
     assert all(min(counts) > 50 for counts in found.values())
+    # one batch: every class count up to the largest drawn, so some always miss
+    for min_leaf in (1, 4):
+        want = [oracles(x, y, task, 6, min_leaf) for x, y in nodes]
+        assert scan_nodes(nodes, task, 6, min_leaf) == want
 
     tied = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0])
     y = np.array([0.0, 1.0, 0.0, 2.0, 2.0, 3.0, 1.0, 1.0])
@@ -146,11 +193,176 @@ def test_split_scanners_match_reference_oracles(task):
         (tied, np.full(8, 2.0), 4, 1, False),                   # constant target: gain 0
         (np.array([0.0, 0.0, 1, 1]), np.array([0.0, 1, 0, 1]), 2, 1, False),  # gain exactly 0
     ]
+    if task == "regression":
+        # a target sum whose square rounds differently as a scalar power and as
+        # x * x, in a gain that keeps the difference
+        y = np.array([8.9403, 8.9365, 8.9327, 8.928])
+        total = y.cumsum()[-1]
+        assert total ** 2 != total * total
+        cases.append((np.arange(4.0), y, 0, 1, True))
+    for min_leaf in (1, 4):
+        batch = scan_nodes([(x, y) for x, y, _, _, _ in cases], task, 5, min_leaf)
+        assert batch == [oracles(x, y, task, 5, min_leaf) for x, y, _, _, _ in cases]
     for x, y, n_classes, min_leaf, splits in cases:
-        results = both_splits(x, y, task, n_classes, min_leaf)
-        for got, want in results:
-            assert got == want
-        assert (results[0][1] is not None) == splits
+        want = oracles(x, y, task, n_classes, min_leaf)
+        assert scan_nodes([(x, y)], task, n_classes, min_leaf) == [want]
+        assert (want[0] is not None) == splits
+
+
+def node_fields(root):
+    """Every node's fields in preorder, floats as their bytes."""
+    out, pending = [], [root]
+    while pending:
+        node = pending.pop()
+        value = node.value
+        out.append((
+            node.n_samples, type(node.n_samples), node.feature, type(node.feature),
+            None if node.threshold is None else np.float64(node.threshold).tobytes(),
+            None if node.categories is None else sorted(node.categories),
+            type(value), None if value is None else np.asarray(value, dtype=np.float64).tobytes(),
+        ))
+        if not node.is_leaf:
+            pending += [node.right, node.left]
+    return out
+
+
+def assert_same_forest(got, want):
+    assert len(got.trees) == len(want.trees)
+    for a, b in zip(got.trees, want.trees):
+        assert node_fields(a.root) == node_fields(b.root)
+        assert np.float64(a.quality).tobytes() == np.float64(b.quality).tobytes()
+        assert np.array_equal(a.train_rows, b.train_rows)
+        assert np.array_equal(a.heldout_rows, b.heldout_rows)
+        assert a.majority_class == b.majority_class
+
+
+def mixed_inputs(rng, n, task):
+    """Continuous, tied, ordinal and nominal inputs; a target that misses classes."""
+    X = np.column_stack([
+        rng.random(n),                                 # continuous
+        np.round(rng.random(n), 1),                    # tied values
+        rng.integers(0, 5, n).astype(float),           # ordinal levels
+        rng.integers(0, 6, n).astype(float),           # nominal codes
+        (rng.random(n) < 0.1).astype(float),           # a rare nominal code
+    ])
+    is_nominal = np.array([False, False, False, True, True])
+    signal = X[:, 0] + X[:, 2] / 4 + (X[:, 3] % 2)
+    if task == "classification":
+        y = np.array([1.0, 3.0, 4.0])[np.digitize(signal + rng.normal(0, 0.3, n), [1.0, 1.8])]
+        return X, y, is_nominal, 6
+    return X, np.round(signal + rng.normal(0, 0.2, n), 2), is_nominal, 0
+
+
+@pytest.mark.parametrize("T", [1, 7, 20])
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_lockstep_forest_matches_per_node_grower(task, T):
+    """Every tree, node field and quality equals the one-tree, one-node grower's."""
+    rng = np.random.default_rng(40 + T)
+    X, y, is_nominal, n_classes = mixed_inputs(rng, 150, task)
+    for min_leaf, max_depth, frac in [(1, 3, 0.5), (5, 20, 0.5), (1, 0, 0.5),
+                                      (1, 20, 1.0), (5, 3, 0.7)]:
+        params = ForestParams(T=T, max_depth=max_depth, min_samples_leaf=min_leaf,
+                              train_sample_frac=frac, seed=T + min_leaf)
+        got = fit_forest(X, y, task, params, is_nominal, n_classes)
+        assert_same_forest(got, reference_fit_forest(X, y, task, params, is_nominal, n_classes))
+        tree = train_tree(X, y, params, np.random.default_rng(min_leaf), task, is_nominal, n_classes)
+        want = reference_train_tree(X, y, params, np.random.default_rng(min_leaf), task,
+                                    is_nominal, n_classes)
+        assert node_fields(tree) == node_fields(want)
+
+
+def test_lockstep_lofo_forests_match_per_node_grower():
+    # deep-sense settings on a synth table: a regression and a classification target
+    table = synth_table(SynthParams(n=400, seed=4))[0]
+    X, is_nominal = design_matrix(table)
+    params = ForestParams(T=20, min_samples_leaf=5, train_sample_frac=0.5, seed=8)
+    for target in (0, int(np.flatnonzero(is_nominal)[0])):
+        model = train_forest(table, target, params)
+        cols = model.input_columns
+        n_classes = table.schema[target].n_levels() if model.task == "classification" else 0
+        want = reference_fit_forest(X[:, cols], X[:, target], model.task, params,
+                                    is_nominal[cols], n_classes, cols)
+        assert_same_forest(model, want)
+
+
+def test_degenerate_numbers_grow_the_per_node_grower_trees():
+    top = np.finfo(float).max
+    big = 9e153  # big ** 2 is finite, (2 * big) ** 2 is not
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    halves = np.array([[0.0], [1.0], [2.0], [3.0]])
+    adjacent = np.array([[a], [b], [a], [b]])
+    cases = [
+        # the only cut squares sums past the float range on both sides, an
+        # infinite gain: no split
+        (np.repeat([[0.0], [1.0]], [2, 20], axis=0),
+         np.repeat([np.sqrt(0.425 * top), -np.sqrt(0.005 * top)], [2, 20]), "regression", 0, 1),
+        # NaN gains (overflowed sums): no split
+        (halves, np.array([big, big, -big, -big]), "regression", 0, 2),
+        (halves, np.array([big, big, -big, -big]), "regression", 0, 1),
+        # adjacent values whose midpoint rounds up: every row goes left, leaving
+        # empty right children with NaN values
+        (adjacent, np.array([0.0, 1.0, 0.0, 1.0]), "regression", 0, 1),
+        (adjacent, np.array([0.0, 1.0, 0.0, 1.0]), "classification", 2, 1),
+    ]
+    for X, y, task, n_classes, min_leaf in cases:
+        params = ForestParams(T=1, max_depth=3, min_samples_leaf=min_leaf,
+                              train_sample_frac=1.0, seed=0)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = train_tree(X, y, params, np.random.default_rng(0), task, None, n_classes)
+            want = reference_train_tree(X, y, params, np.random.default_rng(0), task, None, n_classes)
+        assert node_fields(got) == node_fields(want)
+    assert got.threshold == b and got.right.n_samples == 0
+
+
+def test_purity_is_decided_as_np_var():
+    rng = np.random.default_rng(6)
+    cases = [
+        np.full(10, 0.3),              # constant, but its mean is not 0.3: np.var > 0
+        np.full(10, 0.5),              # constant with an exact mean
+        np.array([0.0, 1e-170]),       # distinct values whose deviations square to zero
+        np.array([0.0, 1e-100]),
+        np.array([2.0, 2.0, 2.0 + 2 ** -51]),
+        rng.random(9),
+    ]
+    assert np.full(10, 0.3).mean() != 0.3
+    size = np.array([y.size for y in cases])
+    got = _pure(np.concatenate(cases), size.cumsum() - size, size, "regression")
+    assert got == [bool(np.var(y) == 0.0) for y in cases]
+    assert got[:3] == [False, True, True]
+    labels = [np.array([2.0, 2.0]), np.array([0.0, 3.0, 0.0]), np.array([1.0])]
+    size = np.array([y.size for y in labels])
+    got = _pure(np.concatenate(labels), size.cumsum() - size, size, "classification")
+    assert got == [reference_impurity(y, "classification", 4) == 0.0 for y in labels] == [True, False, True]
+    # a tree on such a target draws split features when np.var asks for a
+    # split (0.3) and not otherwise (0.5), as the per-node grower does
+    X = rng.random((10, 3))
+    params = ForestParams(T=1, max_depth=4, min_samples_leaf=1, train_sample_frac=1.0, seed=0)
+    states = []
+    for y in cases[:2]:
+        mine, theirs = np.random.default_rng(0), np.random.default_rng(0)
+        got = train_tree(X, y, params, mine)
+        assert node_fields(got) == node_fields(reference_train_tree(X, y, params, theirs))
+        assert mine.bit_generator.state == theirs.bit_generator.state
+        states.append(mine.bit_generator.state)
+    assert states[0] != states[1] == np.random.default_rng(0).bit_generator.state
+
+
+def test_growing_and_predicting_leave_no_cyclic_garbage():
+    table = synth_table(SynthParams(n=400, seed=3))[0]
+    X, _ = design_matrix(table)
+    params = ForestParams(T=20, min_samples_leaf=5, train_sample_frac=0.5, seed=1)
+    gc.collect()
+    gc.disable()
+    try:
+        model = train_forest(table, 0, params)
+        for fit in model.trees:
+            predict_tree(fit.root, X[:, model.input_columns])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_train_tree_rejects_empty_input():
@@ -294,14 +506,14 @@ def test_train_forest_needs_two_columns():
 
 
 def test_heldout_quality_conventions():
-    leaf = TreeNode(n_samples=4, value=1.0)
-    X = np.zeros((4, 1))
+    ones = np.ones(4)
     # R^2 clamps at zero when residuals exceed total variance
-    q = _heldout_quality(leaf, X, np.array([10.0, -10.0, 10.0, -10.0]),
-                         np.arange(4), "regression")
-    assert q == 0.0
+    assert _heldout_quality(ones, np.array([10.0, -10.0, 10.0, -10.0]), "regression") == 0.0
     # constant truth: exact hit is 1, miss is 0
-    assert _heldout_quality(leaf, X, np.ones(4), np.arange(4), "regression") == 1.0
-    assert _heldout_quality(leaf, X, np.zeros(4), np.arange(4), "regression") == 0.0
+    assert _heldout_quality(ones, np.ones(4), "regression") == 1.0
+    assert _heldout_quality(ones, np.zeros(4), "regression") == 0.0
     # empty held-out set falls back to zero quality
-    assert _heldout_quality(leaf, X, np.ones(4), np.arange(0), "regression") == 0.0
+    assert _heldout_quality(ones[:0], np.ones(0), "regression") == 0.0
+    # classification scores predicted classes
+    assert _heldout_quality(np.array([0, 2, 1, 1]), np.array([0.0, 2.0, 2.0, 1.0]),
+                            "classification") == 0.75

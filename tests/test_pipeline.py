@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import random_mixed_table
+from wise import _pool
 from wise._rng import derive_seed
 from wise.bep import BepConfig, encode_table
 from wise.errors import ConfigError, DataError
@@ -144,6 +145,41 @@ def test_stage_one_worker_pool_is_invisible():
     serial, _ = stage_one(bep, views, k0=3, alpha0=0.4, beta0=0.4, seed=21, workers=1)
     pooled, _ = stage_one(bep, views, k0=3, alpha0=0.4, beta0=0.4, seed=21, workers=3)
     assert np.array_equal(serial, pooled)
+
+
+def _square(shared, i):
+    return shared * i * i
+
+
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that records its size and starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_map_indices_starts_at_most_count_workers(monkeypatch):
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    assert _pool.map_indices(_square, 2, 8, 16) == [2 * i * i for i in range(8)]
+    assert _pool.map_indices(_square, 3, 5, 2) == [3 * i * i for i in range(5)]
+    assert _InlinePool.sizes == [8, 2]
+    # one task or none runs in this process
+    assert _pool.map_indices(_square, 1, 1, 4) == [0]
+    assert _pool.map_indices(_square, 1, 0, 4) == []
+    assert _InlinePool.sizes == [8, 2]
 
 
 def test_stage_one_requires_views():
