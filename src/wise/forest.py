@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -276,15 +277,6 @@ def _mtry(d: int, task: str, params: ForestParams) -> int:
     return max(1, int(round(d / 3.0)))
 
 
-def _stable_order(column):
-    """``column.argsort(kind="stable")``, from the faster quicksort when no two values tie."""
-    order = column.argsort()
-    xs = column[order]
-    if (xs[:-1] < xs[1:]).all():
-        return order
-    return column.argsort(kind="stable")
-
-
 def _blocks(width, per_row):
     """Index groups of pairs, widest first, each padding to about _BLOCK elements."""
     order = np.argsort(-width, kind="stable")
@@ -295,6 +287,16 @@ def _blocks(width, per_row):
         i += step
 
 
+class _Pending(NamedTuple):
+    """A node of tree ``tree`` not yet made: where it hangs, and the rows that reach it."""
+    tree: int
+    parent: TreeNode | None
+    is_left: bool
+    depth: int
+    rows: np.ndarray   # training rows, in row order
+    held: np.ndarray   # held-out rows
+
+
 class _Grower:
     """Grows several trees on one (X, y) in lockstep.
 
@@ -303,10 +305,6 @@ class _Grower:
     A step takes the next pending node of every tree and scans all their
     (node, drawn feature) pairs at once.  A node is settled as a leaf when
     it is made, so the pending nodes are the ones that try to split.
-
-    A node holds its rows in blocks: sorted stably by each threshold
-    feature, then in row order.  A split sends every block's rows to the
-    children by one gather that keeps each block sorted, so no node sorts.
     Held-out rows go down with their node and take the value of the leaf
     they reach.
     """
@@ -331,24 +329,13 @@ class _Grower:
         if codes.size and codes.min() < 0:
             raise DataError("category codes must be non-negative")
         self.levels = int(codes.max()) + 1 if codes.size else 0
-        numeric = (~is_nominal).nonzero()[0]
-        self.B = numeric.size + 1
-        self.block = np.full(d, numeric.size)
-        self.block[numeric] = np.arange(numeric.size)
-        order = np.vstack([_stable_order(X[:, f]) for f in numeric] + [np.arange(n)])
         T = len(rngs)
         self.rngs = rngs
         self.roots = [None] * T
         self.stacks = [[] for _ in range(T)]
-        self.goes = np.zeros(T * n, dtype=bool)
         self.pred = np.zeros(T * n, dtype=np.float64 if task == "regression" else np.int64)
-        new = []
-        for u in range(T):
-            member = np.zeros(n, dtype=bool)
-            member[train[u]] = True
-            new.append((u, None, True, 0, order[member[order]], heldout[u], train[u].size))
         leaves = []
-        self._settle(new, leaves)
+        self._settle([_Pending(u, None, True, 0, train[u], heldout[u]) for u in range(T)], leaves)
         self._make_leaves(leaves)
 
     def grow(self) -> list[TreeNode]:
@@ -358,39 +345,43 @@ class _Grower:
             self._step()
         return self.roots
 
+    def _attach(self, pending, node):
+        if pending.parent is None:
+            self.roots[pending.tree] = node
+        elif pending.is_left:
+            pending.parent.left = node
+        else:
+            pending.parent.right = node
+
     def _settle(self, new, leaves):
-        """Sort new nodes (u, parent, is_left, depth, blocks, held, size) into
-        ``leaves`` and their trees' stacks, keeping their order."""
-        B, max_depth = self.B, self.params.max_depth
+        """Sort new pending nodes into ``leaves`` and their trees' stacks, keeping their order."""
+        max_depth = self.params.max_depth
         min_size = 2 * self.params.min_samples_leaf
         test = []
-        for item in new:
-            m = item[6]
-            rows = item[4][(B - 1) * m:]
-            if item[3] >= max_depth or m < min_size:
-                leaves.append((item[0], item[1], item[2], rows, item[5]))
+        for node in new:
+            if node.depth >= max_depth or node.rows.size < min_size:
+                leaves.append(node)
             else:
-                test.append((item, rows))
+                test.append(node)
         if not test:
             return
-        size = np.array([rows.size for _, rows in test])
-        yv = self.y[np.concatenate([rows for _, rows in test])]
-        for (item, rows), pure in zip(test, _pure(yv, size.cumsum() - size, size, self.task)):
+        size = np.array([node.rows.size for node in test])
+        yv = self.y[np.concatenate([node.rows for node in test])]
+        for node, pure in zip(test, _pure(yv, size.cumsum() - size, size, self.task)):
             if pure:
-                leaves.append((item[0], item[1], item[2], rows, item[5]))
+                leaves.append(node)
             else:
-                self.stacks[item[0]].append(item[1:])
+                self.stacks[node.tree].append(node)
 
     def _make_leaves(self, leaves):
-        """Make (u, parent, is_left, rows in row order, held) into leaf nodes."""
+        """Make pending nodes into leaves and give their held-out rows the leaf values."""
         if not leaves:
             return
-        size = np.array([item[3].size for item in leaves])
-        yv = self.y[np.concatenate([item[3] for item in leaves])]
+        size = np.array([node.rows.size for node in leaves])
+        yv = self.y[np.concatenate([node.rows for node in leaves])]
         if self.task == "regression":
-            # the sum and division of ndarray.mean, without its overhead
             bounds = size.cumsum().tolist()
-            values = [float(np.add.reduce(yv[e - m:e]) / m) for e, m in zip(bounds, size.tolist())]
+            values = [float(yv[e - m:e].mean()) for e, m in zip(bounds, size.tolist())]
             pred = np.array(values)
         else:
             C = self.n_classes
@@ -399,103 +390,88 @@ class _Grower:
             probs = counts / size[:, None]
             values = list(probs)
             pred = probs.argmax(axis=1)
-        roots = self.roots
-        for (u, parent, is_left, _, _), m, value in zip(leaves, size.tolist(), values):
-            node = TreeNode(n_samples=m, value=value)
-            if parent is None:
-                roots[u] = node
-            elif is_left:
-                parent.left = node
-            else:
-                parent.right = node
-        hsize = np.array([item[4].size for item in leaves])
+        for node, m, value in zip(leaves, size.tolist(), values):
+            self._attach(node, TreeNode(n_samples=m, value=value))
+        hsize = np.array([node.held.size for node in leaves])
         if hsize.any():
-            base = np.array([item[0] for item in leaves]) * self.n
-            self.pred[np.repeat(base, hsize) + np.concatenate([item[4] for item in leaves])] = \
+            base = np.array([node.tree for node in leaves]) * self.n
+            self.pred[np.repeat(base, hsize) + np.concatenate([node.held for node in leaves])] = \
                 np.repeat(pred, hsize)
 
     def _step(self):
         """Try to split the next pending node of every tree."""
-        active = [(u, stack.pop()) for u, stack in enumerate(self.stacks) if stack]
-        A, B, n, mtry = len(active), self.B, self.n, self.mtry
+        active = [stack.pop() for stack in self.stacks if stack]
+        A, n, mtry = len(active), self.n, self.mtry
         min_leaf = self.params.min_samples_leaf
-        draws = np.array([self.rngs[u].choice(self.d, size=mtry, replace=False) for u, _ in active])
+        draws = np.array([self.rngs[node.tree].choice(self.d, size=mtry, replace=False)
+                          for node in active])
         draws.sort(axis=1)
         feat = draws.ravel()  # pair a * mtry + j: node a, its j-th drawn feature
-        size = np.array([entry[5] for _, entry in active])
-        blocks = np.concatenate([entry[3] for _, entry in active])
-        first = (B * size).cumsum() - B * size
+        size = np.array([node.rows.size for node in active])
+        rows = np.concatenate([node.rows for node in active])
+        first = size.cumsum() - size
         owner = np.repeat(np.arange(A), mtry)
         width = size[owner]
+        start = first[owner]
         nominal = self.is_nominal[feat]
         gain = np.full(feat.size, -np.inf)
         threshold = np.full(feat.size, np.nan)
         s = self.stats.shape[1]
         num = (~nominal).nonzero()[0]
-        if num.size:
-            start = first[owner[num]] + self.block[feat[num]] * width[num]
-            for g in _blocks(width[num], s):
-                p = num[g]
-                col = np.arange(int(width[p].max()))
-                rows = np.where(col < width[p][:, None],
-                                blocks.take(start[g][:, None] + col, mode="clip"), n)
-                values = self.xt.take(feat[p][:, None] * (n + 1) + rows)
-                gain[p], threshold[p] = _scan_thresholds(
-                    rows, values, width[p], self.stats, self.task, min_leaf)
+        for g in _blocks(width[num], s):
+            p = num[g]
+            col = np.arange(int(width[p].max()))
+            padded = np.where(col < width[p][:, None], rows.take(start[p][:, None] + col, mode="clip"), n)
+            values = self.xt.take(feat[p][:, None] * (n + 1) + padded)
+            # a stable sort keeps a node's tied rows in row order; the NaN padding sorts last
+            order = values.argsort(axis=1, kind="stable")
+            order += np.arange(0, order.size, order.shape[1])[:, None]  # flat positions
+            gain[p], threshold[p] = _scan_thresholds(
+                padded.take(order), values.take(order), width[p], self.stats, self.task, min_leaf)
         where = {}  # nominal pair -> (categories in scan order, row, left counts)
         nom = nominal.nonzero()[0]
-        if nom.size:
-            start = first[owner[nom]] + (B - 1) * width[nom]
-            for g in _blocks(np.full(nom.size, self.levels), s):
-                p, w = nom[g], width[nom[g]]
-                seg = np.repeat(np.arange(p.size), w)
-                rows = blocks[np.arange(int(w.sum())) + np.repeat(start[g] - (w.cumsum() - w), w)]
-                codes = self.xt.take(feat[p][seg] * (n + 1) + rows).astype(np.int64)
-                gain[p], ordered, n_left = _scan_categories(
-                    seg, codes, rows, p.size, self.stats, self.task, min_leaf)
-                for i, q in enumerate(p.tolist()):
-                    where[q] = (ordered, i, n_left)
+        for g in _blocks(np.full(nom.size, self.levels), s):
+            p, w = nom[g], width[nom[g]]
+            seg = np.repeat(np.arange(p.size), w)
+            member = rows[np.arange(int(w.sum())) + np.repeat(start[p] - (w.cumsum() - w), w)]
+            codes = self.xt.take(feat[p][seg] * (n + 1) + member).astype(np.int64)
+            gain[p], ordered, n_left = _scan_categories(
+                seg, codes, member, p.size, self.stats, self.task, min_leaf)
+            for i, q in enumerate(p.tolist()):
+                where[q] = (ordered, i, n_left)
         # first best feature of each node; the draws are sorted, so ties go to the lowest
         pick = (gain.reshape(A, mtry).argmax(axis=1) + np.arange(A) * mtry).tolist()
         leaves, grown = [], []
-        for a, (u, (parent, is_left, depth, blk, held, m)) in enumerate(active):
+        for a, node in enumerate(active):
             p = pick[a]
             if not gain[p] > 0.0:
-                leaves.append((u, parent, is_left, blk[(B - 1) * m:], held))
+                leaves.append(node)
                 continue
+            m = int(size[a])
             if nominal[p]:
                 ordered, i, n_left = where[p]
-                node = TreeNode(n_samples=m, feature=int(feat[p]),
-                                categories=frozenset(ordered[i, :n_left[i]].tolist()))
+                split = TreeNode(n_samples=m, feature=int(feat[p]),
+                                 categories=frozenset(ordered[i, :n_left[i]].tolist()))
             else:
-                node = TreeNode(n_samples=m, feature=int(feat[p]), threshold=float(threshold[p]))
-            if parent is None:
-                self.roots[u] = node
-            elif is_left:
-                parent.left = node
-            else:
-                parent.right = node
-            grown.append((a, u, node, depth, held, m))
+                split = TreeNode(n_samples=m, feature=int(feat[p]), threshold=float(threshold[p]))
+            self._attach(node, split)
+            grown.append((node, split))
         if grown:
-            self._split(grown, blocks, first, leaves)
+            self._split(grown, leaves)
         self._make_leaves(leaves)
 
-    def _split(self, grown, blocks, first, leaves):
-        """Send the rows and held-out rows of every split node to its children."""
-        B, n, K = self.B, self.n, len(grown)
+    def _split(self, grown, leaves):
+        """Send the rows and held-out rows of every (pending node, split node) to its children."""
+        n, K = self.n, len(grown)
         # threshold splits first: each kind's rows are then contiguous below
-        grown.sort(key=lambda g: g[2].categories is not None)
-        kt = sum(g[2].categories is None for g in grown)
-        u = np.array([g[1] for g in grown])
-        m = np.array([g[5] for g in grown])
-        held = [g[4] for g in grown]
-        hsize = np.array([h.size for h in held])
-        start = [int(first[g[0]]) for g in grown]
-        # the nodes' rows in row order, then their held-out rows
-        rows = np.concatenate([blocks[s + (B - 1) * g[5]:s + B * g[5]]
-                               for s, g in zip(start, grown)] + held)
+        grown.sort(key=lambda g: g[1].categories is not None)
+        kt = sum(split.categories is None for _, split in grown)
+        # the nodes' rows, then their held-out rows, segment by segment
+        rows = np.concatenate([node.rows for node, _ in grown] + [node.held for node, _ in grown])
+        m = np.array([node.rows.size for node, _ in grown])
+        hsize = np.array([node.held.size for node, _ in grown])
         length = np.concatenate([m, hsize])
-        base = np.array([g[2].feature for g in grown]) * (n + 1)
+        base = np.array([split.feature for _, split in grown]) * (n + 1)
         values = self.xt.take(rows + np.repeat(np.concatenate([base, base]), length))
         M = int(m.sum())
         mt, ht = int(m[:kt].sum()), int(hsize[:kt].sum())
@@ -503,12 +479,12 @@ class _Grower:
         goes = np.empty(total + 1, dtype=bool)
         goes[total] = False  # lets an empty last segment count from a real index
         if kt:
-            thr = np.array([g[2].threshold for g in grown[:kt]])
+            thr = np.array([split.threshold for _, split in grown[:kt]])
             goes[:mt] = values[:mt] <= np.repeat(thr, m[:kt])
             goes[M:M + ht] = values[M:M + ht] <= np.repeat(thr, hsize[:kt])
         if kt < K:
             # the nodes' own lookup tables (entry c + 1: code c goes left), padded with False
-            own_tables = [g[2]._left_codes for g in grown[kt:]]
+            own_tables = [split._left_codes for _, split in grown[kt:]]
             width = max(t.size for t in own_tables)
             table = np.zeros((K - kt, width), dtype=bool)
             for k, t in enumerate(own_tables):
@@ -519,26 +495,20 @@ class _Grower:
                 code.clip(0, width - 1, out=code)
                 goes[part] = table.ravel().take(code + np.repeat(offset, lens))
         # rows sent left per segment; an empty segment sends none
-        bounds = length.cumsum() - length
-        nl, hl = np.where(length > 0, np.add.reduceat(goes, bounds, dtype=np.intp), 0).reshape(2, K)
-        self.goes[rows[:M] + np.repeat(u * n, m)] = goes[:M]
-        own = np.concatenate([blocks[s:s + B * g[5]] for s, g in zip(start, grown)])
-        side = self.goes[own + np.repeat(u * n, B * m)]
-        left_b, right_b = own[side], own[~side]
-        ho, hgoes = rows[M:], goes[M:total]
-        left_h, right_h = ho[hgoes], ho[~hgoes]
-        nr, hr = m - nl, hsize - hl
+        nl = np.where(length > 0, np.add.reduceat(goes, length.cumsum() - length, dtype=np.intp), 0)
+        nr = length - nl
+        side = goes[:total]
+        left, right = rows[side], rows[~side]
+        lo, ro = (nl.cumsum() - nl).tolist(), (nr.cumsum() - nr).tolist()
+        nl, nr = nl.tolist(), nr.tolist()
         new = []
-        for g, lb, rb, lh, rh, nk, rk, hk, qk in zip(
-                grown, ((B * nl).cumsum() - B * nl).tolist(), ((B * nr).cumsum() - B * nr).tolist(),
-                (hl.cumsum() - hl).tolist(), (hr.cumsum() - hr).tolist(),
-                nl.tolist(), nr.tolist(), hl.tolist(), hr.tolist()):
-            _, uk, parent, depth = g[:4]
+        for k, (node, split) in enumerate(grown):
+            h, depth = K + k, node.depth + 1
             # a right child waits for its sibling's subtree: copy it out of this step's arrays
-            new.append((uk, parent, False, depth + 1, right_b[rb:rb + B * rk].copy(),
-                        right_h[rh:rh + qk].copy(), rk))
-            new.append((uk, parent, True, depth + 1, left_b[lb:lb + B * nk],
-                        left_h[lh:lh + hk], nk))
+            new.append(_Pending(node.tree, split, False, depth, right[ro[k]:ro[k] + nr[k]].copy(),
+                                right[ro[h]:ro[h] + nr[h]].copy()))
+            new.append(_Pending(node.tree, split, True, depth, left[lo[k]:lo[k] + nl[k]],
+                                left[lo[h]:lo[h] + nl[h]]))
         self._settle(new, leaves)
 
 
