@@ -32,7 +32,6 @@ from .pipeline import (
     DEFAULT_SEED,
     PipelineConfig,
     make_views,
-    one_hot_records,
     run_wise,
     stage_one,
     stage_two,
@@ -42,6 +41,7 @@ from .synth import SynthParams, write_synth
 log = logging.getLogger(__name__)
 
 WORKERS_ENV = "WISE_WORKERS"
+TOP_Q = 3  # features listed per cluster in explanations.json, unless `run --top-q` says otherwise
 
 # Config file keys.  The Greek names are the canonical spellings; the
 # ASCII forms are accepted as aliases and normalized on load.
@@ -278,18 +278,16 @@ def read_records(path, row_ids=None) -> tuple[np.ndarray, int]:
     return L, k0
 
 
-def explanation_report(table, result, top_q: int, faithfulness=None, with_instances=False) -> dict:
-    ex = result.explanations
-    names = [c.name for c in table.schema]
-    sizes = np.bincount(result.labels, minlength=result.config.K)
+def explanation_report(names, sizes, ex, top_q: int, faithfulness=None, with_instances=False) -> dict:
+    """The explanations.json report of K clusters with the given sizes."""
     ranking, weights = global_ranking(ex.W_cluster, sizes)
     clusters = []
-    for j in range(result.config.K):
+    for j, size in enumerate(sizes.tolist()):
         order = np.argsort(-ex.W_cluster[j], kind="stable")[:top_q]
         clusters.append(
             {
                 "id": j,
-                "size": int(sizes[j]),
+                "size": size,
                 "top_features": [
                     {"feature": names[t], "weight": float(ex.W_cluster[j, t])}
                     for t in order
@@ -343,21 +341,21 @@ def cmd_run(args) -> int:
         payload["record_matrix"] = result.L.tolist()
     _write_json(os.path.join(args.out, "result.json"), payload)
 
+    sizes = np.bincount(result.labels, minlength=cfg.K)
     faith = None
     if args.faithfulness:
-        sizes = np.bincount(result.labels, minlength=cfg.K)
         faith = faithfulness_eval(
             table, result.labels, result.explanations.W_cluster, sizes,
             top_k=[args.top_q], trials=args.trials, seed=cfg.seed,
         )
-    report = explanation_report(table, result, args.top_q, faith, args.instances)
+    report = explanation_report(names, sizes, result.explanations, args.top_q, faith,
+                                args.instances)
     _write_json(os.path.join(args.out, "explanations.json"), report)
 
     if truth is not None:
         metrics = evaluate(table, result.labels, truth, seed=cfg.seed)
         _write_json(os.path.join(args.out, "metrics.json"), metrics)
 
-    sizes = np.bincount(result.labels, minlength=cfg.K)
     print(f"K={cfg.K} sizes={sizes.tolist()} deviation={result.explanations.consistency_deviation:.2e}")
     for entry in report["clusters"]:
         tops = ", ".join(f"{t['feature']}={t['weight']:.3f}" for t in entry["top_features"])
@@ -395,10 +393,8 @@ def cmd_cluster(args) -> int:
         views = read_views(args.weights, names)
     else:
         views = make_views(table, cfg, ablation=args.ablation or "uniform", workers=workers)
-    L, _centers = stage_one(
-        bepm, views, cfg.k0, cfg.alpha0, cfg.beta0, cfg.seed, cfg.max_iter, workers
-    )
-    y = stage_two(one_hot_records(L, cfg.k0), cfg.K, cfg.alpha, cfg.beta0, cfg.seed, cfg.max_iter)
+    L = stage_one(bepm, views, cfg, workers)
+    y = stage_two(L, cfg)
     os.makedirs(args.out, exist_ok=True)
     write_records(os.path.join(args.out, "records.csv"), L, cfg.k0, table.row_ids)
     write_labels(os.path.join(args.out, "labels.csv"), y, table.row_ids)
@@ -413,18 +409,9 @@ def cmd_explain(args) -> int:
     L, k0 = read_records(args.records, table.row_ids)
     y = read_labels(args.labels, table.row_ids)
     views = read_views(args.weights, names)
-    ex = compute_explanations(L, y, views_matrix(views), int(y.max()) + 1, k0, cfg.eps)
-    sizes = np.bincount(y)
-    ranking, weights = global_ranking(ex.W_cluster, sizes)
-    report = {
-        "consistency_deviation": ex.consistency_deviation,
-        "global_ranking": [names[j] for j in ranking],
-        "global_weights": [float(w) for w in weights],
-        "cluster_weights": ex.W_cluster.tolist(),
-        "undiscriminated": ex.undiscriminated,
-    }
-    if args.instances:
-        report["instance_weights"] = ex.W_instance.tolist()
+    ex = compute_explanations(L, y, views_matrix(views), cfg.K, k0, cfg.eps)
+    sizes = np.bincount(y, minlength=cfg.K)
+    report = explanation_report(names, sizes, ex, TOP_Q, with_instances=args.instances)
     _write_json(args.out, report)
     print(f"consistency deviation {ex.consistency_deviation:.2e} -> {args.out}")
     return 0
@@ -482,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--ablation", choices=ABLATIONS, default="none")
-    p.add_argument("--top-q", type=int, default=3, help="features listed per cluster")
+    p.add_argument("--top-q", type=int, default=TOP_Q, help="features listed per cluster")
     p.add_argument("--instances", action="store_true", help="include per-instance weights")
     p.add_argument("--dump-records", action="store_true", help="include the record matrix")
     p.add_argument("--faithfulness", action="store_true", help="run the probe-tree harness")
@@ -502,8 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="run both clustering stages from saved or ablation weights")
     _add_io(p)
-    p.add_argument("--weights", default=None, help="weights CSV from sense (default: uniform)")
-    p.add_argument("--ablation", choices=ABLATIONS, default=None)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--weights", default=None, help="weights CSV from sense (default: uniform)")
+    source.add_argument("--ablation", choices=ABLATIONS, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_cluster)
 

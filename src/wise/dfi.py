@@ -60,6 +60,10 @@ def cluster_bit_frequency(L: np.ndarray, y: np.ndarray, K: int, k0: int | None =
     n, R = L.shape
     if k0 is None:
         k0 = int(L.max()) + 1
+    if y.size and (y.min() < 0 or y.max() >= K):
+        raise DataError(f"final labels must lie in 0..{K - 1}")
+    if L.size and (L.min() < 0 or L.max() >= k0):
+        raise DataError(f"round labels must lie in 0..{k0 - 1}")
     sizes = np.bincount(y, minlength=K)
     if np.any(sizes[:K] == 0):
         empty = np.flatnonzero(sizes[:K] == 0).tolist()

@@ -187,7 +187,8 @@ def _scan_thresholds(rows, values, size, stats, task, min_leaf):
     sums start from zero and the padding follows its rows, so they are
     those of the node alone.
     Returns per node the gain (-inf: no split) and the threshold, the
-    midpoint of the two values around the chosen cut.
+    midpoint of the two values around the chosen cut, or the lower value
+    when the midpoint rounds to the upper one or overflows.
     """
     count, width = rows.shape
     cut = np.arange(1, width)  # left part sizes
@@ -200,7 +201,11 @@ def _scan_thresholds(rows, values, size, stats, task, min_leaf):
     gain, best = _first_best(pair, pos + 1, gains, count, width)
     threshold = np.full(count, np.nan)
     ok = (gain > -np.inf).nonzero()[0]
-    threshold[ok] = (values[ok, best[ok] - 1] + values[ok, best[ok]]) / 2.0
+    lo, hi = values[ok, best[ok] - 1], values[ok, best[ok]]
+    mid = (lo + hi) / 2.0
+    # between adjacent floats the midpoint can round up to hi, which would send hi
+    # left too; two huge negatives overflow it to -inf, which would send lo right
+    threshold[ok] = np.where((lo <= mid) & (mid < hi), mid, lo)
     return gain, threshold
 
 

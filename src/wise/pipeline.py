@@ -24,7 +24,7 @@ from .dfi import Explanations, compute_explanations
 from .errors import ConfigError, DataError, InvariantError
 from .forest import ForestParams
 from .lofo import FeatureWeightVector, QdParams, sense_all, views_matrix
-from .wkfreq import ClusterParams, FreqItemCenter, cluster
+from .wkfreq import ClusterParams, cluster
 
 log = logging.getLogger(__name__)
 
@@ -64,12 +64,9 @@ class PipelineConfig:
 class WiseResult:
     labels: np.ndarray                        # (n,) final cluster ids
     L: np.ndarray                             # (n, R) per-round labels
-    k0: int
-    round_centers: list[list[FreqItemCenter]]
     views: list[FeatureWeightVector]
     explanations: Explanations
     config: PipelineConfig
-    seed: int
 
 
 def lift_weights(w: np.ndarray, bit_groups: list[tuple[int, int]]) -> np.ndarray:
@@ -128,35 +125,28 @@ def make_views(
     )
 
 
-def _run_round(shared, r: int):
-    X, omegas, k0, alpha0, beta0, max_iter, seed = shared
-    params = ClusterParams(k=k0, alpha=alpha0, beta=beta0, max_iter=max_iter,
-                           seed=derive_seed(seed, "stage1", r))
-    res = cluster(X, params, weights=omegas[r])
-    return res.labels, res.centers
+def _run_round(shared, r: int) -> np.ndarray:
+    X, omegas, config = shared
+    params = ClusterParams(k=config.k0, alpha=config.alpha0, beta=config.beta0,
+                           max_iter=config.max_iter, seed=derive_seed(config.seed, "stage1", r))
+    return cluster(X, params, weights=omegas[r]).labels
 
 
 def stage_one(
     bep: BepMatrix,
     views: list[FeatureWeightVector],
-    k0: int,
-    alpha0: float,
-    beta0: float,
-    seed: int,
-    max_iter: int = 50,
+    config: PipelineConfig,
     workers: int = 1,
-):
+) -> np.ndarray:
     """One weighted clustering round per view; labels land in L by round index."""
     if not views:
         raise ConfigError("stage one needs at least one view")
     omegas = [lift_weights(view.w, bep.bit_groups) for view in views]
-    shared = (bep.matrix, omegas, k0, alpha0, beta0, max_iter, seed)
-    results = map_indices(_run_round, shared, len(views), workers)
-    L = np.stack([labels for labels, _ in results], axis=1)
-    centers = [c for _, c in results]
-    if L.min() < 0 or L.max() >= k0:
+    rounds = map_indices(_run_round, (bep.matrix, omegas, config), len(views), workers)
+    L = np.stack(rounds, axis=1)
+    if L.min() < 0 or L.max() >= config.k0:
         raise InvariantError("round labels escaped {0..k0-1}")
-    return L, centers
+    return L
 
 
 def one_hot_records(L: np.ndarray, k0: int) -> sparse.csr_matrix:
@@ -171,18 +161,11 @@ def one_hot_records(L: np.ndarray, k0: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, indices, indptr), shape=(n, R * k0))
 
 
-def stage_two(
-    Z: sparse.csr_matrix,
-    K: int,
-    alpha: float,
-    beta: float,
-    seed: int,
-    max_iter: int = 50,
-) -> np.ndarray:
+def stage_two(L: np.ndarray, config: PipelineConfig) -> np.ndarray:
     """Final unweighted clustering of the one-hot record embedding."""
-    params = ClusterParams(k=K, alpha=alpha, beta=beta, max_iter=max_iter,
-                           seed=derive_seed(seed, "stage2"))
-    return cluster(Z, params, weights=None).labels
+    params = ClusterParams(k=config.K, alpha=config.alpha, beta=config.beta0,
+                           max_iter=config.max_iter, seed=derive_seed(config.seed, "stage2"))
+    return cluster(one_hot_records(L, config.k0), params, weights=None).labels
 
 
 def run_wise(
@@ -195,24 +178,11 @@ def run_wise(
     explanations.  Pure function of (table, config, ablation)."""
     bep = encode_table(table, config.bep)
     views = make_views(table, config, ablation, workers)
-    L, centers = stage_one(
-        bep, views, config.k0, config.alpha0, config.beta0,
-        config.seed, config.max_iter, workers,
-    )
-    Z = one_hot_records(L, config.k0)
-    y = stage_two(Z, config.K, config.alpha, config.beta0, config.seed, config.max_iter)
+    L = stage_one(bep, views, config, workers)
+    y = stage_two(L, config)
     explanations = compute_explanations(
         L, y, views_matrix(views), config.K, config.k0, config.eps,
     )
     if y.shape != (table.n,) or L.shape != (table.n, len(views)):
         raise InvariantError("result shapes are inconsistent")
-    return WiseResult(
-        labels=y,
-        L=L,
-        k0=config.k0,
-        round_centers=centers,
-        views=views,
-        explanations=explanations,
-        config=config,
-        seed=config.seed,
-    )
+    return WiseResult(labels=y, L=L, views=views, explanations=explanations, config=config)

@@ -110,6 +110,13 @@ def random_tree(rng, d, task="regression", n_classes=0, depth=3, nominal_frac=0.
     return root, X, is_nominal
 
 
+def _midpoint(a: float, b: float) -> float:
+    """Threshold between sorted neighbours a < b: their midpoint, or a when it
+    rounds to b or overflows."""
+    mid = (a + b) / 2.0
+    return float(mid if a <= mid < b else a)
+
+
 def reference_numeric_split(x, y, task, n_classes, min_leaf):
     """Per-task prefix scan of one threshold feature: (gain, threshold, None) or None.
 
@@ -150,8 +157,7 @@ def reference_numeric_split(x, y, task, n_classes, min_leaf):
     if gain <= 0.0:
         return None
     pos = cut[best]
-    threshold = float((xs[pos - 1] + xs[pos]) / 2.0)
-    return gain, threshold, None
+    return gain, _midpoint(xs[pos - 1], xs[pos]), None
 
 
 def reference_nominal_split(x, y, task, n_classes, min_leaf):
@@ -288,7 +294,7 @@ def _ref_numeric_split(x, stats, task, min_leaf):
         return None
     gain, i = found
     pos = cut[i]
-    return gain, float((xs[pos - 1] + xs[pos]) / 2.0), None
+    return gain, _midpoint(xs[pos - 1], xs[pos]), None
 
 
 def _ref_nominal_split(x, stats, task, min_leaf):

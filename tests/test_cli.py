@@ -226,6 +226,15 @@ def test_stagewise_commands_compose(tmp_path):
     ) == 0
     assert "ari" in json.loads(metrics_out.read_text())
 
+    # the staged commands are `wise run` in pieces
+    run_out = tmp_path / "run"
+    assert cli.main(
+        ["run"] + io_args + ["--out", str(run_out), "--workers", "1", "--seed", "42"]
+        + FAST_OVERRIDES
+    ) == 0
+    for staged in (weights_path, cluster_out / "labels.csv", explain_out):
+        assert staged.read_bytes() == (run_out / staged.name).read_bytes(), staged.name
+
 
 def test_cluster_command_senses_with_workers(tmp_path, monkeypatch):
     csv_path, schema_path = synth_dataset(tmp_path)
@@ -243,6 +252,14 @@ def test_cluster_command_senses_with_workers(tmp_path, monkeypatch):
          "--workers", "2", "--seed", "42"] + FAST_OVERRIDES
     ) == 0
     assert seen == [2]
+
+
+def test_cluster_takes_weights_or_ablation_not_both(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cluster", "--data", "d.csv", "--schema", "s.json", "--out", str(tmp_path),
+                  "--weights", "w.csv", "--ablation", "gaussian"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def blank_rows(csv_path, data_rows=(3, 10)):
@@ -364,6 +381,13 @@ def test_bad_labels_file_exits_three(dropped_rows_run, tmp_path, capsys, command
     labels = edited(dropped_rows_run[3], tmp_path / "labels.csv", BAD_LABELS[case])
     assert stage_command(dropped_rows_run, command, tmp_path / "out.json", labels=labels) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_label_at_K_is_a_data_error_for_explain_only(dropped_rows_run, tmp_path, capsys):
+    labels = edited(dropped_rows_run[3], tmp_path / "labels.csv", set_cell(1, 1, "3"))  # K=3
+    assert stage_command(dropped_rows_run, "explain", tmp_path / "out.json", labels=labels) == 3
+    assert "final labels must lie in 0..2" in capsys.readouterr().err
+    assert stage_command(dropped_rows_run, "evaluate", tmp_path / "out.json", labels=labels) == 0
 
 
 @pytest.mark.parametrize("case", list(BAD_RECORDS))

@@ -59,6 +59,17 @@ def test_frequency_rejects_empty_cluster():
         cluster_bit_frequency(L, np.array([0, 0, 1]), K=3, k0=2)
 
 
+@pytest.mark.parametrize("y, L, match", [
+    ([0, 1, 2], [[0], [1], [1]], r"final labels must lie in 0\.\.1"),
+    ([0, -1, 1], [[0], [1], [1]], r"final labels must lie in 0\.\.1"),
+    ([0, 1, 1], [[0], [2], [1]], r"round labels must lie in 0\.\.1"),
+    ([0, 1, 1], [[0], [-1], [1]], r"round labels must lie in 0\.\.1"),
+])
+def test_frequency_rejects_labels_out_of_range(y, L, match):
+    with pytest.raises(DataError, match=match):
+        cluster_bit_frequency(np.array(L), np.array(y), K=2, k0=2)
+
+
 def test_dfi_disjoint_clusters_full_margin():
     scores = dfi_scores(freq_of([[[1.0, 0.0]], [[0.0, 1.0]]]))
     assert np.allclose(scores.dfi[0, 0], [1.0, 0.0])

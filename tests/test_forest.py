@@ -301,8 +301,11 @@ def test_degenerate_numbers_grow_the_per_node_grower_trees():
         # NaN gains (overflowed sums): no split
         (halves, np.array([big, big, -big, -big]), "regression", 0, 2),
         (halves, np.array([big, big, -big, -big]), "regression", 0, 1),
-        # adjacent values whose midpoint rounds up: every row goes left, leaving
-        # empty right children with NaN values
+        # the midpoint of two huge negatives overflows to -inf: the threshold is -top
+        (np.repeat([[-top], [-0.9 * top]], 2, axis=0), np.array([0.0, 0.0, 1.0, 1.0]),
+         "regression", 0, 1),
+        # adjacent values whose midpoint rounds up to b: the threshold is a, so
+        # both children keep rows
         (adjacent, np.array([0.0, 1.0, 0.0, 1.0]), "regression", 0, 1),
         (adjacent, np.array([0.0, 1.0, 0.0, 1.0]), "classification", 2, 1),
     ]
@@ -314,7 +317,8 @@ def test_degenerate_numbers_grow_the_per_node_grower_trees():
             got = train_tree(X, y, params, np.random.default_rng(0), task, None, n_classes)
             want = reference_train_tree(X, y, params, np.random.default_rng(0), task, None, n_classes)
         assert node_fields(got) == node_fields(want)
-    assert got.threshold == b and got.right.n_samples == 0
+        assert all(fields[0] > 0 for fields in node_fields(got))  # no empty child
+    assert got.threshold == a and got.left.n_samples == 2 and got.right.n_samples == 2
 
 
 def test_purity_is_decided_as_np_var():

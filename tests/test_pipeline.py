@@ -117,12 +117,11 @@ def test_stage_one_uniform_view_equals_unweighted_run():
     table = random_mixed_table(rng, n=100)
     bep = encode_table(table, BepConfig(B=4))
     views = uniform_view(table.d)
-    L, centers = stage_one(bep, views, k0=3, alpha0=0.4, beta0=0.4, seed=77)
+    L = stage_one(bep, views, PipelineConfig(k0=3, seed=77))
     params = ClusterParams(k=3, alpha=0.4, beta=0.4, max_iter=50,
                            seed=derive_seed(77, "stage1", 0))
     direct = cluster(bep.matrix, params, weights=None)
     assert np.array_equal(L[:, 0], direct.labels)
-    assert len(centers) == 1
 
 
 def test_stage_one_deterministic_and_in_range():
@@ -130,8 +129,8 @@ def test_stage_one_deterministic_and_in_range():
     table = random_mixed_table(rng, n=80)
     bep = encode_table(table, BepConfig(B=4))
     views = make_views(table, SMALL_CONFIG, ablation="gaussian")
-    L1, _ = stage_one(bep, views, k0=4, alpha0=0.4, beta0=0.4, seed=13)
-    L2, _ = stage_one(bep, views, k0=4, alpha0=0.4, beta0=0.4, seed=13)
+    L1 = stage_one(bep, views, PipelineConfig(k0=4, seed=13))
+    L2 = stage_one(bep, views, PipelineConfig(k0=4, seed=13))
     assert np.array_equal(L1, L2)
     assert L1.shape == (80, len(views))
     assert L1.min() >= 0 and L1.max() < 4
@@ -142,8 +141,8 @@ def test_stage_one_worker_pool_is_invisible():
     table = random_mixed_table(rng, n=60)
     bep = encode_table(table, BepConfig(B=4))
     views = make_views(table, SMALL_CONFIG, ablation="gaussian")[:3]
-    serial, _ = stage_one(bep, views, k0=3, alpha0=0.4, beta0=0.4, seed=21, workers=1)
-    pooled, _ = stage_one(bep, views, k0=3, alpha0=0.4, beta0=0.4, seed=21, workers=3)
+    serial = stage_one(bep, views, PipelineConfig(k0=3, seed=21), workers=1)
+    pooled = stage_one(bep, views, PipelineConfig(k0=3, seed=21), workers=3)
     assert np.array_equal(serial, pooled)
 
 
@@ -186,7 +185,7 @@ def test_stage_one_requires_views():
     table = random_mixed_table(np.random.default_rng(8), n=30)
     bep = encode_table(table, BepConfig(B=4))
     with pytest.raises(ConfigError, match="at least one view"):
-        stage_one(bep, [], k0=2, alpha0=0.4, beta0=0.4, seed=0)
+        stage_one(bep, [], PipelineConfig(k0=2, seed=0))
 
 
 def test_one_hot_block_offsets():
@@ -213,20 +212,17 @@ def test_stage_two_reproduces_shared_partition():
     common = rng.integers(0, 3, 90)
     common[:3] = [0, 1, 2]
     L = np.tile(common[:, None], (1, 5))
-    Z = one_hot_records(L, k0=3)
-    y = stage_two(Z, K=3, alpha=0.4, beta=0.4, seed=31)
+    y = stage_two(L, PipelineConfig(k0=3, K=3, seed=31))
     assert ari(y, common) == 1.0
 
 
 def test_stage_two_single_cluster():
-    Z = one_hot_records(np.array([[0], [1], [2]]), k0=3)
-    y = stage_two(Z, K=1, alpha=0.4, beta=0.4, seed=0)
+    y = stage_two(np.array([[0], [1], [2]]), PipelineConfig(k0=3, K=1, seed=0))
     assert np.array_equal(y, [0, 0, 0])
 
 
 def test_stage_two_distinct_rows_become_singletons():
-    Z = one_hot_records(np.arange(4)[:, None], k0=4)
-    y = stage_two(Z, K=4, alpha=0.4, beta=0.4, seed=3)
+    y = stage_two(np.arange(4)[:, None], PipelineConfig(k0=4, K=4, seed=3))
     assert sorted(y.tolist()) == [0, 1, 2, 3]
 
 
@@ -257,7 +253,6 @@ def test_run_wise_smoke_shapes_and_determinism():
     assert res1.labels.shape == (table.n,)
     assert res1.L.shape == (table.n, R)
     assert len(res1.views) == R
-    assert len(res1.round_centers) == R
     assert np.array_equal(res1.labels, res2.labels)
     assert np.array_equal(res1.L, res2.L)
     assert res1.explanations.consistency_deviation <= 1e-9
