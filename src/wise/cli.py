@@ -91,7 +91,8 @@ def build_config(entries: dict) -> PipelineConfig:
             raise ConfigError(f"config key {key!r} given twice")
         normalized[key] = value
 
-    # each value takes the type of its default; features_per_split is None or a float
+    # each value takes the type of its default; features_per_split is None or a float.
+    # Numbers are not booleans, and integers take integral values only.
     base = PipelineConfig()
     changes: dict = {None: {}, "bep": {}, "forest": {}, "qd": {}}
     try:
@@ -99,6 +100,9 @@ def build_config(entries: dict) -> PipelineConfig:
             sub, name = CONFIG_FIELDS[key]
             default = getattr(base if sub is None else getattr(base, sub), name)
             cast = float if default is None else type(default)
+            if (cast is not str and isinstance(value, bool)) or \
+                    (cast is int and isinstance(value, float) and not value.is_integer()):
+                raise ValueError(f"{key!r} takes {cast.__name__} values, got {value!r}")
             changes[sub][name] = None if value is None and default is None else cast(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc

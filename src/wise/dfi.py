@@ -49,7 +49,7 @@ class Explanations:
     consistency_deviation: float = 0.0
 
 
-def cluster_bit_frequency(L: np.ndarray, y: np.ndarray, K: int, k0: int | None = None) -> ClusterBitFrequency:
+def cluster_bit_frequency(L: np.ndarray, y: np.ndarray, K: int, k0: int) -> ClusterBitFrequency:
     """Empirical round-label distribution per cluster.
 
     Every row of F sums to 1 because each member carries exactly one
@@ -58,8 +58,6 @@ def cluster_bit_frequency(L: np.ndarray, y: np.ndarray, K: int, k0: int | None =
     L = np.asarray(L, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     n, R = L.shape
-    if k0 is None:
-        k0 = int(L.max()) + 1
     if y.size and (y.min() < 0 or y.max() >= K):
         raise DataError(f"final labels must lie in 0..{K - 1}")
     if L.size and (L.min() < 0 or L.max() >= k0):
@@ -168,7 +166,7 @@ def compute_explanations(
     y: np.ndarray,
     W_views: np.ndarray,
     K: int,
-    k0: int | None = None,
+    k0: int,
     eps: float = 1e-12,
 ) -> Explanations:
     """Full explanation bundle for one pipeline run."""
@@ -215,7 +213,7 @@ def _probe_tree_scores(X: np.ndarray, y: np.ndarray, cols: np.ndarray, is_nomina
     """In-sample accuracy and macro-F1 of one shallow tree on a column subset."""
     params = ForestParams(
         T=1, max_depth=depth, min_samples_leaf=1, train_sample_frac=1.0,
-        features_per_split=1.0, seed=0,
+        features_per_split=1.0,
     )
     rng = np.random.default_rng(0)
     sub = X[:, cols]

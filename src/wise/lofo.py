@@ -12,7 +12,7 @@ the remaining 1-q kept on the target column itself.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,20 +130,17 @@ def greedy_select(candidates: list[TreeCandidate], params: QdParams) -> list[Tre
     return selected
 
 
-def complete_weight(
-    candidate: TreeCandidate, target: int, d: int, input_columns: np.ndarray | None = None
-) -> np.ndarray:
+def complete_weight(candidate: TreeCandidate, target: int, d: int) -> np.ndarray:
     """Distribute quality q over the inputs by attribution share; keep 1-q on the target.
 
-    A zero attribution vector gives no evidence to distribute, so the
-    whole unit mass stays on the target column.
+    The inputs are the other d-1 columns, in column order.  A zero
+    attribution vector gives no evidence to distribute, so the whole unit
+    mass stays on the target column.
     """
-    if input_columns is None:
-        input_columns = np.array([k for k in range(d) if k != target])
     w = np.zeros(d)
     total = float(candidate.s.sum())
     if total > 0.0:
-        w[input_columns] = candidate.quality * candidate.s / total
+        w[np.arange(d) != target] = candidate.quality * candidate.s / total
         w[target] = 1.0 - candidate.quality
     else:
         w[target] = 1.0
@@ -177,16 +174,19 @@ def candidates_from_forest(
 
 
 def _sense_one(shared, target: int):
-    table, forest_params, qd_params, explain_cap, background_size = shared
-    seed_j = derive_seed(forest_params.seed, "lofo", target)
-    model = train_forest(table, target, replace(forest_params, seed=seed_j))
-    X_all, _ = design_matrix(table)
-    X_inputs = X_all[:, model.input_columns]
+    X, is_nominal, n_classes, forest_params, qd_params, seed, explain_cap, background_size = shared
+    d = X.shape[1]
+    seed_j = derive_seed(seed, "lofo", target)
+    inputs = np.arange(d) != target
+    X_inputs = X[:, inputs]
+    task = "classification" if is_nominal[target] else "regression"
+    model = train_forest(X_inputs, X[:, target], task, forest_params, seed_j,
+                         is_nominal=is_nominal[inputs], n_classes=n_classes[target])
     cands = candidates_from_forest(model, X_inputs, seed_j, explain_cap, background_size)
     picked = greedy_select(cands, qd_params)
     views = []
     for rank, cand in enumerate(picked):
-        w = complete_weight(cand, target, table.d, model.input_columns)
+        w = complete_weight(cand, target, d)
         views.append(
             FeatureWeightVector(w=w, target=target, tree=cand.uid, quality=cand.quality, rank=rank)
         )
@@ -197,19 +197,22 @@ def sense_all(
     table: MixedTable,
     forest_params: ForestParams,
     qd_params: QdParams,
+    seed: int,
     explain_cap: int = 256,
     background_size: int = 64,
     workers: int = 1,
 ) -> list[FeatureWeightVector]:
     """All R = d*m weighted views, ordered by (target column, greedy rank).
 
-    Targets are independent tasks; the per-target seed is derived from
-    the master seed and the column index, so the result is identical for
-    any worker count.
+    Targets are independent tasks on one design matrix.  Target j's
+    forest is seeded with ``derive_seed(seed, "lofo", j)``, so the result
+    is identical for any worker count.
     """
     if table.d < 2:
         raise DataError("weight sensing needs at least two columns")
-    shared = (table, forest_params, qd_params, explain_cap, background_size)
+    X, is_nominal = design_matrix(table)
+    n_classes = [col.n_levels() if col.kind == "nominal" else 0 for col in table.schema]
+    shared = (X, is_nominal, n_classes, forest_params, qd_params, seed, explain_cap, background_size)
     per_target = map_indices(_sense_one, shared, table.d, workers)
     views = [v for group in per_target for v in group]
     check_simplex(views)

@@ -11,7 +11,7 @@ index), so results are identical for any worker-pool size.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -56,6 +56,8 @@ class PipelineConfig:
         for name in ("alpha0", "beta0", "alpha"):
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ConfigError(f"{name} must lie in [0,1]")
+        if self.max_iter < 1:
+            raise ConfigError("max_iter must be >= 1")
         if self.explain_cap < 1 or self.background < 1:
             raise ConfigError("explain_cap and background must be >= 1")
 
@@ -114,11 +116,11 @@ def make_views(
         raise ConfigError(f"ablation must be one of {ABLATIONS}, got {ablation!r}")
     if ablation != "none":
         return _ablation_views(table.d, config.qd.m, ablation, config.seed)
-    forest_params = replace(config.forest, seed=derive_seed(config.seed, "sense"))
     return sense_all(
         table,
-        forest_params,
+        config.forest,
         config.qd,
+        derive_seed(config.seed, "sense"),
         explain_cap=config.explain_cap,
         background_size=config.background,
         workers=workers,

@@ -384,16 +384,15 @@ def silk_seed(
     X: sparse.csr_matrix,
     omega: np.ndarray,
     params: ClusterParams,
-    seed: int,
 ) -> list[FreqItemCenter]:
     """Two-level MinHash overseeding reduced to k initial centers."""
     n, p = X.shape
     k = params.k
     if n < k:
         raise DataError(f"need at least k={k} rows, got {n}")
-    rng = np.random.default_rng(derive_seed(seed, "silk"))
+    rng = np.random.default_rng(derive_seed(params.seed, "silk"))
     level1 = params.lsh_tables * params.lsh_bands * params.lsh_rows
-    coords, comps = cws_signatures(X, omega, np.arange(level1, dtype=np.int64), seed)
+    coords, comps = cws_signatures(X, omega, np.arange(level1, dtype=np.int64), params.seed)
     nonempty = coords[:, 0] >= 0
     if not np.any(nonempty):
         raise DataError("all rows have empty effective support")
@@ -405,7 +404,8 @@ def silk_seed(
     # one hash collides with probability J_w, which would glue together
     # buckets that are only mildly similar.
     level2_ids = level1 + np.arange(4, dtype=np.int64)
-    candidates = _bin_candidates(X, omega, buckets, params.beta, level2_ids, seed, cap=max(4 * k, 32))
+    candidates = _bin_candidates(X, omega, buckets, params.beta, level2_ids, params.seed,
+                                 cap=max(4 * k, 32))
     return _seed_from_candidates(candidates, X, omega, nonempty, params, rng)
 
 
@@ -511,7 +511,7 @@ def cluster(
             raise ConfigError("weights are all zero")
         omega = omega / peak
 
-    centers = silk_seed(X, omega, params, params.seed)
+    centers = silk_seed(X, omega, params)
     X_float = X.astype(np.float64)
     row_tot = X_float @ omega
 

@@ -8,7 +8,7 @@ from math import factorial
 import numpy as np
 
 from wise._rng import derive_seed
-from wise.data_model import ColumnSchema, table_from_raw
+from wise.data_model import ColumnSchema, design_matrix, table_from_raw
 from wise.errors import ConfigError, DataError
 from wise.forest import (
     ForestModel,
@@ -18,6 +18,7 @@ from wise.forest import (
     _mtry,
     _target_stats,
     predict_tree,
+    train_forest,
     train_tree,
 )
 from wise.treeshap import _weight_tables
@@ -105,9 +106,21 @@ def random_tree(rng, d, task="regression", n_classes=0, depth=3, nominal_frac=0.
     else:
         y = rng.random(n) + X[:, 0]
     params = ForestParams(T=1, max_depth=depth, min_samples_leaf=1,
-                          train_sample_frac=1.0, features_per_split=1.0, seed=0)
+                          train_sample_frac=1.0, features_per_split=1.0)
     root = train_tree(X, y, params, rng, task, is_nominal, n_classes)
     return root, X, is_nominal
+
+
+def lofo_forest(table, target, params, seed):
+    """The forest that predicts column ``target`` from the other columns, as
+    ``lofo.sense_all`` trains it; returns (model, its input matrix)."""
+    X, is_nominal = design_matrix(table)
+    inputs = np.arange(table.d) != target
+    n_classes = table.schema[target].n_levels() if is_nominal[target] else 0
+    task = "classification" if is_nominal[target] else "regression"
+    model = train_forest(X[:, inputs], X[:, target], task, params, seed,
+                         is_nominal[inputs], n_classes)
+    return model, X[:, inputs]
 
 
 def _midpoint(a: float, b: float) -> float:
@@ -374,18 +387,16 @@ def reference_fit_forest(
     y: np.ndarray,
     task: str,
     params: ForestParams,
+    seed: int,
     is_nominal: np.ndarray | None = None,
     n_classes: int = 0,
-    input_columns: np.ndarray | None = None,
 ) -> ForestModel:
     """Train T trees on independent row subsamples; score each on its held-out rows."""
-    n, d = X.shape
-    if input_columns is None:
-        input_columns = np.arange(d)
+    n = X.shape[0]
     trees = []
     sample_size = max(1, int(round(params.train_sample_frac * n)))
     for u in range(params.T):
-        rng = np.random.default_rng(derive_seed(params.seed, "tree", u))
+        rng = np.random.default_rng(derive_seed(seed, "tree", u))
         train_rows = np.sort(rng.choice(n, size=sample_size, replace=False))
         heldout = np.setdiff1d(np.arange(n), train_rows, assume_unique=True)
         y_tr = y[train_rows]
@@ -393,7 +404,7 @@ def reference_fit_forest(
         majority = int(np.bincount(y_tr.astype(np.int64), minlength=n_classes).argmax()) if task == "classification" else None
         quality = _ref_heldout_quality(root, X, y, heldout, task)
         trees.append(TreeFit(root, train_rows, heldout, quality, majority))
-    return ForestModel(trees=trees, task=task, input_columns=np.asarray(input_columns))
+    return ForestModel(trees=trees, task=task)
 
 
 def _ref_heldout_quality(root: TreeNode, X, y, heldout: np.ndarray, task: str) -> float:
@@ -451,7 +462,7 @@ def reference_centers(X, labels, omega, alpha, k):
     return [freqitem_from_counts(column_counts(X, m), omega, alpha, m.size) for m in members]
 
 
-def reference_silk_seed(X, omega, params, seed):
+def reference_silk_seed(X, omega, params):
     """Per-bucket form of ``wkfreq.silk_seed``.
 
     Buckets are collected one signature group at a time, each bucket's
@@ -459,7 +470,7 @@ def reference_silk_seed(X, omega, params, seed):
     by ``cws_sketch`` on its own coordinates, and bins merge through a
     dict keyed by the sketch, in insertion order.
     """
-    k = params.k
+    k, seed = params.k, params.seed
     if X.shape[0] < k:
         raise DataError(f"need at least k={k} rows, got {X.shape[0]}")
     rng = np.random.default_rng(derive_seed(seed, "silk"))

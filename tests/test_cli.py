@@ -46,6 +46,21 @@ def test_config_rejects_unparseable_values():
         cli.build_config({"K": "many"})
 
 
+@pytest.mark.parametrize("entries", [
+    {"k0": 2.7}, {"seed": 1.5}, {"T": True}, {"max_iter": float("inf")}, {"m": float("nan")},
+    {"α": True}, {"features_per_split": False}, {"hash_seed": -0.5},
+], ids=repr)
+def test_config_rejects_booleans_and_non_integral_integers(entries):
+    with pytest.raises(ConfigError, match="bad config value"):
+        cli.build_config(entries)
+
+
+def test_config_takes_integral_floats_and_integer_floats():
+    cfg = cli.build_config({"k0": 2.0, "seed": 7.0, "α": 1, "features_per_split": 0.5})
+    assert (cfg.k0, cfg.seed, cfg.alpha, cfg.forest.features_per_split) == (2, 7, 1.0, 0.5)
+    assert type(cfg.k0) is int and type(cfg.alpha) is float
+
+
 def test_load_config_priority_file_then_set_then_flag(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 1, "K": 7}))
@@ -421,6 +436,9 @@ BAD_RUN_FLAGS = {
     "max_depth=-1": ["--set", "max_depth=-1"],
     "explain_cap=0": ["--set", "explain_cap=0"],
     "background=0": ["--set", "background=0"],
+    "max_iter=0": ["--set", "max_iter=0"],
+    "k0=2.5": ["--set", "k0=2.5"],
+    "T=true": ["--set", "T=true"],
     "top-q=0": ["--faithfulness", "--top-q", "0"],
     "trials=0": ["--faithfulness", "--trials", "0"],
     "top-q=-1": ["--top-q", "-1"],

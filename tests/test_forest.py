@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    lofo_forest,
     random_tree,
     reference_fit_forest,
     reference_impurity,
@@ -24,7 +25,6 @@ from wise.forest import (
     _scan_categories,
     _scan_thresholds,
     _target_stats,
-    fit_forest,
     predict_tree,
     train_forest,
     train_tree,
@@ -35,7 +35,7 @@ from wise.treeshap import shap_matrix
 
 def grow_params(**kw):
     base = dict(T=1, max_depth=6, min_samples_leaf=1, train_sample_frac=1.0,
-                features_per_split=1.0, seed=0)
+                features_per_split=1.0)
     base.update(kw)
     return ForestParams(**base)
 
@@ -262,9 +262,9 @@ def test_lockstep_forest_matches_per_node_grower(task, T):
     for min_leaf, max_depth, frac in [(1, 3, 0.5), (5, 20, 0.5), (1, 0, 0.5),
                                       (1, 20, 1.0), (5, 3, 0.7)]:
         params = ForestParams(T=T, max_depth=max_depth, min_samples_leaf=min_leaf,
-                              train_sample_frac=frac, seed=T + min_leaf)
-        got = fit_forest(X, y, task, params, is_nominal, n_classes)
-        assert_same_forest(got, reference_fit_forest(X, y, task, params, is_nominal, n_classes))
+                              train_sample_frac=frac)
+        args = (X, y, task, params, T + min_leaf, is_nominal, n_classes)
+        assert_same_forest(train_forest(*args), reference_fit_forest(*args))
         tree = train_tree(X, y, params, np.random.default_rng(min_leaf), task, is_nominal, n_classes)
         want = reference_train_tree(X, y, params, np.random.default_rng(min_leaf), task,
                                     is_nominal, n_classes)
@@ -275,13 +275,13 @@ def test_lockstep_lofo_forests_match_per_node_grower():
     # deep-sense settings on a synth table: a regression and a classification target
     table = synth_table(SynthParams(n=400, seed=4))[0]
     X, is_nominal = design_matrix(table)
-    params = ForestParams(T=20, min_samples_leaf=5, train_sample_frac=0.5, seed=8)
+    params = ForestParams(T=20, min_samples_leaf=5, train_sample_frac=0.5)
     for target in (0, int(np.flatnonzero(is_nominal)[0])):
-        model = train_forest(table, target, params)
-        cols = model.input_columns
+        model, X_inputs = lofo_forest(table, target, params, seed=8)
+        inputs = np.arange(table.d) != target
         n_classes = table.schema[target].n_levels() if model.task == "classification" else 0
-        want = reference_fit_forest(X[:, cols], X[:, target], model.task, params,
-                                    is_nominal[cols], n_classes, cols)
+        want = reference_fit_forest(X_inputs, X[:, target], model.task, params, 8,
+                                    is_nominal[inputs], n_classes)
         assert_same_forest(model, want)
 
 
@@ -311,7 +311,7 @@ def test_degenerate_numbers_grow_the_per_node_grower_trees():
     ]
     for X, y, task, n_classes, min_leaf in cases:
         params = ForestParams(T=1, max_depth=3, min_samples_leaf=min_leaf,
-                              train_sample_frac=1.0, seed=0)
+                              train_sample_frac=1.0)
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             got = train_tree(X, y, params, np.random.default_rng(0), task, None, n_classes)
@@ -343,7 +343,7 @@ def test_purity_is_decided_as_np_var():
     # a tree on such a target draws split features when np.var asks for a
     # split (0.3) and not otherwise (0.5), as the per-node grower does
     X = rng.random((10, 3))
-    params = ForestParams(T=1, max_depth=4, min_samples_leaf=1, train_sample_frac=1.0, seed=0)
+    params = ForestParams(T=1, max_depth=4, min_samples_leaf=1, train_sample_frac=1.0)
     states = []
     for y in cases[:2]:
         mine, theirs = np.random.default_rng(0), np.random.default_rng(0)
@@ -356,14 +356,13 @@ def test_purity_is_decided_as_np_var():
 
 def test_growing_and_predicting_leave_no_cyclic_garbage():
     table = synth_table(SynthParams(n=400, seed=3))[0]
-    X, _ = design_matrix(table)
-    params = ForestParams(T=20, min_samples_leaf=5, train_sample_frac=0.5, seed=1)
+    params = ForestParams(T=20, min_samples_leaf=5, train_sample_frac=0.5)
     gc.collect()
     gc.disable()
     try:
-        model = train_forest(table, 0, params)
+        model, X_inputs = lofo_forest(table, 0, params, seed=1)
         for fit in model.trees:
-            predict_tree(fit.root, X[:, model.input_columns])
+            predict_tree(fit.root, X_inputs)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -468,10 +467,10 @@ def test_copy_target_forest_has_perfect_quality():
     ]
     table = table_from_raw(schema, list(zip(labels, labels, noise)))
     params = ForestParams(T=5, max_depth=6, min_samples_leaf=2,
-                          train_sample_frac=0.5, features_per_split=1.0, seed=1)
-    model = train_forest(table, target=0, params=params)
+                          train_sample_frac=0.5, features_per_split=1.0)
+    model, X_inputs = lofo_forest(table, 0, params, seed=1)
     assert model.task == "classification"
-    assert model.input_columns.tolist() == [1, 2]
+    assert X_inputs.shape == (300, 2)
     assert model.quality == [1.0] * 5
 
 
@@ -479,9 +478,8 @@ def test_noise_target_forest_has_no_quality():
     rng = np.random.default_rng(4)
     schema = [ColumnSchema("a", "numeric"), ColumnSchema("b", "numeric")]
     rows = list(zip(rng.random(400), rng.random(400)))
-    params = ForestParams(T=4, max_depth=4, min_samples_leaf=10,
-                          train_sample_frac=0.5, seed=2)
-    model = train_forest(table_from_raw(schema, rows), target=0, params=params)
+    params = ForestParams(T=4, max_depth=4, min_samples_leaf=10, train_sample_frac=0.5)
+    model, _ = lofo_forest(table_from_raw(schema, rows), 0, params, seed=2)
     assert model.task == "regression"
     assert all(0.0 <= q < 0.2 for q in model.quality)
 
@@ -490,23 +488,16 @@ def test_forest_shapes_and_determinism():
     rng = np.random.default_rng(5)
     X = rng.random((100, 3))
     y = X[:, 1] * 2.0
-    params = ForestParams(T=3, max_depth=4, min_samples_leaf=5,
-                          train_sample_frac=0.6, seed=9)
-    model = fit_forest(X, y, "regression", params)
+    params = ForestParams(T=3, max_depth=4, min_samples_leaf=5, train_sample_frac=0.6)
+    model = train_forest(X, y, "regression", params, seed=9)
     assert len(model.trees) == 3
     for fit in model.trees:
         assert fit.train_rows.size == 60
         assert fit.heldout_rows.size == 40
         assert np.intersect1d(fit.train_rows, fit.heldout_rows).size == 0
-    model2 = fit_forest(X, y, "regression", params)
+    model2 = train_forest(X, y, "regression", params, seed=9)
     for a, b in zip(model.trees, model2.trees):
         assert np.array_equal(predict_tree(a.root, X), predict_tree(b.root, X))
-
-
-def test_train_forest_needs_two_columns():
-    table = table_from_raw([ColumnSchema("a", "numeric")], [(0.5,), (0.7,)])
-    with pytest.raises(DataError, match="at least two columns"):
-        train_forest(table, 0, ForestParams())
 
 
 def test_heldout_quality_conventions():

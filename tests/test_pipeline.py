@@ -70,6 +70,9 @@ def test_pipeline_config_validation():
         PipelineConfig(alpha0=1.5)
     with pytest.raises(ConfigError, match="beta0"):
         PipelineConfig(beta0=-0.1)
+    for max_iter in (0, -1):
+        with pytest.raises(ConfigError, match="max_iter"):
+            PipelineConfig(max_iter=max_iter)
     for name in ("explain_cap", "background"):
         with pytest.raises(ConfigError, match="explain_cap and background"):
             PipelineConfig(**{name: 0})

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_tree, reference_shap_matrix, shap_oracle
+from helpers import lofo_forest, random_tree, reference_shap_matrix, shap_oracle
 from wise import treeshap
-from wise.data_model import design_matrix
 from wise.errors import ConfigError, DataError
-from wise.forest import ForestParams, TreeNode, predict_tree, train_forest
+from wise.forest import ForestParams, TreeNode, predict_tree
 from wise.synth import SynthParams, synth_table
 from wise.treeshap import aggregate_global, shap_matrix
 
@@ -199,13 +198,11 @@ def test_bitwise_equal_on_deep_lofo_forest(monkeypatch, block):
     # the deep sensing setting: 20 trees of 5-row leaves on half-row samples
     monkeypatch.setattr(treeshap, "_BLOCK", block)
     table, _ = synth_table(SynthParams(n=400, seed=4))
-    X, _ = design_matrix(table)
-    params = ForestParams(T=20, min_samples_leaf=5, train_sample_frac=0.5, seed=9)
+    params = ForestParams(T=20, min_samples_leaf=5, train_sample_frac=0.5)
     shared_patterns = 0
     for target, task in ((0, "regression"), (2, "classification")):
-        model = train_forest(table, target, params)
+        model, X_in = lofo_forest(table, target, params, seed=9)
         assert model.task == task
-        X_in = X[:, model.input_columns]
         for fit in model.trees:
             rows, background = X_in[fit.heldout_rows], X_in[fit.train_rows[::3]]
             assert_matches_reference(fit.root, rows, background, fit.majority_class)

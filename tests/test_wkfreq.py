@@ -169,7 +169,7 @@ def test_cluster_params_validation():
 def test_silk_seed_recovers_disjoint_supports():
     X, _ = repeated_disjoint(k=4, copies=6)
     params = ClusterParams(k=4, seed=13)
-    centers = silk_seed(X, np.ones(X.shape[1]), params, seed=13)
+    centers = silk_seed(X, np.ones(X.shape[1]), params)
     got = sorted(tuple(c.idx.tolist()) for c in centers)
     want = sorted(tuple(range(c * 5, c * 5 + 5)) for c in range(4))
     assert got == want
@@ -179,7 +179,7 @@ def test_silk_seed_pads_when_no_buckets_form():
     # one copy of each support: every LSH bucket is a singleton, so the
     # candidate list is empty and distinct rows pad the seed set
     X, _ = repeated_disjoint(k=3, copies=1)
-    centers = silk_seed(X, np.ones(X.shape[1]), ClusterParams(k=3, seed=5), seed=5)
+    centers = silk_seed(X, np.ones(X.shape[1]), ClusterParams(k=3, seed=5))
     got = sorted(tuple(c.idx.tolist()) for c in centers)
     want = sorted(tuple(range(c * 5, c * 5 + 5)) for c in range(3))
     assert got == want
@@ -188,11 +188,11 @@ def test_silk_seed_pads_when_no_buckets_form():
 def test_silk_seed_k1_and_too_few_rows():
     X, _ = repeated_disjoint(k=1, copies=4)
     ones = np.ones(X.shape[1])
-    centers = silk_seed(X, ones, ClusterParams(k=1, seed=0), seed=0)
+    centers = silk_seed(X, ones, ClusterParams(k=1, seed=0))
     assert len(centers) == 1
     assert centers[0].idx.tolist() == [0, 1, 2, 3, 4]
     with pytest.raises(DataError, match="need at least"):
-        silk_seed(X[:0], ones, ClusterParams(k=1, seed=0), seed=0)
+        silk_seed(X[:0], ones, ClusterParams(k=1, seed=0))
 
 
 def _silk_inputs():
@@ -214,8 +214,8 @@ def _silk_inputs():
 
 def test_silk_seed_matches_per_bucket_reference():
     for name, X, omega, params in _silk_inputs():
-        got = silk_seed(X, omega, params, seed=params.seed)
-        want = reference_silk_seed(X, omega, params, seed=params.seed)
+        got = silk_seed(X, omega, params)
+        want = reference_silk_seed(X, omega, params)
         assert len(got) == params.k, name
         assert_same_centers(got, want)
 
@@ -268,7 +268,7 @@ def assert_cycle_stop_matches_max_iter_state(caplog, synth_seed, r, period):
     omega = lift_weights(view.w, bep.bit_groups)
     params = ClusterParams(k=cfg.k0, alpha=cfg.alpha0, beta=cfg.beta0, max_iter=cfg.max_iter,
                            seed=derive_seed(cfg.seed, "stage1", r))
-    seeds = silk_seed(bep.matrix, omega / omega.max(), params, params.seed)
+    seeds = silk_seed(bep.matrix, omega / omega.max(), params)
     for max_iter in range(params.max_iter, params.max_iter + period):
         p = replace(params, max_iter=max_iter)
         caplog.clear()
@@ -343,7 +343,7 @@ def test_unweighted_cluster_matches_integer_jaccard_oracle():
         params = ClusterParams(k=int(rng.integers(2, 7)), seed=int(rng.integers(2**31)))
         got = cluster(X, params)
         labels, centers, mean, n_iter = reference_lloyd(
-            X, params, None, silk_seed(X, np.ones(p), params, params.seed))
+            X, params, None, silk_seed(X, np.ones(p), params))
         assert np.array_equal(got.labels, labels)
         assert_same_centers(got.centers, centers)
         assert got.mean_distance == mean
