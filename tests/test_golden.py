@@ -1,0 +1,84 @@
+"""Golden output digests: two fixed runs must reproduce their outputs byte for byte.
+
+A change that is meant to leave every output alone (a refactor, a
+deletion, a faster kernel) shows it here: any flipped label, any weight
+off by one ulp, any reordered JSON key changes a digest.  Floating-point
+results may legitimately differ across library builds, so the digests
+hold only for the versions they were recorded with; on other versions
+the tests skip and name both.
+
+To re-record after an intended output change, run each case, print the
+digests it computes and paste them below together with the versions.
+"""
+
+import hashlib
+import platform
+
+import numpy as np
+import pytest
+import scipy
+
+from wise import cli
+from wise.cli import build_config
+from wise.pipeline import run_wise
+from wise.synth import SynthParams, synth_table, write_synth
+
+RECORDED = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
+
+# `wise run --workers 2 --set m=1 --faithfulness --instances --dump-records`
+# on the planted n=2000 CSV of synth seed 11, per output file
+CLI_DIGESTS = {
+    "labels.csv": "ba6d9af1b7fbe2fc3a76dd39d6d2b3a3",
+    "weights.csv": "0932b3433a55416b53321e94ea7978a2",
+    "result.json": "0e6f16c7be9648cd26b000d98463caff",
+    "explanations.json": "4d3c077a960bc8fd5bd5f43ea4018dc1",
+    "metrics.json": "b6a518deb9dd043da5db9d6bbbd1fe29",
+}
+
+# run_wise, 1 worker, deep-sense settings on the n=400 table of synth seed 4
+DEEP_SENSE_SETS = {"T": 20, "min_samples_leaf": 5, "train_sample_frac": 0.5, "m": 1}
+DEEP_SENSE_DIGESTS = {
+    "labels": "816045602bc341c763fddf601b68245e",
+    "L": "0458e23a2af92339b0173dbf21190fe8",
+    "views": "5889a2274fba020b4e944cb96c00ff4a",
+}
+
+
+def digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+@pytest.fixture(autouse=True)
+def recorded_versions():
+    here = {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+    if here != RECORDED:
+        pytest.skip(f"digests recorded with {RECORDED}, running {here}")
+
+
+def test_cli_run_outputs_match_golden_digests(tmp_path):
+    csv_path, schema_path = tmp_path / "data.csv", tmp_path / "schema.json"
+    write_synth(SynthParams(n=2000, seed=11), csv_path, schema_path)
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--data", str(csv_path), "--schema", str(schema_path),
+                   "--truth-column", "label", "--out", str(out), "--workers", "2",
+                   "--set", "m=1", "--faithfulness", "--instances", "--dump-records"])
+    assert rc == 0
+    got = {name: digest((out / name).read_bytes()) for name in CLI_DIGESTS}
+    assert got == CLI_DIGESTS
+
+
+def test_deep_sense_run_matches_golden_digests():
+    table, _ = synth_table(SynthParams(n=400, seed=4))
+    result = run_wise(table, build_config(DEEP_SENSE_SETS), workers=1)
+    views = b"".join(
+        np.array([v.target, v.tree, v.rank], dtype=np.int64).tobytes()
+        + np.float64(v.quality).tobytes() + np.ascontiguousarray(v.w, dtype=np.float64).tobytes()
+        for v in result.views
+    )
+    got = {
+        "labels": digest(np.ascontiguousarray(result.labels, dtype=np.int64).tobytes()),
+        "L": digest(np.ascontiguousarray(result.L, dtype=np.int64).tobytes()),
+        "views": digest(views),
+    }
+    assert got == DEEP_SENSE_DIGESTS
