@@ -177,28 +177,3 @@ def dump_bep(bepm: BepMatrix, path):
             bits = m.indices[m.indptr[i]:m.indptr[i + 1]]
             fh.write(f"{i}: " + " ".join(str(b) for b in bits) + "\n")
 
-
-def load_bep(path) -> BepMatrix:
-    """Inverse of dump_bep."""
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        rows = []
-        for line in fh:
-            _, _, bits = line.partition(":")
-            rows.append(np.array([int(t) for t in bits.split()], dtype=np.int64))
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    indices = np.concatenate(rows) if rows else np.array([], dtype=np.int64)
-    matrix = sparse.csr_matrix(
-        (np.ones(len(indices), dtype=np.uint8), indices, indptr),
-        shape=(header["n"], header["p"]),
-    )
-    cfg = BepConfig(B=header["B"], nominal_mode=header["nominal_mode"], hash_seed=header["hash_seed"])
-    return BepMatrix(
-        matrix=matrix,
-        bit_groups=[tuple(g) for g in header["bit_groups"]],
-        group_kinds=header["group_kinds"],
-        config=cfg,
-    )

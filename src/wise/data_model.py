@@ -163,7 +163,8 @@ def load_table(csv_path, schema_path, truth_column: str | None = None):
     Returns ``(table, truth)`` where ``truth`` is the raw label column
     (aligned with the kept rows) when ``truth_column`` is given, else
     None.  CSV columns must match the schema exactly, apart from the
-    optional truth column.
+    optional truth column, which may not be a schema column; no header
+    name may repeat.
     """
     schema = load_schema(schema_path)
     with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -173,6 +174,11 @@ def load_table(csv_path, schema_path, truth_column: str | None = None):
         except StopIteration:
             raise DataError(f"{csv_path}: empty file") from None
         expected = {c.name for c in schema}
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise DataError(f"{csv_path}: header repeats column(s) {repeated}")
+        if truth_column in expected:
+            raise DataError(f"{csv_path}: truth column {truth_column!r} is a schema column")
         extra = [h for h in header if h not in expected and h != truth_column]
         missing = [c.name for c in schema if c.name not in header]
         if extra or missing:

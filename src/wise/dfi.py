@@ -24,19 +24,6 @@ log = logging.getLogger(__name__)
 
 
 @dataclass
-class ClusterBitFrequency:
-    """F[j, r, t]: share of cluster j members with label t in round r."""
-
-    F: np.ndarray
-
-
-@dataclass
-class DfiScores:
-    dfi: np.ndarray       # K x R x k0, positive-part margins
-    credits: np.ndarray   # K x R, per-round sums
-
-
-@dataclass
 class Explanations:
     F: np.ndarray
     dfi: np.ndarray
@@ -49,8 +36,8 @@ class Explanations:
     consistency_deviation: float = 0.0
 
 
-def cluster_bit_frequency(L: np.ndarray, y: np.ndarray, K: int, k0: int) -> ClusterBitFrequency:
-    """Empirical round-label distribution per cluster.
+def cluster_bit_frequency(L: np.ndarray, y: np.ndarray, K: int, k0: int) -> np.ndarray:
+    """F[j, r, t]: share of cluster j members with label t in round r.
 
     Every row of F sums to 1 because each member carries exactly one
     label per round.
@@ -70,59 +57,57 @@ def cluster_bit_frequency(L: np.ndarray, y: np.ndarray, K: int, k0: int) -> Clus
     rounds = np.broadcast_to(np.arange(R), (n, R))
     np.add.at(F, (y[:, None], rounds, L), 1.0)
     F /= sizes[:K, None, None]
-    return ClusterBitFrequency(F=F)
+    return F
 
 
-def dfi_scores(freq: ClusterBitFrequency) -> DfiScores:
+def dfi_scores(F: np.ndarray) -> np.ndarray:
     """Positive-part margin over the best competing cluster, per (j, r, t).
 
     With a single cluster there is no competitor; the margin degenerates
     to the frequency itself (logged, since every bit then looks
     discriminative).
     """
-    F = freq.F
     K = F.shape[0]
     if K == 1:
         log.warning("single cluster: discriminative scores degenerate to raw frequencies")
-        dfi = F.copy()
-    else:
-        top2 = np.partition(F, K - 2, axis=0)
-        m1 = top2[K - 1]
-        m2 = top2[K - 2]
-        competitor = np.where(F == m1, m2, m1)
-        dfi = np.maximum(0.0, F - competitor)
-    return DfiScores(dfi=dfi, credits=dfi.sum(axis=2))
+        return F.copy()
+    top2 = np.partition(F, K - 2, axis=0)
+    m1 = top2[K - 1]
+    m2 = top2[K - 2]
+    competitor = np.where(F == m1, m2, m1)
+    return np.maximum(0.0, F - competitor)
 
 
-def cluster_weights(scores: DfiScores, W_views: np.ndarray):
-    """Credit-weighted sum of round weight vectors, L1-normalized per cluster.
-
-    A cluster whose credits are all zero has no discriminative evidence;
-    its row stays zero and its id is returned in the flag list rather
-    than inventing a uniform explanation.
-    """
-    credits = scores.credits
-    if credits.shape[1] != W_views.shape[0]:
-        raise ConfigError(
-            f"{credits.shape[1]} rounds of credits vs {W_views.shape[0]} view vectors"
-        )
+def _weights(credits: np.ndarray, W_views: np.ndarray):
+    """Raw weights ``credits @ W_views`` and their L1-normalized rows; a
+    row whose raw weights sum to zero stays zero.  Returns (raw, norm,
+    nonzero rows)."""
     raw = credits @ W_views
     totals = raw.sum(axis=1)
     norm = np.zeros_like(raw)
     nz = totals > 0
     norm[nz] = raw[nz] / totals[nz, None]
-    undiscriminated = np.flatnonzero(~nz).tolist()
-    return norm, raw, undiscriminated
+    return raw, norm, nz
 
 
-def instance_weights(
-    L: np.ndarray,
-    y: np.ndarray,
-    freq: ClusterBitFrequency,
-    scores: DfiScores,
-    W_views: np.ndarray,
-    eps: float = 1e-12,
-):
+def cluster_weights(credits: np.ndarray, W_views: np.ndarray):
+    """Credit-weighted sum of round weight vectors, L1-normalized per cluster.
+
+    ``credits`` (K x R) are the per-round DFI sums.  A cluster whose
+    credits are all zero has no discriminative evidence; its row stays
+    zero and its id is returned in the flag list rather than inventing a
+    uniform explanation.
+    """
+    if credits.shape[1] != W_views.shape[0]:
+        raise ConfigError(
+            f"{credits.shape[1]} rounds of credits vs {W_views.shape[0]} view vectors"
+        )
+    raw, norm, nz = _weights(credits, W_views)
+    return norm, raw, np.flatnonzero(~nz).tolist()
+
+
+def instance_weights(L: np.ndarray, y: np.ndarray, F: np.ndarray, dfi: np.ndarray,
+                     W_views: np.ndarray, eps: float):
     """Per-instance credits c_i[r] = DFI/F at the member's own round label.
 
     eps only guards the ratio against a zero frequency, which cannot
@@ -135,14 +120,7 @@ def instance_weights(
     y = np.asarray(y, dtype=np.int64)
     n, R = L.shape
     rounds = np.broadcast_to(np.arange(R), (n, R))
-    F_at = freq.F[y[:, None], rounds, L]
-    dfi_at = scores.dfi[y[:, None], rounds, L]
-    c_inst = dfi_at / np.maximum(eps, F_at)
-    raw = c_inst @ W_views
-    totals = raw.sum(axis=1)
-    norm = np.zeros_like(raw)
-    nz = totals > 0
-    norm[nz] = raw[nz] / totals[nz, None]
+    raw, norm, _ = _weights((dfi / np.maximum(eps, F))[y[:, None], rounds, L], W_views)
     return raw, norm
 
 
@@ -167,18 +145,19 @@ def compute_explanations(
     W_views: np.ndarray,
     K: int,
     k0: int,
-    eps: float = 1e-12,
+    eps: float,
 ) -> Explanations:
     """Full explanation bundle for one pipeline run."""
-    freq = cluster_bit_frequency(L, y, K, k0)
-    scores = dfi_scores(freq)
-    W_cluster, W_cluster_raw, flags = cluster_weights(scores, W_views)
-    W_inst_raw, W_inst = instance_weights(L, y, freq, scores, W_views, eps)
+    F = cluster_bit_frequency(L, y, K, k0)
+    dfi = dfi_scores(F)
+    credits = dfi.sum(axis=2)
+    W_cluster, W_cluster_raw, flags = cluster_weights(credits, W_views)
+    W_inst_raw, W_inst = instance_weights(L, y, F, dfi, W_views, eps)
     deviation = consistency_check(W_inst_raw, y, W_cluster_raw)
     return Explanations(
-        F=freq.F,
-        dfi=scores.dfi,
-        credits=scores.credits,
+        F=F,
+        dfi=dfi,
+        credits=credits,
         W_cluster=W_cluster,
         W_cluster_raw=W_cluster_raw,
         W_instance=W_inst,
@@ -209,10 +188,10 @@ def _macro_f1(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> float:
     return float(np.mean(f1s))
 
 
-def _probe_tree_scores(X: np.ndarray, y: np.ndarray, cols: np.ndarray, is_nominal, n_classes: int, depth: int):
-    """In-sample accuracy and macro-F1 of one shallow tree on a column subset."""
+def _probe_tree_scores(X: np.ndarray, y: np.ndarray, cols: np.ndarray, is_nominal, n_classes: int):
+    """In-sample accuracy and macro-F1 of one depth-6 tree on a column subset."""
     params = ForestParams(
-        T=1, max_depth=depth, min_samples_leaf=1, train_sample_frac=1.0,
+        T=1, max_depth=6, min_samples_leaf=1, train_sample_frac=1.0,
         features_per_split=1.0,
     )
     rng = np.random.default_rng(0)
@@ -231,7 +210,6 @@ def faithfulness_eval(
     top_k: list[int],
     trials: int = 10,
     seed: int = 0,
-    probe_depth: int = 6,
 ):
     """How well do the top-ranked features alone reproduce the clustering?
 
@@ -249,16 +227,16 @@ def faithfulness_eval(
     ranking, g = global_ranking(W_cluster, sizes)
     rng = np.random.default_rng(seed)
 
-    all_acc, all_f1 = _probe_tree_scores(X, y, np.arange(d), is_nominal, n_classes, probe_depth)
+    all_acc, all_f1 = _probe_tree_scores(X, y, np.arange(d), is_nominal, n_classes)
     records = []
     for k in top_k:
         if not 1 <= k <= d:
             raise ConfigError(f"top_k={k} must lie in 1..{d}")
-        dfi_acc, dfi_f1 = _probe_tree_scores(X, y, ranking[:k], is_nominal, n_classes, probe_depth)
+        dfi_acc, dfi_f1 = _probe_tree_scores(X, y, ranking[:k], is_nominal, n_classes)
         rand_acc, rand_f1 = [], []
         for _ in range(trials):
             cols = np.sort(rng.choice(d, size=k, replace=False))
-            a, f = _probe_tree_scores(X, y, cols, is_nominal, n_classes, probe_depth)
+            a, f = _probe_tree_scores(X, y, cols, is_nominal, n_classes)
             rand_acc.append(a)
             rand_f1.append(f)
         records.append(

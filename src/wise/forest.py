@@ -465,37 +465,31 @@ class _Grower:
     def _split(self, grown, leaves):
         """Send the rows and held-out rows of every (pending node, split node) to its children."""
         n, K = self.n, len(grown)
-        # threshold splits first: each kind's rows are then contiguous below
-        grown.sort(key=lambda g: g[1].categories is not None)
-        kt = sum(split.categories is None for _, split in grown)
         # the nodes' rows, then their held-out rows, segment by segment
         rows = np.concatenate([node.rows for node, _ in grown] + [node.held for node, _ in grown])
         m = np.array([node.rows.size for node, _ in grown])
         hsize = np.array([node.held.size for node, _ in grown])
         length = np.concatenate([m, hsize])
+        seg = np.repeat(np.tile(np.arange(K), 2), length)  # the split node of each element
         base = np.array([split.feature for _, split in grown]) * (n + 1)
-        values = self.xt.take(rows + np.repeat(np.concatenate([base, base]), length))
-        M = int(m.sum())
-        mt, ht = int(m[:kt].sum()), int(hsize[:kt].sum())
+        values = self.xt.take(rows + base[seg])
         total = rows.size
-        goes = np.empty(total + 1, dtype=bool)
-        goes[total] = False  # lets an empty last segment count from a real index
-        if kt:
-            thr = np.array([split.threshold for _, split in grown[:kt]])
-            goes[:mt] = values[:mt] <= np.repeat(thr, m[:kt])
-            goes[M:M + ht] = values[M:M + ht] <= np.repeat(thr, hsize[:kt])
-        if kt < K:
+        # a nominal split has no threshold: as NaN it sends no row left until its lookup below
+        thr = np.array([split.threshold for _, split in grown], dtype=np.float64)
+        # the extra False lets an empty last segment count from a real index
+        goes = np.append(values <= thr[seg], False)
+        nominal = np.isnan(thr)
+        if nominal.any():
             # the nodes' own lookup tables (entry c + 1: code c goes left), padded with False
-            own_tables = [split._left_codes for _, split in grown[kt:]]
-            width = max(t.size for t in own_tables)
-            table = np.zeros((K - kt, width), dtype=bool)
-            for k, t in enumerate(own_tables):
-                table[k, :t.size] = t
-            offset = np.arange(K - kt) * width
-            for part, lens in ((slice(mt, M), m[kt:]), (slice(M + ht, total), hsize[kt:])):
-                code = values[part].astype(np.int64) + 1
-                code.clip(0, width - 1, out=code)
-                goes[part] = table.ravel().take(code + np.repeat(offset, lens))
+            tables = [split._left_codes for _, split in grown]
+            width = max(t.size for t in tables if t is not None)
+            table = np.zeros((K, width), dtype=bool)
+            for k in nominal.nonzero()[0].tolist():
+                table[k, :tables[k].size] = tables[k]
+            part = nominal[seg].nonzero()[0]
+            code = values[part].astype(np.int64) + 1
+            code.clip(0, width - 1, out=code)
+            goes[part] = table.ravel().take(seg[part] * width + code)
         # rows sent left per segment; an empty segment sends none
         nl = np.where(length > 0, np.add.reduceat(goes, length.cumsum() - length, dtype=np.intp), 0)
         nr = length - nl

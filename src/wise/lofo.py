@@ -151,8 +151,8 @@ def candidates_from_forest(
     model: ForestModel,
     X_inputs: np.ndarray,
     seed: int,
-    explain_cap: int = 256,
-    background_size: int = 64,
+    explain_cap: int,
+    background_size: int,
 ) -> list[TreeCandidate]:
     """Score every tree of a LOFO forest: held-out quality + global attribution."""
     out = []
@@ -198,8 +198,8 @@ def sense_all(
     forest_params: ForestParams,
     qd_params: QdParams,
     seed: int,
-    explain_cap: int = 256,
-    background_size: int = 64,
+    explain_cap: int,
+    background_size: int,
     workers: int = 1,
 ) -> list[FeatureWeightVector]:
     """All R = d*m weighted views, ordered by (target column, greedy rank).
@@ -208,6 +208,8 @@ def sense_all(
     forest is seeded with ``derive_seed(seed, "lofo", j)``, so the result
     is identical for any worker count.
     """
+    if qd_params.m > forest_params.T:
+        raise ConfigError(f"cannot select m={qd_params.m} trees from forests of T={forest_params.T}")
     if table.d < 2:
         raise DataError("weight sensing needs at least two columns")
     X, is_nominal = design_matrix(table)

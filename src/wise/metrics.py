@@ -9,7 +9,6 @@ geometric-mean normalization with natural logarithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -18,15 +17,8 @@ from .data_model import MixedTable, unit_column
 from .errors import DataError
 
 
-@dataclass
-class ContingencyTable:
-    counts: np.ndarray      # K_pred x K_true
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-    n: int
-
-
-def contingency(y_pred, y_true) -> ContingencyTable:
+def contingency(y_pred, y_true) -> np.ndarray:
+    """K_pred x K_true counts of label pairs."""
     y_pred = np.asarray(y_pred)
     y_true = np.asarray(y_true)
     if y_pred.shape != y_true.shape or y_pred.ndim != 1:
@@ -39,13 +31,7 @@ def contingency(y_pred, y_true) -> ContingencyTable:
     cols = {b: j for j, b in enumerate(sorted(set(true)))}
     width = len(cols)
     cells = [rows[a] * width + cols[b] for a, b in zip(pred, true)]
-    counts = np.bincount(cells, minlength=len(rows) * width).reshape(len(rows), width)
-    return ContingencyTable(
-        counts=counts,
-        row_sums=counts.sum(axis=1),
-        col_sums=counts.sum(axis=0),
-        n=int(y_pred.size),
-    )
+    return np.bincount(cells, minlength=len(rows) * width).reshape(len(rows), width)
 
 
 def _comb2(x) -> int:
@@ -59,11 +45,11 @@ def ari(y_pred, y_true) -> float:
     ARI = 2(N2*I - A*B) / (N2*(A+B) - 2AB); a zero denominator means both
     partitions are trivial and identical in pair structure, giving 1.
     """
-    ct = contingency(y_pred, y_true)
-    N2 = _comb2(ct.n)
-    I = sum(_comb2(v) for v in ct.counts.ravel())
-    A = sum(_comb2(v) for v in ct.row_sums)
-    B = sum(_comb2(v) for v in ct.col_sums)
+    counts = contingency(y_pred, y_true)
+    N2 = _comb2(counts.sum())
+    I = sum(_comb2(v) for v in counts.ravel())
+    A = sum(_comb2(v) for v in counts.sum(axis=1))
+    B = sum(_comb2(v) for v in counts.sum(axis=0))
     num = 2 * (N2 * I - A * B)
     den = N2 * (A + B) - 2 * A * B
     if den == 0:
@@ -78,26 +64,27 @@ def nmi(y_pred, y_true) -> float:
     means the partitions agree trivially (1); exactly one constant side
     shares nothing (0).
     """
-    ct = contingency(y_pred, y_true)
-    n = ct.n
-    hu = -sum((r / n) * math.log(r / n) for r in ct.row_sums if r > 0)
-    hv = -sum((c / n) * math.log(c / n) for c in ct.col_sums if c > 0)
+    counts = contingency(y_pred, y_true)
+    n = int(counts.sum())
+    row_sums, col_sums = counts.sum(axis=1), counts.sum(axis=0)
+    hu = -sum((r / n) * math.log(r / n) for r in row_sums if r > 0)
+    hv = -sum((c / n) * math.log(c / n) for c in col_sums if c > 0)
     if hu == 0.0 and hv == 0.0:
         return 1.0
     if hu == 0.0 or hv == 0.0:
         return 0.0
     mi = 0.0
-    for i in range(ct.counts.shape[0]):
-        for j in range(ct.counts.shape[1]):
-            nij = ct.counts[i, j]
+    for i in range(counts.shape[0]):
+        for j in range(counts.shape[1]):
+            nij = counts[i, j]
             if nij > 0:
-                mi += (nij / n) * math.log(n * nij / (ct.row_sums[i] * ct.col_sums[j]))
+                mi += (nij / n) * math.log(n * nij / (row_sums[i] * col_sums[j]))
     return mi / math.sqrt(hu * hv)
 
 
 def purity(y_pred, y_true) -> float:
-    ct = contingency(y_pred, y_true)
-    return float(ct.counts.max(axis=1).sum()) / ct.n
+    counts = contingency(y_pred, y_true)
+    return float(counts.max(axis=1).sum()) / int(counts.sum())
 
 
 def acc_hungarian(y_pred, y_true) -> float:
@@ -107,9 +94,9 @@ def acc_hungarian(y_pred, y_true) -> float:
     smaller label set into the larger, which is exactly the padded
     square formulation.
     """
-    ct = contingency(y_pred, y_true)
-    rows, cols = linear_sum_assignment(-ct.counts)
-    return float(ct.counts[rows, cols].sum()) / ct.n
+    counts = contingency(y_pred, y_true)
+    rows, cols = linear_sum_assignment(-counts)
+    return float(counts[rows, cols].sum()) / int(counts.sum())
 
 
 def _gower_block(A: np.ndarray, B: np.ndarray, is_nominal: np.ndarray) -> np.ndarray:
@@ -124,7 +111,10 @@ def _gower_block(A: np.ndarray, B: np.ndarray, is_nominal: np.ndarray) -> np.nda
     return out / A.shape[1]
 
 
-def swc_gower(table: MixedTable, y, subsample_size: int = 5000, seed: int = 0) -> float:
+SWC_SUBSAMPLE = 5000
+
+
+def swc_gower(table: MixedTable, y, subsample_size: int = SWC_SUBSAMPLE, seed: int = 0) -> float:
     """Mean silhouette under unweighted Gower distance.
 
     Rows beyond subsample_size are subsampled with the given seed (same
@@ -175,16 +165,16 @@ def swc_gower(table: MixedTable, y, subsample_size: int = 5000, seed: int = 0) -
     return float(scores.mean())
 
 
-def evaluate(table: MixedTable, y_pred, y_true=None, subsample_size: int = 5000, seed: int = 0) -> dict:
+def evaluate(table: MixedTable, y_pred, y_true=None, seed: int = 0) -> dict:
     """Metrics report; external metrics only when ground truth is given."""
     y_pred = np.asarray(y_pred)
     report = {
         "n": int(y_pred.size),
         "K_pred": int(np.unique(y_pred).size),
-        "swc_subsample": int(min(subsample_size, table.n)),
+        "swc_subsample": min(SWC_SUBSAMPLE, table.n),
     }
     try:
-        report["swc"] = swc_gower(table, y_pred, subsample_size, seed)
+        report["swc"] = swc_gower(table, y_pred, seed=seed)
     except DataError:
         report["swc"] = None
     if y_true is not None:

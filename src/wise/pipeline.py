@@ -51,8 +51,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.k0 < 1 or self.K < 1:
             raise ConfigError("k0 and K must be >= 1")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
+        if not 0.0 < self.eps < float("inf"):
+            raise ConfigError("eps must be finite and positive")
         for name in ("alpha0", "beta0", "alpha"):
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ConfigError(f"{name} must lie in [0,1]")

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
@@ -82,10 +83,12 @@ class ClusterParams:
     beta: float = 0.5
     max_iter: int = 50
     seed: int = 0
-    lsh_tables: int = 4
-    lsh_bands: int = 8
-    lsh_rows: int = 2
-    dedup_sim: float = 0.95
+    # SILK's fixed layout, not settable: lsh_tables * lsh_bands level-1 bands of
+    # lsh_rows hashes each, and the similarity at which seeding merges candidates
+    lsh_tables: ClassVar[int] = 4
+    lsh_bands: ClassVar[int] = 8
+    lsh_rows: ClassVar[int] = 2
+    dedup_sim: ClassVar[float] = 0.95
 
     def __post_init__(self):
         if self.k < 1:
@@ -409,9 +412,9 @@ def silk_seed(
     return _seed_from_candidates(candidates, X, omega, nonempty, params, rng)
 
 
-def _reduce_candidates(cands, weights, sim, k, rng, restarts: int = 8) -> list[FreqItemCenter]:
-    """Pick k candidates by weight*distance^2 sampling, best of several
-    restarts under the weighted quantization cost over the candidate set.
+def _reduce_candidates(cands, weights, sim, k, rng) -> list[FreqItemCenter]:
+    """Pick k candidates by weight*distance^2 sampling, best of 8 restarts
+    under the weighted quantization cost over the candidate set.
     ``sim`` holds the candidates' pairwise weighted Jaccard similarities.
 
     The first restart anchors on the heaviest candidate; later restarts
@@ -431,7 +434,7 @@ def _reduce_candidates(cands, weights, sim, k, rng, restarts: int = 8) -> list[F
         return int(rng.choice(m, p=score / total))
 
     best_choice, best_cost = None, np.inf
-    for restart in range(restarts):
+    for restart in range(8):
         first = int(np.argmax(weights)) if restart == 0 else sample(weights.copy())
         chosen = [first]
         dist = dmat[first].copy()

@@ -1,5 +1,6 @@
 """Sparse binary encoding: block codes, nominal bits, distance bracket."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from wise.bep import (
     encode_numeric_value,
     encode_table,
     jaccard_distance,
-    load_bep,
     nominal_bit,
     quantization_bounds,
 )
@@ -188,15 +188,18 @@ def test_quantization_bracket_randomized():
         assert t_lo <= gap <= t_hi
 
 
-def test_dump_load_round_trip(tmp_path):
+def test_dump_bep_writes_header_and_row_lines(tmp_path):
     rng = np.random.default_rng(3)
     schema = [ColumnSchema("num", "numeric"), ColumnSchema("cat", "nominal")]
     rows = [(rng.random(), f"v{rng.integers(3)}") for _ in range(20)]
     bepm = encode_table(table_from_raw(schema, rows), BepConfig(B=6))
     path = tmp_path / "bep.txt"
     dump_bep(bepm, path)
-    back = load_bep(path)
-    assert (back.matrix != bepm.matrix).nnz == 0
-    assert back.bit_groups == bepm.bit_groups
-    assert back.group_kinds == bepm.group_kinds
-    assert back.config == bepm.config
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(header) == {
+        "n": 20, "p": bepm.p, "bit_groups": [list(g) for g in bepm.bit_groups],
+        "group_kinds": ["numeric", "nominal"], "B": 6, "nominal_mode": "one_hot", "hash_seed": 0,
+    }
+    m = bepm.matrix
+    assert lines == [f"{i}: " + " ".join(map(str, m.indices[m.indptr[i]:m.indptr[i + 1]]))
+                     for i in range(20)]

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wise import cli
+from wise import cli, lofo
 from wise.errors import ConfigError, DataError
 from wise.lofo import FeatureWeightVector
 from wise.pipeline import DEFAULT_SEED, PipelineConfig
@@ -437,6 +437,8 @@ BAD_RUN_FLAGS = {
     "explain_cap=0": ["--set", "explain_cap=0"],
     "background=0": ["--set", "background=0"],
     "max_iter=0": ["--set", "max_iter=0"],
+    "eps=NaN": ["--set", "eps=NaN"],
+    "eps=Infinity": ["--set", "eps=Infinity"],
     "k0=2.5": ["--set", "k0=2.5"],
     "T=true": ["--set", "T=true"],
     "top-q=0": ["--faithfulness", "--top-q", "0"],
@@ -460,6 +462,20 @@ def test_run_rejects_out_of_range_values_before_training(tmp_path, capsys, monke
     )
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_run_rejects_m_above_T_before_any_forest_is_trained(tmp_path, capsys, monkeypatch):
+    csv_path, schema_path = synth_dataset(tmp_path, n=60)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a forest was trained despite m > T")
+
+    monkeypatch.setattr(lofo, "train_forest", never)
+    rc = cli.main(["run", "--data", str(csv_path), "--schema", str(schema_path), "--truth-column",
+                   "label", "--out", str(tmp_path / "x"), "--workers", "1", "--set", "m=5",
+                   "--set", "T=3"])
+    assert rc == 2
+    assert "m=5 trees from forests of T=3" in capsys.readouterr().err
 
 
 def test_write_json_rejects_non_finite_numbers(tmp_path):

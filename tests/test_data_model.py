@@ -65,6 +65,19 @@ def test_load_missing_truth_column(tmp_path):
         load_table(csv_path, schema_path, truth_column="label")
 
 
+def test_load_rejects_a_repeated_header_name(tmp_path):
+    # the second "age" would otherwise be ignored without a word
+    csv_path, schema_path = write_files(tmp_path, "age,color,age\n20,red,30\n", TWO_COL_SCHEMA)
+    with pytest.raises(DataError, match="repeats column.*'age'"):
+        load_table(csv_path, schema_path)
+
+
+def test_load_rejects_a_schema_column_as_truth(tmp_path):
+    csv_path, schema_path = write_files(tmp_path, "age,color\n20,red\n", TWO_COL_SCHEMA)
+    with pytest.raises(DataError, match="truth column 'color' is a schema column"):
+        load_table(csv_path, schema_path, truth_column="color")
+
+
 def test_load_unparseable_numeric(tmp_path):
     csv_path, schema_path = write_files(tmp_path, "age,color\nabc,red\n", TWO_COL_SCHEMA)
     with pytest.raises(DataError, match="unparseable numeric"):

@@ -7,7 +7,6 @@ import pytest
 
 from wise.data_model import ColumnSchema, table_from_raw
 from wise.dfi import (
-    ClusterBitFrequency,
     cluster_bit_frequency,
     cluster_weights,
     compute_explanations,
@@ -19,10 +18,13 @@ from wise.dfi import (
     _macro_f1,
 )
 from wise.errors import ConfigError, DataError
+from wise.pipeline import PipelineConfig
+
+EPS = PipelineConfig().eps
 
 
-def freq_of(F):
-    return ClusterBitFrequency(F=np.asarray(F, dtype=float))
+def dfi_of(F):
+    return dfi_scores(np.asarray(F, dtype=float))
 
 
 def random_case(rng, n=60, R=4, k0=5, K=3, d=6):
@@ -36,18 +38,18 @@ def random_case(rng, n=60, R=4, k0=5, K=3, d=6):
 
 def test_frequency_unanimous_and_split():
     L = np.array([[0], [0]])
-    F = cluster_bit_frequency(L, np.zeros(2, dtype=int), K=1, k0=2).F
+    F = cluster_bit_frequency(L, np.zeros(2, dtype=int), K=1, k0=2)
     assert np.allclose(F[0, 0], [1.0, 0.0])
 
     L = np.array([[0], [1]])
-    F = cluster_bit_frequency(L, np.zeros(2, dtype=int), K=1, k0=2).F
+    F = cluster_bit_frequency(L, np.zeros(2, dtype=int), K=1, k0=2)
     assert np.allclose(F[0, 0], [0.5, 0.5])
 
 
 def test_frequency_rows_sum_to_one():
     rng = np.random.default_rng(11)
     L, y, _ = random_case(rng)
-    F = cluster_bit_frequency(L, y, K=3, k0=5).F
+    F = cluster_bit_frequency(L, y, K=3, k0=5)
     assert F.shape == (3, 4, 5)
     assert np.allclose(F.sum(axis=2), 1.0)
     assert np.all(F >= 0.0)
@@ -71,100 +73,100 @@ def test_frequency_rejects_labels_out_of_range(y, L, match):
 
 
 def test_dfi_disjoint_clusters_full_margin():
-    scores = dfi_scores(freq_of([[[1.0, 0.0]], [[0.0, 1.0]]]))
-    assert np.allclose(scores.dfi[0, 0], [1.0, 0.0])
-    assert np.allclose(scores.dfi[1, 0], [0.0, 1.0])
-    assert scores.credits[0, 0] == 1.0
+    dfi = dfi_of([[[1.0, 0.0]], [[0.0, 1.0]]])
+    assert np.allclose(dfi[0, 0], [1.0, 0.0])
+    assert np.allclose(dfi[1, 0], [0.0, 1.0])
+    assert dfi.sum(axis=2)[0, 0] == 1.0
 
 
 def test_dfi_identical_rows_no_margin():
-    scores = dfi_scores(freq_of([[[0.5, 0.5]], [[0.5, 0.5]], [[0.5, 0.5]]]))
-    assert np.all(scores.dfi == 0.0)
-    assert np.all(scores.credits == 0.0)
+    dfi = dfi_of([[[0.5, 0.5]], [[0.5, 0.5]], [[0.5, 0.5]]])
+    assert np.all(dfi == 0.0)
+    assert np.all(dfi.sum(axis=2) == 0.0)
 
 
 def test_dfi_margin_arithmetic():
-    scores = dfi_scores(freq_of([[[0.7, 0.3]], [[0.4, 0.6]]]))
-    assert np.allclose(scores.dfi[0, 0], [0.3, 0.0])
-    assert np.allclose(scores.dfi[1, 0], [0.0, 0.3])
-    assert np.allclose(scores.credits, 0.3)
+    dfi = dfi_of([[[0.7, 0.3]], [[0.4, 0.6]]])
+    assert np.allclose(dfi[0, 0], [0.3, 0.0])
+    assert np.allclose(dfi[1, 0], [0.0, 0.3])
+    assert np.allclose(dfi.sum(axis=2), 0.3)
 
 
 def test_dfi_competitor_is_best_of_the_rest():
     F = [[[0.5, 0.3, 0.2]], [[0.3, 0.4, 0.3]], [[0.2, 0.3, 0.5]]]
-    scores = dfi_scores(freq_of(F))
-    assert np.allclose(scores.dfi[0, 0], [0.2, 0.0, 0.0])
-    assert np.allclose(scores.dfi[1, 0], [0.0, 0.1, 0.0])
-    assert np.allclose(scores.dfi[2, 0], [0.0, 0.0, 0.2])
+    dfi = dfi_of(F)
+    assert np.allclose(dfi[0, 0], [0.2, 0.0, 0.0])
+    assert np.allclose(dfi[1, 0], [0.0, 0.1, 0.0])
+    assert np.allclose(dfi[2, 0], [0.0, 0.0, 0.2])
 
 
 def test_dfi_shared_maximum_is_a_tie():
-    scores = dfi_scores(freq_of([[[0.5, 0.5]], [[0.5, 0.5]], [[0.0, 1.0]]]))
-    assert scores.dfi[0, 0, 0] == 0.0
-    assert scores.dfi[1, 0, 0] == 0.0
+    dfi = dfi_of([[[0.5, 0.5]], [[0.5, 0.5]], [[0.0, 1.0]]])
+    assert dfi[0, 0, 0] == 0.0
+    assert dfi[1, 0, 0] == 0.0
 
 
 def test_dfi_single_cluster_degenerates_with_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="wise.dfi"):
-        scores = dfi_scores(freq_of([[[0.25, 0.75]]]))
+        dfi = dfi_of([[[0.25, 0.75]]])
     assert "single cluster" in caplog.text
-    assert np.allclose(scores.dfi, [[[0.25, 0.75]]])
+    assert np.allclose(dfi, [[[0.25, 0.75]]])
 
 
 def test_dfi_bounds_and_zero_coherence():
     rng = np.random.default_rng(19)
     for _ in range(20):
         L, y, _ = random_case(rng)
-        freq = cluster_bit_frequency(L, y, K=3, k0=5)
-        scores = dfi_scores(freq)
-        assert np.all(scores.dfi >= 0.0)
-        assert np.all(scores.dfi <= freq.F + 1e-15)
-        assert np.all(scores.dfi[freq.F == 0.0] == 0.0)
-        assert np.all(scores.credits >= 0.0)
-        assert np.all(scores.credits <= 1.0 + 1e-12)
+        F = cluster_bit_frequency(L, y, K=3, k0=5)
+        dfi = dfi_scores(F)
+        assert np.all(dfi >= 0.0)
+        assert np.all(dfi <= F + 1e-15)
+        assert np.all(dfi[F == 0.0] == 0.0)
+        assert np.all(dfi.sum(axis=2) >= 0.0)
+        assert np.all(dfi.sum(axis=2) <= 1.0 + 1e-12)
 
 
 def test_credits_invariant_to_round_label_renaming():
     rng = np.random.default_rng(23)
     L, y, _ = random_case(rng)
-    base = dfi_scores(cluster_bit_frequency(L, y, K=3, k0=5)).credits
+    base = dfi_scores(cluster_bit_frequency(L, y, K=3, k0=5)).sum(axis=2)
     perm = rng.permutation(5)
     renamed = L.copy()
     renamed[:, 2] = perm[L[:, 2]]
-    after = dfi_scores(cluster_bit_frequency(renamed, y, K=3, k0=5)).credits
+    after = dfi_scores(cluster_bit_frequency(renamed, y, K=3, k0=5)).sum(axis=2)
     assert np.max(np.abs(base - after)) <= 1e-12
 
 
 def test_cluster_weights_single_round_passthrough():
-    scores = dfi_scores(freq_of([[[1.0, 0.0]], [[0.0, 1.0]]]))
+    dfi = dfi_of([[[1.0, 0.0]], [[0.0, 1.0]]])
     W_views = np.array([[0.2, 0.3, 0.5]])
-    norm, raw, flags = cluster_weights(scores, W_views)
+    norm, raw, flags = cluster_weights(dfi.sum(axis=2), W_views)
     assert np.allclose(norm[0], W_views[0])
     assert np.allclose(raw[0], W_views[0])
     assert flags == []
 
 
 def test_cluster_weights_zero_credit_row_is_flagged():
-    scores = dfi_scores(freq_of([[[0.5, 0.5]], [[0.5, 0.5]]]))
-    norm, raw, flags = cluster_weights(scores, np.array([[0.4, 0.6]]))
+    dfi = dfi_of([[[0.5, 0.5]], [[0.5, 0.5]]])
+    norm, raw, flags = cluster_weights(dfi.sum(axis=2), np.array([[0.4, 0.6]]))
     assert np.all(norm == 0.0) and np.all(raw == 0.0)
     assert flags == [0, 1]
 
 
 def test_cluster_weights_equal_credits_average_views():
     # one cluster, two rounds, both credits 1
-    scores = dfi_scores(freq_of([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]))
-    assert np.allclose(scores.credits, 1.0)
+    dfi = dfi_of([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+    assert np.allclose(dfi.sum(axis=2), 1.0)
     W_views = np.array([[1.0, 0.0], [0.0, 1.0]])
-    norm, raw, _ = cluster_weights(scores, W_views)
+    norm, raw, _ = cluster_weights(dfi.sum(axis=2), W_views)
     assert np.allclose(norm[0], [0.5, 0.5])
     assert np.allclose(raw[0], [1.0, 1.0])
 
 
 def test_cluster_weights_round_count_mismatch():
-    scores = dfi_scores(freq_of([[[1.0, 0.0]], [[0.0, 1.0]]]))
+    dfi = dfi_of([[[1.0, 0.0]], [[0.0, 1.0]]])
     with pytest.raises(ConfigError, match="1 rounds of credits vs 3"):
-        cluster_weights(scores, np.eye(3))
+        cluster_weights(dfi.sum(axis=2), np.eye(3))
 
 
 def unbalanced_case():
@@ -176,12 +178,12 @@ def unbalanced_case():
 
 def test_instance_credit_ratio_hand_value():
     L, y = unbalanced_case()
-    freq = cluster_bit_frequency(L, y, K=2, k0=2)
-    assert np.allclose(freq.F[0, 0], [0.8, 0.2])
-    assert np.allclose(freq.F[1, 0], [0.1, 0.9])
-    scores = dfi_scores(freq)
+    F = cluster_bit_frequency(L, y, K=2, k0=2)
+    assert np.allclose(F[0, 0], [0.8, 0.2])
+    assert np.allclose(F[1, 0], [0.1, 0.9])
+    dfi = dfi_scores(F)
     W_views = np.array([[1.0, 0.0]])
-    raw, norm = instance_weights(L, y, freq, scores, W_views)
+    raw, norm = instance_weights(L, y, F, dfi, W_views, EPS)
     # member of cluster 0 with label 0: credit (0.8-0.1)/0.8
     assert raw[0, 0] == pytest.approx(0.875)
     assert np.allclose(norm[0], [1.0, 0.0])
@@ -192,29 +194,29 @@ def test_instance_credit_ratio_hand_value():
 def test_instance_credit_unanimous_label_is_one():
     L = np.array([[0], [0], [1], [1]])
     y = np.array([0, 0, 1, 1])
-    freq = cluster_bit_frequency(L, y, K=2, k0=2)
-    scores = dfi_scores(freq)
+    F = cluster_bit_frequency(L, y, K=2, k0=2)
+    dfi = dfi_scores(F)
     W_views = np.array([[0.3, 0.7]])
-    raw, norm = instance_weights(L, y, freq, scores, W_views)
+    raw, norm = instance_weights(L, y, F, dfi, W_views, EPS)
     assert np.allclose(raw, [[0.3, 0.7]] * 4)
     assert np.allclose(norm, [[0.3, 0.7]] * 4)
 
 
 def test_instance_weights_rejects_bad_eps():
     L, y = unbalanced_case()
-    freq = cluster_bit_frequency(L, y, K=2, k0=2)
-    scores = dfi_scores(freq)
+    F = cluster_bit_frequency(L, y, K=2, k0=2)
+    dfi = dfi_scores(F)
     with pytest.raises(ConfigError, match="eps"):
-        instance_weights(L, y, freq, scores, np.array([[1.0, 0.0]]), eps=0.0)
+        instance_weights(L, y, F, dfi, np.array([[1.0, 0.0]]), eps=0.0)
 
 
 def test_consistency_exact_on_hand_case():
     L, y = unbalanced_case()
-    freq = cluster_bit_frequency(L, y, K=2, k0=2)
-    scores = dfi_scores(freq)
+    F = cluster_bit_frequency(L, y, K=2, k0=2)
+    dfi = dfi_scores(F)
     W_views = np.array([[1.0, 0.0]])
-    raw, _ = instance_weights(L, y, freq, scores, W_views)
-    _, cluster_raw, _ = cluster_weights(scores, W_views)
+    raw, _ = instance_weights(L, y, F, dfi, W_views, EPS)
+    _, cluster_raw, _ = cluster_weights(dfi.sum(axis=2), W_views)
     # identity holds to the last float digit (one rounding of 0.8 - 0.1)
     assert consistency_check(raw, y, cluster_raw) <= 1e-15
 
@@ -222,7 +224,7 @@ def test_consistency_exact_on_hand_case():
 def test_consistency_single_member_clusters_exact():
     L = np.array([[0, 1], [1, 0], [2, 2]])
     y = np.array([0, 1, 2])
-    expl = compute_explanations(L, y, np.array([[0.6, 0.4], [0.1, 0.9]]), K=3, k0=3)
+    expl = compute_explanations(L, y, np.array([[0.6, 0.4], [0.1, 0.9]]), K=3, k0=3, eps=EPS)
     assert expl.consistency_deviation == 0.0
     assert np.allclose(expl.W_instance_raw, expl.W_cluster_raw[y])
 
@@ -232,7 +234,7 @@ def test_consistency_randomized_pipelines():
     worst = 0.0
     for _ in range(20):
         L, y, W_views = random_case(rng)
-        expl = compute_explanations(L, y, W_views, K=3, k0=5)
+        expl = compute_explanations(L, y, W_views, K=3, k0=5, eps=EPS)
         worst = max(worst, expl.consistency_deviation)
     assert worst <= 1e-9
 
@@ -240,7 +242,7 @@ def test_consistency_randomized_pipelines():
 def test_explanation_bundle_row_conventions():
     rng = np.random.default_rng(37)
     L, y, W_views = random_case(rng)
-    expl = compute_explanations(L, y, W_views, K=3, k0=5)
+    expl = compute_explanations(L, y, W_views, K=3, k0=5, eps=EPS)
     assert np.all(expl.W_cluster >= 0.0)
     for j in range(3):
         total = expl.W_cluster[j].sum()

@@ -22,10 +22,13 @@ from wise.lofo import (
     sense_all,
     views_matrix,
 )
+from wise.pipeline import PipelineConfig
 from wise.synth import SynthParams, synth_table
 
 SENSE_PARAMS = ForestParams(T=6, max_depth=8, min_samples_leaf=5, train_sample_frac=0.5)
 SENSE_SEED = 11
+# the run defaults' explained-row cap and background size
+CAPS = {"explain_cap": PipelineConfig().explain_cap, "background_size": PipelineConfig().background}
 
 
 def cand(uid, quality, s):
@@ -181,7 +184,7 @@ def test_complete_weight_randomized_simplex_and_exact_target_mass():
 def test_candidates_from_forest_scores_every_tree():
     table = copy_feature_table()
     model, X_inputs = lofo_forest(table, 0, SENSE_PARAMS, SENSE_SEED)
-    cands = candidates_from_forest(model, X_inputs, seed=11)
+    cands = candidates_from_forest(model, X_inputs, seed=11, **CAPS)
     assert [c.uid for c in cands] == list(range(SENSE_PARAMS.T))
     for c, fit in zip(cands, model.trees):
         assert c.quality == fit.quality
@@ -195,14 +198,14 @@ def test_candidates_from_forest_falls_back_to_train_rows(caplog):
     model, X_inputs = lofo_forest(table, 0, params, seed=3)
     assert all(fit.heldout_rows.size == 0 for fit in model.trees)
     with caplog.at_level(logging.WARNING, logger="wise.lofo"):
-        cands = candidates_from_forest(model, X_inputs, seed=3)
+        cands = candidates_from_forest(model, X_inputs, seed=3, **CAPS)
     assert "no held-out rows" in caplog.text
     assert len(cands) == 2
 
 
 def test_sense_all_counts_and_ordering():
     table = copy_feature_table()
-    views = sense_all(table, SENSE_PARAMS, QdParams(m=2, lam=0.5), SENSE_SEED)
+    views = sense_all(table, SENSE_PARAMS, QdParams(m=2, lam=0.5), SENSE_SEED, **CAPS)
     assert len(views) == table.d * 2
     assert [(v.target, v.rank) for v in views] == [
         (j, r) for j in range(table.d) for r in range(2)
@@ -212,7 +215,7 @@ def test_sense_all_counts_and_ordering():
 
 def test_sense_all_simplex_and_target_mass():
     table = copy_feature_table()
-    for view in sense_all(table, SENSE_PARAMS, QdParams(m=2, lam=0.5), SENSE_SEED):
+    for view in sense_all(table, SENSE_PARAMS, QdParams(m=2, lam=0.5), SENSE_SEED, **CAPS):
         assert np.all(view.w >= 0.0)
         assert abs(view.w.sum() - 1.0) <= 1e-12
         if view.w[view.target] != 1.0:  # zero-attribution fallback aside
@@ -221,7 +224,7 @@ def test_sense_all_simplex_and_target_mass():
 
 def test_sense_all_detects_functional_dependence():
     table = copy_feature_table()
-    views = [v for v in sense_all(table, SENSE_PARAMS, QdParams(m=2, lam=0.5), SENSE_SEED) if v.target == 0]
+    views = [v for v in sense_all(table, SENSE_PARAMS, QdParams(m=2, lam=0.5), SENSE_SEED, **CAPS) if v.target == 0]
     top = views[0]
     assert top.quality > 0.9
     assert top.w[1] > 0.8
@@ -232,8 +235,8 @@ def test_sense_all_worker_count_is_invisible():
     params = ForestParams(T=4, max_depth=6, min_samples_leaf=5, train_sample_frac=0.5)
     mixed, _ = synth_table(SynthParams(n=200, seed=3))
     for table in (copy_feature_table(n=200), mixed):
-        serial = sense_all(table, params, QdParams(m=2, lam=0.5), seed=2, workers=1)
-        pooled = sense_all(table, params, QdParams(m=2, lam=0.5), seed=2, workers=2)
+        serial = sense_all(table, params, QdParams(m=2, lam=0.5), seed=2, workers=1, **CAPS)
+        pooled = sense_all(table, params, QdParams(m=2, lam=0.5), seed=2, workers=2, **CAPS)
         assert len(serial) == len(pooled) == 2 * table.d
         for a, b in zip(serial, pooled):
             assert (a.target, a.tree, a.rank) == (b.target, b.tree, b.rank)
@@ -244,7 +247,7 @@ def test_sense_all_worker_count_is_invisible():
 def test_sense_all_needs_two_columns():
     table = table_from_raw([ColumnSchema("only", "numeric")], [[0.1], [0.9]])
     with pytest.raises(DataError, match="two columns"):
-        sense_all(table, SENSE_PARAMS, QdParams(m=1, lam=0.5), SENSE_SEED)
+        sense_all(table, SENSE_PARAMS, QdParams(m=1, lam=0.5), SENSE_SEED, **CAPS)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -261,7 +264,7 @@ def test_sense_all_builds_the_design_matrix_once(monkeypatch, tmp_path, workers)
     monkeypatch.setattr(lofo, "design_matrix", counted)
     table, _ = synth_table(SynthParams(n=200, seed=3))
     params = ForestParams(T=2, max_depth=4, min_samples_leaf=5, train_sample_frac=0.5)
-    views = sense_all(table, params, QdParams(m=1, lam=0.5), seed=2, workers=workers)
+    views = sense_all(table, params, QdParams(m=1, lam=0.5), seed=2, workers=workers, **CAPS)
     assert len(views) == table.d > 2
     assert log_path.read_text(encoding="utf-8").splitlines() == ["call"]
 
@@ -270,7 +273,7 @@ def test_full_sample_sensing_warns_once_per_tree(caplog):
     table = copy_feature_table(n=120)
     params = ForestParams(T=3, max_depth=4, min_samples_leaf=5, train_sample_frac=1.0)
     with caplog.at_level(logging.WARNING):
-        views = sense_all(table, params, QdParams(m=1, lam=0.5), seed=4)
+        views = sense_all(table, params, QdParams(m=1, lam=0.5), seed=4, **CAPS)
     held = [r.getMessage() for r in caplog.records if "held-out" in r.getMessage()]
     assert held == [f"tree {u} has no held-out rows; explaining on training rows"
                     for _ in range(table.d) for u in range(params.T)]

@@ -41,7 +41,7 @@ def ari_oracle(y_pred, y_true):
 
 
 def acc_oracle(y_pred, y_true):
-    counts = contingency(y_pred, y_true).counts
+    counts = contingency(y_pred, y_true)
     r, c = counts.shape
     if r <= c:
         best = max(
@@ -55,30 +55,23 @@ def acc_oracle(y_pred, y_true):
 
 
 def test_contingency_small_path_counts_and_string_labels():
-    ct = contingency(["a", "b", "a", "b", "a"], [1, 1, 2, 2, 1])
-    assert ct.counts.tolist() == [[2, 1], [1, 1]]
-    assert ct.row_sums.tolist() == [3, 2]
-    assert ct.col_sums.tolist() == [3, 2]
-    assert ct.n == 5
+    counts = contingency(["a", "b", "a", "b", "a"], [1, 1, 2, 2, 1])
+    assert counts.tolist() == [[2, 1], [1, 1]]
 
-    ct = contingency(["b", "a", "b", "a", "b"], [2, 1, 1, 2, 2])
+    counts = contingency(["b", "a", "b", "a", "b"], [2, 1, 1, 2, 2])
     # rows/cols indexed in sorted label order, not first occurrence: a, b / 1, 2
-    assert ct.counts.tolist() == [[1, 1], [1, 2]]
-    assert ct.row_sums.tolist() == [2, 3]
-    assert ct.col_sums.tolist() == [2, 3]
-    assert ct.n == 5
+    assert counts.tolist() == [[1, 1], [1, 2]]
 
 
 def test_contingency_large_path_matches_manual_counts():
     rng = np.random.default_rng(2)
     y_pred = rng.integers(0, 4, 200)
     y_true = rng.integers(0, 3, 200)
-    ct = contingency(y_pred, y_true)
+    counts = contingency(y_pred, y_true)
     expected = np.zeros((4, 3), dtype=np.int64)
     for a, b in zip(y_pred, y_true):
         expected[a, b] += 1
-    assert np.array_equal(ct.counts, expected)
-    assert ct.counts.sum() == 200
+    assert np.array_equal(counts, expected)
 
 
 def test_contingency_rejects_bad_shapes():

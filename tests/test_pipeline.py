@@ -64,8 +64,9 @@ def test_pipeline_config_validation():
         PipelineConfig(k0=0)
     with pytest.raises(ConfigError, match="k0 and K"):
         PipelineConfig(K=0)
-    with pytest.raises(ConfigError, match="eps"):
-        PipelineConfig(eps=0.0)
+    for eps in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="eps must be finite and positive"):
+            PipelineConfig(eps=eps)
     with pytest.raises(ConfigError, match="alpha0"):
         PipelineConfig(alpha0=1.5)
     with pytest.raises(ConfigError, match="beta0"):
@@ -76,6 +77,13 @@ def test_pipeline_config_validation():
     for name in ("explain_cap", "background"):
         with pytest.raises(ConfigError, match="explain_cap and background"):
             PipelineConfig(**{name: 0})
+
+
+def test_ablation_views_allow_m_above_T():
+    # ablation runs train no forest, so m need not fit in one
+    config = PipelineConfig(forest=ForestParams(T=1), qd=QdParams(m=2))
+    views = make_views(random_mixed_table(np.random.default_rng(1), n=40), config, ablation="gaussian")
+    assert len(views) == 2 * 4
 
 
 def test_uniform_ablation_views():
