@@ -10,15 +10,23 @@ FreqItem value is 1.0 and every row total, intersection and union is an
 exact small integer in float64, so each weighted Jaccard distance is the
 same IEEE division as the integer plain-Jaccard one.
 
-Seeding is a two-level MinHash scheme: band signatures group rows into
-buckets, bucket sketches are hashed again to merge near-duplicate
-buckets into bins, and each bin contributes one FreqItem candidate;
-candidates are deduplicated and reduced to k by a distance-weighted
-sampling pass.  The level-2 work is batched: buckets form one sparse
-membership matrix M, so ``M @ X`` yields every bucket's integer column
-counts at once; one ICWS grid over all coordinates supplies every bucket
-sketch; bins are unions of buckets with equal sketches, numbered by
-first occurrence, and their counts come from one more product.
+Seeding is a two-level MinHash scheme run on distinct effective codes:
+rows that agree on every coordinate of positive weight are one point
+to the kernel, so X is first mapped to its distinct rows under omega
+(zero-weight coordinates dropped), each with an integer multiplicity.
+Band signatures group codes into buckets (a group whose multiplicities
+sum to at least two), bucket sketches are hashed again to merge
+near-duplicate buckets into bins, and each bin contributes one FreqItem
+candidate; candidates are deduplicated and reduced to k by a
+distance-weighted sampling pass.  The level-2 work is batched: buckets
+form one sparse membership matrix M holding the members'
+multiplicities, so ``M @ X_codes`` yields every bucket's integer column
+counts over rows at once; one ICWS grid over all coordinates supplies
+every bucket sketch; bins are unions of buckets with equal sketches,
+numbered by first occurrence, and their counts come from one more
+product.  Every count is the exact integer the rows give, so the
+candidates are those of row-level seeding; padding and the Lloyd loop
+run on rows.
 """
 
 from __future__ import annotations
@@ -209,7 +217,8 @@ def cws_signatures(X: sparse.csr_matrix, omega, hash_ids: np.ndarray, seed: int)
     for hi in range(len(hash_ids)):
         kv = keys[hi][cols]
         pos = _segment_argmin(kv, X.indptr)
-        ok = (pos >= 0) & np.isfinite(kv[np.maximum(pos, 0)])
+        ok = pos >= 0
+        ok[ok] = np.isfinite(kv[pos[ok]])
         coords_out[ok, hi] = cols[pos[ok]]
         comp_out[ok, hi] = tks[hi][cols[pos[ok]]]
     return coords_out, comp_out
@@ -280,15 +289,43 @@ def _distances(X, row_tot, omega, centers) -> np.ndarray:
 # --- SILK-style seeding -------------------------------------------------------
 
 
-def _band_buckets(coords: np.ndarray, comps: np.ndarray, nonempty: np.ndarray, params: ClusterParams):
-    """Group nonempty rows by identical band signatures, per table.
+def _effective_codes(X: sparse.csr_matrix, omega: np.ndarray):
+    """Distinct rows of X under omega: (codes, inverse, mult).
 
-    Returns the bucket membership matrix (buckets x n): one row per group
-    of at least two rows, in (table, band, signature) order.
+    A row's code is its support without zero-weight coordinates.  ``codes``
+    holds each distinct code once, as a copy of its first row with those
+    coordinates dropped; row i has code ``inverse[i]``, and code c has
+    ``mult[c]`` rows.  Rows with no positive-weight coordinate share one
+    empty code.
+    """
+    n = X.shape[0]
+    keep = omega[X.indices] > 0
+    row = np.repeat(np.arange(n), np.diff(X.indptr))[keep]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    eff = sparse.csr_matrix((X.data[keep], X.indices[keep], indptr), shape=X.shape)
+    # each row's coordinates padded with -1; at least one column, since a
+    # zero-width byte view would have no elements
+    padded = np.full((n, max(int(np.diff(indptr).max()), 1)), -1, dtype=eff.indices.dtype)
+    padded[row, np.arange(row.size) - indptr[row]] = eff.indices
+    view = padded.view(np.dtype((np.void, padded.itemsize * padded.shape[1]))).ravel()
+    _, first, inverse, mult = np.unique(view, return_index=True, return_inverse=True,
+                                        return_counts=True)
+    return eff[first], inverse, mult
+
+
+def _band_buckets(coords: np.ndarray, comps: np.ndarray, live: np.ndarray, mult: np.ndarray,
+                  params: ClusterParams):
+    """Group live codes by identical band signatures, per table.
+
+    Returns the bucket membership matrix (buckets x codes) holding the
+    members' multiplicities: one row per group of at least two rows (a
+    lone code of multiplicity two is a bucket), in (table, band,
+    signature) order.
     """
     n = coords.shape[0]
-    live = np.flatnonzero(nonempty)
-    coords, comps = coords[live], comps[live]
+    live = np.flatnonzero(live)
+    coords, comps, weight = coords[live], comps[live], mult[live]
     members, sizes = [], []
     for h in range(0, params.lsh_tables * params.lsh_bands * params.lsh_rows, params.lsh_rows):
         sig = np.concatenate(
@@ -300,20 +337,20 @@ def _band_buckets(coords: np.ndarray, comps: np.ndarray, nonempty: np.ndarray, p
         ).ravel()
         _, inverse, counts = np.unique(view, return_inverse=True, return_counts=True)
         order = np.argsort(inverse, kind="stable")
-        shared = counts >= 2
+        shared = np.bincount(inverse, weights=weight) >= 2
         members.append(live[order[shared[inverse[order]]]])
         sizes.append(counts[shared])
     indices = np.concatenate(members)
     indptr = np.zeros(sum(c.size for c in sizes) + 1, dtype=np.int64)
     np.cumsum(np.concatenate(sizes), out=indptr[1:])
-    data = np.ones(indices.size, dtype=np.int64)
-    return sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, n))
+    return sparse.csr_matrix((mult[indices], indices, indptr), shape=(indptr.size - 1, n))
 
 
 def _bin_candidates(
     X: sparse.csr_matrix,
     omega: np.ndarray,
     buckets: sparse.csr_matrix,
+    mult: np.ndarray,
     beta: float,
     hash_ids: np.ndarray,
     seed: int,
@@ -323,7 +360,9 @@ def _bin_candidates(
 
     Each bucket's FreqItem is sketched with the ``hash_ids`` band, and
     buckets whose sketches agree merge into one bin holding the union of
-    their members.  Bins are ordered by first occurrence, then stably by
+    their members.  ``X`` holds the codes, ``mult`` their multiplicities
+    and ``buckets`` the members' multiplicities, so every count and size
+    is over rows.  Bins are ordered by first occurrence, then stably by
     decreasing size.
     """
     if buckets.shape[0] == 0:
@@ -348,8 +387,8 @@ def _bin_candidates(
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
     union = _indicator(rank[inverse.ravel()], first.size) @ buckets
-    union.data[:] = 1
-    sizes = np.diff(union.indptr)
+    union.data = mult[union.indices]
+    sizes = np.asarray(union.sum(axis=1)).ravel()
     top = np.argsort(-sizes, kind="stable")[:cap]
     return _as_centers(_freqitems(union[top] @ X, omega, beta), sizes[top])
 
@@ -394,22 +433,25 @@ def silk_seed(
     if n < k:
         raise DataError(f"need at least k={k} rows, got {n}")
     rng = np.random.default_rng(derive_seed(params.seed, "silk"))
+    codes, inverse, mult = _effective_codes(X, omega)
     level1 = params.lsh_tables * params.lsh_bands * params.lsh_rows
-    coords, comps = cws_signatures(X, omega, np.arange(level1, dtype=np.int64), params.seed)
-    nonempty = coords[:, 0] >= 0
-    if not np.any(nonempty):
+    coords, comps = cws_signatures(codes, omega, np.arange(level1, dtype=np.int64), params.seed)
+    live = coords[:, 0] >= 0
+    if not np.any(live):
         raise DataError("all rows have empty effective support")
 
-    buckets = _band_buckets(coords, comps, nonempty, params)
+    buckets = _band_buckets(coords, comps, live, mult, params)
 
     # Level 2: sketch each bucket's FreqItem with a short hash band and
     # merge buckets whose signatures agree.  A band, not a single hash:
     # one hash collides with probability J_w, which would glue together
     # buckets that are only mildly similar.
     level2_ids = level1 + np.arange(4, dtype=np.int64)
-    candidates = _bin_candidates(X, omega, buckets, params.beta, level2_ids, params.seed,
-                                 cap=max(4 * k, 32))
-    return _seed_from_candidates(candidates, X, omega, nonempty, params, rng)
+    candidates = _bin_candidates(codes, omega, buckets, mult, params.beta, level2_ids,
+                                 params.seed, cap=max(4 * k, 32))
+    log.debug("silk_seed: %d rows, %d distinct codes, %d buckets, %d candidates",
+              n, mult.size, buckets.shape[0], len(candidates))
+    return _seed_from_candidates(candidates, X, omega, live[inverse], params, rng)
 
 
 def _reduce_candidates(cands, weights, sim, k, rng) -> list[FreqItemCenter]:

@@ -166,10 +166,13 @@ def test_cluster_params_validation():
         ClusterParams(k=2, max_iter=0)
 
 
-def test_silk_seed_recovers_disjoint_supports():
+def test_silk_seed_recovers_disjoint_supports(caplog):
     X, _ = repeated_disjoint(k=4, copies=6)
     params = ClusterParams(k=4, seed=13)
-    centers = silk_seed(X, np.ones(X.shape[1]), params)
+    with caplog.at_level(logging.DEBUG, logger="wise.wkfreq"):
+        centers = silk_seed(X, np.ones(X.shape[1]), params)
+    # each code is alone in all 32 of its band groups; equal bucket sketches merge
+    assert "24 rows, 4 distinct codes, 128 buckets, 4 candidates" in caplog.text
     got = sorted(tuple(c.idx.tolist()) for c in centers)
     want = sorted(tuple(range(c * 5, c * 5 + 5)) for c in range(4))
     assert got == want
@@ -193,6 +196,8 @@ def test_silk_seed_k1_and_too_few_rows():
     assert centers[0].idx.tolist() == [0, 1, 2, 3, 4]
     with pytest.raises(DataError, match="need at least"):
         silk_seed(X[:0], ones, ClusterParams(k=1, seed=0))
+    with pytest.raises(DataError, match="empty effective support"):
+        silk_seed(X, np.zeros(X.shape[1]), ClusterParams(k=1, seed=0))
 
 
 def _silk_inputs():
@@ -210,6 +215,28 @@ def _silk_inputs():
     yield "duplicate rows, unweighted", dup, np.ones(30), ClusterParams(k=6, seed=2)
     single, _ = repeated_disjoint(k=3, copies=1)
     yield "no buckets", single, np.ones(15), ClusterParams(k=3, seed=5)
+    # seeding runs on distinct effective codes; the row-level oracle sees rows
+    codes = random_sparse_binary(rng, n=6, p=20)
+    noise = random_sparse_binary(rng, n=90, p=10, min_nnz=0, max_nnz=4)
+    X = sparse.hstack([codes[rng.integers(0, 6, 90)], noise], format="csr")
+    omega = np.concatenate([rng.uniform(0.2, 1.0, 20), np.zeros(10)])
+    yield "rows differing only in zero-weight bits", X, omega, ClusterParams(k=4, seed=6)
+    # disjoint codes never share a band signature, so every bucket is one
+    # code whose two rows differ in a zero-weight bit
+    pair, _ = repeated_disjoint(k=3, copies=2)
+    X = sparse.hstack([pair, sparse.csr_matrix(np.arange(6)[:, None] % 2)], format="csr")
+    yield "lone codes of multiplicity two", X, np.r_[np.ones(15), 0.0], ClusterParams(k=3, seed=5)
+    # 10 rows of one code and 4 with empty effective support: padding must
+    # skip the empty ones
+    code = sparse.csr_matrix(np.repeat([[1], [0]], [10, 4], axis=0) * np.ones((14, 4)))
+    X = sparse.hstack([code, random_sparse_binary(rng, 14, 6, 1, 3)], format="csr")
+    omega = np.r_[np.full(4, 0.5), np.zeros(6)]
+    yield "one effective code, k=3", X, omega, ClusterParams(k=3, seed=4)
+    # 30 rows carry only the 6 zero-weight bits
+    empty = sparse.hstack([random_sparse_binary(rng, 30, 6, 1, 4), sparse.csr_matrix((30, 6))])
+    X = sparse.vstack([empty, random_sparse_binary(rng, 60, 12)], format="csr")[rng.permutation(90)]
+    omega = np.r_[np.zeros(6), rng.uniform(0.3, 1.0, 6)]
+    yield "empty and non-empty effective supports", X, omega, ClusterParams(k=4, seed=9)
 
 
 def test_silk_seed_matches_per_bucket_reference():
@@ -356,3 +383,28 @@ def test_cluster_repairs_empty_clusters():
     res = cluster(X, ClusterParams(k=3, seed=11))
     assert np.bincount(res.labels, minlength=3).min() >= 1
 
+
+def test_cluster_on_duplicate_codes_matches_row_level_oracle():
+    # disjoint effective codes, copied into rows that differ only in
+    # zero-weight bits, with k above the code count: every candidate is a
+    # whole code, so seeding pads with a duplicate row; a duplicated center
+    # never wins an argmin, so the first assignment leaves a cluster empty
+    # and repair refills it
+    rng = np.random.default_rng(17)
+    for n_codes, k in [(2, 4), (3, 5), (4, 6)]:
+        bounds = np.r_[0, np.cumsum(rng.integers(2, 6, n_codes))]
+        base = sparse.csr_matrix(
+            (np.ones(bounds[-1], dtype=np.uint8), np.arange(bounds[-1]), bounds))
+        noise = random_sparse_binary(rng, n=120, p=8, min_nnz=0, max_nnz=3)
+        X = sparse.hstack([base[rng.integers(0, n_codes, 120)], noise], format="csr")
+        # one weight per code, so each candidate is its whole code
+        weights = np.r_[np.repeat(rng.uniform(0.2, 2.0, n_codes), np.diff(bounds)), np.zeros(8)]
+        params = ClusterParams(k=k, seed=int(rng.integers(2**31)))
+        seeds = reference_silk_seed(X, weights / weights.max(), params)
+        assert len({c.idx.tobytes() for c in seeds}) == n_codes
+        got = cluster(X, params, weights)
+        labels, centers, mean, n_iter = reference_lloyd(X, params, weights, seeds)
+        assert np.array_equal(got.labels, labels)
+        assert_same_centers(got.centers, centers)
+        assert got.mean_distance == mean
+        assert got.n_iter == n_iter
