@@ -47,6 +47,10 @@ class ForestParams:
         if self.features_per_split is not None and not (0.0 < self.features_per_split <= 1.0):
             raise ConfigError("features_per_split must lie in (0, 1]")
 
+    def sample_size(self, n: int) -> int:
+        """Training rows each tree draws from n; the rest are held out."""
+        return max(1, int(round(self.train_sample_frac * n)))
+
 
 @dataclass
 class TreeNode:
@@ -561,7 +565,7 @@ def train_forest(
     ``derive_seed(seed, "tree", u)``.
     """
     n = X.shape[0]
-    sample_size = max(1, int(round(params.train_sample_frac * n)))
+    sample_size = params.sample_size(n)
     rngs, train, heldout = [], [], []
     for u in range(params.T):
         rng = np.random.default_rng(derive_seed(seed, "tree", u))

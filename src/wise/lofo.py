@@ -11,7 +11,6 @@ the remaining 1-q kept on the target column itself.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ from .data_model import MixedTable, design_matrix
 from .errors import ConfigError, DataError
 from .forest import ForestModel, ForestParams, train_forest
 from .treeshap import aggregate_global
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -158,10 +155,6 @@ def candidates_from_forest(
     out = []
     for u, fit in enumerate(model.trees):
         explain = fit.heldout_rows
-        if explain.size == 0:
-            # degenerate train_sample_frac=1 case: explain on the training rows
-            log.warning("tree %d has no held-out rows; explaining on training rows", u)
-            explain = fit.train_rows
         rng = np.random.default_rng(derive_seed(seed, "explain", u))
         if explain.size > explain_cap:
             explain = np.sort(rng.choice(explain, size=explain_cap, replace=False))
@@ -212,6 +205,10 @@ def sense_all(
         raise ConfigError(f"cannot select m={qd_params.m} trees from forests of T={forest_params.T}")
     if table.d < 2:
         raise DataError("weight sensing needs at least two columns")
+    if forest_params.sample_size(table.n) >= table.n:
+        # trees are scored and explained on their held-out rows
+        raise ConfigError(f"train_sample_frac={forest_params.train_sample_frac} "
+                          f"leaves no held-out rows for n={table.n}")
     X, is_nominal = design_matrix(table)
     n_classes = [col.n_levels() if col.kind == "nominal" else 0 for col in table.schema]
     shared = (X, is_nominal, n_classes, forest_params, qd_params, seed, explain_cap, background_size)

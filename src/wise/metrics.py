@@ -25,13 +25,11 @@ def contingency(y_pred, y_true) -> np.ndarray:
         raise DataError(f"label shapes differ: {y_pred.shape} vs {y_true.shape}")
     if y_pred.size == 0:
         raise DataError("empty label arrays")
-    # labels index rows and columns in sorted order, as np.unique would
-    pred, true = y_pred.tolist(), y_true.tolist()
-    rows = {a: i for i, a in enumerate(sorted(set(pred)))}
-    cols = {b: j for j, b in enumerate(sorted(set(true)))}
-    width = len(cols)
-    cells = [rows[a] * width + cols[b] for a, b in zip(pred, true)]
-    return np.bincount(cells, minlength=len(rows) * width).reshape(len(rows), width)
+    # np.unique sorts, so rows and columns follow sorted label order
+    rows, pi = np.unique(y_pred, return_inverse=True)
+    cols, ti = np.unique(y_true, return_inverse=True)
+    width = cols.size
+    return np.bincount(pi * width + ti, minlength=rows.size * width).reshape(rows.size, width)
 
 
 def _comb2(x) -> int:
@@ -99,28 +97,36 @@ def acc_hungarian(y_pred, y_true) -> float:
     return float(counts[rows, cols].sum()) / int(counts.sum())
 
 
-def _gower_block(A: np.ndarray, B: np.ndarray, is_nominal: np.ndarray) -> np.ndarray:
-    """Mean per-column Gower dissimilarity between row blocks A and B."""
-    out = np.zeros((A.shape[0], B.shape[0]))
-    for j in range(A.shape[1]):
-        diff = A[:, j, None] - B[None, :, j]
-        if is_nominal[j]:
-            out += (diff != 0).astype(np.float64)
-        else:
-            out += np.abs(diff)
-    return out / A.shape[1]
-
-
 SWC_SUBSAMPLE = 5000
 
 
-def swc_gower(table: MixedTable, y, subsample_size: int = SWC_SUBSAMPLE, seed: int = 0) -> float:
-    """Mean silhouette under unweighted Gower distance.
+def _gower_cluster_sums(v: np.ndarray, nominal: bool, yi: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(m, K) sums of one column's Gower distances from each point to each cluster.
 
-    Rows beyond subsample_size are subsampled with the given seed (same
-    seed, same subsample).  Singleton clusters contribute 0; so does a
-    point whose best inter- and intra-distance are both 0.
+    Nominal: the cluster's rows at another level, an exact integer count.
+    Unit scalar: with the cluster's values sorted and prefix sums ``pre``,
+    ``lo``/``hi`` the counts below / at most v, the sum of |v - s| is
+    ``v*lo - pre[lo] + (pre[-1] - pre[hi]) - v*(size - hi)``; equal values
+    add exactly 0.
     """
+    m, K = v.size, sizes.size
+    if nominal:
+        present, codes = np.unique(v, return_inverse=True)
+        levels = present.size
+        same = np.bincount(yi * levels + codes, minlength=K * levels).reshape(K, levels)
+        return (sizes[:, None] - same[:, codes]).T.astype(np.float64)
+    out = np.empty((m, K))
+    for k in range(K):
+        s = np.sort(v[yi == k])
+        pre = np.concatenate(([0.0], np.cumsum(s)))
+        lo = np.searchsorted(s, v, side="left")
+        hi = np.searchsorted(s, v, side="right")
+        out[:, k] = v * lo - pre[lo] + (pre[-1] - pre[hi]) - v * (sizes[k] - hi)
+    return out
+
+
+def _swc_scores(table: MixedTable, y, subsample_size: int, seed: int) -> np.ndarray:
+    """Per-point silhouettes of the (sub)sampled rows, in row order; see swc_gower."""
     y = np.asarray(y)
     if y.size != table.n:
         raise DataError(f"{y.size} labels for {table.n} rows")
@@ -134,35 +140,37 @@ def swc_gower(table: MixedTable, y, subsample_size: int = SWC_SUBSAMPLE, seed: i
     K = labels.size
     if K < 2:
         raise DataError("silhouette needs at least 2 clusters in the sample")
-    # numeric columns scale over the subsample, not the full table
-    cols = np.column_stack([unit_column(table, j, rows) for j in range(table.d)])
-    is_nominal = np.array([c.kind == "nominal" for c in table.schema])
     m = rows.size
     sizes = np.bincount(yi, minlength=K)
-    onehot = np.zeros((m, K))
-    onehot[np.arange(m), yi] = 1.0
+    # total Gower distance of each point to each cluster, never an m x m matrix;
+    # numeric columns scale over the subsample, not the full table
+    sums = np.zeros((m, K))
+    for j, col in enumerate(table.schema):
+        sums += _gower_cluster_sums(unit_column(table, j, rows), col.kind == "nominal", yi, sizes)
+    sums /= table.d
 
-    scores = np.zeros(m)
-    chunk = 512
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        D = _gower_block(cols[start:stop], cols, is_nominal)
-        sums = D @ onehot                     # (chunk, K) total distance to each cluster
-        own = yi[start:stop]
-        block = np.arange(stop - start)
-        a_tot = sums[block, own]
-        own_size = sizes[own]
-        # mean intra distance excludes the point itself
-        with np.errstate(invalid="ignore", divide="ignore"):
-            a = np.where(own_size > 1, a_tot / np.maximum(own_size - 1, 1), 0.0)
-        mean_other = sums / sizes[None, :]
-        mean_other[block, own] = np.inf
-        b = mean_other.min(axis=1)
-        denom = np.maximum(a, b)
-        s = np.where(denom > 0, (b - a) / np.maximum(denom, 1e-300), 0.0)
-        s = np.where(own_size > 1, s, 0.0)
-        scores[start:stop] = s
-    return float(scores.mean())
+    points = np.arange(m)
+    a_tot = sums[points, yi]
+    own_size = sizes[yi]
+    # mean intra distance excludes the point itself
+    a = np.where(own_size > 1, a_tot / np.maximum(own_size - 1, 1), 0.0)
+    mean_other = sums / sizes[None, :]
+    mean_other[points, yi] = np.inf
+    b = mean_other.min(axis=1)
+    denom = np.maximum(a, b)
+    s = np.where(denom > 0, (b - a) / np.maximum(denom, 1e-300), 0.0)
+    return np.where(own_size > 1, s, 0.0)
+
+
+def swc_gower(table: MixedTable, y, subsample_size: int = SWC_SUBSAMPLE, seed: int = 0) -> float:
+    """Mean silhouette under unweighted Gower distance, exact.
+
+    Rows beyond subsample_size are subsampled with the given seed (same
+    seed, same subsample).  Singleton clusters contribute 0; so does a
+    point whose best inter- and intra-distance are both 0.  Cost is
+    O(d K m log m) for m sampled rows and K clusters.
+    """
+    return float(_swc_scores(table, y, subsample_size, seed).mean())
 
 
 def evaluate(table: MixedTable, y_pred, y_true=None, seed: int = 0) -> dict:

@@ -8,7 +8,7 @@ from math import factorial
 import numpy as np
 
 from wise._rng import derive_seed
-from wise.data_model import ColumnSchema, design_matrix, table_from_raw
+from wise.data_model import ColumnSchema, design_matrix, table_from_raw, unit_column
 from wise.errors import ConfigError, DataError
 from wise.forest import (
     ForestModel,
@@ -21,6 +21,7 @@ from wise.forest import (
     train_forest,
     train_tree,
 )
+from wise.metrics import SWC_SUBSAMPLE
 from wise.treeshap import _weight_tables
 from wise.wkfreq import (
     FreqItemCenter,
@@ -650,3 +651,63 @@ def reference_lloyd(X, params, weights, initial_centers):
             sizes = np.bincount(labels, minlength=params.k)
             centers = _as_centers(_freqitems(_indicator(labels, params.k) @ X, omega, params.alpha), sizes)
     return labels, centers, final_mean, n_iter
+
+
+def _gower_block(A: np.ndarray, B: np.ndarray, is_nominal: np.ndarray) -> np.ndarray:
+    """Mean per-column Gower dissimilarity between row blocks A and B."""
+    out = np.zeros((A.shape[0], B.shape[0]))
+    for j in range(A.shape[1]):
+        diff = A[:, j, None] - B[None, :, j]
+        if is_nominal[j]:
+            out += (diff != 0).astype(np.float64)
+        else:
+            out += np.abs(diff)
+    return out / A.shape[1]
+
+
+def reference_swc_scores(table, y, subsample_size=SWC_SUBSAMPLE, seed=0):
+    """Per-point Gower silhouettes from the pairwise distance matrix, in 512-row chunks.
+
+    Same subsample, conventions and errors as ``metrics.swc_gower``, which
+    returns the mean of these scores.
+    """
+    y = np.asarray(y)
+    if y.size != table.n:
+        raise DataError(f"{y.size} labels for {table.n} rows")
+    rng = np.random.default_rng(seed)
+    if table.n > subsample_size:
+        rows = np.sort(rng.choice(table.n, size=subsample_size, replace=False))
+    else:
+        rows = np.arange(table.n)
+    ys = y[rows]
+    labels, yi = np.unique(ys, return_inverse=True)
+    K = labels.size
+    if K < 2:
+        raise DataError("silhouette needs at least 2 clusters in the sample")
+    cols = np.column_stack([unit_column(table, j, rows) for j in range(table.d)])
+    is_nominal = np.array([c.kind == "nominal" for c in table.schema])
+    m = rows.size
+    sizes = np.bincount(yi, minlength=K)
+    onehot = np.zeros((m, K))
+    onehot[np.arange(m), yi] = 1.0
+
+    scores = np.zeros(m)
+    chunk = 512
+    for start in range(0, m, chunk):
+        stop = min(start + chunk, m)
+        D = _gower_block(cols[start:stop], cols, is_nominal)
+        sums = D @ onehot                     # (chunk, K) total distance to each cluster
+        own = yi[start:stop]
+        block = np.arange(stop - start)
+        a_tot = sums[block, own]
+        own_size = sizes[own]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a = np.where(own_size > 1, a_tot / np.maximum(own_size - 1, 1), 0.0)
+        mean_other = sums / sizes[None, :]
+        mean_other[block, own] = np.inf
+        b = mean_other.min(axis=1)
+        denom = np.maximum(a, b)
+        s = np.where(denom > 0, (b - a) / np.maximum(denom, 1e-300), 0.0)
+        s = np.where(own_size > 1, s, 0.0)
+        scores[start:stop] = s
+    return scores

@@ -3,14 +3,17 @@
 import argparse
 import csv
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from wise import cli, lofo
+from wise.data_model import ColumnSchema, table_from_raw, write_table
 from wise.errors import ConfigError, DataError
 from wise.lofo import FeatureWeightVector
+from wise.metrics import evaluate
 from wise.pipeline import DEFAULT_SEED, PipelineConfig
 
 FAST_OVERRIDES = [
@@ -476,6 +479,54 @@ def test_run_rejects_m_above_T_before_any_forest_is_trained(tmp_path, capsys, mo
                    "--set", "T=3"])
     assert rc == 2
     assert "m=5 trees from forests of T=3" in capsys.readouterr().err
+
+
+def test_run_rejects_full_sample_sensing_before_any_forest_is_trained(tmp_path, capsys, monkeypatch):
+    csv_path, schema_path = synth_dataset(tmp_path, n=60)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a forest was trained without held-out rows")
+
+    monkeypatch.setattr(lofo, "train_forest", never)
+    rc = cli.main(["run", "--data", str(csv_path), "--schema", str(schema_path), "--truth-column",
+                   "label", "--out", str(tmp_path / "x"), "--workers", "1",
+                   "--set", "train_sample_frac=1.0"])
+    assert rc == 2
+    assert "train_sample_frac=1.0 leaves no held-out rows for n=60" in capsys.readouterr().err
+
+
+ORD = ColumnSchema("grade", "ordinal", ordered_levels=["lo", "mid", "hi"])
+DEGENERATE_TABLES = {   # schema, rows, labels
+    "all-nominal": ([ColumnSchema("a", "nominal"), ColumnSchema("b", "nominal")],
+                    [("x", "p"), ("x", "q"), ("y", "p"), ("y", "q"), ("x", "p")], [0, 0, 1, 1, 0]),
+    "one-numeric": ([ColumnSchema("x", "numeric")],
+                    [(0.5,), (0.5,), (2.0,), (-1.0,)], [0, 1, 1, 0]),
+    "all-constant": ([ColumnSchema("x", "numeric"), ColumnSchema("c", "nominal"), ORD],
+                     [(3.0, "k", "mid")] * 4, [0, 0, 1, 1]),
+    "two-rows": ([ColumnSchema("x", "numeric"), ColumnSchema("c", "nominal")],
+                 [(0.0, "a"), (1.0, "b")], [0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", list(DEGENERATE_TABLES))
+def test_evaluate_scores_degenerate_tables(tmp_path, case):
+    schema, rows, labels = DEGENERATE_TABLES[case]
+    table = table_from_raw(schema, rows)
+    swc = evaluate(table, labels, labels)["swc"]
+    assert swc is None or (math.isfinite(swc) and -1.0 <= swc <= 1.0)
+
+    csv_path, schema_path, labels_path = (tmp_path / name for name in
+                                          ("data.csv", "schema.json", "labels.csv"))
+    write_table(table, csv_path, truth=labels)
+    schema_path.write_text(json.dumps([
+        {"name": c.name, "kind": c.kind} | ({"ordered_levels": c.ordered_levels} if c.ordered_levels else {})
+        for c in schema]))
+    cli.write_labels(labels_path, labels)
+    out = tmp_path / "metrics.json"
+    rc = cli.main(["evaluate", "--data", str(csv_path), "--schema", str(schema_path),
+                   "--truth-column", "label", "--labels", str(labels_path), "--out", str(out)])
+    assert rc == 0   # each of these tables has a valid result, so no exit 2 or 3 either
+    assert json.loads(out.read_text())["swc"] == swc
 
 
 def test_write_json_rejects_non_finite_numbers(tmp_path):

@@ -32,7 +32,7 @@ CLI_DIGESTS = {
     "weights.csv": "0932b3433a55416b53321e94ea7978a2",
     "result.json": "0e6f16c7be9648cd26b000d98463caff",
     "explanations.json": "4d3c077a960bc8fd5bd5f43ea4018dc1",
-    "metrics.json": "b6a518deb9dd043da5db9d6bbbd1fe29",
+    "metrics.json": "6b7e5a68499fb79307ad64e369a7e723",
 }
 
 # run_wise, 1 worker, deep-sense settings on the n=400 table of synth seed 4

@@ -1,7 +1,5 @@
 """Quality-diversity view selection and simplex completion."""
 
-import logging
-
 import numpy as np
 import pytest
 
@@ -192,17 +190,6 @@ def test_candidates_from_forest_scores_every_tree():
         assert np.all(c.s >= 0.0)
 
 
-def test_candidates_from_forest_falls_back_to_train_rows(caplog):
-    table = copy_feature_table(n=120)
-    params = ForestParams(T=2, max_depth=4, min_samples_leaf=5, train_sample_frac=1.0)
-    model, X_inputs = lofo_forest(table, 0, params, seed=3)
-    assert all(fit.heldout_rows.size == 0 for fit in model.trees)
-    with caplog.at_level(logging.WARNING, logger="wise.lofo"):
-        cands = candidates_from_forest(model, X_inputs, seed=3, **CAPS)
-    assert "no held-out rows" in caplog.text
-    assert len(cands) == 2
-
-
 def test_sense_all_counts_and_ordering():
     table = copy_feature_table()
     views = sense_all(table, SENSE_PARAMS, QdParams(m=2, lam=0.5), SENSE_SEED, **CAPS)
@@ -269,12 +256,22 @@ def test_sense_all_builds_the_design_matrix_once(monkeypatch, tmp_path, workers)
     assert log_path.read_text(encoding="utf-8").splitlines() == ["call"]
 
 
-def test_full_sample_sensing_warns_once_per_tree(caplog):
+@pytest.mark.parametrize("frac", [1.0, 0.996])   # 0.996 * 120 rounds to 120
+def test_full_sample_sensing_is_rejected_before_any_forest_is_trained(monkeypatch, frac):
+    def never(*args, **kwargs):
+        raise AssertionError("a forest was trained without held-out rows")
+
+    monkeypatch.setattr(lofo, "train_forest", never)
     table = copy_feature_table(n=120)
-    params = ForestParams(T=3, max_depth=4, min_samples_leaf=5, train_sample_frac=1.0)
-    with caplog.at_level(logging.WARNING):
-        views = sense_all(table, params, QdParams(m=1, lam=0.5), seed=4, **CAPS)
-    held = [r.getMessage() for r in caplog.records if "held-out" in r.getMessage()]
-    assert held == [f"tree {u} has no held-out rows; explaining on training rows"
-                    for _ in range(table.d) for u in range(params.T)]
-    assert all(v.quality == 0.0 for v in views)
+    params = ForestParams(T=3, max_depth=4, min_samples_leaf=5, train_sample_frac=frac)
+    with pytest.raises(ConfigError, match=rf"train_sample_frac={frac} .*n=120"):
+        sense_all(table, params, QdParams(m=1, lam=0.5), seed=4, **CAPS)
+
+
+def test_sensing_with_one_held_out_row_per_tree_is_accepted():
+    table = copy_feature_table(n=120)
+    params = ForestParams(T=3, max_depth=4, min_samples_leaf=5, train_sample_frac=0.99)
+    model, _ = lofo_forest(table, 0, params, seed=4)
+    assert all(fit.heldout_rows.size == 1 for fit in model.trees)
+    views = sense_all(table, params, QdParams(m=1, lam=0.5), seed=4, **CAPS)
+    assert len(views) == table.d

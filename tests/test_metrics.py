@@ -6,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from helpers import numeric_table
+from helpers import numeric_table, reference_swc_scores
 from wise.data_model import ColumnSchema, table_from_raw
 from wise.errors import DataError
 from wise.metrics import (
@@ -16,6 +16,7 @@ from wise.metrics import (
     evaluate,
     nmi,
     purity,
+    _swc_scores,
     swc_gower,
 )
 
@@ -63,6 +64,16 @@ def test_contingency_small_path_counts_and_string_labels():
     assert counts.tolist() == [[1, 1], [1, 2]]
 
 
+def contingency_oracle(y_pred, y_true):
+    """Counts via dicts keyed by label, rows and columns in sorted label order."""
+    rows = {a: i for i, a in enumerate(sorted(set(y_pred)))}
+    cols = {b: j for j, b in enumerate(sorted(set(y_true)))}
+    counts = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for a, b in zip(y_pred, y_true):
+        counts[rows[a], cols[b]] += 1
+    return counts
+
+
 def test_contingency_large_path_matches_manual_counts():
     rng = np.random.default_rng(2)
     y_pred = rng.integers(0, 4, 200)
@@ -72,6 +83,19 @@ def test_contingency_large_path_matches_manual_counts():
     for a, b in zip(y_pred, y_true):
         expected[a, b] += 1
     assert np.array_equal(counts, expected)
+
+    sparse_ids = np.array([-7, 3, 40, 1000])        # not contiguous, one negative
+    words = np.array(["zeta", "alpha", "mid", "b"], dtype=object)
+    for _ in range(20):
+        n = int(rng.integers(1, 200))
+        cases = [
+            (sparse_ids[rng.integers(0, 4, n)], rng.integers(0, 6, n)),
+            (words[rng.integers(0, 4, n)], sparse_ids[rng.integers(0, 4, n)]),
+        ]
+        for y_pred, y_true in cases:
+            counts = contingency(y_pred, y_true)
+            assert counts.dtype.kind == "i"
+            assert np.array_equal(counts, contingency_oracle(y_pred.tolist(), y_true.tolist()))
 
 
 def test_contingency_rejects_bad_shapes():
@@ -222,6 +246,77 @@ def test_swc_subsample_deterministic_per_seed():
     assert a == b
     full = swc_gower(table, y)
     assert abs(full - a) < 0.3  # subsample estimates the same quantity
+
+
+def random_gower_case(rng):
+    """Schema, raw rows and labels of a mixed table with tied, constant and
+    ordinal-like columns, 1-3-level nominals and duplicated rows; K=2..5
+    clusters, one of them a singleton."""
+    n = int(rng.integers(4, 70))
+    schema, cols = [], []
+    for a in range(int(rng.integers(1, 4))):
+        shape = int(rng.integers(3))
+        if shape == 0:
+            col = rng.normal(size=n) * 10.0 ** int(rng.integers(-3, 4))
+        elif shape == 1:
+            col = 3.0 + 0.25 * rng.integers(0, 4, n)    # heavy ties
+        else:
+            col = np.full(n, 2.5)                          # constant
+        schema.append(ColumnSchema(f"num_{a}", "numeric"))
+        cols.append(col.tolist())
+    for a in range(int(rng.integers(0, 3))):
+        levels = [f"l{t}" for t in range(int(rng.integers(1, 5)))]
+        schema.append(ColumnSchema(f"ord_{a}", "ordinal", ordered_levels=levels))
+        cols.append([levels[t] for t in rng.integers(0, len(levels), n)])
+    for a in range(int(rng.integers(0, 3))):
+        schema.append(ColumnSchema(f"cat_{a}", "nominal"))
+        cols.append([f"v{t}" for t in rng.integers(0, int(rng.integers(1, 4)), n)])
+    rows = list(zip(*cols))
+    rows += [rows[i] for i in rng.integers(0, n, int(rng.integers(0, n)))]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    K = int(rng.integers(2, 6))
+    y = rng.integers(0, K - 1, len(rows))
+    y[int(rng.integers(len(rows)))] = K - 1                # a singleton cluster
+    return schema, rows, y
+
+
+def test_swc_matches_pairwise_oracle_on_random_mixed_tables():
+    rng = np.random.default_rng(29)
+    checked = 0
+    for case in range(150):
+        schema, rows, y = random_gower_case(rng)
+        table = table_from_raw(schema, rows)
+        subsample = int(rng.integers(3, table.n)) if case % 3 == 0 else 5000
+        seed = int(rng.integers(100))
+        try:
+            want = reference_swc_scores(table, y, subsample, seed)
+        except DataError as exc:
+            with pytest.raises(DataError, match=str(exc)):
+                swc_gower(table, y, subsample, seed)
+            continue
+        got = _swc_scores(table, y, subsample, seed)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert abs(swc_gower(table, y, subsample, seed) - want.mean()) <= 1e-12
+        checked += 1
+    assert checked > 100
+
+
+def test_swc_exact_results_for_identical_rows_and_singletons():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        schema, rows, y = random_gower_case(rng)
+        _, yi = np.unique(y, return_inverse=True)
+        singleton = np.bincount(yi)[yi] == 1
+        scores = _swc_scores(table_from_raw(schema, rows), y, 5000, 0)
+        assert np.all(scores[singleton] == 0.0)
+        # every row identical: every distance is 0, so every score is exactly 0
+        same = _swc_scores(table_from_raw(schema, [rows[0]] * len(rows)), y, 5000, 0)
+        assert np.all(same == 0.0)
+        # a cluster of copies of one row has intra distance exactly 0: s is 1 or 0
+        tight = _swc_scores(table_from_raw(schema, rows + [rows[0]] * 3),
+                            np.concatenate([y, [y.max() + 1] * 3]), 5000, 0)
+        assert set(tight[-3:].tolist()) <= {0.0, 1.0}
 
 
 def test_evaluate_report_keys():
