@@ -1,4 +1,4 @@
-"""Golden output digests: two fixed runs must reproduce their outputs byte for byte.
+"""Golden output digests: fixed runs must reproduce their outputs byte for byte.
 
 A change that is meant to leave every output alone (a refactor, a
 deletion, a faster kernel) shows it here: any flipped label, any weight
@@ -20,7 +20,7 @@ import scipy
 
 from wise import cli
 from wise.cli import build_config
-from wise.pipeline import run_wise
+from wise.pipeline import PipelineConfig, make_views, run_wise
 from wise.synth import SynthParams, synth_table, write_synth
 
 RECORDED = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
@@ -43,9 +43,21 @@ DEEP_SENSE_DIGESTS = {
     "views": "5889a2274fba020b4e944cb96c00ff4a",
 }
 
+# make_views, default config (m=3 of T=10 trees per target), 1 worker, on the
+# n=1500 table of synth seed 6
+DEFAULT_VIEWS_DIGEST = "10cd000b0e43577e4d444b0e6eb0f761"
+
 
 def digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def view_bytes(views) -> bytes:
+    return b"".join(
+        np.array([v.target, v.tree, v.rank], dtype=np.int64).tobytes()
+        + np.float64(v.quality).tobytes() + np.ascontiguousarray(v.w, dtype=np.float64).tobytes()
+        for v in views
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -71,14 +83,17 @@ def test_cli_run_outputs_match_golden_digests(tmp_path):
 def test_deep_sense_run_matches_golden_digests():
     table, _ = synth_table(SynthParams(n=400, seed=4))
     result = run_wise(table, build_config(DEEP_SENSE_SETS), workers=1)
-    views = b"".join(
-        np.array([v.target, v.tree, v.rank], dtype=np.int64).tobytes()
-        + np.float64(v.quality).tobytes() + np.ascontiguousarray(v.w, dtype=np.float64).tobytes()
-        for v in result.views
-    )
     got = {
         "labels": digest(np.ascontiguousarray(result.labels, dtype=np.int64).tobytes()),
         "L": digest(np.ascontiguousarray(result.L, dtype=np.int64).tobytes()),
-        "views": digest(views),
+        "views": digest(view_bytes(result.views)),
     }
     assert got == DEEP_SENSE_DIGESTS
+
+
+def test_default_config_views_match_golden_digest():
+    # m >= 2 reads every tree's attribution during selection
+    table, _ = synth_table(SynthParams(n=1500, seed=6))
+    views = make_views(table, PipelineConfig(), workers=1)
+    assert len(views) == 3 * table.d
+    assert digest(view_bytes(views)) == DEFAULT_VIEWS_DIGEST
