@@ -7,11 +7,18 @@ vector.  A quality-diversity greedy picks m trees per task whose
 attribution patterns disagree, and each pick is completed into a simplex
 weight vector: the attribution mass scaled by the tree's quality, with
 the remaining 1-q kept on the target column itself.
+
+A tree is explained (interventional TreeSHAP) only when its attribution
+is first read, and at most once.  The greedy seeds from qualities alone
+and reads the other trees' attributions only to score picks 2..m, so
+with m=1 one tree per target is explained; with m >= 2 every tree is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -23,11 +30,26 @@ from .forest import ForestModel, ForestParams, train_forest
 from .treeshap import aggregate_global
 
 
-@dataclass(frozen=True)
 class TreeCandidate:
-    uid: int
-    quality: float
-    s: np.ndarray  # non-negative attribution over the model's inputs
+    """A tree as a candidate view: its held-out quality and its global
+    attribution ``s``, non-negative over the model's inputs.
+
+    ``s`` may be given as a zero-argument callable; it is then called on
+    the first read of ``s`` and its result kept.
+    """
+
+    __slots__ = ("uid", "quality", "_s")
+
+    def __init__(self, uid: int, quality: float, s: np.ndarray | Callable[[], np.ndarray]):
+        self.uid = uid
+        self.quality = quality
+        self._s = s
+
+    @property
+    def s(self) -> np.ndarray:
+        if callable(self._s):
+            self._s = self._s()
+        return self._s
 
 
 @dataclass(frozen=True)
@@ -99,12 +121,12 @@ def greedy_select(candidates: list[TreeCandidate], params: QdParams) -> list[Tre
     """Seed with the best quality, then add the largest marginal gain.
 
     All ties break toward the lowest candidate id, so selection is
-    deterministic for a fixed forest.
+    deterministic for a fixed forest.  The seed is chosen from qualities
+    alone; attributions are read only to score picks 2..m.
     """
     if params.m > len(candidates):
         raise ConfigError(f"cannot select m={params.m} from {len(candidates)} candidates")
-    order = sorted(range(len(candidates)), key=lambda i: (-candidates[i].quality, candidates[i].uid))
-    selected = [candidates[order[0]]]
+    selected = [min(candidates, key=lambda c: (-c.quality, c.uid))]
     chosen_ids = {selected[0].uid}
     quality_sum = selected[0].quality
     pair_sum = 0.0
@@ -151,9 +173,16 @@ def candidates_from_forest(
     explain_cap: int,
     background_size: int,
 ) -> list[TreeCandidate]:
-    """Score every tree of a LOFO forest: held-out quality + global attribution."""
-    out = []
-    for u, fit in enumerate(model.trees):
+    """Every tree of a LOFO forest as a candidate: held-out quality now,
+    global attribution on first read.
+
+    Tree u draws its explained rows and background from its own stream
+    ``derive_seed(seed, "explain", u)``, so its attribution does not
+    depend on which other trees are explained, or when.
+    """
+
+    def attribution(u: int) -> np.ndarray:
+        fit = model.trees[u]
         explain = fit.heldout_rows
         rng = np.random.default_rng(derive_seed(seed, "explain", u))
         if explain.size > explain_cap:
@@ -161,9 +190,10 @@ def candidates_from_forest(
         bg_size = min(background_size, fit.train_rows.size)
         background = np.sort(rng.choice(fit.train_rows, size=bg_size, replace=False))
         output_index = fit.majority_class if model.task == "classification" else None
-        agg = aggregate_global(fit.root, X_inputs[explain], X_inputs[background], output_index)
-        out.append(TreeCandidate(uid=u, quality=fit.quality, s=agg.s))
-    return out
+        return aggregate_global(fit.root, X_inputs[explain], X_inputs[background], output_index).s
+
+    return [TreeCandidate(u, fit.quality, partial(attribution, u))
+            for u, fit in enumerate(model.trees)]
 
 
 def _sense_one(shared, target: int):

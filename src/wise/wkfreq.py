@@ -132,6 +132,51 @@ def weighted_jaccard(v, u) -> float:
     return smin / smax
 
 
+# pairs x union-coordinates cells per block of pairwise_weighted_jaccard
+PAIR_BLOCK_CELLS = 1 << 18
+
+
+def pairwise_weighted_jaccard(vectors) -> np.ndarray:
+    """The (m, m) matrix of ``weighted_jaccard`` over all pairs, bit for bit.
+
+    Each pair's minima are taken over its common coordinates in ascending
+    order, as ``weighted_jaccard`` takes them.  Pairs with the same number
+    c of common coordinates are summed together as one contiguous (pairs,
+    c) block, row by row, which adds in the same order as a 1-D ``sum``
+    of length c; padding rows to a common length would not.  Pairs are
+    taken in blocks of at most ``PAIR_BLOCK_CELLS`` dense cells.
+    """
+    m = len(vectors)
+    sim = np.eye(m)
+    if m < 2:
+        return sim
+    cols, pos = np.unique(np.concatenate([v.idx for v in vectors]), return_inverse=True)
+    owner = np.repeat(np.arange(m), [v.idx.size for v in vectors])
+    val = np.zeros((m, cols.size))
+    val[owner, pos] = np.concatenate([v.val for v in vectors])
+    has = np.zeros((m, cols.size), dtype=bool)
+    has[owner, pos] = True
+
+    a, b = np.triu_indices(m, 1)
+    smin = np.zeros(a.size)
+    step = max(1, PAIR_BLOCK_CELLS // max(1, cols.size))
+    for lo in range(0, a.size, step):
+        i, j = a[lo:lo + step], b[lo:lo + step]
+        common = has[i] & has[j]
+        mins = np.minimum(val[i], val[j])
+        counts = common.sum(axis=1)
+        block = smin[lo:lo + step]
+        for c in np.unique(counts[counts > 0]):
+            rows = counts == c
+            block[rows] = mins[rows][common[rows]].reshape(-1, c).sum(axis=1)
+    totals = np.array([v.total for v in vectors])
+    smax = totals[a] + totals[b] - smin
+    pair = np.ones(a.size)
+    np.divide(smin, smax, out=pair, where=smax != 0.0)
+    sim[a, b] = sim[b, a] = pair
+    return sim
+
+
 # --- Consistent Weighted Sampling -------------------------------------------
 #
 # Ioffe's ICWS with counter-based randomness: the Gamma(2,1) and Uniform
@@ -398,11 +443,7 @@ def _seed_from_candidates(candidates, X, omega, nonempty, params: ClusterParams,
 
     One pairwise similarity matrix serves both the merge and the reduction.
     """
-    m = len(candidates)
-    sim = np.eye(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            sim[i, j] = sim[j, i] = weighted_jaccard(candidates[i], candidates[j])
+    sim = pairwise_weighted_jaccard(candidates)
     kept: list[int] = []
     merged_counts: list[int] = []
     for c, cand in enumerate(candidates):

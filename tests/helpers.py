@@ -21,8 +21,9 @@ from wise.forest import (
     train_forest,
     train_tree,
 )
+from wise.lofo import QdParams, TreeCandidate, cosine_distance, marginal_gain
 from wise.metrics import SWC_SUBSAMPLE
-from wise.treeshap import _weight_tables
+from wise.treeshap import _weight_tables, aggregate_global
 from wise.wkfreq import (
     FreqItemCenter,
     SparseWeightedVector,
@@ -122,6 +123,42 @@ def lofo_forest(table, target, params, seed):
     model = train_forest(X[:, inputs], X[:, target], task, params, seed,
                          is_nominal[inputs], n_classes)
     return model, X[:, inputs]
+
+
+def eager_qd_select(model, X_inputs, seed, explain_cap, background_size, params: QdParams):
+    """Explain-everything form of ``lofo.candidates_from_forest`` plus
+    ``lofo.greedy_select``: every tree's attribution is computed up front,
+    then the greedy seeds with the best quality and adds the largest
+    marginal gain, ties toward the lowest uid.  Returns the picks in order.
+    """
+    cands = []
+    for u, fit in enumerate(model.trees):
+        explain = fit.heldout_rows
+        rng = np.random.default_rng(derive_seed(seed, "explain", u))
+        if explain.size > explain_cap:
+            explain = np.sort(rng.choice(explain, size=explain_cap, replace=False))
+        bg_size = min(background_size, fit.train_rows.size)
+        background = np.sort(rng.choice(fit.train_rows, size=bg_size, replace=False))
+        output_index = fit.majority_class if model.task == "classification" else None
+        agg = aggregate_global(fit.root, X_inputs[explain], X_inputs[background], output_index)
+        cands.append(TreeCandidate(uid=u, quality=fit.quality, s=agg.s))
+
+    order = sorted(cands, key=lambda c: (-c.quality, c.uid))
+    selected = [order[0]]
+    quality_sum, pair_sum = selected[0].quality, 0.0
+    while len(selected) < params.m:
+        best, best_gain, best_added = None, -np.inf, 0.0
+        for cand in cands:
+            if any(cand.uid == c.uid for c in selected):
+                continue
+            gain = marginal_gain(cand, selected, quality_sum, pair_sum, params.lam)
+            if gain > best_gain:
+                added = sum(cosine_distance(cand.s, c.s) for c in selected)
+                best, best_gain, best_added = cand, gain, added
+        selected.append(best)
+        quality_sum += best.quality
+        pair_sum += best_added
+    return selected
 
 
 def _midpoint(a: float, b: float) -> float:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import lofo_forest
+from helpers import eager_qd_select, lofo_forest
 from wise import lofo
 from wise.data_model import ColumnSchema, table_from_raw
 from wise.errors import ConfigError, DataError
@@ -179,15 +179,62 @@ def test_complete_weight_randomized_simplex_and_exact_target_mass():
         assert w[target] == 1.0 - q
 
 
-def test_candidates_from_forest_scores_every_tree():
+def count_explanations(monkeypatch):
+    """Wrap the TreeSHAP aggregate that lofo calls; returns the explained roots."""
+    roots = []
+    explain = lofo.aggregate_global
+
+    def counted(root, *args):
+        roots.append(root)
+        return explain(root, *args)
+
+    monkeypatch.setattr(lofo, "aggregate_global", counted)
+    return roots
+
+
+def test_candidates_from_forest_explains_each_tree_once_on_first_read(monkeypatch):
+    roots = count_explanations(monkeypatch)
     table = copy_feature_table()
     model, X_inputs = lofo_forest(table, 0, SENSE_PARAMS, SENSE_SEED)
     cands = candidates_from_forest(model, X_inputs, seed=11, **CAPS)
     assert [c.uid for c in cands] == list(range(SENSE_PARAMS.T))
+    assert [c.quality for c in cands] == [fit.quality for fit in model.trees]
+    assert roots == []
     for c, fit in zip(cands, model.trees):
-        assert c.quality == fit.quality
-        assert c.s.shape == (2,)
-        assert np.all(c.s >= 0.0)
+        s = c.s
+        assert c.s is s
+        assert roots[-1] is fit.root
+        assert s.shape == (2,)
+        assert np.all(s >= 0.0)
+    assert len(roots) == SENSE_PARAMS.T
+
+
+def test_lazy_selection_matches_eager_oracle():
+    params = ForestParams(T=6, max_depth=6, min_samples_leaf=5, train_sample_frac=0.5)
+    mixed, _ = synth_table(SynthParams(n=300, seed=9))
+    for table in (copy_feature_table(n=300), mixed):
+        for target in range(table.d):
+            model, X_inputs = lofo_forest(table, target, params, seed=7 + target)
+            for m in (1, 2, params.T):
+                qd = QdParams(m=m, lam=0.5)
+                picked = greedy_select(candidates_from_forest(model, X_inputs, 7, **CAPS), qd)
+                want = eager_qd_select(model, X_inputs, 7, CAPS["explain_cap"],
+                                       CAPS["background_size"], qd)
+                assert [c.uid for c in picked] == [c.uid for c in want]
+                for got, ref in zip(picked, want):
+                    assert got.s.dtype == ref.s.dtype and got.s.tobytes() == ref.s.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, SENSE_PARAMS.T])
+def test_sense_all_explains_only_the_trees_selection_reads(monkeypatch, m):
+    roots = count_explanations(monkeypatch)
+    table, _ = synth_table(SynthParams(n=200, seed=3))
+    views = sense_all(table, SENSE_PARAMS, QdParams(m=m, lam=0.5), SENSE_SEED, workers=1, **CAPS)
+    assert len(views) == m * table.d
+    # m=1 reads only the pick; m >= 2 scores every tree against the seed
+    per_target = 1 if m == 1 else SENSE_PARAMS.T
+    assert len(roots) == per_target * table.d
+    assert len({id(root) for root in roots}) == len(roots)
 
 
 def test_sense_all_counts_and_ordering():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from wise import wkfreq
 from wise.errors import ConfigError, DataError
 from wise.wkfreq import (
     ClusterParams,
@@ -16,6 +17,7 @@ from wise.wkfreq import (
     _freqitems,
     cws_signatures,
     cws_sketch,
+    pairwise_weighted_jaccard,
     silk_seed,
     weighted_jaccard,
 )
@@ -75,6 +77,42 @@ def test_weighted_jaccard_examples():
     a = FreqItemCenter(np.array([4, 9]), np.array([1.0, 2.0]), 3)
     b = FreqItemCenter(np.array([4, 9]), np.array([2.0, 1.0]), 1)
     assert weighted_jaccard(a, b) == weighted_jaccard(vec([4, 9], [1, 2]), vec([4, 9], [2, 1]))
+
+
+@pytest.mark.parametrize("block_cells", [wkfreq.PAIR_BLOCK_CELLS, 997])
+def test_pairwise_weighted_jaccard_matches_pairwise_calls_bit_for_bit(monkeypatch, block_cells):
+    monkeypatch.setattr(wkfreq, "PAIR_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(23)
+
+    def center(idx):
+        idx = rng.permutation(np.asarray(idx, dtype=np.int64))   # any coordinate order
+        return FreqItemCenter(idx, rng.random(idx.size) * 10.0 ** rng.integers(-3, 4), 1)
+
+    planted = [center(range(0, 300)), center(range(100, 400)), center(range(290, 310)),
+               center([295, 296, 297, 298, 299, 350]), center(range(300, 305)),
+               center([]), center([])]   # two empty candidates are identical (1.0)
+    planted.append(FreqItemCenter(planted[0].idx, planted[0].val, 2))   # identical to the first
+    cases = [planted, planted[:1], []]
+    for _ in range(20):
+        p = int(rng.integers(1, 500))
+        sizes = rng.integers(0, p + 1, size=int(rng.integers(2, 30)))
+        cases.append([center(rng.choice(p, size=size, replace=False)) for size in sizes])
+
+    common_sizes = set()
+    for cands in cases:
+        sim = pairwise_weighted_jaccard(cands)
+        assert sim.shape == (len(cands), len(cands))
+        for i, a in enumerate(cands):
+            assert sim[i, i] == 1.0
+            for j, b in enumerate(cands[:i]):
+                want = np.float64(weighted_jaccard(a, b)).tobytes()
+                assert sim[i, j].tobytes() == sim[j, i].tobytes() == want
+                common_sizes.add(np.intersect1d(a.idx, b.idx).size)
+    sizes = np.array(sorted(common_sizes))
+    assert 0 in common_sizes
+    assert np.any((sizes > 0) & (sizes < 8))
+    assert np.any((sizes >= 8) & (sizes <= 128))
+    assert np.any(sizes > 128)
 
 
 def one_hash(v, h, seed):
