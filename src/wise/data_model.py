@@ -15,7 +15,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,11 +116,16 @@ def load_schema(schema_path) -> list[ColumnSchema]:
     for entry in raw:
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise DataError(f"schema {schema_path}: entries need 'name' and 'kind'")
+        levels = entry.get("ordered_levels")
+        if levels is not None and not (isinstance(levels, list)
+                                       and all(isinstance(v, str) for v in levels)):
+            raise DataError(f"schema {schema_path}: column {entry['name']!r}: "
+                            f"ordered_levels must be a list of strings, got {levels!r}")
         schema.append(
             ColumnSchema(
                 name=entry["name"],
                 kind=entry["kind"],
-                ordered_levels=entry.get("ordered_levels"),
+                ordered_levels=levels,
             )
         )
     names = [c.name for c in schema]
@@ -216,8 +221,10 @@ def table_from_raw(schema: list[ColumnSchema], raw_rows) -> MixedTable:
 
     Numeric cells are numbers, ordinal and nominal cells are label
     strings; nominal levels register in first-occurrence order exactly
-    like the CSV loader.
+    like the CSV loader.  The table gets its own copies of the schema
+    entries, so the caller's entries keep their observed levels.
     """
+    schema = [replace(col, observed_levels=[]) for col in schema]
     level_maps = [{} for _ in schema]
     rows = []
     for raw in raw_rows:

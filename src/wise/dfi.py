@@ -25,9 +25,6 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class Explanations:
-    F: np.ndarray
-    dfi: np.ndarray
-    credits: np.ndarray
     W_cluster: np.ndarray            # K x d, rows on the simplex or all-zero
     W_cluster_raw: np.ndarray        # K x d, pre-normalization
     W_instance: np.ndarray           # n x d
@@ -155,9 +152,6 @@ def compute_explanations(
     W_inst_raw, W_inst = instance_weights(L, y, F, dfi, W_views, eps)
     deviation = consistency_check(W_inst_raw, y, W_cluster_raw)
     return Explanations(
-        F=F,
-        dfi=dfi,
-        credits=credits,
         W_cluster=W_cluster,
         W_cluster_raw=W_cluster_raw,
         W_instance=W_inst,

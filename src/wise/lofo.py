@@ -132,20 +132,19 @@ def greedy_select(candidates: list[TreeCandidate], params: QdParams) -> list[Tre
     pair_sum = 0.0
     scan = sorted(range(len(candidates)), key=lambda i: candidates[i].uid)
     while len(selected) < params.m:
-        best_i, best_gain, best_added = None, -np.inf, 0.0
+        best_i, best_gain = None, -np.inf
         for i in scan:
             cand = candidates[i]
             if cand.uid in chosen_ids:
                 continue
             gain = marginal_gain(cand, selected, quality_sum, pair_sum, params.lam)
             if gain > best_gain:
-                added = sum(cosine_distance(cand.s, c.s) for c in selected)
-                best_i, best_gain, best_added = i, gain, added
+                best_i, best_gain = i, gain
         cand = candidates[best_i]
+        pair_sum += sum(cosine_distance(cand.s, c.s) for c in selected)
         selected.append(cand)
         chosen_ids.add(cand.uid)
         quality_sum += cand.quality
-        pair_sum += best_added
     return selected
 
 

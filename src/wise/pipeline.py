@@ -80,15 +80,10 @@ def lift_weights(w: np.ndarray, bit_groups: list[tuple[int, int]]) -> np.ndarray
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (len(bit_groups),):
         raise ConfigError(f"{w.shape[0]} weights for {len(bit_groups)} bit groups")
-    p = bit_groups[-1][1]
-    omega = np.empty(p)
-    cursor = 0
-    for j, (start, stop) in enumerate(bit_groups):
-        if start != cursor:
-            raise ConfigError("bit groups must partition the bit range")
-        omega[start:stop] = w[j]
-        cursor = stop
-    return omega
+    start, stop = np.asarray(bit_groups, dtype=np.int64).reshape(-1, 2).T
+    if start[0] != 0 or np.any(start[1:] != stop[:-1]):
+        raise ConfigError("bit groups must partition the bit range")
+    return np.repeat(w, stop - start)
 
 
 def _ablation_views(d: int, m: int, mode: str, seed: int) -> list[FeatureWeightVector]:

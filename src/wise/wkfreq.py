@@ -3,8 +3,9 @@
 The engine's data model mirrors the weighting construction upstream:
 rows are binary supports (a CSR matrix) and a single non-negative weight
 vector over coordinates is shared by all rows of a round, so row i's
-weighted vector is omega * x_i.  Centers are general sparse weighted
-vectors (retained coordinates with average contributions).  Passing
+weighted vector is omega * x_i.  A set of centers is one k x p CSR
+block: row c keeps center c's retained coordinates, each valued by its
+average contribution, and a center's total is its row's 1-D sum.  Passing
 ``weights=None`` means omega = 1, which is plain k-FreqItems: every
 FreqItem value is 1.0 and every row total, intersection and union is an
 exact small integer in float64, so each weighted Jaccard distance is the
@@ -25,8 +26,8 @@ counts over rows at once; one ICWS grid over all coordinates supplies
 every bucket sketch; bins are unions of buckets with equal sketches,
 numbered by first occurrence, and their counts come from one more
 product.  Every count is the exact integer the rows give, so the
-candidates are those of row-level seeding; padding and the Lloyd loop
-run on rows.
+candidates (one CSR row each) are those of row-level seeding; padding
+and the Lloyd loop still run on rows.
 """
 
 from __future__ import annotations
@@ -43,45 +44,6 @@ from ._rng import derive_seed, keyed_uniform_grid
 from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class SparseWeightedVector:
-    """Sorted sparse vector with strictly positive values."""
-
-    idx: np.ndarray
-    val: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "idx", np.asarray(self.idx, dtype=np.int64))
-        object.__setattr__(self, "val", np.asarray(self.val, dtype=np.float64))
-        if self.idx.shape != self.val.shape:
-            raise ConfigError("idx and val must have equal length")
-        if self.idx.size and np.any(np.diff(self.idx) <= 0):
-            raise ConfigError("coordinates must be strictly increasing")
-        if np.any(~np.isfinite(self.val)) or np.any(self.val <= 0):
-            raise ConfigError("values must be finite and positive")
-
-    @property
-    def total(self) -> float:
-        return float(self.val.sum())
-
-
-@dataclass(frozen=True)
-class FreqItemCenter:
-    """Sparse weighted center: retained coordinates with average contributions."""
-
-    idx: np.ndarray
-    val: np.ndarray
-    size: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "idx", np.asarray(self.idx, dtype=np.int64))
-        object.__setattr__(self, "val", np.asarray(self.val, dtype=np.float64))
-
-    @property
-    def total(self) -> float:
-        return float(self.val.sum())
 
 
 @dataclass(frozen=True)
@@ -110,7 +72,9 @@ class ClusterParams:
 @dataclass
 class ClusterResult:
     labels: np.ndarray
-    centers: list[FreqItemCenter]
+    # k x p CSR block: row c is the FreqItem center of the rows labelled c;
+    # cluster sizes are bincount(labels, minlength=k)
+    centers: sparse.csr_matrix
     n_iter: int
     mean_distance: float
     # one entry per assignment step: (mean distance of previous labels under
@@ -118,42 +82,34 @@ class ClusterResult:
     history: list[tuple[float | None, float]]
 
 
-def weighted_jaccard(v, u) -> float:
-    """Similarity sum(min)/sum(max); two empty vectors are identical (1).
-
-    Reads only ``idx``, ``val`` and ``total``, so a SparseWeightedVector
-    and a FreqItemCenter compare alike.
-    """
-    common, ia, ib = np.intersect1d(v.idx, u.idx, assume_unique=True, return_indices=True)
-    smin = float(np.minimum(v.val[ia], u.val[ib]).sum())
-    smax = v.total + u.total - smin
-    if smax == 0.0:
-        return 1.0
-    return smin / smax
-
-
 # pairs x union-coordinates cells per block of pairwise_weighted_jaccard
 PAIR_BLOCK_CELLS = 1 << 18
 
 
-def pairwise_weighted_jaccard(vectors) -> np.ndarray:
-    """The (m, m) matrix of ``weighted_jaccard`` over all pairs, bit for bit.
+def _row_totals(C: sparse.csr_matrix) -> np.ndarray:
+    """Each row's sum, as one 1-D ``sum`` of its stored values."""
+    bounds = zip(C.indptr[:-1].tolist(), C.indptr[1:].tolist())
+    return np.array([C.data[lo:hi].sum() for lo, hi in bounds], dtype=np.float64)
 
-    Each pair's minima are taken over its common coordinates in ascending
-    order, as ``weighted_jaccard`` takes them.  Pairs with the same number
+
+def pairwise_weighted_jaccard(C: sparse.csr_matrix) -> np.ndarray:
+    """The (m, m) weighted Jaccard similarities sum(min)/sum(max) of C's rows.
+
+    Two empty rows are identical (1).  Each pair's minima are taken over
+    its common coordinates in ascending order.  Pairs with the same number
     c of common coordinates are summed together as one contiguous (pairs,
     c) block, row by row, which adds in the same order as a 1-D ``sum``
     of length c; padding rows to a common length would not.  Pairs are
     taken in blocks of at most ``PAIR_BLOCK_CELLS`` dense cells.
     """
-    m = len(vectors)
+    m = C.shape[0]
     sim = np.eye(m)
     if m < 2:
         return sim
-    cols, pos = np.unique(np.concatenate([v.idx for v in vectors]), return_inverse=True)
-    owner = np.repeat(np.arange(m), [v.idx.size for v in vectors])
+    cols, pos = np.unique(C.indices, return_inverse=True)
+    owner = np.repeat(np.arange(m), np.diff(C.indptr))
     val = np.zeros((m, cols.size))
-    val[owner, pos] = np.concatenate([v.val for v in vectors])
+    val[owner, pos] = C.data
     has = np.zeros((m, cols.size), dtype=bool)
     has[owner, pos] = True
 
@@ -169,7 +125,7 @@ def pairwise_weighted_jaccard(vectors) -> np.ndarray:
         for c in np.unique(counts[counts > 0]):
             rows = counts == c
             block[rows] = mins[rows][common[rows]].reshape(-1, c).sum(axis=1)
-    totals = np.array([v.total for v in vectors])
+    totals = _row_totals(C)
     smax = totals[a] + totals[b] - smin
     pair = np.ones(a.size)
     np.divide(smin, smax, out=pair, where=smax != 0.0)
@@ -204,18 +160,6 @@ def _icws_keys(values: np.ndarray, r, ln_c, beta):
     ln_y = r * (t_k - beta)
     ln_a = ln_c - ln_y - r
     return ln_a, t_k.astype(np.int64)
-
-
-def cws_sketch(v: SparseWeightedVector, hash_ids: np.ndarray, seed: int):
-    """All requested hashes of one vector: (coords, companions) arrays."""
-    if v.idx.size == 0:
-        raise DataError("cannot hash an empty vector")
-    hash_ids = np.asarray(hash_ids, dtype=np.int64)
-    r, ln_c, beta = _icws_parts(seed, hash_ids, v.idx)
-    ln_a, t_k = _icws_keys(v.val[None, :], r, ln_c, beta)
-    j = np.argmin(ln_a, axis=1)
-    rows = np.arange(len(hash_ids))
-    return v.idx[j], t_k[rows, j]
 
 
 def _key_grid(omega: np.ndarray, hash_ids: np.ndarray, seed: int):
@@ -303,29 +247,19 @@ def _freqitems(F: sparse.csr_matrix, omega: np.ndarray, alpha: float) -> sparse.
     return sparse.csr_matrix((val, F.indices[keep], indptr), shape=F.shape)
 
 
-def _as_centers(C: sparse.csr_matrix, sizes: np.ndarray) -> list[FreqItemCenter]:
-    """Split a block of row-wise centers into FreqItemCenter objects."""
-    bounds = zip(C.indptr[:-1].tolist(), C.indptr[1:].tolist(), sizes.tolist())
-    return [FreqItemCenter(C.indices[lo:hi], C.data[lo:hi], size) for lo, hi, size in bounds]
-
-
 # --- Distance kernel ----------------------------------------------------------
 
 
-def _distances(X, row_tot, omega, centers) -> np.ndarray:
-    """1 - sum(min)/sum(max) between omega-weighted rows and centers.
+def _distances(X, row_tot, omega, C) -> np.ndarray:
+    """1 - sum(min)/sum(max) between omega-weighted rows and the centers C.
 
     ``X`` is the binary data as float64 and ``row_tot`` its row totals
     ``X @ omega``; both are loop invariants of ``cluster``.
     """
-    indptr = np.zeros(len(centers) + 1, dtype=np.int64)
-    np.cumsum([c.idx.size for c in centers], out=indptr[1:])
-    indices = np.concatenate([c.idx for c in centers])
-    data = np.concatenate([np.minimum(omega[c.idx], c.val) for c in centers])
-    M = sparse.csr_matrix((data, indices, indptr), shape=(len(centers), X.shape[1]))
+    M = sparse.csr_matrix((np.minimum(omega[C.indices], C.data), C.indices, C.indptr),
+                          shape=C.shape)
     smin = (X @ M.T).toarray()
-    cen_tot = np.array([c.total for c in centers])
-    union = row_tot[:, None] + cen_tot[None, :] - smin
+    union = row_tot[:, None] + _row_totals(C)[None, :] - smin
     with np.errstate(invalid="ignore", divide="ignore"):
         sim = np.where(union > 0, smin / np.where(union > 0, union, 1.0), 1.0)
     return 1.0 - sim
@@ -400,8 +334,9 @@ def _bin_candidates(
     hash_ids: np.ndarray,
     seed: int,
     cap: int,
-) -> list[FreqItemCenter]:
-    """FreqItem candidates of the ``cap`` largest level-2 bins.
+) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """FreqItem candidates of the ``cap`` largest level-2 bins, one CSR row
+    each, and their row counts.
 
     Each bucket's FreqItem is sketched with the ``hash_ids`` band, and
     buckets whose sketches agree merge into one bin holding the union of
@@ -410,13 +345,11 @@ def _bin_candidates(
     is over rows.  Bins are ordered by first occurrence, then stably by
     decreasing size.
     """
-    if buckets.shape[0] == 0:
-        return []
     C = _freqitems(buckets @ X, omega, beta)
     live = np.diff(C.indptr) > 0
     buckets, C = buckets[live], C[live]
     if buckets.shape[0] == 0:
-        return []
+        return C, np.zeros(0, dtype=np.int64)
     if not np.all(np.isfinite(C.data) & (C.data > 0)):
         raise ConfigError("values must be finite and positive")
 
@@ -435,30 +368,29 @@ def _bin_candidates(
     union.data = mult[union.indices]
     sizes = np.asarray(union.sum(axis=1)).ravel()
     top = np.argsort(-sizes, kind="stable")[:cap]
-    return _as_centers(_freqitems(union[top] @ X, omega, beta), sizes[top])
+    return _freqitems(union[top] @ X, omega, beta), sizes[top]
 
 
-def _seed_from_candidates(candidates, X, omega, nonempty, params: ClusterParams, rng) -> list[FreqItemCenter]:
-    """Merge near-duplicate candidates, reduce them to k, pad with rows.
+def _seed_from_candidates(C, sizes, X, omega, nonempty, params: ClusterParams, rng) -> sparse.csr_matrix:
+    """Merge near-duplicate candidate rows of C, reduce them to k, pad with rows.
 
     One pairwise similarity matrix serves both the merge and the reduction.
     """
-    sim = pairwise_weighted_jaccard(candidates)
+    sim = pairwise_weighted_jaccard(C)
     kept: list[int] = []
     merged_counts: list[int] = []
-    for c, cand in enumerate(candidates):
+    for c, size in enumerate(sizes.tolist()):
         for slot, i in enumerate(kept):
             if sim[c, i] >= params.dedup_sim:
-                merged_counts[slot] += cand.size
+                merged_counts[slot] += size
                 break
         else:
             kept.append(c)
-            merged_counts.append(cand.size)
+            merged_counts.append(size)
 
-    centers = _reduce_candidates(
-        [candidates[i] for i in kept], merged_counts, sim[np.ix_(kept, kept)], params.k, rng
-    )
-    if len(centers) < params.k:
+    picks = _reduce_candidates(merged_counts, sim[np.ix_(kept, kept)], params.k, rng)
+    centers = C[np.array(kept, dtype=np.int64)[picks]]
+    if centers.shape[0] < params.k:
         centers = _pad_with_rows(centers, X, omega, nonempty, params.k, rng)
     return centers
 
@@ -467,8 +399,8 @@ def silk_seed(
     X: sparse.csr_matrix,
     omega: np.ndarray,
     params: ClusterParams,
-) -> list[FreqItemCenter]:
-    """Two-level MinHash overseeding reduced to k initial centers."""
+) -> sparse.csr_matrix:
+    """Two-level MinHash overseeding reduced to k initial centers (k x p CSR)."""
     n, p = X.shape
     k = params.k
     if n < k:
@@ -488,26 +420,26 @@ def silk_seed(
     # one hash collides with probability J_w, which would glue together
     # buckets that are only mildly similar.
     level2_ids = level1 + np.arange(4, dtype=np.int64)
-    candidates = _bin_candidates(codes, omega, buckets, mult, params.beta, level2_ids,
-                                 params.seed, cap=max(4 * k, 32))
+    C, sizes = _bin_candidates(codes, omega, buckets, mult, params.beta, level2_ids,
+                               params.seed, cap=max(4 * k, 32))
     log.debug("silk_seed: %d rows, %d distinct codes, %d buckets, %d candidates",
-              n, mult.size, buckets.shape[0], len(candidates))
-    return _seed_from_candidates(candidates, X, omega, live[inverse], params, rng)
+              n, mult.size, buckets.shape[0], C.shape[0])
+    return _seed_from_candidates(C, sizes, X, omega, live[inverse], params, rng)
 
 
-def _reduce_candidates(cands, weights, sim, k, rng) -> list[FreqItemCenter]:
-    """Pick k candidates by weight*distance^2 sampling, best of 8 restarts
-    under the weighted quantization cost over the candidate set.
+def _reduce_candidates(weights, sim, k, rng) -> list[int]:
+    """Indices of k candidates picked by weight*distance^2 sampling, best of
+    8 restarts under the weighted quantization cost over the candidate set.
     ``sim`` holds the candidates' pairwise weighted Jaccard similarities.
 
     The first restart anchors on the heaviest candidate; later restarts
     sample the first pick by weight, so a misleadingly heavy blended
     candidate cannot dominate every restart.
     """
-    if len(cands) <= k:
-        return list(cands)
+    m = len(weights)
+    if m <= k:
+        return list(range(m))
     weights = np.asarray(weights, dtype=np.float64)
-    m = len(cands)
     dmat = 1.0 - sim
 
     def sample(score) -> int:
@@ -532,39 +464,32 @@ def _reduce_candidates(cands, weights, sim, k, rng) -> list[FreqItemCenter]:
         cost = float((weights * dist**2).sum())
         if cost < best_cost:
             best_choice, best_cost = chosen, cost
-    return [cands[i] for i in best_choice]
+    return best_choice
 
 
-def _row_center(X, omega, i) -> FreqItemCenter:
-    support = X.indices[X.indptr[i]:X.indptr[i + 1]].astype(np.int64)
-    support = support[omega[support] > 0]
-    return FreqItemCenter(idx=support, val=omega[support], size=1)
-
-
-def _pad_with_rows(centers, X, omega, nonempty, k, rng) -> list[FreqItemCenter]:
-    """Top up with distinct data rows; duplicates allowed only as a last resort."""
-    centers = list(centers)
-    supports = {c.idx.tobytes() for c in centers}
+def _pad_with_rows(C, X, omega, nonempty, k, rng) -> sparse.csr_matrix:
+    """Append omega-valued supports of distinct rows to C; duplicates only as a last resort."""
+    seen = {C.indices[lo:hi].astype(np.int64).tobytes()
+            for lo, hi in zip(C.indptr[:-1], C.indptr[1:])}
     candidates = np.flatnonzero(nonempty)
     order = candidates[rng.permutation(candidates.size)]
-    spare = []
+    need = k - C.shape[0]
+    fresh, spare = [], []
     for i in order:
-        if len(centers) >= k:
+        if len(fresh) >= need:
             break
-        center = _row_center(X, omega, int(i))
-        key = center.idx.tobytes()
-        if key in supports:
-            spare.append(center)
-            continue
-        supports.add(key)
-        centers.append(center)
-    for center in spare:
-        if len(centers) >= k:
-            break
-        centers.append(center)
-    if len(centers) < k:
-        raise DataError(f"could not seed k={k} centers from {len(centers)} distinct rows")
-    return centers
+        support = X.indices[X.indptr[i]:X.indptr[i + 1]].astype(np.int64)
+        support = support[omega[support] > 0]
+        key = support.tobytes()
+        (spare if key in seen else fresh).append(support)
+        seen.add(key)
+    rows = (fresh + spare)[:need]
+    if len(rows) < need:
+        raise DataError(f"could not seed k={k} centers from {C.shape[0] + len(rows)} distinct rows")
+    idx = np.concatenate(rows)
+    indptr = np.r_[C.indptr, C.indptr[-1] + np.cumsum([r.size for r in rows])]
+    return sparse.csr_matrix((np.r_[C.data, omega[idx]], np.r_[C.indices, idx], indptr),
+                             shape=(k, X.shape[1]))
 
 
 # --- Lloyd-style iteration ----------------------------------------------------
@@ -642,8 +567,7 @@ def cluster(
         labels_prev = labels
         # recenter on these labels; a fixed-point break returns these centers
         counts = _indicator(labels, params.k) @ X
-        sizes = np.bincount(labels, minlength=params.k)
-        centers = _as_centers(_freqitems(counts, omega, params.alpha), sizes)
+        centers = _freqitems(counts, omega, params.alpha)
         if first < n_iter:
             break
     else:

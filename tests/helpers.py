@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
 import numpy as np
+from scipy import sparse
 
 from wise._rng import derive_seed
 from wise.data_model import ColumnSchema, design_matrix, table_from_raw, unit_column
@@ -25,15 +27,13 @@ from wise.lofo import QdParams, TreeCandidate, cosine_distance, marginal_gain
 from wise.metrics import SWC_SUBSAMPLE
 from wise.treeshap import _weight_tables, aggregate_global
 from wise.wkfreq import (
-    FreqItemCenter,
-    SparseWeightedVector,
-    _as_centers,
     _distances,
     _freqitems,
+    _icws_keys,
+    _icws_parts,
     _indicator,
     _seed_from_candidates,
     cws_signatures,
-    cws_sketch,
 )
 
 
@@ -486,18 +486,76 @@ def column_counts(X, rows):
     return np.asarray(X[rows].sum(axis=0)).ravel().astype(np.int64)
 
 
-def freqitem_from_counts(f, omega, alpha, size):
-    """FreqItem center of one member set from its column counts."""
+@dataclass(frozen=True)
+class SparseWeightedVector:
+    """Sorted sparse vector with strictly positive values."""
+
+    idx: np.ndarray
+    val: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "idx", np.asarray(self.idx, dtype=np.int64))
+        object.__setattr__(self, "val", np.asarray(self.val, dtype=np.float64))
+        if self.idx.shape != self.val.shape:
+            raise ConfigError("idx and val must have equal length")
+        if self.idx.size and np.any(np.diff(self.idx) <= 0):
+            raise ConfigError("coordinates must be strictly increasing")
+        if np.any(~np.isfinite(self.val)) or np.any(self.val <= 0):
+            raise ConfigError("values must be finite and positive")
+
+    @property
+    def total(self) -> float:
+        return float(self.val.sum())
+
+
+def weighted_jaccard(v, u) -> float:
+    """Similarity sum(min)/sum(max); two empty vectors are identical (1).
+
+    Reads only ``idx``, ``val`` and ``total``, so coordinates may come in
+    any order.
+    """
+    common, ia, ib = np.intersect1d(v.idx, u.idx, assume_unique=True, return_indices=True)
+    smin = float(np.minimum(v.val[ia], u.val[ib]).sum())
+    smax = v.total + u.total - smin
+    if smax == 0.0:
+        return 1.0
+    return smin / smax
+
+
+def cws_sketch(v: SparseWeightedVector, hash_ids: np.ndarray, seed: int):
+    """All requested ICWS hashes of one vector: (coords, companions) arrays."""
+    if v.idx.size == 0:
+        raise DataError("cannot hash an empty vector")
+    hash_ids = np.asarray(hash_ids, dtype=np.int64)
+    r, ln_c, beta = _icws_parts(seed, hash_ids, v.idx)
+    ln_a, t_k = _icws_keys(v.val[None, :], r, ln_c, beta)
+    j = np.argmin(ln_a, axis=1)
+    rows = np.arange(len(hash_ids))
+    return v.idx[j], t_k[rows, j]
+
+
+def center_block(rows, p):
+    """A len(rows) x p CSR block of centers from (idx, val) pairs, one per row."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([idx.size for idx, _ in rows], out=indptr[1:])
+    idx = np.concatenate([np.zeros(0, dtype=np.int64)] + [idx for idx, _ in rows])
+    val = np.concatenate([np.zeros(0)] + [val for _, val in rows])
+    return sparse.csr_matrix((val, idx, indptr), shape=(len(rows), p))
+
+
+def freqitem_from_counts(f, omega, alpha):
+    """FreqItem center (idx, val) of one member set from its column counts."""
     s = f.astype(np.float64) if omega is None else f * omega
     keep = (s > 0) & (s >= alpha * s.max())
     idx = np.flatnonzero(keep)
-    return FreqItemCenter(idx=idx.astype(np.int64), val=s[idx] / np.maximum(1, f[idx]), size=size)
+    return idx.astype(np.int64), s[idx] / np.maximum(1, f[idx])
 
 
 def reference_centers(X, labels, omega, alpha, k):
-    """Per-cluster FreqItem centers of a labelling, one row slice each."""
+    """Per-cluster FreqItem centers of a labelling, one row slice each, as a block."""
     members = [np.flatnonzero(labels == c) for c in range(k)]
-    return [freqitem_from_counts(column_counts(X, m), omega, alpha, m.size) for m in members]
+    return center_block([freqitem_from_counts(column_counts(X, m), omega, alpha) for m in members],
+                        X.shape[1])
 
 
 def reference_silk_seed(X, omega, params):
@@ -536,30 +594,27 @@ def reference_silk_seed(X, omega, params):
     level2_ids = level1 + np.arange(4, dtype=np.int64)
     bins = {}
     for members in buckets:
-        center = freqitem_from_counts(column_counts(X, members), omega, params.beta, members.size)
-        if center.idx.size == 0:
+        idx, val = freqitem_from_counts(column_counts(X, members), omega, params.beta)
+        if idx.size == 0:
             continue
-        hc, ht = cws_sketch(SparseWeightedVector(center.idx, center.val), level2_ids, seed)
+        hc, ht = cws_sketch(SparseWeightedVector(idx, val), level2_ids, seed)
         key = tuple(hc.tolist()) + tuple(ht.tolist())
         prev = bins.get(key)
         bins[key] = members if prev is None else np.union1d(prev, members)
 
-    candidates = [
-        freqitem_from_counts(column_counts(X, m), omega, params.beta, m.size)
-        for m in bins.values()
-    ]
-    candidates.sort(key=lambda c: -c.size)
-    candidates = candidates[:max(4 * k, 32)]
-    return _seed_from_candidates(candidates, X, omega, nonempty, params, rng)
+    members = sorted(bins.values(), key=lambda m: -m.size)[:max(4 * k, 32)]
+    C = center_block([freqitem_from_counts(column_counts(X, m), omega, params.beta)
+                      for m in members], X.shape[1])
+    sizes = np.array([m.size for m in members], dtype=np.int64)
+    return _seed_from_candidates(C, sizes, X, omega, nonempty, params, rng)
 
 
 def assert_same_centers(got, want):
-    """Centers agree in order, size and every coordinate and value bit."""
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.size == b.size
-        assert a.idx.dtype == b.idx.dtype and np.array_equal(a.idx, b.idx)
-        assert a.val.dtype == b.val.dtype and a.val.tobytes() == b.val.tobytes()
+    """Center blocks agree in shape and every row's coordinates and value bits."""
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
 
 
 def _path_leaves(root):
@@ -632,11 +687,13 @@ def reference_shap_matrix(root, rows, background, output_index=None):
     return phi, float(base_pred.mean())
 
 
-def distances_plain(X_int, centers):
-    """Plain Jaccard distance between binary rows and center supports, in integers."""
-    inter = np.stack([np.asarray(X_int[:, c.idx].sum(axis=1)).ravel() for c in centers], axis=1)
+def distances_plain(X_int, C):
+    """Plain Jaccard distance between binary rows and the center supports of C, in integers."""
+    bounds = zip(C.indptr[:-1], C.indptr[1:])
+    inter = np.stack([np.asarray(X_int[:, C.indices[lo:hi]].sum(axis=1)).ravel()
+                      for lo, hi in bounds], axis=1)
     row_sz = np.diff(X_int.indptr)
-    cen_sz = np.array([c.idx.size for c in centers], dtype=np.int64)
+    cen_sz = np.diff(C.indptr)
     union = row_sz[:, None] + cen_sz[None, :] - inter
     sim = np.where(union > 0, inter / np.where(union > 0, union, 1), 1.0)
     return 1.0 - sim
@@ -685,8 +742,7 @@ def reference_lloyd(X, params, weights, initial_centers):
         if weights is None:
             centers = reference_centers(X, labels, None, params.alpha, params.k)
         else:
-            sizes = np.bincount(labels, minlength=params.k)
-            centers = _as_centers(_freqitems(_indicator(labels, params.k) @ X, omega, params.alpha), sizes)
+            centers = _freqitems(_indicator(labels, params.k) @ X, omega, params.alpha)
     return labels, centers, final_mean, n_iter
 
 

@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    SparseWeightedVector,
+    cws_sketch,
     random_mixed_table,
     random_sparse_binary,
     random_tree,
     set_partitions,
     shap_oracle,
+    weighted_jaccard,
 )
 from wise import cli
 from wise.bep import (
@@ -31,13 +34,7 @@ from wise.metrics import acc_hungarian, ari, nmi
 from wise.pipeline import PipelineConfig, run_wise
 from wise.synth import SynthParams, synth_table
 from wise.treeshap import shap_matrix
-from wise.wkfreq import (
-    ClusterParams,
-    SparseWeightedVector,
-    cluster,
-    cws_sketch,
-    weighted_jaccard,
-)
+from wise.wkfreq import ClusterParams, cluster
 
 GATE_SEED = 20240601
 

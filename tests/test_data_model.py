@@ -166,6 +166,25 @@ def test_table_from_raw_matches_csv_loader(tmp_path):
     assert built.schema[1].observed_levels == loaded.schema[1].observed_levels
 
 
+def test_table_from_raw_leaves_the_callers_schema_alone():
+    schema = [ColumnSchema("x", "numeric"), ColumnSchema("c", "nominal")]
+    first = table_from_raw(schema, [(1.0, "a"), (2.0, "b")])
+    second = table_from_raw(schema, [(1.0, "b"), (2.0, "c")])
+    assert first.column(1).tolist() == [0, 1]
+    assert first.schema[1].levels == ["a", "b"]
+    assert second.column(1).tolist() == [0, 1]
+    assert second.schema[1].levels == ["b", "c"]
+    assert schema[1].observed_levels == []
+
+
+@pytest.mark.parametrize("levels", ['"lmh"', "[1, 2, 3]"])
+def test_load_rejects_ordered_levels_that_are_not_strings(tmp_path, levels):
+    schema = '[{"name": "size", "kind": "ordinal", "ordered_levels": %s}]' % levels
+    csv_path, schema_path = write_files(tmp_path, "size\nl\n", schema)
+    with pytest.raises(DataError, match="column 'size': ordered_levels must be a list of strings"):
+        load_table(csv_path, schema_path)
+
+
 def test_table_from_raw_errors():
     schema = [ColumnSchema("a", "numeric"), ColumnSchema("b", "nominal")]
     with pytest.raises(DataError, match="cells"):

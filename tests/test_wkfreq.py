@@ -2,24 +2,23 @@
 
 import logging
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+import helpers
 from wise import wkfreq
 from wise.errors import ConfigError, DataError
 from wise.wkfreq import (
     ClusterParams,
-    FreqItemCenter,
-    SparseWeightedVector,
     cluster,
     _freqitems,
+    _seed_from_candidates,
     cws_signatures,
-    cws_sketch,
     pairwise_weighted_jaccard,
     silk_seed,
-    weighted_jaccard,
 )
 from wise._rng import derive_seed
 from wise.bep import encode_table
@@ -28,17 +27,26 @@ from wise.pipeline import lift_weights, make_views, one_hot_records
 from wise.synth import SynthParams, synth_table
 from test_acceptance import GATE_SEED
 from helpers import (
+    SparseWeightedVector,
     assert_same_centers,
+    center_block,
+    cws_sketch,
     random_sparse_binary,
     reference_centers,
     reference_lloyd,
     reference_silk_seed,
+    weighted_jaccard,
 )
 
 
 def vec(idx, val=None):
     idx = np.asarray(idx, dtype=np.int64)
     return SparseWeightedVector(idx, np.ones(idx.size) if val is None else np.asarray(val, float))
+
+
+def supports(C):
+    """Each center row's coordinates, as a tuple."""
+    return [tuple(row.tolist()) for row in np.split(C.indices, C.indptr[1:-1])]
 
 
 def repeated_disjoint(k, copies, width=5):
@@ -73,10 +81,11 @@ def test_weighted_jaccard_examples():
     assert weighted_jaccard(vec([0, 1]), vec([2, 3])) == 0.0
     assert weighted_jaccard(vec([4, 9], [1, 2]), vec([4, 9], [2, 1])) == pytest.approx(0.5)
     assert weighted_jaccard(vec([]), vec([])) == 1.0
-    # seeding compares FreqItem centers directly
-    a = FreqItemCenter(np.array([4, 9]), np.array([1.0, 2.0]), 3)
-    b = FreqItemCenter(np.array([4, 9]), np.array([2.0, 1.0]), 1)
-    assert weighted_jaccard(a, b) == weighted_jaccard(vec([4, 9], [1, 2]), vec([4, 9], [2, 1]))
+    # seeding compares the rows of a center block
+    block = center_block([(np.array([4, 9]), np.array([1.0, 2.0])),
+                          (np.array([4, 9]), np.array([2.0, 1.0]))], 10)
+    sim = pairwise_weighted_jaccard(block)
+    assert sim[0, 1] == weighted_jaccard(vec([4, 9], [1, 2]), vec([4, 9], [2, 1]))
 
 
 @pytest.mark.parametrize("block_cells", [wkfreq.PAIR_BLOCK_CELLS, 997])
@@ -86,12 +95,17 @@ def test_pairwise_weighted_jaccard_matches_pairwise_calls_bit_for_bit(monkeypatc
 
     def center(idx):
         idx = rng.permutation(np.asarray(idx, dtype=np.int64))   # any coordinate order
-        return FreqItemCenter(idx, rng.random(idx.size) * 10.0 ** rng.integers(-3, 4), 1)
+        return idx, rng.random(idx.size) * 10.0 ** rng.integers(-3, 4)
+
+    def row(C, i):
+        lo, hi = C.indptr[i], C.indptr[i + 1]
+        return SimpleNamespace(idx=C.indices[lo:hi], val=C.data[lo:hi],
+                               total=float(C.data[lo:hi].sum()))
 
     planted = [center(range(0, 300)), center(range(100, 400)), center(range(290, 310)),
                center([295, 296, 297, 298, 299, 350]), center(range(300, 305)),
                center([]), center([])]   # two empty candidates are identical (1.0)
-    planted.append(FreqItemCenter(planted[0].idx, planted[0].val, 2))   # identical to the first
+    planted.append(planted[0])   # identical to the first
     cases = [planted, planted[:1], []]
     for _ in range(20):
         p = int(rng.integers(1, 500))
@@ -99,8 +113,10 @@ def test_pairwise_weighted_jaccard_matches_pairwise_calls_bit_for_bit(monkeypatc
         cases.append([center(rng.choice(p, size=size, replace=False)) for size in sizes])
 
     common_sizes = set()
-    for cands in cases:
-        sim = pairwise_weighted_jaccard(cands)
+    for rows in cases:
+        C = center_block(rows, 500)
+        cands = [row(C, i) for i in range(C.shape[0])]
+        sim = pairwise_weighted_jaccard(C)
         assert sim.shape == (len(cands), len(cands))
         for i, a in enumerate(cands):
             assert sim[i, i] == 1.0
@@ -211,7 +227,7 @@ def test_silk_seed_recovers_disjoint_supports(caplog):
         centers = silk_seed(X, np.ones(X.shape[1]), params)
     # each code is alone in all 32 of its band groups; equal bucket sketches merge
     assert "24 rows, 4 distinct codes, 128 buckets, 4 candidates" in caplog.text
-    got = sorted(tuple(c.idx.tolist()) for c in centers)
+    got = sorted(supports(centers))
     want = sorted(tuple(range(c * 5, c * 5 + 5)) for c in range(4))
     assert got == want
 
@@ -221,7 +237,7 @@ def test_silk_seed_pads_when_no_buckets_form():
     # candidate list is empty and distinct rows pad the seed set
     X, _ = repeated_disjoint(k=3, copies=1)
     centers = silk_seed(X, np.ones(X.shape[1]), ClusterParams(k=3, seed=5))
-    got = sorted(tuple(c.idx.tolist()) for c in centers)
+    got = sorted(supports(centers))
     want = sorted(tuple(range(c * 5, c * 5 + 5)) for c in range(3))
     assert got == want
 
@@ -230,8 +246,7 @@ def test_silk_seed_k1_and_too_few_rows():
     X, _ = repeated_disjoint(k=1, copies=4)
     ones = np.ones(X.shape[1])
     centers = silk_seed(X, ones, ClusterParams(k=1, seed=0))
-    assert len(centers) == 1
-    assert centers[0].idx.tolist() == [0, 1, 2, 3, 4]
+    assert supports(centers) == [(0, 1, 2, 3, 4)]
     with pytest.raises(DataError, match="need at least"):
         silk_seed(X[:0], ones, ClusterParams(k=1, seed=0))
     with pytest.raises(DataError, match="empty effective support"):
@@ -277,11 +292,23 @@ def _silk_inputs():
     yield "empty and non-empty effective supports", X, omega, ClusterParams(k=4, seed=9)
 
 
-def test_silk_seed_matches_per_bucket_reference():
+def test_silk_seed_matches_per_bucket_reference(monkeypatch):
+    candidates = []
+
+    def recording(C, sizes, *args):
+        candidates.append((C, sizes))
+        return _seed_from_candidates(C, sizes, *args)
+
+    monkeypatch.setattr(wkfreq, "_seed_from_candidates", recording)
+    monkeypatch.setattr(helpers, "_seed_from_candidates", recording)
     for name, X, omega, params in _silk_inputs():
+        candidates.clear()
         got = silk_seed(X, omega, params)
         want = reference_silk_seed(X, omega, params)
-        assert len(got) == params.k, name
+        (got_C, got_sizes), (want_C, want_sizes) = candidates
+        assert_same_centers(got_C, want_C)
+        assert np.array_equal(got_sizes, want_sizes), name
+        assert got.shape[0] == params.k, name
         assert_same_centers(got, want)
 
 
@@ -303,7 +330,7 @@ def test_cluster_k1_center_is_global_freqitem():
     assert np.all(res.labels == 0)
     counts = np.asarray(X.sum(axis=0)).ravel()
     keep = (counts > 0) & (counts >= 0.3 * counts.max())
-    assert res.centers[0].idx.tolist() == np.flatnonzero(keep).tolist()
+    assert supports(res.centers) == [tuple(np.flatnonzero(keep).tolist())]
 
 
 def test_cluster_converged_labels_are_a_fixed_point():
@@ -439,7 +466,7 @@ def test_cluster_on_duplicate_codes_matches_row_level_oracle():
         weights = np.r_[np.repeat(rng.uniform(0.2, 2.0, n_codes), np.diff(bounds)), np.zeros(8)]
         params = ClusterParams(k=k, seed=int(rng.integers(2**31)))
         seeds = reference_silk_seed(X, weights / weights.max(), params)
-        assert len({c.idx.tobytes() for c in seeds}) == n_codes
+        assert len(set(supports(seeds))) == n_codes
         got = cluster(X, params, weights)
         labels, centers, mean, n_iter = reference_lloyd(X, params, weights, seeds)
         assert np.array_equal(got.labels, labels)
