@@ -22,11 +22,8 @@ _FNV_PRIME = 0x00000100000001B3
 
 
 def mix64(x: int) -> int:
-    """splitmix64 finalizer on a python int, reduced mod 2**64."""
-    z = (x + _GOLDEN) & MASK64
-    z = ((z ^ (z >> 30)) * _MIX_A) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX_B) & MASK64
-    return z ^ (z >> 31)
+    """splitmix64 finalizer on a python int, taken mod 2**64 first."""
+    return int(mix64_array(np.array([x & MASK64], dtype=np.uint64))[0])
 
 
 def mix64_array(x: np.ndarray) -> np.ndarray:

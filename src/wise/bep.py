@@ -34,18 +34,6 @@ class BepConfig:
             raise ConfigError(f"nominal_mode must be one of {NOMINAL_MODES}")
 
 
-@dataclass(frozen=True)
-class BlockCode:
-    """A contiguous block of B ones at `offset` inside a 2B-bit window."""
-
-    offset: int
-    B: int
-
-    @property
-    def bits(self) -> np.ndarray:
-        return np.arange(self.offset, self.offset + self.B, dtype=np.int64)
-
-
 @dataclass
 class BepMatrix:
     """Encoded table: sparse binary rows plus the feature-to-bits map."""
@@ -72,11 +60,6 @@ def block_offset(x, B: int):
         raise DataError(f"value {x[outside].flat[0]} outside [0,1]")
     offsets = np.floor(B * x + 0.5).astype(np.int64)
     return int(offsets) if offsets.ndim == 0 else offsets
-
-
-def encode_numeric_value(x: float, B: int) -> BlockCode:
-    """Encode one normalized value as a shifted block of B ones."""
-    return BlockCode(offset=block_offset(x, B), B=B)
 
 
 def nominal_bit(label: str, B: int, hash_seed: int) -> int:

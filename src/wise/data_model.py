@@ -4,9 +4,10 @@ A table is columnar: one read-only array per column.  Numeric columns
 hold float64 values, ordinal columns int64 indices into the schema's
 ordered level list, nominal columns int64 indices into the levels
 observed at load time (first-occurrence order, which keeps downstream
-encodings deterministic).  Both loaders parse cell by cell, then
-transpose rows into columns.  Rows with missing cells are dropped at
-load and the count is logged; there is no imputation.
+encodings deterministic).  Every source (the CSV loader, in-memory
+rows, generated columns) hands its raw cells to one column parser.
+Rows with missing cells are dropped at load and the count is logged;
+there is no imputation.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class MixedTable:
 
 def load_schema(schema_path) -> list[ColumnSchema]:
     """Parse a JSON schema file: a list of {name, kind, ordered_levels?}."""
-    with open(schema_path, encoding="utf-8") as fh:
+    with open(schema_path, encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -134,32 +135,43 @@ def load_schema(schema_path) -> list[ColumnSchema]:
     return schema
 
 
-def _parse_cell(raw, col: ColumnSchema, level_index: dict):
-    """A float (numeric), level index (ordinal) or first-occurrence code (nominal)."""
+def _parse_column(raw_cells, col: ColumnSchema):
+    """Type one column of raw cells: ``(values, schema entry)``.
+
+    Nominal codes number the labels by first occurrence, and the returned
+    entry lists them.  An error names the column's first bad cell.
+    """
     if col.kind == "numeric":
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            raise DataError(f"column {col.name!r}: unparseable numeric {raw!r}") from None
-        if not np.isfinite(value):
-            raise DataError(f"column {col.name!r}: non-finite numeric {raw!r}")
-        return value
-    label = str(raw)
+        values = []
+        for raw in raw_cells:
+            try:
+                values.append(float(raw))
+            except (TypeError, ValueError):
+                raise DataError(f"column {col.name!r}: unparseable numeric {raw!r}") from None
+            if not math.isfinite(values[-1]):
+                raise DataError(f"column {col.name!r}: non-finite numeric {raw!r}")
+        return np.array(values, dtype=np.float64), col
+    labels = map(str, raw_cells)
     if col.kind == "ordinal":
+        index = {level: i for i, level in enumerate(col.ordered_levels)}
         try:
-            return col.ordered_levels.index(label)
-        except ValueError:
+            return np.array([index[label] for label in labels], dtype=np.int64), col
+        except KeyError as exc:
             raise DataError(
-                f"column {col.name!r}: level {label!r} not in ordered_levels"
+                f"column {col.name!r}: level {exc.args[0]!r} not in ordered_levels"
             ) from None
-    if label not in level_index:
-        level_index[label] = len(col.observed_levels)
-        col.observed_levels.append(label)
-    return level_index[label]
+    index = {}
+    codes = [index.setdefault(label, len(index)) for label in labels]
+    return np.array(codes, dtype=np.int64), replace(col, observed_levels=list(index))
 
 
-def _parse_row(cells, schema: list[ColumnSchema], level_maps: list[dict]) -> list:
-    return [_parse_cell(cell, col, lm) for cell, col, lm in zip(cells, schema, level_maps)]
+def table_from_columns(schema: list[ColumnSchema], raw_columns, row_ids=None) -> MixedTable:
+    """Build a table from one sequence of raw cells per schema column.
+
+    Numeric cells are numbers or their text, the others labels; ``schema`` is not changed.
+    """
+    parsed = [_parse_column(cells, col) for cells, col in zip(raw_columns, schema, strict=True)]
+    return MixedTable([col for _, col in parsed], [values for values, _ in parsed], row_ids)
 
 
 def load_table(csv_path, schema_path, truth_column: str | None = None):
@@ -169,10 +181,10 @@ def load_table(csv_path, schema_path, truth_column: str | None = None):
     (aligned with the kept rows) when ``truth_column`` is given, else
     None.  CSV columns must match the schema exactly, apart from the
     optional truth column, which may not be a schema column; no header
-    name may repeat.
+    name may repeat.  A UTF-8 byte-order mark is skipped.
     """
     schema = load_schema(schema_path)
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -195,45 +207,36 @@ def load_table(csv_path, schema_path, truth_column: str | None = None):
         if truth_column is not None and truth_pos is None:
             raise DataError(f"{csv_path}: truth column {truth_column!r} not found")
 
-        level_maps = [{} for _ in schema]
-        rows, row_ids, truth, dropped = [], [], [], 0
+        columns = [[] for _ in schema]
+        row_ids, truth, dropped = [], [], 0
         for lineno, record in enumerate(reader, start=2):
             if len(record) != len(header):
                 raise DataError(f"{csv_path}:{lineno}: expected {len(header)} cells")
             raw_cells = [record[pos].strip() for pos in positions]
-            if any(cell in MISSING_TOKENS for cell in raw_cells):
+            if not MISSING_TOKENS.isdisjoint(raw_cells):
                 dropped += 1
                 continue
-            rows.append(_parse_row(raw_cells, schema, level_maps))
+            for column, cell in zip(columns, raw_cells):
+                column.append(cell)
             row_ids.append(lineno - 2)
             if truth_pos is not None:
                 truth.append(record[truth_pos].strip())
     if dropped:
         log.info("%s: dropped %d rows with missing cells", csv_path, dropped)
-    if not rows:
+    if not row_ids:
         raise DataError(f"{csv_path}: no complete rows")
-    table = MixedTable(schema, list(zip(*rows)), row_ids)
-    return table, (truth if truth_pos is not None else None)
+    return table_from_columns(schema, columns, row_ids), (truth if truth_pos is not None else None)
 
 
 def table_from_raw(schema: list[ColumnSchema], raw_rows) -> MixedTable:
-    """Build a table from in-memory values without a CSV round trip.
-
-    Numeric cells are numbers, ordinal and nominal cells are label
-    strings; nominal levels register in first-occurrence order exactly
-    like the CSV loader.  The table gets its own copies of the schema
-    entries, so the caller's entries keep their observed levels.
-    """
-    schema = [replace(col, observed_levels=[]) for col in schema]
-    level_maps = [{} for _ in schema]
-    rows = []
-    for raw in raw_rows:
-        if len(raw) != len(schema):
-            raise DataError(f"row has {len(raw)} cells, schema has {len(schema)}")
-        rows.append(_parse_row(raw, schema, level_maps))
+    """Build a table from in-memory rows of raw cells, typed as ``table_from_columns`` does."""
+    rows = list(raw_rows)
     if not rows:
         raise DataError("no rows")
-    return MixedTable(schema, list(zip(*rows)))
+    for raw in rows:
+        if len(raw) != len(schema):
+            raise DataError(f"row has {len(raw)} cells, schema has {len(schema)}")
+    return table_from_columns(schema, list(zip(*rows)))
 
 
 def write_table(table: MixedTable, csv_path, truth=None, truth_name: str = "label"):

@@ -106,10 +106,6 @@ class ForestModel:
     trees: list[TreeFit]
     task: str  # "regression" | "classification"
 
-    @property
-    def quality(self) -> list[float]:
-        return [t.quality for t in self.trees]
-
 
 def _target_stats(y: np.ndarray, task: str, n_classes: int) -> np.ndarray:
     """Per-row target statistics whose column sums describe any set of rows:

@@ -82,21 +82,6 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     return 1.0 - float(np.dot(u, v)) / (nu * nv)
 
 
-def qd_objective(selected: list[TreeCandidate], lam: float) -> float:
-    """Mean quality blended with mean pairwise attribution distance."""
-    k = len(selected)
-    if k == 0:
-        raise ConfigError("objective undefined for an empty selection")
-    quality = lam * sum(c.quality for c in selected) / k
-    if k == 1:
-        return quality
-    pair_sum = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            pair_sum += cosine_distance(selected[i].s, selected[j].s)
-    return quality + (1.0 - lam) * 2.0 / (k * (k - 1)) * pair_sum
-
-
 def marginal_gain(
     candidate: TreeCandidate,
     selected: list[TreeCandidate],
@@ -104,7 +89,11 @@ def marginal_gain(
     pair_sum: float,
     lam: float,
 ) -> float:
-    """J(S + r) - J(S) in O(|S|) from the cached sums Q(S) and P(S)."""
+    """J(S + r) - J(S) in O(|S|) from the cached sums Q(S) and P(S).
+
+    J blends mean quality with mean pairwise attribution distance:
+    J(S) = lam Q(S) / k + (1 - lam) P(S) / (k (k - 1) / 2) for k = |S|.
+    """
     k = len(selected)
     if k == 0:
         raise ConfigError("gain needs a non-empty selection")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import ColumnSchema, MixedTable, table_from_raw, write_table
+from .data_model import ColumnSchema, MixedTable, table_from_columns, write_table
 from .errors import ConfigError
 
 
@@ -70,7 +70,7 @@ def synth_table(params: SynthParams) -> tuple[MixedTable, list[str]]:
         dominant = 2 * y + rng.integers(0, 2, n)
         noise_mask = rng.random(n) < params.noise
         dominant[noise_mask] = rng.integers(0, n_levels, noise_mask.sum())
-        columns.append(np.array([level_names[t] for t in dominant], dtype=object))
+        columns.append([level_names[t] for t in dominant])
         schema.append(ColumnSchema(f"cat_{a}", "nominal"))
 
     for a in range(params.noise_numeric):
@@ -80,13 +80,10 @@ def synth_table(params: SynthParams) -> tuple[MixedTable, list[str]]:
     noise_levels = [f"N{t}" for t in range(4)]
     for a in range(params.noise_nominal):
         draws = rng.integers(0, len(noise_levels), n)
-        columns.append(np.array([noise_levels[t] for t in draws], dtype=object))
+        columns.append([noise_levels[t] for t in draws])
         schema.append(ColumnSchema(f"cat_noise_{a}", "nominal"))
 
-    raw_rows = [tuple(col[i] for col in columns) for i in range(n)]
-    table = table_from_raw(schema, raw_rows)
-    truth = [f"c{c}" for c in y]
-    return table, truth
+    return table_from_columns(schema, columns), [f"c{c}" for c in y]
 
 
 def write_synth(params: SynthParams, csv_path, schema_path) -> None:

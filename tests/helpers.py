@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import factorial
 
 import numpy as np
 from scipy import sparse
 
-from wise._rng import derive_seed
-from wise.data_model import ColumnSchema, design_matrix, table_from_raw, unit_column
+from wise._rng import MASK64, derive_seed
+from wise.bep import block_offset
+from wise.data_model import (
+    ColumnSchema,
+    MixedTable,
+    design_matrix,
+    table_from_columns,
+    table_from_raw,
+    unit_column,
+)
 from wise.errors import ConfigError, DataError
 from wise.forest import (
     ForestModel,
@@ -48,12 +56,90 @@ def random_mixed_table(rng, n=80, numeric=2, nominal=2, levels=3):
     schema = [ColumnSchema(f"num_{a}", "numeric") for a in range(numeric)]
     schema += [ColumnSchema(f"cat_{a}", "nominal") for a in range(nominal)]
     cols = [rng.random(n) for _ in range(numeric)]
-    cols += [
-        np.array([f"v{t}" for t in rng.integers(0, levels, n)], dtype=object)
-        for _ in range(nominal)
-    ]
-    rows = [tuple(col[i] for col in cols) for i in range(n)]
-    return table_from_raw(schema, rows)
+    cols += [[f"v{t}" for t in rng.integers(0, levels, n)] for _ in range(nominal)]
+    return table_from_columns(schema, cols)
+
+
+def reference_mix64(x: int) -> int:
+    """splitmix64 finalizer in Python integer arithmetic."""
+    z = (x + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+@dataclass(frozen=True)
+class BlockCode:
+    """A contiguous block of B ones at `offset` inside a 2B-bit window."""
+
+    offset: int
+    B: int
+
+    @property
+    def bits(self) -> np.ndarray:
+        return np.arange(self.offset, self.offset + self.B, dtype=np.int64)
+
+
+def encode_numeric_value(x: float, B: int) -> BlockCode:
+    """Encode one normalized value as a shifted block of B ones."""
+    return BlockCode(offset=block_offset(x, B), B=B)
+
+
+def qd_objective(selected: list[TreeCandidate], lam: float) -> float:
+    """Mean quality blended with mean pairwise attribution distance."""
+    k = len(selected)
+    if k == 0:
+        raise ConfigError("objective undefined for an empty selection")
+    quality = lam * sum(c.quality for c in selected) / k
+    if k == 1:
+        return quality
+    pair_sum = 0.0
+    for i in range(k):
+        for j in range(i + 1, k):
+            pair_sum += cosine_distance(selected[i].s, selected[j].s)
+    return quality + (1.0 - lam) * 2.0 / (k * (k - 1)) * pair_sum
+
+
+def _reference_cell(raw, col: ColumnSchema, level_index: dict):
+    """A float (numeric), level index (ordinal) or first-occurrence code (nominal)."""
+    if col.kind == "numeric":
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            raise DataError(f"column {col.name!r}: unparseable numeric {raw!r}") from None
+        if not np.isfinite(value):
+            raise DataError(f"column {col.name!r}: non-finite numeric {raw!r}")
+        return value
+    label = str(raw)
+    if col.kind == "ordinal":
+        try:
+            return col.ordered_levels.index(label)
+        except ValueError:
+            raise DataError(
+                f"column {col.name!r}: level {label!r} not in ordered_levels"
+            ) from None
+    if label not in level_index:
+        level_index[label] = len(col.observed_levels)
+        col.observed_levels.append(label)
+    return level_index[label]
+
+
+def reference_table_from_rows(schema, raw_rows, row_ids=None) -> MixedTable:
+    """The cell-by-cell parser: each row typed in turn, then transposed.
+
+    Nominal levels grow on copies of the schema entries in first-occurrence
+    order; the first bad cell in row order raises.
+    """
+    schema = [replace(col, observed_levels=[]) for col in schema]
+    level_maps = [{} for _ in schema]
+    rows = []
+    for raw in raw_rows:
+        if len(raw) != len(schema):
+            raise DataError(f"row has {len(raw)} cells, schema has {len(schema)}")
+        rows.append([_reference_cell(c, col, lm) for c, col, lm in zip(raw, schema, level_maps)])
+    if not rows:
+        raise DataError("no rows")
+    return MixedTable(schema, list(zip(*rows)), row_ids)
 
 
 def random_sparse_binary(rng, n, p, min_nnz=3, max_nnz=10):

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    BlockCode,
     SparseWeightedVector,
     cws_sketch,
+    encode_numeric_value,
+    qd_objective,
     random_mixed_table,
     random_sparse_binary,
     random_tree,
@@ -20,16 +23,10 @@ from helpers import (
     weighted_jaccard,
 )
 from wise import cli
-from wise.bep import (
-    BepConfig,
-    BlockCode,
-    encode_numeric_value,
-    jaccard_distance,
-    quantization_bounds,
-)
+from wise.bep import BepConfig, jaccard_distance, quantization_bounds
 from wise.dfi import faithfulness_eval
 from wise.forest import ForestParams, predict_tree
-from wise.lofo import QdParams, TreeCandidate, cosine_distance, marginal_gain, qd_objective
+from wise.lofo import QdParams, TreeCandidate, cosine_distance, marginal_gain
 from wise.metrics import acc_hungarian, ari, nmi
 from wise.pipeline import PipelineConfig, run_wise
 from wise.synth import SynthParams, synth_table

@@ -10,7 +10,6 @@ from wise.bep import (
     BepConfig,
     block_offset,
     dump_bep,
-    encode_numeric_value,
     encode_table,
     jaccard_distance,
     nominal_bit,
@@ -18,7 +17,7 @@ from wise.bep import (
 )
 from wise.data_model import ColumnSchema, normalize_numeric, ordinal_to_scalar, table_from_raw
 from wise.errors import ConfigError, DataError
-from helpers import numeric_table
+from helpers import encode_numeric_value, numeric_table
 
 
 def test_block_code_endpoints():

@@ -1,10 +1,14 @@
 """Schema validation, columnar storage, CSV loading, and column scalarization."""
 
+import copy
+import csv
+import json
 import pickle
 
 import numpy as np
 import pytest
 
+from helpers import reference_table_from_rows
 from wise.data_model import (
     ColumnSchema,
     MixedTable,
@@ -12,6 +16,7 @@ from wise.data_model import (
     load_table,
     normalize_numeric,
     ordinal_to_scalar,
+    table_from_columns,
     table_from_raw,
     unit_column,
     write_table,
@@ -296,10 +301,15 @@ def test_unit_column_kinds_and_row_subset():
 
 
 def assert_same_columns(a, b):
-    assert [c.levels for c in a.schema] == [c.levels for c in b.schema]
-    for j in range(a.d):
-        assert a.column(j).dtype == b.column(j).dtype
-        assert np.array_equal(a.column(j), b.column(j))
+    """Same schema entries, column dtypes and column bytes."""
+    assert a.schema == b.schema
+    assert [c.dtype for c in a.columns] == [c.dtype for c in b.columns]
+    assert [c.tobytes() for c in a.columns] == [c.tobytes() for c in b.columns]
+
+
+def assert_same_table(got, want):
+    assert_same_columns(got, want)
+    assert got.row_ids.tolist() == want.row_ids.tolist()
 
 
 def random_mixed_csv(rng, path, n):
@@ -347,3 +357,159 @@ def test_load_write_load_round_trip_on_random_tables(tmp_path, seed):
     again = tmp_path / "again.csv"
     write_table(back, again, truth=back_truth)
     assert again.read_bytes() == out.read_bytes()
+
+
+def test_a_byte_order_mark_on_either_file_is_skipped(tmp_path):
+    text = "age,color\n20,red\n28,blue\n"
+    csv_path, schema_path = write_files(tmp_path, text, TWO_COL_SCHEMA)
+    plain, _ = load_table(csv_path, schema_path)
+    bom_csv, bom_schema = tmp_path / "bom.csv", tmp_path / "bom.json"
+    bom_csv.write_text("\ufeff" + text, encoding="utf-8")
+    bom_schema.write_text("\ufeff" + TWO_COL_SCHEMA, encoding="utf-8")
+    for paths in ((bom_csv, schema_path), (csv_path, bom_schema), (bom_csv, bom_schema)):
+        table, _ = load_table(*paths)
+        assert_same_table(table, plain)
+
+
+ORACLE_LEVELS = ["lo", "mid", "hi"]
+ORACLE_LABELS = ["a", "a\x00", "b", "A", "\u00e9", "e\u0301", "\u65e5\u672c", "x y", "1", "-0.0"]
+NUMERIC_TEXTS = ["1_000", "-0.0", "0.0", "1e-320", "+7", "1E3", " 2.5", "-1e308"]
+
+
+def oracle_schema(rng):
+    """Between one and five columns of random kinds; nominal entries carry stale levels."""
+    schema = []
+    for j in range(int(rng.integers(1, 6))):
+        kind = ("numeric", "ordinal", "nominal")[rng.integers(3)]
+        levels = ORACLE_LEVELS if kind == "ordinal" else None
+        stale = ["stale"] if kind == "nominal" else []
+        schema.append(ColumnSchema(f"c{j}", kind, ordered_levels=levels, observed_levels=stale))
+    return schema
+
+
+def schema_json(schema):
+    return json.dumps([{"name": c.name, "kind": c.kind}
+                       | ({"ordered_levels": c.ordered_levels} if c.kind == "ordinal" else {})
+                       for c in schema])
+
+
+def oracle_cell(rng, col, as_text):
+    """A valid raw cell: numbers as text or as numbers, labels from a small pool."""
+    if col.kind == "ordinal":
+        return ORACLE_LEVELS[rng.integers(3)]
+    if col.kind == "nominal":
+        return ORACLE_LABELS[rng.integers(len(ORACLE_LABELS))]
+    if rng.random() < 0.2:
+        return NUMERIC_TEXTS[rng.integers(len(NUMERIC_TEXTS))]
+    value = float(rng.normal(scale=10.0 ** rng.integers(-5, 6)))
+    if as_text:
+        return repr(value)
+    return (value, np.float64(value), int(value), str(value))[rng.integers(4)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_table_from_raw_matches_the_cell_by_cell_parser(seed):
+    rng = np.random.default_rng(seed)
+    schema = oracle_schema(rng)
+    before = copy.deepcopy(schema)
+    rows = [tuple(oracle_cell(rng, col, False) for col in schema)
+            for _ in range(int(rng.integers(1, 60)))]
+    want = reference_table_from_rows(schema, rows)
+    assert_same_table(table_from_raw(schema, rows), want)
+    assert_same_table(table_from_columns(schema, list(zip(*rows))), want)
+    assert schema == before
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_load_table_matches_the_cell_by_cell_parser(tmp_path, seed):
+    rng = np.random.default_rng(100 + seed)
+    schema = oracle_schema(rng)
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(schema_json(schema))
+    n = int(rng.integers(1, 60))
+    rows = [[oracle_cell(rng, col, True) for col in schema] for _ in range(n)]
+    for row in rows:
+        if rng.random() < 0.2:
+            row[rng.integers(len(row))] = ["", "?", "NA", " nan "][rng.integers(4)]
+    kept = [i for i, row in enumerate(rows) if not {c.strip() for c in row} & {"", "?", "NA", "nan"}]
+    csv_path = tmp_path / "in.csv"
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([c.name for c in schema] + ["label"])
+        writer.writerows(row + [f"r{i}"] for i, row in enumerate(rows))
+    if not kept:
+        with pytest.raises(DataError, match="no complete rows"):
+            load_table(csv_path, schema_path, truth_column="label")
+        return
+    kept_rows = [[c.strip() for c in rows[i]] for i in kept]
+    want = reference_table_from_rows(schema, kept_rows, kept)
+    loaded, truth = load_table(csv_path, schema_path, truth_column="label")
+    assert_same_table(loaded, want)
+    assert truth == [f"r{i}" for i in kept]
+    # and back through the writer: same table, row ids counted afresh
+    out = tmp_path / "out.csv"
+    write_table(want, out)
+    back, _ = load_table(out, schema_path)
+    assert_same_table(back, reference_table_from_rows(schema, kept_rows))
+
+
+@pytest.mark.parametrize("kind, cells, levels, values", [
+    ("nominal", ["a", "a\x00", "a", "a\x00\x00"], ["a", "a\x00", "a\x00\x00"], [0, 1, 0, 2]),
+    ("nominal", ["\u00e9", "e\u0301", "\u65e5\u672c", "\u00e9"], ["\u00e9", "e\u0301", "\u65e5\u672c"], [0, 1, 2, 0]),
+    ("nominal", ["only"], ["only"], [0]),
+    ("numeric", ["1_000", "-0.0", "1e-320", 3], [], [1000.0, -0.0, 1e-320, 3.0]),
+])
+def test_table_from_raw_edge_cells(kind, cells, levels, values):
+    schema = [ColumnSchema("v", kind)]
+    rows = [(cell,) for cell in cells]
+    table = table_from_raw(schema, rows)
+    assert_same_table(table, reference_table_from_rows(schema, rows))
+    assert table.schema[0].observed_levels == levels
+    assert table.column(0).tobytes() == np.array(values, dtype=table.column(0).dtype).tobytes()
+
+
+BAD_CELLS = [
+    ("numeric", "abc", "column 'v': unparseable numeric 'abc'"),
+    ("numeric", "inf", "column 'v': non-finite numeric 'inf'"),
+    ("numeric", "-1e999", "column 'v': non-finite numeric '-1e999'"),
+    ("numeric", None, "column 'v': unparseable numeric None"),
+    ("numeric", float("nan"), "column 'v': non-finite numeric nan"),
+    ("ordinal", "huge", "column 'v': level 'huge' not in ordered_levels"),
+    ("ordinal", "Lo", "column 'v': level 'Lo' not in ordered_levels"),
+]
+
+
+@pytest.mark.parametrize("kind, bad, message", BAD_CELLS)
+def test_one_bad_cell_gives_the_cell_by_cell_error(tmp_path, kind, bad, message):
+    levels = ORACLE_LEVELS if kind == "ordinal" else None
+    schema = [ColumnSchema("n", "numeric"), ColumnSchema("v", kind, ordered_levels=levels)]
+    good = "mid" if kind == "ordinal" else "2.5"
+    rows = [("1", good), ("2", bad), ("3", good)]
+    for build in (reference_table_from_rows, table_from_raw):
+        with pytest.raises(DataError) as exc:
+            build(schema, rows)
+        assert str(exc.value) == message
+    if not isinstance(bad, str):
+        return
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(schema_json(schema))
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text("n,v\n" + "".join(f"{a},{b}\n" for a, b in rows))
+    with pytest.raises(DataError) as exc:
+        load_table(csv_path, schema_path)
+    assert str(exc.value) == message
+
+
+def test_several_faults_report_the_record_length_then_the_leftmost_bad_column(tmp_path):
+    schema = [ColumnSchema("a", "numeric"), ColumnSchema("b", "numeric")]
+    rows = [(1.0, "x"), ("y", 2.0)]
+    with pytest.raises(DataError, match="column 'a': unparseable numeric 'y'"):
+        table_from_raw(schema, rows)
+    with pytest.raises(DataError, match="row has 1 cells"):
+        table_from_raw(schema, rows + [(3.0,)])
+    csv_path, schema_path = write_files(tmp_path, "a,b\n1,x\ny,2\n3\n", schema_json(schema))
+    with pytest.raises(DataError, match="data.csv:4: expected 2 cells"):
+        load_table(csv_path, schema_path)
+    csv_path.write_text("a,b\n1,x\ny,2\n")
+    with pytest.raises(DataError, match="column 'a': unparseable numeric 'y'"):
+        load_table(csv_path, schema_path)

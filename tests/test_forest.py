@@ -471,7 +471,7 @@ def test_copy_target_forest_has_perfect_quality():
     model, X_inputs = lofo_forest(table, 0, params, seed=1)
     assert model.task == "classification"
     assert X_inputs.shape == (300, 2)
-    assert model.quality == [1.0] * 5
+    assert [t.quality for t in model.trees] == [1.0] * 5
 
 
 def test_noise_target_forest_has_no_quality():
@@ -481,7 +481,7 @@ def test_noise_target_forest_has_no_quality():
     params = ForestParams(T=4, max_depth=4, min_samples_leaf=10, train_sample_frac=0.5)
     model, _ = lofo_forest(table_from_raw(schema, rows), 0, params, seed=2)
     assert model.task == "regression"
-    assert all(0.0 <= q < 0.2 for q in model.quality)
+    assert all(0.0 <= t.quality < 0.2 for t in model.trees)
 
 
 def test_forest_shapes_and_determinism():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import eager_qd_select, lofo_forest
+from helpers import eager_qd_select, lofo_forest, qd_objective
 from wise import lofo
 from wise.data_model import ColumnSchema, table_from_raw
 from wise.errors import ConfigError, DataError
@@ -16,7 +16,6 @@ from wise.lofo import (
     cosine_distance,
     greedy_select,
     marginal_gain,
-    qd_objective,
     sense_all,
     views_matrix,
 )
