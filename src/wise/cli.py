@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -432,13 +432,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    params = SynthParams(
-        n=args.n, clusters=args.clusters,
-        informative_numeric=args.informative_numeric,
-        informative_nominal=args.informative_nominal,
-        noise_numeric=args.noise_numeric, noise_nominal=args.noise_nominal,
-        noise=args.noise, seed=args.seed if args.seed is not None else 7,
-    )
+    params = SynthParams(**{f.name: getattr(args, f.name) for f in fields(SynthParams)})
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "data.csv")
     schema_path = os.path.join(args.out, "schema.json")
@@ -516,14 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a planted mixed-type dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n", type=int, default=3000)
-    p.add_argument("--clusters", type=int, default=3)
-    p.add_argument("--informative-numeric", type=int, default=2)
-    p.add_argument("--informative-nominal", type=int, default=2)
-    p.add_argument("--noise-numeric", type=int, default=3)
-    p.add_argument("--noise-nominal", type=int, default=1)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=None)
+    defaults = SynthParams()
+    for f in fields(SynthParams):
+        default = getattr(defaults, f.name)
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(default), default=default)
     p.set_defaults(func=cmd_synth)
 
     return parser

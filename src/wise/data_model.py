@@ -240,7 +240,11 @@ def table_from_raw(schema: list[ColumnSchema], raw_rows) -> MixedTable:
 
 
 def write_table(table: MixedTable, csv_path, truth=None, truth_name: str = "label"):
-    """Write a table back to CSV; inverse of load_table for kept rows."""
+    """Write a table back to CSV; inverse of load_table for kept rows.
+
+    A label that ``load_table`` would drop (a missing token) or change
+    (edge whitespace) raises ``DataError`` before the file is opened.
+    """
     header = [c.name for c in table.schema]
     if truth is not None:
         header.append(truth_name)
@@ -248,9 +252,13 @@ def write_table(table: MixedTable, csv_path, truth=None, truth_name: str = "labe
     for col, values in zip(table.schema, table.columns):
         if col.kind == "numeric":
             cells.append([repr(x) for x in values.tolist()])
-        else:
-            levels = col.levels
-            cells.append([levels[c] for c in values.tolist()])
+            continue
+        levels = col.levels
+        for label in (levels[c] for c in np.unique(values).tolist()):
+            if label in MISSING_TOKENS or label != label.strip():
+                raise DataError(f"column {col.name!r}: label {label!r} would not load back "
+                                f"(missing token or edge whitespace)")
+        cells.append([levels[c] for c in values.tolist()])
     if truth is not None:
         cells.append(truth)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:

@@ -19,15 +19,15 @@ Band signatures group codes into buckets (a group whose multiplicities
 sum to at least two), bucket sketches are hashed again to merge
 near-duplicate buckets into bins, and each bin contributes one FreqItem
 candidate; candidates are deduplicated and reduced to k by a
-distance-weighted sampling pass.  The level-2 work is batched: buckets
-form one sparse membership matrix M holding the members'
-multiplicities, so ``M @ X_codes`` yields every bucket's integer column
-counts over rows at once; one ICWS grid over all coordinates supplies
-every bucket sketch; bins are unions of buckets with equal sketches,
-numbered by first occurrence, and their counts come from one more
+distance-weighted sampling pass.  The work is batched: ``_padded`` lays
+a CSR block's rows out as one (n, W) block, so a sketch hash is one
+argmin over keys gathered through it; ``_distinct_rows`` groups equal
+codes, band signatures and bucket sketches; buckets form one membership
+matrix M of the members' multiplicities, so ``M @ X_codes`` gives every
+bucket's integer column counts over rows; bins are unions of buckets
+with equal sketches, numbered by first occurrence, counted by one more
 product.  Every count is the exact integer the rows give, so the
-candidates (one CSR row each) are those of row-level seeding; padding
-and the Lloyd loop still run on rows.
+candidates are those of row-level seeding; padding and Lloyd run on rows.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from scipy import sparse
 
 from ._rng import derive_seed, keyed_uniform_grid
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InvariantError
 
 log = logging.getLogger(__name__)
 
@@ -133,6 +133,25 @@ def pairwise_weighted_jaccard(C: sparse.csr_matrix) -> np.ndarray:
     return sim
 
 
+def _padded(C: sparse.csr_matrix) -> np.ndarray:
+    """Each row's stored positions as one (n, W >= 1) block, padded with C.nnz,
+    so ``np.append(values, pad)[_padded(C)]`` lays per-entry values out by row."""
+    lens = np.diff(C.indptr)
+    width = np.arange(max(int(lens.max(initial=0)), 1), dtype=C.indptr.dtype)
+    pos = C.indptr[:-1, None] + width
+    pos[width >= lens[:, None]] = C.nnz
+    return pos
+
+
+def _distinct_rows(A: np.ndarray):
+    """Distinct rows of A in byte order: (first row, inverse, row count) per group."""
+    A = np.ascontiguousarray(A)
+    view = A.view(np.dtype((np.void, A.itemsize * A.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(view, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    return first, inverse, counts
+
+
 # --- Consistent Weighted Sampling -------------------------------------------
 #
 # Ioffe's ICWS with counter-based randomness: the Gamma(2,1) and Uniform
@@ -177,40 +196,28 @@ def _key_grid(omega: np.ndarray, hash_ids: np.ndarray, seed: int):
     return ln_a, t_k
 
 
-def _segment_argmin(kv: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Position of each row segment's first minimum within kv (-1 if empty)."""
-    counts = np.diff(indptr)
-    if counts.size and np.all(counts == counts[0]) and counts[0] > 0:
-        width = counts[0]
-        return indptr[:-1] + np.argmin(kv.reshape(-1, width), axis=1)
-    out = np.full(counts.size, -1, dtype=np.int64)
-    live = counts > 0
-    if np.any(live):
-        starts = indptr[:-1][live]
-        low = np.repeat(np.minimum.reduceat(kv, starts), counts[live])
-        pos = np.where(kv == low, np.arange(kv.size), kv.size)
-        out[live] = np.minimum.reduceat(pos, starts)
-    return out
+def _first_minima(keys: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """(n, len(keys)): per row of ``block`` (column indices into ``keys``) and
+    per key row, the entry holding the row's first minimum key."""
+    win = np.empty((block.shape[0], len(keys)), dtype=np.intp)
+    for h, key in enumerate(keys):
+        win[:, h] = np.argmin(key[block], axis=1)
+    return np.take_along_axis(block, win, axis=1)
 
 
 def cws_signatures(X: sparse.csr_matrix, omega, hash_ids: np.ndarray, seed: int):
     """Sketch every row: (coords, companions), each (n, len(hash_ids)).
 
-    Rows whose effective support is empty get coordinate -1.
+    Rows whose effective support is empty get coordinate -1 and companion 0.
     """
-    n = X.shape[0]
-    keys, tks = _key_grid(omega, hash_ids, seed)
-    coords_out = np.full((n, len(hash_ids)), -1, dtype=np.int64)
-    comp_out = np.zeros((n, len(hash_ids)), dtype=np.int64)
-    cols = X.indices
-    for hi in range(len(hash_ids)):
-        kv = keys[hi][cols]
-        pos = _segment_argmin(kv, X.indptr)
-        ok = pos >= 0
-        ok[ok] = np.isfinite(kv[pos[ok]])
-        coords_out[ok, hi] = cols[pos[ok]]
-        comp_out[ok, hi] = tks[hi][cols[pos[ok]]]
-    return coords_out, comp_out
+    # coordinate p pads every row; its zero weight gives it +inf keys
+    keys, tks = _key_grid(np.append(omega, 0.0), hash_ids, seed)
+    coords = _first_minima(keys, np.append(X.indices, X.shape[1])[_padded(X)])
+    hashes = np.arange(len(hash_ids))
+    empty = ~np.isfinite(keys[hashes, coords])
+    comps = tks[hashes, coords]
+    coords[empty], comps[empty] = -1, 0
+    return coords, comps
 
 
 # --- FreqItem centers ---------------------------------------------------------
@@ -234,12 +241,8 @@ def _freqitems(F: sparse.csr_matrix, omega: np.ndarray, alpha: float) -> sparse.
     F.sort_indices()
     f = F.data.astype(np.int64)
     s = f * omega[F.indices]
-    lens = np.diff(F.indptr)
-    rows = np.repeat(np.arange(F.shape[0]), lens)
-    s_max = np.zeros(F.shape[0])
-    live = lens > 0
-    if np.any(live):
-        s_max[live] = np.maximum.reduceat(s, F.indptr[:-1][live])
+    s_max = np.append(s, 0.0)[_padded(F)].max(axis=1)
+    rows = np.repeat(np.arange(F.shape[0]), np.diff(F.indptr))
     keep = (s > 0) & (s >= alpha * s_max[rows])
     indptr = np.zeros(F.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows[keep], minlength=F.shape[0]), out=indptr[1:])
@@ -283,13 +286,8 @@ def _effective_codes(X: sparse.csr_matrix, omega: np.ndarray):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
     eff = sparse.csr_matrix((X.data[keep], X.indices[keep], indptr), shape=X.shape)
-    # each row's coordinates padded with -1; at least one column, since a
-    # zero-width byte view would have no elements
-    padded = np.full((n, max(int(np.diff(indptr).max()), 1)), -1, dtype=eff.indices.dtype)
-    padded[row, np.arange(row.size) - indptr[row]] = eff.indices
-    view = padded.view(np.dtype((np.void, padded.itemsize * padded.shape[1]))).ravel()
-    _, first, inverse, mult = np.unique(view, return_index=True, return_inverse=True,
-                                        return_counts=True)
+    pad = np.array([-1], dtype=eff.indices.dtype)
+    first, inverse, mult = _distinct_rows(np.concatenate([eff.indices, pad])[_padded(eff)])
     return eff[first], inverse, mult
 
 
@@ -311,10 +309,7 @@ def _band_buckets(coords: np.ndarray, comps: np.ndarray, live: np.ndarray, mult:
             [coords[:, h:h + params.lsh_rows], comps[:, h:h + params.lsh_rows]],
             axis=1,
         )
-        view = np.ascontiguousarray(sig).view(
-            np.dtype((np.void, sig.dtype.itemsize * sig.shape[1]))
-        ).ravel()
-        _, inverse, counts = np.unique(view, return_inverse=True, return_counts=True)
+        _, inverse, counts = _distinct_rows(sig)
         order = np.argsort(inverse, kind="stable")
         shared = np.bincount(inverse, weights=weight) >= 2
         members.append(live[order[shared[inverse[order]]]])
@@ -351,20 +346,21 @@ def _bin_candidates(
     if buckets.shape[0] == 0:
         return C, np.zeros(0, dtype=np.int64)
     if not np.all(np.isfinite(C.data) & (C.data > 0)):
-        raise ConfigError("values must be finite and positive")
+        raise InvariantError("bucket center values must be finite and positive")
 
     # One ICWS grid over all coordinates serves every bucket sketch; keys
     # of each bucket's retained coordinates are its own ICWS keys.
     r, ln_c, shift = _icws_parts(seed, hash_ids, np.arange(X.shape[1], dtype=np.int64))
     cols = C.indices
     ln_a, t_k = _icws_keys(C.data[None, :], r[:, cols], ln_c[:, cols], shift[:, cols])
-    pos = np.stack([_segment_argmin(keys, C.indptr) for keys in ln_a])
-    sig = np.concatenate([cols[pos], np.take_along_axis(t_k, pos, axis=1)]).T
+    # stored position C.nnz pads every row with a +inf key
+    pos = _first_minima(np.pad(ln_a, ((0, 0), (0, 1)), constant_values=np.inf), _padded(C))
+    sig = np.concatenate([cols[pos], t_k[np.arange(len(hash_ids)), pos]], axis=1)
 
-    _, first, inverse = np.unique(sig, axis=0, return_index=True, return_inverse=True)
+    first, inverse, _ = _distinct_rows(sig)
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
-    union = _indicator(rank[inverse.ravel()], first.size) @ buckets
+    union = _indicator(rank[inverse], first.size) @ buckets
     union.data = mult[union.indices]
     sizes = np.asarray(union.sum(axis=1)).ravel()
     top = np.argsort(-sizes, kind="stable")[:cap]

@@ -15,6 +15,7 @@ from wise.errors import ConfigError, DataError
 from wise.lofo import FeatureWeightVector
 from wise.metrics import evaluate
 from wise.pipeline import DEFAULT_SEED, PipelineConfig
+from wise.synth import SynthParams, write_synth
 
 FAST_OVERRIDES = [
     "--set", "T=4", "--set", "max_depth=6", "--set", "min_samples_leaf=5",
@@ -166,6 +167,14 @@ def test_synth_command_writes_files(tmp_path):
     assert csv_path.exists() and schema_path.exists()
     header = csv_path.read_text().splitlines()[0]
     assert header.endswith(",label")
+
+
+def test_synth_command_defaults_are_synth_params_defaults(tmp_path):
+    assert cli.main(["synth", "--out", str(tmp_path / "cli")]) == 0
+    want_csv, want_schema = tmp_path / "want.csv", tmp_path / "want.json"
+    write_synth(SynthParams(), want_csv, want_schema)
+    assert (tmp_path / "cli" / "data.csv").read_bytes() == want_csv.read_bytes()
+    assert (tmp_path / "cli" / "schema.json").read_bytes() == want_schema.read_bytes()
 
 
 def test_run_command_end_to_end(tmp_path, capsys):

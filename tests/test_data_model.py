@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -210,8 +211,9 @@ def test_write_table_round_trip(tmp_path):
         ColumnSchema("size", "ordinal", ordered_levels=["s", "m", "l"]),
         ColumnSchema("color", "nominal"),
     ]
+    # inner whitespace and quotes load back as written
     table = table_from_raw(
-        schema, [(0.125, "m", "red"), (7.25, "s", "blue"), (3.5, "l", "red")]
+        schema, [(0.125, "m", "dark red"), (7.25, "s", 'N "A"'), (3.5, "l", "dark red")]
     )
     csv_path = tmp_path / "out.csv"
     write_table(table, csv_path, truth=["c0", "c1", "c0"])
@@ -224,6 +226,21 @@ def test_write_table_round_trip(tmp_path):
     back, truth = load_table(csv_path, schema_path, truth_column="label")
     assert truth == ["c0", "c1", "c0"]
     assert_same_columns(back, table)
+
+
+@pytest.mark.parametrize("kind, label", [
+    ("nominal", "NA"), ("nominal", "?"), ("nominal", " x"), ("nominal", "x\t"),
+    ("ordinal", "nan"), ("ordinal", "x "),
+])
+def test_write_table_refuses_labels_load_would_change(tmp_path, kind, label):
+    # load_table drops rows with missing tokens and strips edge whitespace
+    levels = [label, "x"] if kind == "ordinal" else None
+    table = table_from_raw([ColumnSchema("c", kind, ordered_levels=levels)],
+                           [(label,), ("x",), ("x",)])
+    csv_path = tmp_path / "out.csv"
+    with pytest.raises(DataError, match=re.escape(f"column 'c': label {label!r}")):
+        write_table(table, csv_path)
+    assert not csv_path.exists()
 
 
 def test_design_matrix_kinds():

@@ -20,7 +20,8 @@ import scipy
 
 from wise import cli
 from wise.cli import build_config
-from wise.pipeline import PipelineConfig, make_views, run_wise
+from wise.bep import encode_table
+from wise.pipeline import PipelineConfig, make_views, run_wise, stage_one, stage_two
 from wise.synth import SynthParams, synth_table, write_synth
 
 RECORDED = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
@@ -46,6 +47,12 @@ DEEP_SENSE_DIGESTS = {
 # make_views, default config (m=3 of T=10 trees per target), 1 worker, on the
 # n=1500 table of synth seed 6
 DEFAULT_VIEWS_DIGEST = "10cd000b0e43577e4d444b0e6eb0f761"
+# stage_one and stage_two, default config, 1 worker, on those views: 24 rounds,
+# 9 of them on collapsed one-hot views
+DEFAULT_ROUNDS_DIGESTS = {
+    "L": "9abbbecbe9a82f7b706d9af05e689133",
+    "labels": "9f5aeff06e2dfe7a8209c0bc915fdb2e",
+}
 
 
 def digest(data: bytes) -> str:
@@ -91,9 +98,25 @@ def test_deep_sense_run_matches_golden_digests():
     assert got == DEEP_SENSE_DIGESTS
 
 
-def test_default_config_views_match_golden_digest():
-    # m >= 2 reads every tree's attribution during selection
+@pytest.fixture(scope="module")
+def default_views():
     table, _ = synth_table(SynthParams(n=1500, seed=6))
-    views = make_views(table, PipelineConfig(), workers=1)
+    return table, make_views(table, PipelineConfig(), workers=1)
+
+
+def test_default_config_views_match_golden_digest(default_views):
+    # m >= 2 reads every tree's attribution during selection
+    table, views = default_views
     assert len(views) == 3 * table.d
     assert digest(view_bytes(views)) == DEFAULT_VIEWS_DIGEST
+
+
+def test_default_config_rounds_match_golden_digests(default_views):
+    table, views = default_views
+    config = PipelineConfig()
+    L = stage_one(encode_table(table, config.bep), views, config, workers=1)
+    got = {
+        "L": digest(np.ascontiguousarray(L, dtype=np.int64).tobytes()),
+        "labels": digest(np.ascontiguousarray(stage_two(L, config), dtype=np.int64).tobytes()),
+    }
+    assert got == DEFAULT_ROUNDS_DIGESTS

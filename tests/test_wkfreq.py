@@ -174,13 +174,37 @@ def test_cws_signatures_match_per_row_sketches():
     X = random_sparse_binary(rng, n=12, p=40)
     omega = rng.uniform(0.1, 2.0, 40)
     hash_ids = np.arange(6, dtype=np.int64)
-    coords, comps = cws_signatures(X, omega, hash_ids, seed=3)
-    for i in range(12):
-        support = X.indices[X.indptr[i]:X.indptr[i + 1]].astype(np.int64)
-        v = SparseWeightedVector(support, omega[support])
-        c, t = cws_sketch(v, hash_ids, seed=3)
-        assert np.array_equal(coords[i], c)
-        assert np.array_equal(comps[i], t)
+    # equal-width rows, as every BEP code has d stored bits
+    equal = random_sparse_binary(rng, n=10, p=40, min_nnz=5, max_nnz=5)
+    zeroed = omega.copy()
+    zeroed[::3] = 0.0
+    # an empty row, then rows whose coordinates are all or partly zero under `zeroed`
+    mixed = sparse.csr_matrix(np.array([[0] * 40, [1 if j in (0, 3) else 0 for j in range(40)],
+                                        [1 if j in (0, 1, 6, 7) else 0 for j in range(40)]],
+                                       dtype=np.uint8))
+    mixed = sparse.vstack([X[:3], mixed, X[3:6]], format="csr")
+    cases = [(X, omega), (equal, omega), (mixed, omega), (mixed, zeroed), (X, zeroed),
+             (equal, zeroed), (sparse.csr_matrix((3, 40), dtype=np.uint8), omega)]
+    sketched = {"empty": 0, "partly zero": 0, "wholly zero": 0}
+    for X, w in cases:
+        coords, comps = cws_signatures(X, w, hash_ids, seed=3)
+        assert coords.shape == comps.shape == (X.shape[0], hash_ids.size)
+        for i in range(X.shape[0]):
+            support = X.indices[X.indptr[i]:X.indptr[i + 1]].astype(np.int64)
+            live = support[w[support] > 0]
+            if support.size == 0:
+                sketched["empty"] += 1
+            elif live.size == 0:
+                sketched["wholly zero"] += 1
+            elif live.size < support.size:
+                sketched["partly zero"] += 1
+            if live.size == 0:
+                assert np.all(coords[i] == -1) and np.all(comps[i] == 0)
+                continue
+            c, t = cws_sketch(SparseWeightedVector(live, w[live]), hash_ids, seed=3)
+            assert np.array_equal(coords[i], c)
+            assert np.array_equal(comps[i], t)
+    assert min(sketched.values()) > 0, sketched
 
 
 def test_cws_signatures_skip_zero_weight_support():
@@ -209,6 +233,11 @@ def test_freqitem_center_examples():
     # rows are independent centers; an empty row stays empty
     both = _freqitems(sparse.vstack([pair, sparse.csr_matrix((1, 3))]).tocsr(), np.ones(3), alpha=0.6)
     assert np.diff(both.indptr).tolist() == [1, 0]
+    first = _freqitems(sparse.vstack([sparse.csr_matrix((1, 3)), pair]).tocsr(), np.ones(3), alpha=0.6)
+    assert np.diff(first.indptr).tolist() == [0, 1]
+    assert first.indices.tolist() == [1]
+    none = _freqitems(sparse.csr_matrix((2, 3), dtype=np.int64), np.ones(3), alpha=0.6)
+    assert none.shape == (2, 3) and none.nnz == 0
 
 
 def test_cluster_params_validation():
