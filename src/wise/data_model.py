@@ -243,7 +243,8 @@ def write_table(table: MixedTable, csv_path, truth=None, truth_name: str = "labe
     """Write a table back to CSV; inverse of load_table for kept rows.
 
     A label that ``load_table`` would drop (a missing token) or change
-    (edge whitespace) raises ``DataError`` before the file is opened.
+    (edge whitespace) raises ``DataError`` before the file is opened, and
+    so does a truth label with edge whitespace, which it would strip.
     """
     header = [c.name for c in table.schema]
     if truth is not None:
@@ -260,6 +261,9 @@ def write_table(table: MixedTable, csv_path, truth=None, truth_name: str = "labe
                                 f"(missing token or edge whitespace)")
         cells.append([levels[c] for c in values.tolist()])
     if truth is not None:
+        for label in dict.fromkeys(truth):
+            if str(label) != str(label).strip():
+                raise DataError(f"truth label {label!r} would not load back (edge whitespace)")
         cells.append(truth)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

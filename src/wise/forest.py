@@ -7,10 +7,11 @@ explanation faithfulness harness.  Numeric and ordinal inputs split on
 thresholds; nominal inputs split on category-membership sets found by
 ordering categories by their target statistic and scanning prefixes.
 
-The trees of a forest grow together (``_Grower``): each step takes the
-next node of every tree and scans all its candidate splits in a few
-array passes.  Every tree keeps its own node order and random stream, so
-it comes out bit for bit as it would grown alone.
+The trees of a forest, and of the forests of several target columns that
+share a task and a class count, grow together (``_Grower``): each step
+takes the next node of every tree and scans all its candidate splits in
+a few array passes.  Every tree keeps its own node order, random stream
+and input columns, so it comes out bit for bit as it would grown alone.
 """
 
 from __future__ import annotations
@@ -300,38 +301,48 @@ class _Pending(NamedTuple):
 
 
 class _Grower:
-    """Grows several trees on one (X, y) in lockstep.
+    """Grows the trees of several forests on one design matrix in lockstep.
 
-    Each tree keeps its own depth-first order (left subtree first) and its
-    own rng, so its feature draws come in the order of a tree grown alone.
-    A step takes the next pending node of every tree and scans all their
-    (node, drawn feature) pairs at once.  A node is settled as a leaf when
-    it is made, so the pending nodes are the ones that try to split.
-    Held-out rows go down with their node and take the value of the leaf
-    they reach.
+    Forest f predicts its target ``Y[f]`` from the columns ``cols[f]`` of
+    X: a tree of forest f draws local feature i and reads column
+    ``cols[f, i]``, and its nodes keep the local index.  The trees come
+    forest by forest, equally many per forest.  Each tree keeps its own
+    depth-first order (left subtree first) and its own rng, so its feature
+    draws come in the order of a tree grown alone.  A step takes the next
+    pending node of every tree and scans all their (node, drawn feature)
+    pairs at once.  A node is settled as a leaf when it is made, so the
+    pending nodes are the ones that try to split.  Held-out rows go down
+    with their node and take the value of the leaf they reach.
     """
 
-    def __init__(self, X, y, task, params, is_nominal, n_classes, rngs, train, heldout):
+    def __init__(self, X, is_nominal, Y, cols, task, params, n_classes, rngs, train, heldout):
         X = np.asarray(X, dtype=np.float64)
         n, d = X.shape
         is_nominal = np.zeros(d, dtype=bool) if is_nominal is None else np.asarray(is_nominal, dtype=bool)
-        self.n, self.d = n, d
+        self.n = n
         self.task, self.params, self.n_classes = task, params, n_classes
-        # integer targets sum exactly, so as floats they give the same means and variances
-        self.y = np.asarray(y, dtype=np.float64) if task == "regression" else y.astype(np.int64)
         self.is_nominal = is_nominal
-        self.mtry = _mtry(d, task, params)
-        stats = _target_stats(y, task, n_classes)
-        self.stats = np.vstack([stats, np.zeros((1, stats.shape[1]))])  # row n pads
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.mtry = _mtry(self.cols.shape[1], task, params)
+        F, T = len(Y), len(rngs)
+        self.forest = np.arange(T) // (T // F)  # per tree
+        # forest f's row r sits at f * (n + 1) + r in the targets and their
+        # statistics, as column c's row r does in xt; row n of each block is a zero pad
+        self.offset = self.forest * (n + 1)
+        # integer targets sum exactly, so as floats they give the same means and variances
+        y = np.zeros((F, n + 1), dtype=np.float64 if task == "regression" else np.int64)
+        y[:, :n] = Y
+        self.y = y.ravel()
+        self.stats = _target_stats(self.y, task, n_classes)
+        self.stats[n::n + 1] = 0.0  # the pads' one-hot class 0
         xt = np.empty((d, n + 1))
         xt[:, :n] = X.T
         xt[:, n] = np.nan
-        self.xt = xt.ravel()  # X[r, f] is xt[f * (n + 1) + r]
+        self.xt = xt.ravel()  # X[r, c] is xt[c * (n + 1) + r]
         codes = X[:, is_nominal]
         if codes.size and codes.min() < 0:
             raise DataError("category codes must be non-negative")
         self.levels = int(codes.max()) + 1 if codes.size else 0
-        T = len(rngs)
         self.rngs = rngs
         self.roots = [None] * T
         self.stacks = [[] for _ in range(T)]
@@ -368,19 +379,24 @@ class _Grower:
         if not test:
             return
         size = np.array([node.rows.size for node in test])
-        yv = self.y[np.concatenate([node.rows for node in test])]
+        yv = self._targets(test, size)
         for node, pure in zip(test, _pure(yv, size.cumsum() - size, size, self.task)):
             if pure:
                 leaves.append(node)
             else:
                 self.stacks[node.tree].append(node)
 
+    def _targets(self, nodes, size):
+        """The targets of the nodes' rows, node by node."""
+        offset = self.offset[[node.tree for node in nodes]]
+        return self.y[np.repeat(offset, size) + np.concatenate([node.rows for node in nodes])]
+
     def _make_leaves(self, leaves):
         """Make pending nodes into leaves and give their held-out rows the leaf values."""
         if not leaves:
             return
         size = np.array([node.rows.size for node in leaves])
-        yv = self.y[np.concatenate([node.rows for node in leaves])]
+        yv = self._targets(leaves, size)
         if self.task == "regression":
             bounds = size.cumsum().tolist()
             values = [float(yv[e - m:e].mean()) for e, m in zip(bounds, size.tolist())]
@@ -405,14 +421,17 @@ class _Grower:
         active = [stack.pop() for stack in self.stacks if stack]
         A, n, mtry = len(active), self.n, self.mtry
         min_leaf = self.params.min_samples_leaf
-        draws = np.array([self.rngs[node.tree].choice(self.d, size=mtry, replace=False)
-                          for node in active])
+        tree = np.array([node.tree for node in active])
+        draws = np.array([self.rngs[u].choice(self.cols.shape[1], size=mtry, replace=False)
+                          for u in tree.tolist()])
         draws.sort(axis=1)
-        feat = draws.ravel()  # pair a * mtry + j: node a, its j-th drawn feature
+        local = draws.ravel()  # pair a * mtry + j: node a, its j-th drawn feature
+        feat = np.take_along_axis(self.cols[self.forest[tree]], draws, axis=1).ravel()
         size = np.array([node.rows.size for node in active])
         rows = np.concatenate([node.rows for node in active])
         first = size.cumsum() - size
         owner = np.repeat(np.arange(A), mtry)
+        offset = self.offset[tree][owner]  # where the pair's forest's statistics start
         width = size[owner]
         start = first[owner]
         nominal = self.is_nominal[feat]
@@ -429,7 +448,8 @@ class _Grower:
             order = values.argsort(axis=1, kind="stable")
             order += np.arange(0, order.size, order.shape[1])[:, None]  # flat positions
             gain[p], threshold[p] = _scan_thresholds(
-                padded.take(order), values.take(order), width[p], self.stats, self.task, min_leaf)
+                padded.take(order) + offset[p][:, None], values.take(order), width[p], self.stats,
+                self.task, min_leaf)
         where = {}  # nominal pair -> (categories in scan order, row, left counts)
         nom = nominal.nonzero()[0]
         for g in _blocks(np.full(nom.size, self.levels), s):
@@ -438,7 +458,7 @@ class _Grower:
             member = rows[np.arange(int(w.sum())) + np.repeat(start[p] - (w.cumsum() - w), w)]
             codes = self.xt.take(feat[p][seg] * (n + 1) + member).astype(np.int64)
             gain[p], ordered, n_left = _scan_categories(
-                seg, codes, member, p.size, self.stats, self.task, min_leaf)
+                seg, codes, member + offset[p][seg], p.size, self.stats, self.task, min_leaf)
             for i, q in enumerate(p.tolist()):
                 where[q] = (ordered, i, n_left)
         # first best feature of each node; the draws are sorted, so ties go to the lowest
@@ -452,10 +472,10 @@ class _Grower:
             m = int(size[a])
             if nominal[p]:
                 ordered, i, n_left = where[p]
-                split = TreeNode(n_samples=m, feature=int(feat[p]),
+                split = TreeNode(n_samples=m, feature=int(local[p]),
                                  categories=frozenset(ordered[i, :n_left[i]].tolist()))
             else:
-                split = TreeNode(n_samples=m, feature=int(feat[p]), threshold=float(threshold[p]))
+                split = TreeNode(n_samples=m, feature=int(local[p]), threshold=float(threshold[p]))
             self._attach(node, split)
             grown.append((node, split))
         if grown:
@@ -471,7 +491,8 @@ class _Grower:
         hsize = np.array([node.held.size for node, _ in grown])
         length = np.concatenate([m, hsize])
         seg = np.repeat(np.tile(np.arange(K), 2), length)  # the split node of each element
-        base = np.array([split.feature for _, split in grown]) * (n + 1)
+        tree = [node.tree for node, _ in grown]
+        base = self.cols[self.forest[tree], [split.feature for _, split in grown]] * (n + 1)
         values = self.xt.take(rows + base[seg])
         total = rows.size
         # a nominal split has no threshold: as NaN it sends no row left until its lookup below
@@ -520,8 +541,8 @@ def train_tree(
     """Grow one CART tree greedily on every row; ties go to the lowest feature index."""
     if X.shape[0] == 0:
         raise DataError("cannot train a tree on zero rows")
-    grower = _Grower(X, y, task, params, is_nominal, n_classes, [rng],
-                     [np.arange(X.shape[0])], [np.zeros(0, dtype=np.intp)])
+    grower = _Grower(X, is_nominal, [y], [np.arange(X.shape[1])], task, params, n_classes,
+                     [rng], [np.arange(X.shape[0])], [np.zeros(0, dtype=np.intp)])
     return grower.grow()[0]
 
 
@@ -548,34 +569,43 @@ def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
 
 def train_forest(
     X: np.ndarray,
-    y: np.ndarray,
+    targets: list[int],
     task: str,
     params: ForestParams,
-    seed: int,
+    seeds: list[int],
     is_nominal: np.ndarray | None = None,
     n_classes: int = 0,
 ) -> ForestModel:
-    """Train T trees on independent row subsamples; score each on its held-out rows.
+    """Train one forest per target column of X, each on the other columns.
 
-    Tree u draws its rows, then its split features, from the stream
-    ``derive_seed(seed, "tree", u)``.
+    The targets share ``task`` and ``n_classes``, and all their trees grow
+    together.  Forest i predicts column ``targets[i]`` from the other
+    columns in column order, so its trees' features index those columns.
+    It has T trees on independent row subsamples, each scored on its
+    held-out rows; tree u draws its rows, then its split features, from
+    the stream ``derive_seed(seeds[i], "tree", u)``.  The model's trees
+    are target-major: forest i's are ``trees[i * T:(i + 1) * T]``.
     """
-    n = X.shape[0]
-    sample_size = params.sample_size(n)
+    n, d = X.shape
+    T, sample_size = params.T, params.sample_size(n)
     rngs, train, heldout = [], [], []
-    for u in range(params.T):
-        rng = np.random.default_rng(derive_seed(seed, "tree", u))
-        rows = np.sort(rng.choice(n, size=sample_size, replace=False))
-        rngs.append(rng)
-        train.append(rows)
-        heldout.append(np.setdiff1d(np.arange(n), rows, assume_unique=True))
-    grower = _Grower(X, y, task, params, is_nominal, n_classes, rngs, train, heldout)
+    for seed in seeds:
+        for u in range(T):
+            rng = np.random.default_rng(derive_seed(seed, "tree", u))
+            rows = np.sort(rng.choice(n, size=sample_size, replace=False))
+            rngs.append(rng)
+            train.append(rows)
+            heldout.append(np.setdiff1d(np.arange(n), rows, assume_unique=True))
+    Y = X[:, targets].T
+    cols = [np.flatnonzero(np.arange(d) != j) for j in targets]
+    grower = _Grower(X, is_nominal, Y, cols, task, params, n_classes, rngs, train, heldout)
     trees = []
-    for u, root in enumerate(grower.grow()):
-        y_tr = y[train[u]]
+    for t, root in enumerate(grower.grow()):
+        y = Y[t // T]
+        y_tr = y[train[t]]
         majority = int(np.bincount(y_tr.astype(np.int64), minlength=n_classes).argmax()) if task == "classification" else None
-        quality = _heldout_quality(grower.pred[u * n + heldout[u]], y[heldout[u]], task)
-        trees.append(TreeFit(root, train[u], heldout[u], quality, majority))
+        quality = _heldout_quality(grower.pred[t * n + heldout[t]], y[heldout[t]], task)
+        trees.append(TreeFit(root, train[t], heldout[t], quality, majority))
     return ForestModel(trees=trees, task=task)
 
 

@@ -8,6 +8,10 @@ attribution patterns disagree, and each pick is completed into a simplex
 weight vector: the attribution mass scaled by the tree's quality, with
 the remaining 1-q kept on the target column itself.
 
+The forests of the targets that share a task and a class count grow
+together, in one ``train_forest`` call on small tables; with several
+workers each worker grows those of one run of consecutive target columns.
+
 A tree is explained (interventional TreeSHAP) only when its attribution
 is first read, and at most once.  The greedy seeds from qualities alone
 and reads the other trees' attributions only to score picks 2..m, so
@@ -184,24 +188,54 @@ def candidates_from_forest(
             for u, fit in enumerate(model.trees)]
 
 
-def _sense_one(shared, target: int):
-    X, is_nominal, n_classes, forest_params, qd_params, seed, explain_cap, background_size = shared
+# One train_forest call grows forests of at most this many trees times
+# rows in all, or one forest: the grower's held-out rows, predictions and
+# step arrays grow in proportion.  Lockstep growth saves a step's fixed
+# costs, which matter on small tables; a larger table grows one forest
+# per call, in the memory of a forest grown alone.
+_GROUP_ROWS = 1 << 16
+
+
+def grow_forests(X, is_nominal, n_classes, targets, params: ForestParams, seeds):
+    """Yield (i, the LOFO forest of ``targets[i]``) for every target, seeded
+    with ``seeds[i]``, as each ``train_forest`` call returns.
+
+    Targets that share a task and a class count grow in one call, up to
+    ``_GROUP_ROWS``.  Targets of different class counts grow apart:
+    padding their class statistics to one width would change how Gini
+    impurities sum.
+    """
+    groups = {}
+    for i, j in enumerate(targets):
+        groups.setdefault((bool(is_nominal[j]), n_classes[j]), []).append(i)
+    T = params.T
+    step = max(1, _GROUP_ROWS // (T * X.shape[0]))
+    for (nominal, C), group in groups.items():
+        task = "classification" if nominal else "regression"
+        for start in range(0, len(group), step):
+            members = group[start:start + step]
+            model = train_forest(X, [targets[i] for i in members], task, params,
+                                 [seeds[i] for i in members], is_nominal, C)
+            for k, i in enumerate(members):
+                yield i, ForestModel(model.trees[k * T:(k + 1) * T], task)
+            del model  # free these trees before the next call grows its own
+
+
+def _sense_chunk(shared, c: int):
+    X, is_nominal, n_classes, chunks, forest_params, qd_params, seed, explain_cap, background_size = shared
     d = X.shape[1]
-    seed_j = derive_seed(seed, "lofo", target)
-    inputs = np.arange(d) != target
-    X_inputs = X[:, inputs]
-    task = "classification" if is_nominal[target] else "regression"
-    model = train_forest(X_inputs, X[:, target], task, forest_params, seed_j,
-                         is_nominal=is_nominal[inputs], n_classes=n_classes[target])
-    cands = candidates_from_forest(model, X_inputs, seed_j, explain_cap, background_size)
-    picked = greedy_select(cands, qd_params)
-    views = []
-    for rank, cand in enumerate(picked):
-        w = complete_weight(cand, target, d)
-        views.append(
-            FeatureWeightVector(w=w, target=target, tree=cand.uid, quality=cand.quality, rank=rank)
-        )
-    return views
+    targets = chunks[c].tolist()
+    seeds = [derive_seed(seed, "lofo", j) for j in targets]
+    views = [None] * len(targets)
+    for i, model in grow_forests(X, is_nominal, n_classes, targets, forest_params, seeds):
+        target = targets[i]
+        cands = candidates_from_forest(model, X[:, np.arange(d) != target], seeds[i],
+                                       explain_cap, background_size)
+        views[i] = [FeatureWeightVector(w=complete_weight(cand, target, d), target=target,
+                                        tree=cand.uid, quality=cand.quality, rank=rank)
+                    for rank, cand in enumerate(greedy_select(cands, qd_params))]
+        del model, cands  # as grow_forests frees its trees
+    return [v for per_target in views for v in per_target]
 
 
 def sense_all(
@@ -215,9 +249,11 @@ def sense_all(
 ) -> list[FeatureWeightVector]:
     """All R = d*m weighted views, ordered by (target column, greedy rank).
 
-    Targets are independent tasks on one design matrix.  Target j's
-    forest is seeded with ``derive_seed(seed, "lofo", j)``, so the result
-    is identical for any worker count.
+    Targets are independent tasks on one design matrix.  They are cut
+    into ``min(workers, d)`` runs of consecutive columns, one pool task
+    each, and the forests of a run grow together (``grow_forests``).
+    Target j's forest is seeded with ``derive_seed(seed, "lofo", j)``, so
+    the result is identical for any worker count.
     """
     if qd_params.m > forest_params.T:
         raise ConfigError(f"cannot select m={qd_params.m} trees from forests of T={forest_params.T}")
@@ -229,9 +265,10 @@ def sense_all(
                           f"leaves no held-out rows for n={table.n}")
     X, is_nominal = design_matrix(table)
     n_classes = [col.n_levels() if col.kind == "nominal" else 0 for col in table.schema]
-    shared = (X, is_nominal, n_classes, forest_params, qd_params, seed, explain_cap, background_size)
-    per_target = map_indices(_sense_one, shared, table.d, workers)
-    views = [v for group in per_target for v in group]
+    chunks = np.array_split(np.arange(table.d), max(1, min(workers, table.d)))
+    shared = (X, is_nominal, n_classes, chunks, forest_params, qd_params, seed, explain_cap,
+              background_size)
+    views = [v for chunk in map_indices(_sense_chunk, shared, len(chunks), workers) for v in chunk]
     check_simplex(views)
     return views
 

@@ -28,10 +28,9 @@ from wise.forest import (
     _mtry,
     _target_stats,
     predict_tree,
-    train_forest,
     train_tree,
 )
-from wise.lofo import QdParams, TreeCandidate, cosine_distance, marginal_gain
+from wise.lofo import QdParams, TreeCandidate, cosine_distance, grow_forests, marginal_gain
 from wise.metrics import SWC_SUBSAMPLE
 from wise.treeshap import _weight_tables, aggregate_global
 from wise.wkfreq import (
@@ -200,15 +199,13 @@ def random_tree(rng, d, task="regression", n_classes=0, depth=3, nominal_frac=0.
 
 
 def lofo_forest(table, target, params, seed):
-    """The forest that predicts column ``target`` from the other columns, as
-    ``lofo.sense_all`` trains it; returns (model, its input matrix)."""
+    """The forest that predicts column ``target`` from the other columns, grown
+    as ``lofo.sense_all`` grows it: in one ``grow_forests`` call for every
+    column, here each seeded with ``seed``.  Returns (model, its input matrix)."""
     X, is_nominal = design_matrix(table)
-    inputs = np.arange(table.d) != target
-    n_classes = table.schema[target].n_levels() if is_nominal[target] else 0
-    task = "classification" if is_nominal[target] else "regression"
-    model = train_forest(X[:, inputs], X[:, target], task, params, seed,
-                         is_nominal[inputs], n_classes)
-    return model, X[:, inputs]
+    n_classes = [col.n_levels() if col.kind == "nominal" else 0 for col in table.schema]
+    forests = dict(grow_forests(X, is_nominal, n_classes, range(table.d), params, [seed] * table.d))
+    return forests[target], X[:, np.arange(table.d) != target]
 
 
 def eager_qd_select(model, X_inputs, seed, explain_cap, background_size, params: QdParams):

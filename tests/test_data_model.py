@@ -216,7 +216,8 @@ def test_write_table_round_trip(tmp_path):
         schema, [(0.125, "m", "dark red"), (7.25, "s", 'N "A"'), (3.5, "l", "dark red")]
     )
     csv_path = tmp_path / "out.csv"
-    write_table(table, csv_path, truth=["c0", "c1", "c0"])
+    truth_labels = ["c 0", 'c "1"', "c 0"]
+    write_table(table, csv_path, truth=truth_labels)
     schema_path = tmp_path / "schema.json"
     schema_path.write_text(
         '[{"name": "age", "kind": "numeric"},'
@@ -224,7 +225,7 @@ def test_write_table_round_trip(tmp_path):
         ' {"name": "color", "kind": "nominal"}]'
     )
     back, truth = load_table(csv_path, schema_path, truth_column="label")
-    assert truth == ["c0", "c1", "c0"]
+    assert truth == truth_labels
     assert_same_columns(back, table)
 
 
@@ -240,6 +241,14 @@ def test_write_table_refuses_labels_load_would_change(tmp_path, kind, label):
     csv_path = tmp_path / "out.csv"
     with pytest.raises(DataError, match=re.escape(f"column 'c': label {label!r}")):
         write_table(table, csv_path)
+    assert not csv_path.exists()
+
+
+def test_write_table_refuses_truth_labels_load_would_strip(tmp_path):
+    table = table_from_raw([ColumnSchema("c", "nominal")], [("x",), ("y",)])
+    csv_path = tmp_path / "out.csv"
+    with pytest.raises(DataError, match=re.escape("truth label ' c0'")):
+        write_table(table, csv_path, truth=[" c0", "c1 "])
     assert not csv_path.exists()
 
 

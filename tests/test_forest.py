@@ -18,6 +18,7 @@ from helpers import (
 from wise.data_model import ColumnSchema, design_matrix, table_from_raw
 from wise.errors import ConfigError, DataError
 from wise.forest import (
+    ForestModel,
     ForestParams,
     TreeNode,
     _heldout_quality,
@@ -236,6 +237,15 @@ def assert_same_forest(got, want):
         assert a.majority_class == b.majority_class
 
 
+def train_one_forest(X, y, task, params, seed, is_nominal=None, n_classes=0):
+    """``train_forest`` for one target y predicted from every column of X: y
+    joins the design matrix as its last column."""
+    d = X.shape[1]
+    nominal = np.zeros(d, dtype=bool) if is_nominal is None else is_nominal
+    return train_forest(np.column_stack([X, y]), [d], task, params, [seed],
+                        np.append(nominal, task == "classification"), n_classes)
+
+
 def mixed_inputs(rng, n, task):
     """Continuous, tied, ordinal and nominal inputs; a target that misses classes."""
     X = np.column_stack([
@@ -264,7 +274,7 @@ def test_lockstep_forest_matches_per_node_grower(task, T):
         params = ForestParams(T=T, max_depth=max_depth, min_samples_leaf=min_leaf,
                               train_sample_frac=frac)
         args = (X, y, task, params, T + min_leaf, is_nominal, n_classes)
-        assert_same_forest(train_forest(*args), reference_fit_forest(*args))
+        assert_same_forest(train_one_forest(*args), reference_fit_forest(*args))
         tree = train_tree(X, y, params, np.random.default_rng(min_leaf), task, is_nominal, n_classes)
         want = reference_train_tree(X, y, params, np.random.default_rng(min_leaf), task,
                                     is_nominal, n_classes)
@@ -283,6 +293,53 @@ def test_lockstep_lofo_forests_match_per_node_grower():
         want = reference_fit_forest(X_inputs, X[:, target], model.task, params, 8,
                                     is_nominal[inputs], n_classes)
         assert_same_forest(model, want)
+
+
+def grouped_design(rng, n):
+    """Regression targets in the first, a middle and the last column; two
+    nominal columns of 6 classes; a two-class nominal column."""
+    X = np.column_stack([
+        rng.random(n),                                 # 0 continuous
+        rng.integers(0, 6, n).astype(float),           # 1 nominal, 6 classes
+        np.round(rng.random(n), 1),                    # 2 tied values
+        rng.integers(0, 5, n).astype(float),           # 3 ordinal levels
+        rng.integers(0, 6, n).astype(float),           # 4 nominal, 6 classes
+        (rng.random(n) < 0.2).astype(float),           # 5 nominal, 2 classes
+        np.zeros(n),                                   # 6 signal
+    ])
+    X[:, 4] = np.where(rng.random(n) < 0.7, (X[:, 1] + 2 * (X[:, 0] > 0.5)) % 6, X[:, 4])
+    X[:, 6] = np.round(X[:, 0] + X[:, 3] / 4 + (X[:, 1] % 2) + rng.normal(0, 0.2, n), 2)
+    X[:, 0] = np.where(rng.random(n) < 0.8, X[:, 6] / 3, X[:, 0])
+    is_nominal = np.array([False, True, False, False, True, True, False])
+    return X, is_nominal, [0, 6, 0, 0, 6, 2, 0]
+
+
+@pytest.mark.parametrize("T", [1, 7])
+def test_grouped_forests_match_per_target_forests(T):
+    """One train_forest call over a target group grows, for every target, the
+    trees the per-node grower grows on that target's own input columns."""
+    rng = np.random.default_rng(70 + T)
+    n = 150
+    X, is_nominal, n_classes = grouped_design(rng, n)
+    groups = [([0, 3, 6], "regression"), ([1, 4], "classification"), ([6], "regression"),
+              ([5], "classification")]
+    # the last setting holds out one row per tree
+    settings = [(1, 20, 0.5), (5, 3, 0.7), (2, 6, 0.995)]
+    assert ForestParams(train_sample_frac=0.995).sample_size(n) == n - 1
+    for min_leaf, max_depth, frac in settings:
+        params = ForestParams(T=T, max_depth=max_depth, min_samples_leaf=min_leaf,
+                              train_sample_frac=frac)
+        for targets, task in groups:
+            C = n_classes[targets[0]]
+            assert all(n_classes[j] == C for j in targets)
+            seeds = [100 * min_leaf + j for j in targets]
+            model = train_forest(X, targets, task, params, seeds, is_nominal, C)
+            assert model.task == task and len(model.trees) == len(targets) * T
+            for k, (j, seed) in enumerate(zip(targets, seeds)):
+                inputs = np.arange(X.shape[1]) != j
+                want = reference_fit_forest(X[:, inputs], X[:, j], task, params, seed,
+                                            is_nominal[inputs], C)
+                assert_same_forest(ForestModel(model.trees[k * T:(k + 1) * T], task), want)
 
 
 def test_degenerate_numbers_grow_the_per_node_grower_trees():
@@ -489,13 +546,13 @@ def test_forest_shapes_and_determinism():
     X = rng.random((100, 3))
     y = X[:, 1] * 2.0
     params = ForestParams(T=3, max_depth=4, min_samples_leaf=5, train_sample_frac=0.6)
-    model = train_forest(X, y, "regression", params, seed=9)
+    model = train_one_forest(X, y, "regression", params, seed=9)
     assert len(model.trees) == 3
     for fit in model.trees:
         assert fit.train_rows.size == 60
         assert fit.heldout_rows.size == 40
         assert np.intersect1d(fit.train_rows, fit.heldout_rows).size == 0
-    model2 = train_forest(X, y, "regression", params, seed=9)
+    model2 = train_one_forest(X, y, "regression", params, seed=9)
     for a, b in zip(model.trees, model2.trees):
         assert np.array_equal(predict_tree(a.root, X), predict_tree(b.root, X))
 

@@ -264,17 +264,64 @@ def test_sense_all_detects_functional_dependence():
     assert top.w[0] < 0.1
 
 
-def test_sense_all_worker_count_is_invisible():
+def test_sense_all_worker_count_is_invisible(monkeypatch, tmp_path):
+    # each train_forest call appends its tree count to a file, so calls in
+    # pool workers count too
+    log_path = tmp_path / "trees"
+    train = lofo.train_forest
+
+    def counted(*args, **kwargs):
+        model = train(*args, **kwargs)
+        with open(log_path, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(model.trees)}\n")
+        return model
+
+    monkeypatch.setattr(lofo, "train_forest", counted)
     params = ForestParams(T=4, max_depth=6, min_samples_leaf=5, train_sample_frac=0.5)
     mixed, _ = synth_table(SynthParams(n=200, seed=3))
+    # the mixed table's columns: 2 numeric, 2 nominal of 6 levels, 3 numeric, 1 nominal
+    # of 4 levels; 3 workers cut it at columns 3 and 6, across its target groups
+    kinds = ["numeric"] * 2 + ["nominal"] * 2 + ["numeric"] * 3 + ["nominal"]
+    assert [col.kind for col in mixed.schema] == kinds
     for table in (copy_feature_table(n=200), mixed):
-        serial = sense_all(table, params, QdParams(m=2, lam=0.5), seed=2, workers=1, **CAPS)
-        pooled = sense_all(table, params, QdParams(m=2, lam=0.5), seed=2, workers=2, **CAPS)
-        assert len(serial) == len(pooled) == 2 * table.d
-        for a, b in zip(serial, pooled):
-            assert (a.target, a.tree, a.rank) == (b.target, b.tree, b.rank)
-            assert np.float64(a.quality).tobytes() == np.float64(b.quality).tobytes()
-            assert a.w.dtype == b.w.dtype and a.w.tobytes() == b.w.tobytes()
+        runs = []
+        for workers in (1, 2, 3):
+            log_path.write_text("", encoding="utf-8")
+            runs.append(sense_all(table, params, QdParams(m=2, lam=0.5), seed=2, workers=workers,
+                                  **CAPS))
+            counts = [int(c) for c in log_path.read_text(encoding="utf-8").split()]
+            assert sum(counts) == table.d * params.T
+            if table is mixed and workers == 1:
+                # one call per target group: numeric, 6-level and 4-level nominal targets
+                assert counts == [5 * params.T, 2 * params.T, params.T]
+        serial = runs[0]
+        for pooled in runs[1:]:
+            assert len(serial) == len(pooled) == 2 * table.d
+            for a, b in zip(serial, pooled):
+                assert (a.target, a.tree, a.rank) == (b.target, b.tree, b.rank)
+                assert np.float64(a.quality).tobytes() == np.float64(b.quality).tobytes()
+                assert a.w.dtype == b.w.dtype and a.w.tobytes() == b.w.tobytes()
+
+
+def test_sense_all_row_budget_is_invisible(monkeypatch):
+    # a budget of two forests splits the 5 numeric targets into calls of 2, 2 and 1
+    calls = []
+    train = lofo.train_forest
+
+    def counted(X, targets, *args, **kwargs):
+        calls.append(list(targets))
+        return train(X, targets, *args, **kwargs)
+
+    params = ForestParams(T=4, max_depth=6, min_samples_leaf=5, train_sample_frac=0.5)
+    table, _ = synth_table(SynthParams(n=200, seed=3))
+    want = sense_all(table, params, QdParams(m=2, lam=0.5), seed=2, workers=1, **CAPS)
+    monkeypatch.setattr(lofo, "train_forest", counted)
+    monkeypatch.setattr(lofo, "_GROUP_ROWS", 2 * params.T * table.n + 1)
+    got = sense_all(table, params, QdParams(m=2, lam=0.5), seed=2, workers=1, **CAPS)
+    assert calls == [[0, 1], [4, 5], [6], [2, 3], [7]]
+    assert [(v.target, v.tree, v.rank) for v in got] == [(v.target, v.tree, v.rank) for v in want]
+    for a, b in zip(got, want):
+        assert a.w.tobytes() == b.w.tobytes() and a.quality == b.quality
 
 
 def test_sense_all_needs_two_columns():
