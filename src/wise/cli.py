@@ -413,6 +413,9 @@ def cmd_explain(args) -> int:
     L, k0 = read_records(args.records, table.row_ids)
     y = read_labels(args.labels, table.row_ids)
     views = read_views(args.weights, names)
+    if L.shape[1] != len(views):
+        raise DataError(f"{args.records} has {L.shape[1]} rounds but {args.weights} "
+                        f"has {len(views)} view vectors")
     ex = compute_explanations(L, y, views_matrix(views), cfg.K, k0, cfg.eps)
     sizes = np.bincount(y, minlength=cfg.K)
     report = explanation_report(names, sizes, ex, TOP_Q, with_instances=args.instances)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data_model import MixedTable, design_matrix
 from .errors import ConfigError, DataError
-from .forest import ForestParams, predict_tree, train_tree
+from .forest import ForestParams, train_tree
 
 log = logging.getLogger(__name__)
 
@@ -41,7 +41,7 @@ def cluster_bit_frequency(L: np.ndarray, y: np.ndarray, K: int, k0: int) -> np.n
     """
     L = np.asarray(L, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
-    n, R = L.shape
+    R = L.shape[1]
     if y.size and (y.min() < 0 or y.max() >= K):
         raise DataError(f"final labels must lie in 0..{K - 1}")
     if L.size and (L.min() < 0 or L.max() >= k0):
@@ -50,11 +50,8 @@ def cluster_bit_frequency(L: np.ndarray, y: np.ndarray, K: int, k0: int) -> np.n
     if np.any(sizes[:K] == 0):
         empty = np.flatnonzero(sizes[:K] == 0).tolist()
         raise DataError(f"empty final clusters {empty}; frequencies undefined")
-    F = np.zeros((K, R, k0))
-    rounds = np.broadcast_to(np.arange(R), (n, R))
-    np.add.at(F, (y[:, None], rounds, L), 1.0)
-    F /= sizes[:K, None, None]
-    return F
+    counts = np.bincount(((y[:, None] * R + np.arange(R)) * k0 + L).ravel(), minlength=K * R * k0)
+    return counts.reshape(K, R, k0) / sizes[:K, None, None]
 
 
 def dfi_scores(F: np.ndarray) -> np.ndarray:
@@ -172,14 +169,11 @@ def global_ranking(W_cluster: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _macro_f1(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> float:
-    f1s = []
-    for c in range(n_classes):
-        tp = np.sum((y_pred == c) & (y_true == c))
-        fp = np.sum((y_pred == c) & (y_true != c))
-        fn = np.sum((y_pred != c) & (y_true == c))
-        denom = 2 * tp + fp + fn
-        f1s.append(2 * tp / denom if denom > 0 else 0.0)
-    return float(np.mean(f1s))
+    confusion = np.bincount(y_true * n_classes + y_pred, minlength=n_classes * n_classes)
+    confusion = confusion.reshape(n_classes, n_classes)
+    tp = np.diag(confusion)
+    denom = confusion.sum(axis=0) + confusion.sum(axis=1)  # 2 tp + fp + fn
+    return float(np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 0.0).mean())
 
 
 def _probe_tree_scores(X: np.ndarray, y: np.ndarray, cols: np.ndarray, is_nominal, n_classes: int):
@@ -188,11 +182,8 @@ def _probe_tree_scores(X: np.ndarray, y: np.ndarray, cols: np.ndarray, is_nomina
         T=1, max_depth=6, min_samples_leaf=1, train_sample_frac=1.0,
         features_per_split=1.0,
     )
-    rng = np.random.default_rng(0)
-    sub = X[:, cols]
-    root = train_tree(sub, y, params, rng, task="classification",
-                      is_nominal=is_nominal[cols], n_classes=n_classes)
-    pred = np.argmax(predict_tree(root, sub), axis=1)
+    _, pred = train_tree(X[:, cols], y, params, np.random.default_rng(0), task="classification",
+                         is_nominal=is_nominal[cols], n_classes=n_classes)
     return float(np.mean(pred == y)), _macro_f1(y, pred, n_classes)
 
 

@@ -12,6 +12,9 @@ share a task and a class count, grow together (``_Grower``): each step
 takes the next node of every tree and scans all its candidate splits in
 a few array passes.  Every tree keeps its own node order, random stream
 and input columns, so it comes out bit for bit as it would grown alone.
+The grower is the one router: held-out rows take the value of the leaf
+they reach, and the probe tree, which holds out every row, reads its
+predictions from there.
 """
 
 from __future__ import annotations
@@ -537,34 +540,18 @@ def train_tree(
     task: str = "regression",
     is_nominal: np.ndarray | None = None,
     n_classes: int = 0,
-) -> TreeNode:
-    """Grow one CART tree greedily on every row; ties go to the lowest feature index."""
+) -> tuple[TreeNode, np.ndarray]:
+    """Grow one CART tree greedily on every row; ties go to the lowest feature index.
+
+    Returns the root and each row's prediction: its leaf's value, or the
+    leaf's first most probable class.
+    """
     if X.shape[0] == 0:
         raise DataError("cannot train a tree on zero rows")
+    rows = np.arange(X.shape[0])
     grower = _Grower(X, is_nominal, [y], [np.arange(X.shape[1])], task, params, n_classes,
-                     [rng], [np.arange(X.shape[0])], [np.zeros(0, dtype=np.intp)])
-    return grower.grow()[0]
-
-
-def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Batch traversal; returns values (n,) or probability rows (n, C)."""
-    probe = root
-    while not probe.is_leaf:
-        probe = probe.left
-    width = None if np.isscalar(probe.value) else len(probe.value)
-    out = np.zeros(X.shape[0]) if width is None else np.zeros((X.shape[0], width))
-    pending = [(root, np.arange(X.shape[0]))]
-    while pending:
-        node, idx = pending.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        mask = node.goes_left(X[idx, node.feature])
-        pending.append((node.right, idx[~mask]))
-        pending.append((node.left, idx[mask]))
-    return out
+                     [rng], [rows], [rows])
+    return grower.grow()[0], grower.pred
 
 
 def train_forest(

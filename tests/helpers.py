@@ -27,7 +27,6 @@ from wise.forest import (
     TreeNode,
     _mtry,
     _target_stats,
-    predict_tree,
     train_tree,
 )
 from wise.lofo import QdParams, TreeCandidate, cosine_distance, grow_forests, marginal_gain
@@ -156,6 +155,27 @@ def random_sparse_binary(rng, n, p, min_nnz=3, max_nnz=10):
     )
 
 
+def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
+    """Batch traversal; returns values (n,) or probability rows (n, C)."""
+    probe = root
+    while not probe.is_leaf:
+        probe = probe.left
+    width = None if np.isscalar(probe.value) else len(probe.value)
+    out = np.zeros(X.shape[0]) if width is None else np.zeros((X.shape[0], width))
+    pending = [(root, np.arange(X.shape[0]))]
+    while pending:
+        node, idx = pending.pop()
+        if idx.size == 0:
+            continue
+        if node.is_leaf:
+            out[idx] = node.value
+            continue
+        mask = node.goes_left(X[idx, node.feature])
+        pending.append((node.right, idx[~mask]))
+        pending.append((node.left, idx[mask]))
+    return out
+
+
 def shap_oracle(root, x, background, output_index=None):
     """Exhaustive interventional Shapley: enumerate every coalition."""
     d = x.size
@@ -194,7 +214,7 @@ def random_tree(rng, d, task="regression", n_classes=0, depth=3, nominal_frac=0.
         y = rng.random(n) + X[:, 0]
     params = ForestParams(T=1, max_depth=depth, min_samples_leaf=1,
                           train_sample_frac=1.0, features_per_split=1.0)
-    root = train_tree(X, y, params, rng, task, is_nominal, n_classes)
+    root, _ = train_tree(X, y, params, rng, task, is_nominal, n_classes)
     return root, X, is_nominal
 
 

@@ -14,6 +14,7 @@ from helpers import (
     SparseWeightedVector,
     cws_sketch,
     encode_numeric_value,
+    predict_tree,
     qd_objective,
     random_mixed_table,
     random_sparse_binary,
@@ -25,7 +26,7 @@ from helpers import (
 from wise import cli
 from wise.bep import BepConfig, jaccard_distance, quantization_bounds
 from wise.dfi import faithfulness_eval
-from wise.forest import ForestParams, predict_tree
+from wise.forest import ForestParams
 from wise.lofo import QdParams, TreeCandidate, cosine_distance, marginal_gain
 from wise.metrics import acc_hungarian, ari, nmi
 from wise.pipeline import PipelineConfig, run_wise

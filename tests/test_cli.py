@@ -424,6 +424,18 @@ def test_bad_records_file_exits_three(dropped_rows_run, tmp_path, capsys, case):
     assert "data error" in capsys.readouterr().err
 
 
+def test_explain_with_records_and_weights_of_other_round_counts_exits_three(
+        dropped_rows_run, tmp_path, capsys):
+    # one view fewer than the records' rounds
+    weights = edited(dropped_rows_run[1], tmp_path / "weights.csv", lambda rows: rows.pop())
+    out = tmp_path / "out.json"
+    assert stage_command(dropped_rows_run, "explain", out, weights=weights) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "16 rounds" in err and "15 view vectors" in err
+    assert str(dropped_rows_run[2]) in err and str(weights) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["explain", "cluster"])
 @pytest.mark.parametrize("case", list(BAD_WEIGHTS))
 def test_bad_weights_file_exits_three(dropped_rows_run, tmp_path, capsys, command, case):

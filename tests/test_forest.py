@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     lofo_forest,
+    predict_tree,
     random_tree,
     reference_fit_forest,
     reference_impurity,
@@ -26,7 +27,6 @@ from wise.forest import (
     _scan_categories,
     _scan_thresholds,
     _target_stats,
-    predict_tree,
     train_forest,
     train_tree,
 )
@@ -59,7 +59,7 @@ def test_forest_params_validation():
 def test_constant_target_gives_single_leaf():
     X = np.linspace(0, 1, 10)[:, None]
     y = np.full(10, 3.25)
-    root = train_tree(X, y, grow_params(), np.random.default_rng(0))
+    root, _ = train_tree(X, y, grow_params(), np.random.default_rng(0))
     assert root.is_leaf
     assert root.value == 3.25
     assert np.allclose(predict_tree(root, X), 3.25)
@@ -68,8 +68,8 @@ def test_constant_target_gives_single_leaf():
 def test_perfect_1d_split_builds_a_stump():
     X = np.array([[0.1], [0.2], [0.3], [0.4], [0.6], [0.7], [0.8], [0.9]])
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    root = train_tree(X, y, grow_params(max_depth=3), np.random.default_rng(0),
-                      task="classification", n_classes=2)
+    root, _ = train_tree(X, y, grow_params(max_depth=3), np.random.default_rng(0),
+                         task="classification", n_classes=2)
     assert not root.is_leaf
     assert root.feature == 0
     assert 0.4 < root.threshold <= 0.6
@@ -81,11 +81,11 @@ def test_perfect_1d_split_builds_a_stump():
 def test_max_depth_zero_gives_mean_leaf():
     X = np.arange(8, dtype=float)[:, None]
     y = np.arange(8, dtype=float)
-    root = train_tree(X, y, grow_params(max_depth=0), np.random.default_rng(0))
+    root, _ = train_tree(X, y, grow_params(max_depth=0), np.random.default_rng(0))
     assert root.is_leaf
     assert root.value == pytest.approx(3.5)
-    probs = train_tree(X, (y > 3).astype(float), grow_params(max_depth=0),
-                       np.random.default_rng(0), task="classification", n_classes=2)
+    probs, _ = train_tree(X, (y > 3).astype(float), grow_params(max_depth=0),
+                          np.random.default_rng(0), task="classification", n_classes=2)
     assert np.allclose(probs.value, [0.5, 0.5])
 
 
@@ -93,9 +93,9 @@ def test_nominal_split_finds_category_subset():
     rng = np.random.default_rng(1)
     codes = rng.integers(0, 4, 200).astype(float)
     y = np.isin(codes, [0, 2]).astype(np.int64)
-    root = train_tree(codes[:, None], y, grow_params(max_depth=2),
-                      np.random.default_rng(0), task="classification",
-                      is_nominal=np.array([True]), n_classes=2)
+    root, _ = train_tree(codes[:, None], y, grow_params(max_depth=2),
+                         np.random.default_rng(0), task="classification",
+                         is_nominal=np.array([True]), n_classes=2)
     assert root.categories is not None
     side = {int(c) for c in root.categories}
     assert side in ({0, 2}, {1, 3})
@@ -106,8 +106,8 @@ def test_nominal_split_regression_target():
     rng = np.random.default_rng(2)
     codes = rng.integers(0, 3, 150).astype(float)
     y = np.where(codes == 1, 5.0, 0.0) + rng.normal(0, 0.01, 150)
-    root = train_tree(codes[:, None], y, grow_params(max_depth=2, min_samples_leaf=5),
-                      np.random.default_rng(0), is_nominal=np.array([True]))
+    root, _ = train_tree(codes[:, None], y, grow_params(max_depth=2, min_samples_leaf=5),
+                         np.random.default_rng(0), is_nominal=np.array([True]))
     assert root.categories is not None
     pred = predict_tree(root, codes[:, None])
     assert abs(pred[codes == 1].mean() - 5.0) < 0.1
@@ -275,10 +275,32 @@ def test_lockstep_forest_matches_per_node_grower(task, T):
                               train_sample_frac=frac)
         args = (X, y, task, params, T + min_leaf, is_nominal, n_classes)
         assert_same_forest(train_one_forest(*args), reference_fit_forest(*args))
-        tree = train_tree(X, y, params, np.random.default_rng(min_leaf), task, is_nominal, n_classes)
+        tree, _ = train_tree(X, y, params, np.random.default_rng(min_leaf), task, is_nominal,
+                             n_classes)
         want = reference_train_tree(X, y, params, np.random.default_rng(min_leaf), task,
                                     is_nominal, n_classes)
         assert node_fields(tree) == node_fields(want)
+
+
+def reference_routing(root, X, task):
+    """Each row's prediction by the reference router: the value of the leaf it
+    reaches, or that leaf's first most probable class."""
+    out = predict_tree(root, X)
+    return out.argmax(axis=1) if task == "classification" else out
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_train_tree_predictions_are_the_reference_routing(task):
+    """The grower's prediction of every row equals the reference router's, bit for bit."""
+    rng = np.random.default_rng(50)
+    X, y, is_nominal, n_classes = mixed_inputs(rng, 150, task)
+    for min_leaf, max_depth in [(1, 6), (5, 6), (1, 0), (5, 0), (1, 20), (5, 20)]:
+        params = grow_params(max_depth=max_depth, min_samples_leaf=min_leaf)
+        root, pred = train_tree(X, y, params, np.random.default_rng(min_leaf), task, is_nominal,
+                                n_classes)
+        routed = reference_routing(root, X, task)
+        assert pred.dtype == routed.dtype and pred.tobytes() == routed.tobytes()
+        assert root.is_leaf == (max_depth == 0)
 
 
 def test_lockstep_lofo_forests_match_per_node_grower():
@@ -371,9 +393,11 @@ def test_degenerate_numbers_grow_the_per_node_grower_trees():
                               train_sample_frac=1.0)
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = train_tree(X, y, params, np.random.default_rng(0), task, None, n_classes)
+            got, pred = train_tree(X, y, params, np.random.default_rng(0), task, None, n_classes)
             want = reference_train_tree(X, y, params, np.random.default_rng(0), task, None, n_classes)
+            routed = reference_routing(got, X, task)
         assert node_fields(got) == node_fields(want)
+        assert pred.dtype == routed.dtype and pred.tobytes() == routed.tobytes()
         assert all(fields[0] > 0 for fields in node_fields(got))  # no empty child
     assert got.threshold == a and got.left.n_samples == 2 and got.right.n_samples == 2
 
@@ -404,7 +428,7 @@ def test_purity_is_decided_as_np_var():
     states = []
     for y in cases[:2]:
         mine, theirs = np.random.default_rng(0), np.random.default_rng(0)
-        got = train_tree(X, y, params, mine)
+        got, _ = train_tree(X, y, params, mine)
         assert node_fields(got) == node_fields(reference_train_tree(X, y, params, theirs))
         assert mine.bit_generator.state == theirs.bit_generator.state
         states.append(mine.bit_generator.state)
@@ -412,7 +436,7 @@ def test_purity_is_decided_as_np_var():
 
 
 def test_growing_and_predicting_leave_no_cyclic_garbage():
-    table = synth_table(SynthParams(n=400, seed=3))[0]
+    table, truth = synth_table(SynthParams(n=400, seed=3))
     params = ForestParams(T=20, min_samples_leaf=5, train_sample_frac=0.5)
     gc.collect()
     gc.disable()
@@ -420,6 +444,13 @@ def test_growing_and_predicting_leave_no_cyclic_garbage():
         model, X_inputs = lofo_forest(table, 0, params, seed=1)
         for fit in model.trees:
             predict_tree(fit.root, X_inputs)
+        # the probe tree of the faithfulness harness, with its predictions
+        X, is_nominal = design_matrix(table)
+        labels = np.array([int(c[1:]) for c in truth])
+        root, pred = train_tree(X, labels, grow_params(), np.random.default_rng(0),
+                                "classification", is_nominal, int(labels.max()) + 1)
+        assert pred.shape == labels.shape
+        del root, pred
         assert gc.collect() == 0
     finally:
         gc.enable()

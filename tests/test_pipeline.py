@@ -8,10 +8,11 @@ from helpers import random_mixed_table
 from wise import _pool
 from wise._rng import derive_seed
 from wise.bep import BepConfig, encode_table
+from wise.data_model import ColumnSchema, table_from_columns
 from wise.errors import ConfigError, DataError
 from wise.forest import ForestParams
 from wise.lofo import QdParams
-from wise.metrics import ari
+from wise.metrics import ari, evaluate
 from wise.pipeline import (
     PipelineConfig,
     lift_weights,
@@ -278,3 +279,65 @@ def test_run_wise_uniform_ablation_path():
     assert res.labels.shape == (table.n,)
     for v in res.views:
         assert np.allclose(v.w, 1.0 / table.d)
+
+
+DEGENERATE_KINDS = ("numeric", "constant", "two-valued", "nominal", "single nominal",
+                    "ordinal", "single ordinal", "duplicate")
+
+
+def degenerate_table(rng):
+    """A table of 3 to 60 rows and 2 to 4 columns of degenerate kinds, and the
+    kinds it holds; about a third of the tables copy at most three rows."""
+    n, d = int(rng.integers(3, 61)), int(rng.integers(2, 5))
+    schema, cols, kinds = [], [], []
+    for a in range(d):
+        kind = DEGENERATE_KINDS[int(rng.integers(len(DEGENERATE_KINDS) - (a == 0)))]
+        if kind == "duplicate":  # the column before, under another name
+            schema.append(ColumnSchema(f"c{a}", schema[-1].kind, schema[-1].ordered_levels))
+            cols.append(cols[-1])
+        elif kind in ("numeric", "constant", "two-valued"):
+            values = {"numeric": lambda: np.round(rng.random(n), 1),
+                      "constant": lambda: np.full(n, 2.5),
+                      "two-valued": lambda: rng.choice([-1.0, 4.0], n)}[kind]()
+            schema.append(ColumnSchema(f"c{a}", "numeric"))
+            cols.append(values.tolist())
+        elif kind in ("nominal", "single nominal"):
+            levels = int(rng.integers(2, 5)) if kind == "nominal" else 1
+            schema.append(ColumnSchema(f"c{a}", "nominal"))
+            cols.append([f"v{t}" for t in rng.integers(0, levels, n)])
+        else:
+            order = ["lo", "mid", "hi"] if kind == "ordinal" else ["only"]
+            schema.append(ColumnSchema(f"c{a}", "ordinal", order))
+            cols.append([order[t] for t in rng.integers(0, len(order), n)])
+        kinds.append(kind)
+    if rng.random() < 0.3:
+        idx = rng.integers(0, int(rng.integers(1, 4)), n)
+        cols = [[col[i] for i in idx] for col in cols]
+        kinds.append("duplicate rows")
+    return table_from_columns(schema, cols), kinds
+
+
+def test_degenerate_tables_return_or_raise_clean_errors():
+    """run_wise and evaluate return, or raise ConfigError or DataError (too few
+    rows, empty final clusters), on every table; RuntimeWarnings are errors."""
+    config = PipelineConfig()
+    seen, returned = set(), 0
+    for seed in range(48):
+        rng = np.random.default_rng(seed)
+        table, kinds = degenerate_table(rng)
+        seen.update(kinds)
+        try:
+            result = run_wise(table, config)
+        except (ConfigError, DataError):
+            continue
+        y = result.labels
+        assert y.shape == (table.n,) and 0 <= y.min() and y.max() < config.K
+        assert result.explanations.consistency_deviation <= 1e-9
+        try:
+            report = evaluate(table, y, rng.integers(0, 3, table.n), seed=seed)
+        except (ConfigError, DataError):
+            continue
+        assert report["n"] == table.n
+        returned += 1
+    assert seen == set(DEGENERATE_KINDS) | {"duplicate rows"}
+    assert returned >= 40

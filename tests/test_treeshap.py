@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import lofo_forest, random_tree, reference_shap_matrix, shap_oracle
+from helpers import lofo_forest, predict_tree, random_tree, reference_shap_matrix, shap_oracle
 from wise import treeshap
 from wise.errors import ConfigError, DataError
-from wise.forest import ForestParams, TreeNode, predict_tree
+from wise.forest import ForestParams, TreeNode
 from wise.synth import SynthParams, synth_table
 from wise.treeshap import aggregate_global, shap_matrix
 
