@@ -12,6 +12,9 @@ share a task and a class count, grow together (``_Grower``): each step
 takes the next node of every tree and scans all its candidate splits in
 a few array passes.  Every tree keeps its own node order, random stream
 and input columns, so it comes out bit for bit as it would grown alone.
+One batched reader of the trees' own PCG64 streams (``_FeatureDraws``)
+draws the split features of every node of a step, as the trees'
+``Generator.choice`` calls would draw them.
 The grower is the one router: held-out rows take the value of the leaf
 they reach, and the probe tree, which holds out every row, reads its
 predictions from there.
@@ -275,6 +278,18 @@ def _pure(y, start, size, task):
     return pure
 
 
+def _segment_means(y, size):
+    """Mean of each segment of ``size[i] >= 1`` consecutive values of y, with
+    the bits of ``y[s:s + m].mean()``: equal-size segments make one block,
+    summed row by row as numpy sums one segment alone."""
+    start = size.cumsum() - size
+    means = np.empty(size.size)
+    for m in np.unique(size).tolist():
+        group = (size == m).nonzero()[0]
+        means[group] = y[start[group][:, None] + np.arange(m)].sum(axis=1) / m
+    return means
+
+
 def _mtry(d: int, task: str, params: ForestParams) -> int:
     if params.features_per_split is not None:
         return max(1, int(round(params.features_per_split * d)))
@@ -291,6 +306,111 @@ def _blocks(width, per_row):
         step = max(1, _BLOCK // (int(width[order[i]]) * per_row))
         yield order[i:i + step]
         i += step
+
+
+class _FeatureDraws:
+    """Every tree's ``choice(d, mtry, replace=False)`` of numpy's ``Generator``, in one batch.
+
+    numpy's ``choice`` reads its generator's 32-bit stream: a pending half
+    of a PCG64 word first, then the low and the high half of each new
+    word.  Each draw is Lemire's bounded integer in [0, b]: it rejects a
+    half whose product with b + 1 has a low part below 2^32 mod (b + 1),
+    and bound 0 reads nothing.  For d <= 10000, or mtry <= d // 50, it
+    picks by Floyd's algorithm (bounds d - mtry .. d - 1) and then
+    shuffles the picks (bounds mtry - 1 .. 1); otherwise it shuffles the
+    tail of arange(d) (bounds d - 1 .. max(d - mtry, 1)).
+
+    Here each tree reads words ahead from its own PCG64 into row u of one
+    table of halves: entry 0 is the state's ``uinteger``, pending or not,
+    and entries 2k + 1 and 2k + 2 are the low and high half of word k.
+    The draws of every tree of a step are made at once, and ``finish``
+    leaves each generator where its ``choice`` calls would have left it.
+    """
+
+    def __init__(self, rngs):
+        for rng in rngs:
+            if not isinstance(rng.bit_generator, np.random.PCG64):
+                raise ConfigError("forest trees draw from PCG64 generators, not "
+                                  f"{type(rng.bit_generator).__name__}")
+        self.rngs = rngs
+        self.snapshot = [rng.bit_generator.state for rng in rngs]
+        self.half = np.array([[s["uinteger"]] for s in self.snapshot], dtype=np.uint32)
+        self.read = np.ones(len(rngs), dtype=np.intp)  # table entries filled, per tree
+        self.pos = np.array([1 - s["has_uint32"] for s in self.snapshot], dtype=np.intp)
+        self.start = self.pos.copy()
+
+    def _reserve(self, tree, need):
+        """Read words ahead until tree ``tree[i]`` has ``need[i]`` table entries."""
+        short = (need > self.read[tree]).nonzero()[0]
+        for u, m in zip(tree[short].tolist(), need[short].tolist()):
+            have = int(self.read[u])
+            words = max((m - have + 1) // 2, have, 32)  # at least triple the entries
+            end = have + 2 * words
+            if end > self.half.shape[1]:
+                wider = np.zeros((self.half.shape[0], max(end, 2 * self.half.shape[1])),
+                                 dtype=np.uint32)
+                wider[:, :self.half.shape[1]] = self.half
+                self.half = wider
+            raw = self.rngs[u].bit_generator.random_raw(words)
+            self.half[u, have:end:2] = raw & 0xFFFFFFFF
+            self.half[u, have + 1:end:2] = raw >> 32
+            self.read[u] = end
+
+    def _bounded(self, tree, bounds):
+        """Per tree, Lemire's draw in [0, b] for each bound b >= 1 in turn."""
+        if not bounds.size:
+            return np.zeros((tree.size, 0), dtype=np.intp)
+        excl = bounds.astype(np.uint64) + 1
+        threshold = (1 << 32) % excl
+        at = self.pos[tree][:, None] + np.arange(bounds.size)
+        while True:
+            self._reserve(tree, at[:, -1] + 1)
+            m = self.half[tree[:, None], at] * excl
+            reject = (m & 0xFFFFFFFF) < threshold
+            if not reject.any():
+                break
+            # a rejected half is skipped: its draw and every later one read one entry on
+            rows = reject.any(axis=1).nonzero()[0]
+            at[rows] += np.arange(bounds.size) >= reject[rows].argmax(axis=1)[:, None]
+        self.pos[tree] = at[:, -1] + 1
+        return (m >> 32).astype(np.intp)
+
+    def draw(self, tree, d, mtry):
+        """Sorted ``choice(d, mtry, replace=False)`` of each tree ``tree[i]``, as rows."""
+        if d > 10000 and mtry > d // 50:
+            bounds = np.arange(d - 1, max(d - mtry, 1) - 1, -1)
+            j = self._bounded(tree, bounds)
+            idx = np.tile(np.arange(d), (tree.size, 1))
+            row = np.arange(tree.size)
+            for c, i in enumerate(bounds.tolist()):
+                idx[row, i], idx[row, j[:, c]] = idx[row, j[:, c]], idx[row, i]
+            picks = idx[:, d - mtry:]
+        else:
+            top = np.arange(d - mtry, d)
+            floyd = top[top > 0]
+            picks = np.zeros((tree.size, mtry), dtype=np.intp)
+            picks[:, mtry - floyd.size:] = self._bounded(
+                tree, np.concatenate([floyd, np.arange(mtry - 1, 0, -1)]))[:, :floyd.size]
+            # a value picked before gives way to its bound, which no earlier pick reaches
+            for c in range(1, mtry):
+                seen = (picks[:, :c] == picks[:, c, None]).any(axis=1)
+                picks[seen, c] = top[c]
+        picks.sort(axis=1)
+        return picks
+
+    def finish(self):
+        """Put every generator that drew where its ``choice`` calls would leave it."""
+        for u in (self.pos != self.start).nonzero()[0].tolist():
+            e = int(self.pos[u])
+            bg = self.rngs[u].bit_generator
+            bg.state = self.snapshot[u]
+            bg.advance(e // 2)
+            state = bg.state
+            # an even entry is the pending half; past an odd one, numpy keeps
+            # the half before it as ``uinteger``
+            state["has_uint32"] = int(e % 2 == 0)
+            state["uinteger"] = int(self.half[u, e - e % 2])
+            bg.state = state
 
 
 class _Pending(NamedTuple):
@@ -312,7 +432,8 @@ class _Grower:
     forest by forest, equally many per forest.  Each tree keeps its own
     depth-first order (left subtree first) and its own rng, so its feature
     draws come in the order of a tree grown alone.  A step takes the next
-    pending node of every tree and scans all their (node, drawn feature)
+    pending node of every tree, draws all their features in one batch from
+    the trees' own streams, and scans all their (node, drawn feature)
     pairs at once.  A node is settled as a leaf when it is made, so the
     pending nodes are the ones that try to split.  Held-out rows go down
     with their node and take the value of the leaf they reach.
@@ -346,7 +467,7 @@ class _Grower:
         if codes.size and codes.min() < 0:
             raise DataError("category codes must be non-negative")
         self.levels = int(codes.max()) + 1 if codes.size else 0
-        self.rngs = rngs
+        self.draws = _FeatureDraws(rngs)
         self.roots = [None] * T
         self.stacks = [[] for _ in range(T)]
         self.pred = np.zeros(T * n, dtype=np.float64 if task == "regression" else np.int64)
@@ -359,6 +480,7 @@ class _Grower:
         (values, or classes) at ``tree * n + row``."""
         while any(self.stacks):
             self._step()
+        self.draws.finish()
         return self.roots
 
     def _attach(self, pending, node):
@@ -401,9 +523,8 @@ class _Grower:
         size = np.array([node.rows.size for node in leaves])
         yv = self._targets(leaves, size)
         if self.task == "regression":
-            bounds = size.cumsum().tolist()
-            values = [float(yv[e - m:e].mean()) for e, m in zip(bounds, size.tolist())]
-            pred = np.array(values)
+            pred = _segment_means(yv, size)
+            values = pred.tolist()
         else:
             C = self.n_classes
             leaf = np.repeat(np.arange(size.size), size)
@@ -425,9 +546,7 @@ class _Grower:
         A, n, mtry = len(active), self.n, self.mtry
         min_leaf = self.params.min_samples_leaf
         tree = np.array([node.tree for node in active])
-        draws = np.array([self.rngs[u].choice(self.cols.shape[1], size=mtry, replace=False)
-                          for u in tree.tolist()])
-        draws.sort(axis=1)
+        draws = self.draws.draw(tree, self.cols.shape[1], mtry)
         local = draws.ravel()  # pair a * mtry + j: node a, its j-th drawn feature
         feat = np.take_along_axis(self.cols[self.forest[tree]], draws, axis=1).ravel()
         size = np.array([node.rows.size for node in active])
@@ -544,7 +663,9 @@ def train_tree(
     """Grow one CART tree greedily on every row; ties go to the lowest feature index.
 
     Returns the root and each row's prediction: its leaf's value, or the
-    leaf's first most probable class.
+    leaf's first most probable class.  ``rng`` must be a PCG64 generator
+    (``np.random.default_rng``); it ends where one ``choice(d, mtry,
+    replace=False)`` call on it per split attempt would leave it.
     """
     if X.shape[0] == 0:
         raise DataError("cannot train a tree on zero rows")

@@ -22,10 +22,12 @@ from wise.forest import (
     ForestModel,
     ForestParams,
     TreeNode,
+    _FeatureDraws,
     _heldout_quality,
     _pure,
     _scan_categories,
     _scan_thresholds,
+    _segment_means,
     _target_stats,
     train_forest,
     train_tree,
@@ -433,6 +435,56 @@ def test_purity_is_decided_as_np_var():
         assert mine.bit_generator.state == theirs.bit_generator.state
         states.append(mine.bit_generator.state)
     assert states[0] != states[1] == np.random.default_rng(0).bit_generator.state
+
+
+@pytest.mark.parametrize("pending", [False, True])
+def test_batched_feature_draws_are_generator_choice(pending):
+    """Each tree's batched draws are its sorted ``Generator.choice(d, mtry,
+    replace=False)``, and its generator ends in the state the ``choice``
+    calls leave, from a stream with or without a pending 32-bit half."""
+    # numpy's tail shuffle (d > 10000 and mtry > d // 50) for (10001, 201) and
+    # (12000, 5000), Floyd's picks otherwise; (2, 1) can read just the pending
+    # half, and bounds near 2^31 reject about half of the 32-bit halves
+    cases = [(1, 1), (2, 1), (7, 2), (7, 3), (7, 7), (23, 8), (10001, 200), (10001, 201),
+             (12000, 5000), (2 ** 31 + 1, 3)]
+    for d, mtry in cases:
+        mine = [np.random.default_rng(seed) for seed in range(200)]
+        theirs = [np.random.default_rng(seed) for seed in range(200)]
+        if pending:
+            for rng in mine + theirs:
+                rng.integers(0, 5)
+        draws = _FeatureDraws(mine)
+        start = draws.pos.copy()
+        # every tree draws, then every third tree draws again from mid-stream
+        for tree in (np.arange(200), np.arange(0, 200, 3)):
+            want = [np.sort(theirs[u].choice(d, size=mtry, replace=False)) for u in tree]
+            assert np.array_equal(draws.draw(tree, d, mtry), want)
+        if d > 2 ** 31:
+            assert (draws.pos - start).max() > 2 * (2 * mtry - 1)  # some halves were rejected
+        draws.finish()
+        assert [rng.bit_generator.state for rng in mine] == \
+            [rng.bit_generator.state for rng in theirs]
+
+
+def test_segment_means_have_the_bits_of_numpy_means():
+    """Every segment of sizes 1-300 (across numpy's pairwise-summation block
+    sizes 8 and 128) gets exactly ``float(y[s:s + m].mean())``."""
+    rng = np.random.default_rng(13)
+    size = rng.permutation(np.repeat(np.arange(1, 301), 3))
+    start = size.cumsum() - size
+    for scale in (1e-3, 1e-1, 1e1, 1e3):
+        y = scale * (rng.random(size.sum()) + rng.integers(0, 50, size.sum()))
+        want = [float(y[s:s + m].mean()) for s, m in zip(start.tolist(), size.tolist())]
+        assert _segment_means(y, size).tolist() == want
+        # segment sums in one running pass do not have those bits
+        assert (np.add.reduceat(y, start) / size).tolist() != want
+
+
+def test_train_tree_requires_pcg64():
+    X, y = np.random.default_rng(0).random((20, 3)), np.arange(20.0)
+    for bit_generator in (np.random.MT19937(0), np.random.PCG64DXSM(0), np.random.Philox(0)):
+        with pytest.raises(ConfigError, match="PCG64"):
+            train_tree(X, y, grow_params(), np.random.Generator(bit_generator))
 
 
 def test_growing_and_predicting_leave_no_cyclic_garbage():
