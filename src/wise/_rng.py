@@ -9,6 +9,8 @@ runs byte-identical across platforms and worker-pool sizes.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -73,20 +75,25 @@ def unit_from_bits(z: np.ndarray) -> np.ndarray:
     return ((z >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
-def keyed_uniform_grid(seed: int, lane: int, hash_ids: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Counter-based uniforms over a (hash, coordinate) grid.
+def keyed_uniform_grid(seed: int, lane: int | Sequence[int], hash_ids: np.ndarray,
+                       coords: np.ndarray) -> np.ndarray:
+    """Counter-based uniforms over a (lane, hash, coordinate) grid.
 
-    Returns an array of shape ``(len(hash_ids), len(coords))`` whose
-    entries depend only on ``(seed, lane, hash_id, coord)``, never on
+    Entries depend only on ``(seed, lane, hash_id, coord)``, never on
     evaluation order.  ``lane`` separates the independent draws a single
-    hash needs.
+    hash needs; for an int lane the result has shape
+    ``(len(hash_ids), len(coords))``, for a sequence of lanes one such
+    grid per lane, stacked.
     """
-    inner = mix64(derive_seed(seed, "lane", lane))
+    lanes = np.atleast_1d(np.asarray(lane, dtype=np.int64)).astype(np.uint64)
+    # mix64(derive_seed(seed, "lane", lane)) of every lane at once
+    inner = mix64_array(mix64_array(np.uint64(derive_seed(seed, "lane")) ^ lanes))
     with np.errstate(over="ignore"):
         hkey = mix64_array(
-            (hash_ids.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
-            ^ np.uint64(inner)
+            ((hash_ids.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))[None, :]
+            ^ inner[:, None]
         )
         ckey = (coords.astype(np.uint64) + np.uint64(1)) * np.uint64(_MIX_A)
-        z = mix64_array(ckey[None, :] ^ hkey[:, None])
-    return unit_from_bits(z)
+        z = mix64_array(ckey[None, None, :] ^ hkey[:, :, None])
+    u = unit_from_bits(z)
+    return u if np.ndim(lane) else u[0]

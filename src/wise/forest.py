@@ -8,22 +8,29 @@ thresholds; nominal inputs split on category-membership sets found by
 ordering categories by their target statistic and scanning prefixes.
 
 The trees of a forest, and of the forests of several target columns that
-share a task and a class count, grow together (``_Grower``): each step
-takes the next node of every tree and scans all its candidate splits in
-a few array passes.  Every tree keeps its own node order, random stream
-and input columns, so it comes out bit for bit as it would grown alone.
-One batched reader of the trees' own PCG64 streams (``_FeatureDraws``)
-draws the split features of every node of a step, as the trees'
-``Generator.choice`` calls would draw them.
-The grower is the one router: held-out rows take the value of the leaf
-they reach, and the probe tree, which holds out every row, reads its
-predictions from there.
+share a task and a class count, grow together (``_Grower``) on a frontier
+of arrays: every node is a record of one node table, its training rows a
+range of one row buffer, and each step pops the top node of every tree's
+stack and scans all their candidate splits in a few array passes.  Every
+tree keeps its own node order, random stream and input columns, so it
+comes out bit for bit as it would grown alone.  One batched reader of the
+trees' own PCG64 streams (``_FeatureDraws``) draws the split features of
+every node of a step, as the trees' ``Generator.choice`` calls would draw
+them.
+Held-out rows take no part in growth.  Once the trees are grown, one
+partition per depth level sends them down every tree together, and each
+takes the value of the leaf it reaches; the probe tree, which holds out
+every row, reads its predictions from the same pass.  A tree's
+``TreeNode``s are built from its records when its root is first read
+(``TreeFit.root``), so a run that explains one tree per target builds
+those trees' nodes only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -99,13 +106,29 @@ class TreeNode:
         return column <= self.threshold
 
 
-@dataclass
 class TreeFit:
-    root: TreeNode
-    train_rows: np.ndarray
-    heldout_rows: np.ndarray
-    quality: float
-    majority_class: int | None
+    """A grown tree, the rows it was trained on and held out from, its
+    held-out quality and, for classification, its training majority class.
+
+    ``root`` may be given as a zero-argument callable; it is then called on
+    the first read of ``root`` and its result kept.
+    """
+
+    __slots__ = ("_root", "train_rows", "heldout_rows", "quality", "majority_class")
+
+    def __init__(self, root: TreeNode | Callable[[], TreeNode], train_rows: np.ndarray,
+                 heldout_rows: np.ndarray, quality: float, majority_class: int | None):
+        self._root = root
+        self.train_rows = train_rows
+        self.heldout_rows = heldout_rows
+        self.quality = quality
+        self.majority_class = majority_class
+
+    @property
+    def root(self) -> TreeNode:
+        if callable(self._root):
+            self._root = self._root()
+        return self._root
 
 
 @dataclass
@@ -413,14 +436,18 @@ class _FeatureDraws:
             bg.state = state
 
 
-class _Pending(NamedTuple):
-    """A node of tree ``tree`` not yet made: where it hangs, and the rows that reach it."""
-    tree: int
-    parent: TreeNode | None
-    is_left: bool
-    depth: int
-    rows: np.ndarray   # training rows, in row order
-    held: np.ndarray   # held-out rows
+def _ranges(start, size):
+    """Positions ``start[i], ..., start[i] + size[i] - 1`` of every range i, range by range."""
+    return np.repeat(start - (size.cumsum() - size), size) + np.arange(int(size.sum()))
+
+
+# A node record: its tree and depth, its training rows (a range of the row
+# buffer), its split (local feature, threshold or a range of the category
+# codes; feature -1 on a leaf and a pending node) and the id of its right
+# child, whose left sibling follows it.  The leaf value is added per task.
+_NODE = [("tree", np.intp), ("depth", np.intp), ("start", np.intp), ("size", np.intp),
+         ("feature", np.intp), ("threshold", np.float64), ("child", np.intp),
+         ("code_start", np.intp), ("n_codes", np.intp)]
 
 
 class _Grower:
@@ -431,15 +458,25 @@ class _Grower:
     ``cols[f, i]``, and its nodes keep the local index.  The trees come
     forest by forest, equally many per forest.  Each tree keeps its own
     depth-first order (left subtree first) and its own rng, so its feature
-    draws come in the order of a tree grown alone.  A step takes the next
-    pending node of every tree, draws all their features in one batch from
-    the trees' own streams, and scans all their (node, drawn feature)
-    pairs at once.  A node is settled as a leaf when it is made, so the
-    pending nodes are the ones that try to split.  Held-out rows go down
-    with their node and take the value of the leaf they reach.
+    draws come in the order of a tree grown alone.
+
+    The frontier is made of arrays.  Every node, pending or made, is a
+    record of one table (``nodes``), and its training rows are a range of
+    one row buffer, which starts with each tree's rows in row order; a
+    split partitions its node's range stably in place, left rows first.
+    Each tree's stack is a row of one int array.  A step pops the top node
+    of every tree, draws all their features in one batch from the trees'
+    own streams, scans all their (node, drawn feature) pairs at once and
+    pushes each split's right child, then its left one.  A node is settled
+    as a leaf when it is made, so the pending nodes are the ones that try
+    to split.
+
+    Held-out rows take no part in growth: ``route`` sends them down the
+    grown trees, one partition per depth level.  ``roots`` gives each
+    tree's ``TreeNode``s to be built from its records when first asked for.
     """
 
-    def __init__(self, X, is_nominal, Y, cols, task, params, n_classes, rngs, train, heldout):
+    def __init__(self, X, is_nominal, Y, cols, task, params, n_classes, rngs, train):
         X = np.asarray(X, dtype=np.float64)
         n, d = X.shape
         is_nominal = np.zeros(d, dtype=bool) if is_nominal is None else np.asarray(is_nominal, dtype=bool)
@@ -468,94 +505,99 @@ class _Grower:
             raise DataError("category codes must be non-negative")
         self.levels = int(codes.max()) + 1 if codes.size else 0
         self.draws = _FeatureDraws(rngs)
-        self.roots = [None] * T
-        self.stacks = [[] for _ in range(T)]
-        self.pred = np.zeros(T * n, dtype=np.float64 if task == "regression" else np.int64)
-        leaves = []
-        self._settle([_Pending(u, None, True, 0, train[u], heldout[u]) for u in range(T)], leaves)
-        self._make_leaves(leaves)
+        size = np.array([rows.size for rows in train], dtype=np.intp)
+        self.buf = np.concatenate(train).astype(np.intp, copy=False)
+        value = ("value", np.float64) if task == "regression" else ("value", np.float64, (n_classes,))
+        self.nodes = np.zeros(4 * T, dtype=_NODE + [value])  # widens as nodes come
+        self.count = 0
+        self._add(np.arange(T), 0, size.cumsum() - size, size)  # tree u's root is node u
+        self.code_parts, self.n_codes = [], 0  # the category splits' codes, split by split
+        self.stack = np.zeros((T, 8), dtype=np.intp)
+        self.top = np.zeros(T, dtype=np.intp)  # per tree, its stack's height
 
-    def grow(self) -> list[TreeNode]:
-        """The trees' roots; ``pred`` then holds each tree's held-out predictions
-        (values, or classes) at ``tree * n + row``."""
-        while any(self.stacks):
+    def grow(self):
+        """Grow every tree."""
+        roots = np.arange(self.top.size)
+        tries = self._tries(roots)
+        self._push(roots[tries])
+        self._make_leaves(roots[~tries])
+        while self.top.any():
             self._step()
         self.draws.finish()
-        return self.roots
+        self.nodes = self.nodes[:self.count]
+        self.codes = np.concatenate(self.code_parts + [np.zeros(0, dtype=np.int64)])
+        self.buf = self.stats = None  # growth's own arrays
 
-    def _attach(self, pending, node):
-        if pending.parent is None:
-            self.roots[pending.tree] = node
-        elif pending.is_left:
-            pending.parent.left = node
-        else:
-            pending.parent.right = node
+    def _add(self, tree, depth, start, size):
+        """Records for new nodes of trees ``tree``, not yet split; returns their ids."""
+        first = self.count
+        self.count += tree.size
+        if self.count > self.nodes.size:
+            wider = np.zeros(max(self.count, 2 * self.nodes.size), dtype=self.nodes.dtype)
+            wider[:first] = self.nodes[:first]
+            self.nodes = wider
+        new = self.nodes[first:self.count]
+        new["tree"], new["depth"], new["start"], new["size"] = tree, depth, start, size
+        new["feature"] = -1
+        return np.arange(first, self.count)
 
-    def _settle(self, new, leaves):
-        """Sort new pending nodes into ``leaves`` and their trees' stacks, keeping their order."""
-        max_depth = self.params.max_depth
-        min_size = 2 * self.params.min_samples_leaf
-        test = []
-        for node in new:
-            if node.depth >= max_depth or node.rows.size < min_size:
-                leaves.append(node)
-            else:
-                test.append(node)
-        if not test:
+    def _push(self, ids):
+        """Push nodes of distinct trees on their trees' stacks."""
+        tree = self.nodes["tree"][ids]
+        top = self.top[tree]
+        if top.size and top.max() >= self.stack.shape[1]:
+            self.stack = np.pad(self.stack, ((0, 0), (0, self.stack.shape[1])))
+        self.stack[tree, top] = ids
+        self.top[tree] = top + 1
+
+    def _targets(self, ids):
+        """The targets of the nodes' training rows, node by node."""
+        rec = self.nodes[ids]
+        return self.y[np.repeat(self.offset[rec["tree"]], rec["size"])
+                      + self.buf[_ranges(rec["start"], rec["size"])]]
+
+    def _tries(self, ids):
+        """Whether each new node tries to split: it is within the depth and
+        size limits and its target is not pure."""
+        rec = self.nodes[ids]
+        tries = ((rec["depth"] < self.params.max_depth)
+                 & (rec["size"] >= 2 * self.params.min_samples_leaf))
+        test = tries.nonzero()[0]
+        if test.size:
+            size = rec["size"][test]
+            tries[test] = np.logical_not(
+                _pure(self._targets(ids[test]), size.cumsum() - size, size, self.task))
+        return tries
+
+    def _make_leaves(self, ids):
+        """Give nodes their leaf values: mean target, or class shares."""
+        if not ids.size:
             return
-        size = np.array([node.rows.size for node in test])
-        yv = self._targets(test, size)
-        for node, pure in zip(test, _pure(yv, size.cumsum() - size, size, self.task)):
-            if pure:
-                leaves.append(node)
-            else:
-                self.stacks[node.tree].append(node)
-
-    def _targets(self, nodes, size):
-        """The targets of the nodes' rows, node by node."""
-        offset = self.offset[[node.tree for node in nodes]]
-        return self.y[np.repeat(offset, size) + np.concatenate([node.rows for node in nodes])]
-
-    def _make_leaves(self, leaves):
-        """Make pending nodes into leaves and give their held-out rows the leaf values."""
-        if not leaves:
-            return
-        size = np.array([node.rows.size for node in leaves])
-        yv = self._targets(leaves, size)
+        size = self.nodes["size"][ids]
+        yv = self._targets(ids)
         if self.task == "regression":
-            pred = _segment_means(yv, size)
-            values = pred.tolist()
+            self.nodes["value"][ids] = _segment_means(yv, size)
         else:
             C = self.n_classes
             leaf = np.repeat(np.arange(size.size), size)
             counts = np.bincount(leaf * C + yv, minlength=size.size * C).reshape(-1, C)
-            probs = counts / size[:, None]
-            values = list(probs)
-            pred = probs.argmax(axis=1)
-        for node, m, value in zip(leaves, size.tolist(), values):
-            self._attach(node, TreeNode(n_samples=m, value=value))
-        hsize = np.array([node.held.size for node in leaves])
-        if hsize.any():
-            base = np.array([node.tree for node in leaves]) * self.n
-            self.pred[np.repeat(base, hsize) + np.concatenate([node.held for node in leaves])] = \
-                np.repeat(pred, hsize)
+            self.nodes["value"][ids] = counts / size[:, None]
 
     def _step(self):
-        """Try to split the next pending node of every tree."""
-        active = [stack.pop() for stack in self.stacks if stack]
-        A, n, mtry = len(active), self.n, self.mtry
+        """Try to split the top pending node of every tree."""
+        tree = self.top.nonzero()[0]
+        self.top[tree] -= 1
+        ids = self.stack[tree, self.top[tree]]
+        A, n, mtry = ids.size, self.n, self.mtry
         min_leaf = self.params.min_samples_leaf
-        tree = np.array([node.tree for node in active])
         draws = self.draws.draw(tree, self.cols.shape[1], mtry)
         local = draws.ravel()  # pair a * mtry + j: node a, its j-th drawn feature
         feat = np.take_along_axis(self.cols[self.forest[tree]], draws, axis=1).ravel()
-        size = np.array([node.rows.size for node in active])
-        rows = np.concatenate([node.rows for node in active])
-        first = size.cumsum() - size
+        rec = self.nodes[ids]
         owner = np.repeat(np.arange(A), mtry)
         offset = self.offset[tree][owner]  # where the pair's forest's statistics start
-        width = size[owner]
-        start = first[owner]
+        width = rec["size"][owner]
+        start = rec["start"][owner]
         nominal = self.is_nominal[feat]
         gain = np.full(feat.size, -np.inf)
         threshold = np.full(feat.size, np.nan)
@@ -564,7 +606,8 @@ class _Grower:
         for g in _blocks(width[num], s):
             p = num[g]
             col = np.arange(int(width[p].max()))
-            padded = np.where(col < width[p][:, None], rows.take(start[p][:, None] + col, mode="clip"), n)
+            padded = np.where(col < width[p][:, None],
+                              self.buf.take(start[p][:, None] + col, mode="clip"), n)
             values = self.xt.take(feat[p][:, None] * (n + 1) + padded)
             # a stable sort keeps a node's tied rows in row order; the NaN padding sorts last
             order = values.argsort(axis=1, kind="stable")
@@ -572,83 +615,159 @@ class _Grower:
             gain[p], threshold[p] = _scan_thresholds(
                 padded.take(order) + offset[p][:, None], values.take(order), width[p], self.stats,
                 self.task, min_leaf)
-        where = {}  # nominal pair -> (categories in scan order, row, left counts)
+        scans = []  # per block of nominal pairs: (pairs, categories in scan order, left counts)
         nom = nominal.nonzero()[0]
         for g in _blocks(np.full(nom.size, self.levels), s):
             p, w = nom[g], width[nom[g]]
             seg = np.repeat(np.arange(p.size), w)
-            member = rows[np.arange(int(w.sum())) + np.repeat(start[p] - (w.cumsum() - w), w)]
+            member = self.buf[_ranges(start[p], w)]
             codes = self.xt.take(feat[p][seg] * (n + 1) + member).astype(np.int64)
             gain[p], ordered, n_left = _scan_categories(
                 seg, codes, member + offset[p][seg], p.size, self.stats, self.task, min_leaf)
-            for i, q in enumerate(p.tolist()):
-                where[q] = (ordered, i, n_left)
+            scans.append((p, ordered, n_left))
         # first best feature of each node; the draws are sorted, so ties go to the lowest
-        pick = (gain.reshape(A, mtry).argmax(axis=1) + np.arange(A) * mtry).tolist()
-        leaves, grown = [], []
-        for a, node in enumerate(active):
-            p = pick[a]
-            if not gain[p] > 0.0:
-                leaves.append(node)
-                continue
-            m = int(size[a])
-            if nominal[p]:
-                ordered, i, n_left = where[p]
-                split = TreeNode(n_samples=m, feature=int(local[p]),
-                                 categories=frozenset(ordered[i, :n_left[i]].tolist()))
-            else:
-                split = TreeNode(n_samples=m, feature=int(local[p]), threshold=float(threshold[p]))
-            self._attach(node, split)
-            grown.append((node, split))
-        if grown:
-            self._split(grown, leaves)
+        pick = gain.reshape(A, mtry).argmax(axis=1) + np.arange(A) * mtry
+        splits = gain[pick] > 0.0
+        leaves = ids[~splits]
+        if splits.any():
+            leaves = np.concatenate([leaves, self._split(ids[splits], pick[splits], local, feat,
+                                                         threshold, scans)])
         self._make_leaves(leaves)
 
-    def _split(self, grown, leaves):
-        """Send the rows and held-out rows of every (pending node, split node) to its children."""
-        n, K = self.n, len(grown)
-        # the nodes' rows, then their held-out rows, segment by segment
-        rows = np.concatenate([node.rows for node, _ in grown] + [node.held for node, _ in grown])
-        m = np.array([node.rows.size for node, _ in grown])
-        hsize = np.array([node.held.size for node, _ in grown])
-        length = np.concatenate([m, hsize])
-        seg = np.repeat(np.tile(np.arange(K), 2), length)  # the split node of each element
-        tree = [node.tree for node, _ in grown]
-        base = self.cols[self.forest[tree], [split.feature for _, split in grown]] * (n + 1)
-        values = self.xt.take(rows + base[seg])
-        total = rows.size
-        # a nominal split has no threshold: as NaN it sends no row left until its lookup below
-        thr = np.array([split.threshold for _, split in grown], dtype=np.float64)
-        # the extra False lets an empty last segment count from a real index
-        goes = np.append(values <= thr[seg], False)
+    def _split(self, ids, pairs, local, feat, threshold, scans):
+        """Split nodes ``ids`` on their pairs' features, partition their rows
+        and make their children; returns the children that are leaves."""
+        n, K = self.n, ids.size
+        thr = threshold[pairs]  # NaN on a category split
+        self.nodes["feature"][ids] = local[pairs]
+        self.nodes["threshold"][ids] = thr
         nominal = np.isnan(thr)
         if nominal.any():
-            # the nodes' own lookup tables (entry c + 1: code c goes left), padded with False
-            tables = [split._left_codes for _, split in grown]
-            width = max(t.size for t in tables if t is not None)
-            table = np.zeros((K, width), dtype=bool)
-            for k in nominal.nonzero()[0].tolist():
-                table[k, :tables[k].size] = tables[k]
+            # entry (k, c): category split k sends code c left
+            table = np.zeros((K, self.levels), dtype=bool)
+            split = np.full(feat.size, -1)
+            split[pairs] = np.arange(K)
+            for p, ordered, n_left in scans:
+                i = (split[p] >= 0).nonzero()[0]
+                k, m = split[p[i]], n_left[i]
+                cats = ordered[i][np.arange(ordered.shape[1]) < m[:, None]]
+                table[np.repeat(k, m), cats] = True
+                self.nodes["code_start"][ids[k]] = self.n_codes + m.cumsum() - m
+                self.nodes["n_codes"][ids[k]] = m
+                self.code_parts.append(cats)
+                self.n_codes += cats.size
+        rec = self.nodes[ids]
+        size, start = rec["size"], rec["start"]
+        rows = self.buf[_ranges(start, size)]
+        seg = np.repeat(np.arange(K), size)
+        values = self.xt.take(rows + (feat[pairs] * (n + 1))[seg])
+        goes = values <= thr[seg]
+        if nominal.any():
             part = nominal[seg].nonzero()[0]
-            code = values[part].astype(np.int64) + 1
-            code.clip(0, width - 1, out=code)
-            goes[part] = table.ravel().take(seg[part] * width + code)
-        # rows sent left per segment; an empty segment sends none
-        nl = np.where(length > 0, np.add.reduceat(goes, length.cumsum() - length, dtype=np.intp), 0)
-        nr = length - nl
-        side = goes[:total]
-        left, right = rows[side], rows[~side]
-        lo, ro = (nl.cumsum() - nl).tolist(), (nr.cumsum() - nr).tolist()
-        nl, nr = nl.tolist(), nr.tolist()
-        new = []
-        for k, (node, split) in enumerate(grown):
-            h, depth = K + k, node.depth + 1
-            # a right child waits for its sibling's subtree: copy it out of this step's arrays
-            new.append(_Pending(node.tree, split, False, depth, right[ro[k]:ro[k] + nr[k]].copy(),
-                                right[ro[h]:ro[h] + nr[h]].copy()))
-            new.append(_Pending(node.tree, split, True, depth, left[lo[k]:lo[k] + nl[k]],
-                                left[lo[h]:lo[h] + nl[h]]))
-        self._settle(new, leaves)
+            goes[part] = table[seg[part], values[part].astype(np.intp)]
+        # every splitting node has rows, so no segment is empty
+        nl = np.add.reduceat(goes, size.cumsum() - size, dtype=np.intp)
+        self.buf[_ranges(start, nl)] = rows[goes]
+        self.buf[_ranges(start + nl, size - nl)] = rows[~goes]
+        new = self._add(np.repeat(rec["tree"], 2), np.repeat(rec["depth"] + 1, 2),
+                        np.column_stack([start + nl, start]).ravel(),
+                        np.column_stack([size - nl, nl]).ravel())
+        right, left = new[0::2], new[1::2]
+        self.nodes["child"][ids] = right
+        tries = self._tries(new)
+        self._push(right[tries[0::2]])
+        self._push(left[tries[1::2]])
+        return new[~tries]
+
+    def route(self, heldout):
+        """Every tree's predictions of its held-out rows: tree u's of row r,
+        the value of the leaf r reaches or that leaf's first most probable
+        class, sits at ``u * n + r`` (zero elsewhere).
+
+        The rows of every tree go down together, level by level: one
+        partition per level sends the rows at every internal node of that
+        depth to its children, left rows first, and rows that reach a leaf
+        take its prediction.
+        """
+        n, rec = self.n, self.nodes
+        leaf_pred = rec["value"] if self.task == "regression" else rec["value"].argmax(axis=1)
+        pred = np.zeros(len(heldout) * n, dtype=leaf_pred.dtype)
+        is_leaf = rec["feature"] < 0
+        # where the column of each split's feature starts in xt
+        base = self.cols[self.forest[rec["tree"]], np.maximum(rec["feature"], 0)] * (n + 1)
+        nodes = np.arange(len(heldout))  # the roots
+        size = np.array([rows.size for rows in heldout], dtype=np.intp)
+        rows = np.concatenate(heldout)  # node by node
+        while nodes.size:
+            leaf = is_leaf[nodes]
+            if leaf.any():
+                done, at, m = np.repeat(leaf, size), nodes[leaf], size[leaf]
+                pred[np.repeat(rec["tree"][at] * n, m) + rows[done]] = np.repeat(leaf_pred[at], m)
+                rows, nodes, size = rows[~done], nodes[~leaf], size[~leaf]
+            nodes, size = nodes[size > 0], size[size > 0]
+            if not nodes.size:
+                break
+            thr = rec["threshold"][nodes]
+            values = self.xt.take(np.repeat(base[nodes], size) + rows)
+            goes = values <= np.repeat(thr, size)
+            nominal = np.isnan(thr)
+            if nominal.any():
+                # entry k * levels + c: the level's k-th category split sends code c left
+                at = nodes[nominal]
+                m = rec["n_codes"][at]
+                first = np.arange(at.size) * self.levels
+                table = np.zeros(at.size * self.levels, dtype=bool)
+                table[np.repeat(first, m) + self.codes[_ranges(rec["code_start"][at], m)]] = True
+                part = np.repeat(nominal, size)
+                goes[part] = table.take(np.repeat(first, size[nominal])
+                                        + values[part].astype(np.intp))
+            nl = np.add.reduceat(goes, size.cumsum() - size, dtype=np.intp)
+            went = int(nl.sum())
+            sent = np.empty_like(rows)
+            np.compress(goes, rows, out=sent[:went])
+            np.compress(~goes, rows, out=sent[went:])
+            rows = sent
+            right = rec["child"][nodes]
+            nodes = np.concatenate([right + 1, right])
+            size = np.concatenate([nl, size - nl])
+        return pred
+
+    def roots(self):
+        """Per tree, a zero-argument callable that builds its ``TreeNode``s and
+        returns the root; it holds that tree's records and codes only."""
+        T = self.top.size
+        order = np.argsort(self.nodes["tree"], kind="stable")
+        rec = self.nodes[order]  # tree by tree, each in id order: parents before children
+        count = np.bincount(rec["tree"], minlength=T)
+        local = np.empty(order.size, dtype=np.intp)
+        local[order] = np.arange(order.size) - np.repeat(count.cumsum() - count, count)
+        rec["child"] = local[rec["child"]]
+        codes = self.codes[_ranges(rec["code_start"], rec["n_codes"])]
+        end = count.cumsum()
+        code_end = np.add.reduceat(rec["n_codes"], end - count).cumsum()
+        return [partial(_tree_root, r.copy(), c.copy())
+                for r, c in zip(np.split(rec, end[:-1]), np.split(codes, code_end[:-1]))]
+
+
+def _tree_root(rec, codes):
+    """The ``TreeNode``s of one tree's node records, root first, every child
+    after its parent; ``codes`` holds its category splits' codes, split by split."""
+    size, feature, threshold, child, n_codes = (rec[f].tolist() for f in (
+        "size", "feature", "threshold", "child", "n_codes"))
+    end = rec["n_codes"].cumsum().tolist()
+    value = rec["value"].tolist() if rec["value"].ndim == 1 else list(rec["value"])
+    made = [None] * len(size)
+    for i in range(len(size) - 1, -1, -1):
+        if feature[i] < 0:
+            made[i] = TreeNode(n_samples=size[i], value=value[i])
+        elif n_codes[i]:
+            made[i] = TreeNode(n_samples=size[i], feature=feature[i],
+                               categories=frozenset(codes[end[i] - n_codes[i]:end[i]].tolist()),
+                               left=made[child[i] + 1], right=made[child[i]])
+        else:
+            made[i] = TreeNode(n_samples=size[i], feature=feature[i], threshold=threshold[i],
+                               left=made[child[i] + 1], right=made[child[i]])
+    return made[0]
 
 
 def train_tree(
@@ -671,8 +790,9 @@ def train_tree(
         raise DataError("cannot train a tree on zero rows")
     rows = np.arange(X.shape[0])
     grower = _Grower(X, is_nominal, [y], [np.arange(X.shape[1])], task, params, n_classes,
-                     [rng], [rows], [rows])
-    return grower.grow()[0], grower.pred
+                     [rng], [rows])
+    grower.grow()
+    return grower.roots()[0](), grower.route([rows])
 
 
 def train_forest(
@@ -692,7 +812,8 @@ def train_forest(
     It has T trees on independent row subsamples, each scored on its
     held-out rows; tree u draws its rows, then its split features, from
     the stream ``derive_seed(seeds[i], "tree", u)``.  The model's trees
-    are target-major: forest i's are ``trees[i * T:(i + 1) * T]``.
+    are target-major: forest i's are ``trees[i * T:(i + 1) * T]``.  A
+    tree's ``root`` is built when first read.
     """
     n, d = X.shape
     T, sample_size = params.T, params.sample_size(n)
@@ -701,18 +822,22 @@ def train_forest(
         for u in range(T):
             rng = np.random.default_rng(derive_seed(seed, "tree", u))
             rows = np.sort(rng.choice(n, size=sample_size, replace=False))
+            held = np.ones(n, dtype=bool)
+            held[rows] = False
             rngs.append(rng)
             train.append(rows)
-            heldout.append(np.setdiff1d(np.arange(n), rows, assume_unique=True))
+            heldout.append(np.flatnonzero(held))
     Y = X[:, targets].T
     cols = [np.flatnonzero(np.arange(d) != j) for j in targets]
-    grower = _Grower(X, is_nominal, Y, cols, task, params, n_classes, rngs, train, heldout)
+    grower = _Grower(X, is_nominal, Y, cols, task, params, n_classes, rngs, train)
+    grower.grow()
+    pred = grower.route(heldout)
     trees = []
-    for t, root in enumerate(grower.grow()):
+    for t, root in enumerate(grower.roots()):
         y = Y[t // T]
         y_tr = y[train[t]]
         majority = int(np.bincount(y_tr.astype(np.int64), minlength=n_classes).argmax()) if task == "classification" else None
-        quality = _heldout_quality(grower.pred[t * n + heldout[t]], y[heldout[t]], task)
+        quality = _heldout_quality(pred[t * n + heldout[t]], y[heldout[t]], task)
         trees.append(TreeFit(root, train[t], heldout[t], quality, majority))
     return ForestModel(trees=trees, task=task)
 

@@ -162,14 +162,11 @@ def _distinct_rows(A: np.ndarray):
 
 
 def _icws_parts(seed: int, hash_ids: np.ndarray, coords: np.ndarray):
-    u1 = keyed_uniform_grid(seed, 0, hash_ids, coords)
-    u2 = keyed_uniform_grid(seed, 1, hash_ids, coords)
-    u3 = keyed_uniform_grid(seed, 2, hash_ids, coords)
-    u4 = keyed_uniform_grid(seed, 3, hash_ids, coords)
-    beta = keyed_uniform_grid(seed, 4, hash_ids, coords)
-    r = -(np.log(u1) + np.log(u2))        # Gamma(2,1)
-    ln_c = np.log(-(np.log(u3) + np.log(u4)))
-    return r, ln_c, beta
+    u = keyed_uniform_grid(seed, range(5), hash_ids, coords)
+    ln_u = np.log(u[:4])
+    r = -(ln_u[0] + ln_u[1])              # Gamma(2,1)
+    ln_c = np.log(-(ln_u[2] + ln_u[3]))
+    return r, ln_c, u[4]
 
 
 def _icws_keys(values: np.ndarray, r, ln_c, beta):

@@ -9,7 +9,7 @@ from math import factorial
 import numpy as np
 from scipy import sparse
 
-from wise._rng import MASK64, derive_seed
+from wise._rng import MASK64, derive_seed, mix64, mix64_array, unit_from_bits
 from wise.bep import block_offset
 from wise.data_model import (
     ColumnSchema,
@@ -623,6 +623,26 @@ def weighted_jaccard(v, u) -> float:
     if smax == 0.0:
         return 1.0
     return smin / smax
+
+
+def reference_keyed_uniform_grid(seed, lane: int, hash_ids, coords):
+    """The uniforms of one lane over a (hash, coordinate) grid, as the formula
+    reads: the lane's key mixed into each hash key, xor each coordinate key."""
+    inner = np.uint64(mix64(derive_seed(seed, "lane", lane)))
+    with np.errstate(over="ignore"):
+        hkey = mix64_array((hash_ids.astype(np.uint64) + np.uint64(1))
+                           * np.uint64(0x9E3779B97F4A7C15) ^ inner)
+        ckey = (coords.astype(np.uint64) + np.uint64(1)) * np.uint64(0xBF58476D1CE4E5B9)
+        z = mix64_array(ckey[None, :] ^ hkey[:, None])
+    return unit_from_bits(z)
+
+
+def reference_icws_parts(seed, hash_ids, coords):
+    """ICWS's (r, ln c, beta) drawn lane by lane: r and c are Gamma(2, 1) from
+    lanes 0-1 and 2-3, beta is lane 4's uniform."""
+    u1, u2, u3, u4, beta = (reference_keyed_uniform_grid(seed, lane, hash_ids, coords)
+                            for lane in range(5))
+    return -(np.log(u1) + np.log(u2)), np.log(-(np.log(u3) + np.log(u4))), beta
 
 
 def cws_sketch(v: SparseWeightedVector, hash_ids: np.ndarray, seed: int):

@@ -2,6 +2,7 @@
 
 import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from helpers import (
     reference_numeric_split,
     reference_train_tree,
 )
+from wise import forest, lofo
 from wise.data_model import ColumnSchema, design_matrix, table_from_raw
 from wise.errors import ConfigError, DataError
 from wise.forest import (
@@ -32,6 +34,7 @@ from wise.forest import (
     train_forest,
     train_tree,
 )
+from wise.lofo import QdParams, sense_all
 from wise.synth import SynthParams, synth_table
 from wise.treeshap import shap_matrix
 
@@ -364,6 +367,113 @@ def test_grouped_forests_match_per_target_forests(T):
                 want = reference_fit_forest(X[:, inputs], X[:, j], task, params, seed,
                                             is_nominal[inputs], C)
                 assert_same_forest(ForestModel(model.trees[k * T:(k + 1) * T], task), want)
+
+
+def unseen_codes(root, X, train, held):
+    """Held-out rows that reach a category split with a code that none of the
+    split's training rows has."""
+    count, pending = 0, [(root, train, held)]
+    while pending:
+        node, tr, he = pending.pop()
+        if node.is_leaf:
+            continue
+        col = X[:, node.feature]
+        if node.categories is not None:
+            count += int(np.isin(col[he], col[tr], invert=True).sum())
+        left_tr, left_he = node.goes_left(col[tr]), node.goes_left(col[he])
+        pending += [(node.left, tr[left_tr], he[left_he]), (node.right, tr[~left_tr], he[~left_he])]
+    return count
+
+
+def test_heldout_predictions_are_the_reference_routing(monkeypatch):
+    """Each tree's held-out predictions, routed after growth, equal the
+    reference router's bit for bit, on deep mixed-kind forests whose held-out
+    rows reach category splits with codes the splits never saw."""
+    scored = []
+    quality = forest._heldout_quality
+
+    def scoring(pred, truth, task):
+        scored.append(pred)
+        return quality(pred, truth, task)
+
+    monkeypatch.setattr(forest, "_heldout_quality", scoring)
+    rng = np.random.default_rng(90)
+    X, is_nominal, n_classes = grouped_design(rng, 150)
+    unseen = 0
+    for frac in (0.5, 0.995):
+        params = ForestParams(T=7, max_depth=20, min_samples_leaf=1, train_sample_frac=frac)
+        for targets, task in [([0, 3, 6], "regression"), ([1, 4], "classification")]:
+            scored.clear()
+            model = train_forest(X, targets, task, params, [7 * j for j in targets], is_nominal,
+                                 n_classes[targets[0]])
+            assert len(scored) == len(model.trees)
+            for t, (fit, pred) in enumerate(zip(model.trees, scored)):
+                inputs = X[:, np.arange(X.shape[1]) != targets[t // params.T]]
+                want = reference_routing(fit.root, inputs[fit.heldout_rows], task)
+                assert pred.dtype == want.dtype and pred.tobytes() == want.tobytes()
+                unseen += unseen_codes(fit.root, inputs, fit.train_rows, fit.heldout_rows)
+    assert unseen > 0
+
+
+def test_sense_builds_tree_nodes_of_explained_trees_only(monkeypatch):
+    """With m=1, sensing builds the TreeNodes of the d explained trees and of no other."""
+    made, explained = [], []
+
+    class Counted(TreeNode):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(forest, "TreeNode", Counted)
+    explain = lofo.aggregate_global
+
+    def explaining(root, *args):
+        explained.append(root)
+        return explain(root, *args)
+
+    monkeypatch.setattr(lofo, "aggregate_global", explaining)
+    table = synth_table(SynthParams(n=200, seed=6))[0]
+    params = ForestParams(T=5, max_depth=8, min_samples_leaf=3, train_sample_frac=0.5)
+    views = sense_all(table, params, QdParams(m=1), seed=4, explain_cap=32, background_size=16)
+    assert len(views) == len(explained) == table.d
+    nodes, pending = [], list(explained)
+    while pending:
+        node = pending.pop()
+        nodes.append(node)
+        if not node.is_leaf:
+            pending += [node.left, node.right]
+    assert sorted(map(id, made)) == sorted(map(id, nodes))
+
+
+def test_roots_are_built_once_on_first_read():
+    """A tree's root is the same object on every read, with the per-node grower's fields."""
+    rng = np.random.default_rng(91)
+    X, y, is_nominal, n_classes = mixed_inputs(rng, 150, "classification")
+    params = ForestParams(T=3, max_depth=6, min_samples_leaf=2, train_sample_frac=0.6)
+    args = (X, y, "classification", params, 5, is_nominal, n_classes)
+    model = train_one_forest(*args)
+    for got, want in zip(model.trees, reference_fit_forest(*args).trees):
+        root = got.root
+        assert got.root is root
+        assert node_fields(root) == node_fields(want.root)
+
+
+def test_grown_forest_does_not_hold_the_grower(monkeypatch):
+    """The grower is freed when train_forest returns, before any root is read."""
+    growers = []
+
+    class Watched(forest._Grower):
+        def __init__(self, *args):
+            super().__init__(*args)
+            growers.append(weakref.ref(self))
+
+    monkeypatch.setattr(forest, "_Grower", Watched)
+    rng = np.random.default_rng(92)
+    X, y, is_nominal, n_classes = mixed_inputs(rng, 150, "regression")
+    params = ForestParams(T=4, max_depth=6, min_samples_leaf=2, train_sample_frac=0.6)
+    model = train_one_forest(X, y, "regression", params, 6, is_nominal, n_classes)
+    assert len(growers) == 1 and growers[0]() is None
+    assert all(not fit.root.is_leaf for fit in model.trees)
 
 
 def test_degenerate_numbers_grow_the_per_node_grower_trees():

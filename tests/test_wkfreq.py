@@ -502,3 +502,12 @@ def test_cluster_on_duplicate_codes_matches_row_level_oracle():
         assert_same_centers(got.centers, centers)
         assert got.mean_distance == mean
         assert got.n_iter == n_iter
+
+
+def test_icws_parts_match_the_per_lane_formula():
+    """The five ICWS lanes drawn in one grid have the bits of five one-lane draws."""
+    for seed in (0, 12345678901234567, 2 ** 64 - 5):
+        for hashes, coords in ((64, 105), (4, 104), (64, 49)):
+            args = (seed, np.arange(hashes, dtype=np.int64), np.arange(coords, dtype=np.int64))
+            got, want = wkfreq._icws_parts(*args), helpers.reference_icws_parts(*args)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
