@@ -22,12 +22,21 @@ candidate; candidates are deduplicated and reduced to k by a
 distance-weighted sampling pass.  The work is batched: ``_padded`` lays
 a CSR block's rows out as one (n, W) block, so a sketch hash is one
 argmin over keys gathered through it; ``_distinct_rows`` groups equal
-codes, band signatures and bucket sketches; buckets form one membership
-matrix M of the members' multiplicities, so ``M @ X_codes`` gives every
-bucket's integer column counts over rows; bins are unions of buckets
-with equal sketches, numbered by first occurrence, counted by one more
-product.  Every count is the exact integer the rows give, so the
-candidates are those of row-level seeding; padding and Lloyd run on rows.
+codes and bucket sketches, and one lexsort groups the band signatures of
+all bands; buckets form one membership matrix M of the members'
+multiplicities, so ``M @ X_codes`` gives every bucket's integer column
+counts over rows; bins are unions of buckets with equal sketches,
+numbered by first occurrence, counted by one more product.  Counts are
+taken as dense blocks of bounded size and reduced to FreqItems there.
+Every count is the exact integer the rows give, so the candidates are
+those of row-level seeding.
+
+Lloyd shares the distinct codes with seeding.  Distances are measured
+once per code, against a dense block of the centers' min(omega, c)
+values, and every row reads its code's distances: a zero-weight
+coordinate adds nothing to any sum.  Padding, assignment, empty-cluster
+repair and the cycle stop run on rows; recentering counts each
+cluster's rows through their codes.
 """
 
 from __future__ import annotations
@@ -84,6 +93,10 @@ class ClusterResult:
 
 # pairs x union-coordinates cells per block of pairwise_weighted_jaccard
 PAIR_BLOCK_CELLS = 1 << 18
+# groups x coordinates dense cells per block of FreqItem counts
+COUNT_BLOCK_CELLS = 1 << 18
+# bands x live codes signature entries per sort of _band_buckets
+BAND_BLOCK_ENTRIES = 1 << 16
 
 
 def _row_totals(C: sparse.csr_matrix) -> np.ndarray:
@@ -227,24 +240,37 @@ def _indicator(groups: np.ndarray, n_groups: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((data, (groups, items)), shape=(n_groups, groups.size))
 
 
-def _freqitems(F: sparse.csr_matrix, omega: np.ndarray, alpha: float) -> sparse.csr_matrix:
-    """Row-wise FreqItem centers from column activation counts.
+def _freqitems(F: np.ndarray, omega: np.ndarray, alpha: float) -> sparse.csr_matrix:
+    """Row-wise FreqItem centers from a dense block of column activation counts.
 
-    Row g of ``F`` counts, per coordinate, the binary members of one group
-    (``M @ X`` for a membership matrix ``M``).  Row g of the result keeps
-    the coordinates carrying at least alpha of that row's peak mass, each
-    valued by its average contribution.
+    Row g of ``F`` counts, per coordinate, the binary members of one group.
+    Row g of the result keeps the coordinates carrying at least alpha of
+    that row's peak mass, each valued by its average contribution.
     """
-    F.sort_indices()
-    f = F.data.astype(np.int64)
-    s = f * omega[F.indices]
-    s_max = np.append(s, 0.0)[_padded(F)].max(axis=1)
-    rows = np.repeat(np.arange(F.shape[0]), np.diff(F.indptr))
-    keep = (s > 0) & (s >= alpha * s_max[rows])
+    s = F * omega
+    keep = (s > 0) & (s >= alpha * s.max(axis=1, initial=0.0)[:, None])
+    cells = np.flatnonzero(keep)
+    rows, cols = np.divmod(cells, F.shape[1])
     indptr = np.zeros(F.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=F.shape[0]), out=indptr[1:])
-    val = s[keep] / np.maximum(1, f[keep])
-    return sparse.csr_matrix((val, F.indices[keep], indptr), shape=F.shape)
+    np.cumsum(np.bincount(rows, minlength=F.shape[0]), out=indptr[1:])
+    val = s.ravel()[cells] / np.maximum(1, F.ravel()[cells])
+    return sparse.csr_matrix((val, cols, indptr), shape=F.shape)
+
+
+def _group_freqitems(M: sparse.csr_matrix, X: sparse.csr_matrix, omega: np.ndarray,
+                     alpha: float) -> sparse.csr_matrix:
+    """FreqItem centers of the groups of ``M``, one CSR row each.
+
+    Row g of ``M`` says how many binary rows of group g each row of ``X``
+    stands for (1, or a code's multiplicity), so ``M @ X`` counts each
+    group's rows per coordinate.  The counts are taken for at most
+    ``COUNT_BLOCK_CELLS`` dense cells of groups at a time.
+    """
+    step = max(1, COUNT_BLOCK_CELLS // max(1, X.shape[1]))
+    if M.shape[0] <= step:
+        return _freqitems((M @ X).toarray(), omega, alpha)
+    return sparse.vstack([_freqitems((M[lo:lo + step] @ X).toarray(), omega, alpha)
+                          for lo in range(0, M.shape[0], step)], format="csr")
 
 
 # --- Distance kernel ----------------------------------------------------------
@@ -253,12 +279,16 @@ def _freqitems(F: sparse.csr_matrix, omega: np.ndarray, alpha: float) -> sparse.
 def _distances(X, row_tot, omega, C) -> np.ndarray:
     """1 - sum(min)/sum(max) between omega-weighted rows and the centers C.
 
-    ``X`` is the binary data as float64 and ``row_tot`` its row totals
-    ``X @ omega``; both are loop invariants of ``cluster``.
+    ``X`` is binary rows (``cluster`` passes its distinct codes) as
+    float64 and ``row_tot`` their totals ``X @ omega``.  Each
+    intersection is one CSR-by-dense product against the p x k block of
+    min(omega, center) values, which adds a row's terms in its stored
+    order; the zeros of coordinates a center lacks add +0.0.
     """
-    M = sparse.csr_matrix((np.minimum(omega[C.indices], C.data), C.indices, C.indptr),
-                          shape=C.shape)
-    smin = (X @ M.T).toarray()
+    block = np.zeros((C.shape[1], C.shape[0]))
+    block[C.indices, np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))] = \
+        np.minimum(omega[C.indices], C.data)
+    smin = X @ block
     union = row_tot[:, None] + _row_totals(C)[None, :] - smin
     with np.errstate(invalid="ignore", divide="ignore"):
         sim = np.where(union > 0, smin / np.where(union > 0, union, 1.0), 1.0)
@@ -295,22 +325,39 @@ def _band_buckets(coords: np.ndarray, comps: np.ndarray, live: np.ndarray, mult:
     Returns the bucket membership matrix (buckets x codes) holding the
     members' multiplicities: one row per group of at least two rows (a
     lone code of multiplicity two is a bucket), in (table, band,
-    signature) order.
+    signature) order, members ascending.  A signature is the band's
+    coordinates, then its companions, ordered as their little-endian
+    bytes compare: each value is byte-swapped and read as a uint64.
+    Bands are sorted together, by one stable lexsort over band-major
+    entries, in groups of at most ``BAND_BLOCK_ENTRIES`` entries.
     """
     n = coords.shape[0]
     live = np.flatnonzero(live)
-    coords, comps, weight = coords[live], comps[live], mult[live]
+    size = live.size
+    rows, bands = params.lsh_rows, params.lsh_tables * params.lsh_bands
+    weight = mult[live]
+    step = max(1, BAND_BLOCK_ENTRIES // max(1, size))
     members, sizes = [], []
-    for h in range(0, params.lsh_tables * params.lsh_bands * params.lsh_rows, params.lsh_rows):
-        sig = np.concatenate(
-            [coords[:, h:h + params.lsh_rows], comps[:, h:h + params.lsh_rows]],
-            axis=1,
-        )
-        _, inverse, counts = _distinct_rows(sig)
-        order = np.argsort(inverse, kind="stable")
-        shared = np.bincount(inverse, weights=weight) >= 2
-        members.append(live[order[shared[inverse[order]]]])
-        sizes.append(counts[shared])
+    for lo in range(0, bands, step):
+        count = min(step, bands - lo)
+        hashes = slice(lo * rows, (lo + count) * rows)
+        # each signature column as one band-major key array, in signature order
+        parts = [np.asarray(a[live, hashes], dtype=np.int64).byteswap().view(np.uint64).T
+                 for a in (coords, comps)]
+        block = [part[r::rows].ravel() for part in parts for r in range(rows)]
+        band = np.repeat(np.arange(count), size)
+        order = np.lexsort(block[::-1] + [band])
+        # every band holds `size` entries, so bands start at multiples of it
+        start = np.zeros(order.size, dtype=bool)
+        start[::max(1, size)] = True
+        for key in block:
+            key = key[order]
+            start[1:] |= key[1:] != key[:-1]
+        group = np.cumsum(start) - 1
+        code = order % size
+        shared = np.bincount(group, weights=weight[code]) >= 2
+        members.append(live[code[shared[group]]])
+        sizes.append(np.bincount(group)[shared])
     indices = np.concatenate(members)
     indptr = np.zeros(sum(c.size for c in sizes) + 1, dtype=np.int64)
     np.cumsum(np.concatenate(sizes), out=indptr[1:])
@@ -337,7 +384,7 @@ def _bin_candidates(
     is over rows.  Bins are ordered by first occurrence, then stably by
     decreasing size.
     """
-    C = _freqitems(buckets @ X, omega, beta)
+    C = _group_freqitems(buckets, X, omega, beta)
     live = np.diff(C.indptr) > 0
     buckets, C = buckets[live], C[live]
     if buckets.shape[0] == 0:
@@ -361,7 +408,7 @@ def _bin_candidates(
     union.data = mult[union.indices]
     sizes = np.asarray(union.sum(axis=1)).ravel()
     top = np.argsort(-sizes, kind="stable")[:cap]
-    return _freqitems(union[top] @ X, omega, beta), sizes[top]
+    return _group_freqitems(union[top], X, omega, beta), sizes[top]
 
 
 def _seed_from_candidates(C, sizes, X, omega, nonempty, params: ClusterParams, rng) -> sparse.csr_matrix:
@@ -392,14 +439,18 @@ def silk_seed(
     X: sparse.csr_matrix,
     omega: np.ndarray,
     params: ClusterParams,
+    effective=None,
 ) -> sparse.csr_matrix:
-    """Two-level MinHash overseeding reduced to k initial centers (k x p CSR)."""
+    """Two-level MinHash overseeding reduced to k initial centers (k x p CSR).
+
+    ``effective`` is ``_effective_codes(X, omega)`` when the caller has it.
+    """
     n, p = X.shape
     k = params.k
     if n < k:
         raise DataError(f"need at least k={k} rows, got {n}")
     rng = np.random.default_rng(derive_seed(params.seed, "silk"))
-    codes, inverse, mult = _effective_codes(X, omega)
+    codes, inverse, mult = _effective_codes(X, omega) if effective is None else effective
     level1 = params.lsh_tables * params.lsh_bands * params.lsh_rows
     coords, comps = cws_signatures(codes, omega, np.arange(level1, dtype=np.int64), params.seed)
     live = coords[:, 0] >= 0
@@ -515,20 +566,22 @@ def cluster(
             raise ConfigError("weights are all zero")
         omega = omega / peak
 
-    centers = silk_seed(X, omega, params)
-    X_float = X.astype(np.float64)
-    row_tot = X_float @ omega
+    codes, inverse, mult = effective = _effective_codes(X, omega)
+    centers = silk_seed(X, omega, params, effective)
+    # Distances are a function of a row's code: zero-weight coordinates add
+    # nothing to any sum.  Each row reads its code's row of D.
+    X_codes = codes.astype(np.float64)
+    code_tot = X_codes @ omega
 
-    rows = np.arange(n)
     labels_prev = None
     seen: dict[bytes, int] = {}                 # digest of each labelling -> first iteration
     trail: list[tuple[np.ndarray, float]] = []  # (labels, mean distance) of each iteration
     history: list[tuple[float | None, float]] = []
     for n_iter in range(1, params.max_iter + 1):
-        D = _distances(X_float, row_tot, omega, centers)
-        labels = D.argmin(axis=1)
-        assigned = D[rows, labels]
-        pre_mean = float(D[rows, labels_prev].mean()) if labels_prev is not None else None
+        D = _distances(X_codes, code_tot, omega, centers)
+        labels = D.argmin(axis=1)[inverse]
+        assigned = D[inverse, labels]
+        pre_mean = float(D[inverse, labels_prev].mean()) if labels_prev is not None else None
         history.append((pre_mean, float(assigned.mean())))
 
         counts = np.bincount(labels, minlength=params.k)
@@ -537,7 +590,7 @@ def cluster(
             for cid in np.flatnonzero(counts == 0):
                 worst = int(np.argmax(spare))
                 labels[worst] = cid
-                assigned[worst] = D[worst, cid]
+                assigned[worst] = D[inverse[worst], cid]
                 spare[worst] = -np.inf
         final_mean = float(assigned.mean())
         trail.append((labels, final_mean))
@@ -559,8 +612,9 @@ def cluster(
             labels, final_mean = trail[n_iter - 1 - back]
         labels_prev = labels
         # recenter on these labels; a fixed-point break returns these centers
-        counts = _indicator(labels, params.k) @ X
-        centers = _freqitems(counts, omega, params.alpha)
+        members = sparse.csr_matrix((np.ones(n, dtype=np.int64), (labels, inverse)),
+                                    shape=(params.k, mult.size))
+        centers = _group_freqitems(members, codes, omega, params.alpha)
         if first < n_iter:
             break
     else:

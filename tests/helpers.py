@@ -33,11 +33,9 @@ from wise.lofo import QdParams, TreeCandidate, cosine_distance, grow_forests, ma
 from wise.metrics import SWC_SUBSAMPLE
 from wise.treeshap import _weight_tables, aggregate_global
 from wise.wkfreq import (
-    _distances,
-    _freqitems,
+    _distinct_rows,
     _icws_keys,
     _icws_parts,
-    _indicator,
     _seed_from_candidates,
     cws_signatures,
 )
@@ -681,6 +679,30 @@ def reference_centers(X, labels, omega, alpha, k):
                         X.shape[1])
 
 
+def reference_band_buckets(coords, comps, live, mult, params):
+    """Per-band form of ``wkfreq._band_buckets``: one byte-view ``np.unique``
+    of each band's signatures, whose void sort orders them by their
+    little-endian bytes."""
+    n = coords.shape[0]
+    live = np.flatnonzero(live)
+    coords, comps, weight = coords[live], comps[live], mult[live]
+    members, sizes = [], []
+    for h in range(0, params.lsh_tables * params.lsh_bands * params.lsh_rows, params.lsh_rows):
+        sig = np.concatenate(
+            [coords[:, h:h + params.lsh_rows], comps[:, h:h + params.lsh_rows]],
+            axis=1,
+        )
+        _, inverse, counts = _distinct_rows(sig)
+        order = np.argsort(inverse, kind="stable")
+        shared = np.bincount(inverse, weights=weight) >= 2
+        members.append(live[order[shared[inverse[order]]]])
+        sizes.append(counts[shared])
+    indices = np.concatenate(members)
+    indptr = np.zeros(sum(c.size for c in sizes) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(sizes), out=indptr[1:])
+    return sparse.csr_matrix((mult[indices], indices, indptr), shape=(indptr.size - 1, n))
+
+
 def reference_silk_seed(X, omega, params):
     """Per-bucket form of ``wkfreq.silk_seed``.
 
@@ -822,22 +844,53 @@ def distances_plain(X_int, C):
     return 1.0 - sim
 
 
+def _sequential_row_sums(X, values):
+    """Per row of X, the sum of ``values`` (one per stored entry) taken one
+    stored entry after another, from 0, in the row's stored order: each row
+    is padded to the widest row with +0.0 and summed by a running sum."""
+    lens = np.diff(X.indptr)
+    width = max(int(lens.max(initial=0)), 1)
+    block = np.zeros((X.shape[0], width))
+    block[np.arange(width) < lens[:, None]] = values
+    return np.cumsum(block, axis=1)[:, -1]
+
+
+def distances_weighted(X, omega, C):
+    """Weighted Jaccard distance between omega-weighted binary rows and the
+    centers C, one center at a time: a row's intersection with a center is
+    the sum of min(omega_j, c_j) over the row's stored coordinates in order,
+    its total the sum of omega_j over them, and a center's total the 1-D sum
+    of its values."""
+    cols = X.indices
+    dist = np.empty((X.shape[0], C.shape[0]))
+    for c, (lo, hi) in enumerate(zip(C.indptr[:-1], C.indptr[1:])):
+        center = np.zeros(X.shape[1])
+        center[C.indices[lo:hi]] = C.data[lo:hi]
+        smin = _sequential_row_sums(X, np.minimum(omega[cols], center[cols]))
+        union = _sequential_row_sums(X, omega[cols]) + C.data[lo:hi].sum() - smin
+        sim = np.where(union > 0, smin / np.where(union > 0, union, 1.0), 1.0)
+        dist[:, c] = 1.0 - sim
+    return dist
+
+
 def reference_lloyd(X, params, weights, initial_centers):
     """The Lloyd loop of ``wkfreq.cluster`` with no early stop but a label fixed point.
 
     Returns (labels, centers, mean_distance, n_iter) after at most
     ``params.max_iter`` iterations from the given centers.  With
     ``weights=None`` it is plain k-FreqItems in integer arithmetic:
-    set-size Jaccard distances and integer-count FreqItem centers.
+    set-size Jaccard distances and integer-count FreqItem centers.  With
+    weights, distances are ``distances_weighted`` and centers
+    ``reference_centers``, so no kernel of ``wkfreq`` takes part.
     """
     X = X.tocsr()
     n = X.shape[0]
+    omega = None
     if weights is None:
         X_int = X.astype(np.int64)
     else:
         omega = np.asarray(weights, dtype=np.float64)
         omega = omega / omega.max()
-        X_float = X.astype(np.float64)
     centers = initial_centers
     rows = np.arange(n)
     labels_prev = None
@@ -846,7 +899,7 @@ def reference_lloyd(X, params, weights, initial_centers):
         if weights is None:
             D = distances_plain(X_int, centers)
         else:
-            D = _distances(X_float, X_float @ omega, omega, centers)
+            D = distances_weighted(X, omega, centers)
         labels = D.argmin(axis=1)
         assigned = D[rows, labels]
         counts = np.bincount(labels, minlength=params.k)
@@ -862,10 +915,7 @@ def reference_lloyd(X, params, weights, initial_centers):
         if labels_prev is not None and np.array_equal(labels, labels_prev):
             break
         labels_prev = labels
-        if weights is None:
-            centers = reference_centers(X, labels, None, params.alpha, params.k)
-        else:
-            centers = _freqitems(_indicator(labels, params.k) @ X, omega, params.alpha)
+        centers = reference_centers(X, labels, omega, params.alpha, params.k)
     return labels, centers, final_mean, n_iter
 
 

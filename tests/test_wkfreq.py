@@ -32,6 +32,7 @@ from helpers import (
     center_block,
     cws_sketch,
     random_sparse_binary,
+    reference_band_buckets,
     reference_centers,
     reference_lloyd,
     reference_silk_seed,
@@ -217,12 +218,13 @@ def test_cws_signatures_skip_zero_weight_support():
 
 def test_freqitem_center_examples():
     # members {0,1} and {1,2}: counts (1,2,1), alpha=0.6 keeps only coordinate 1
-    pair = sparse.csr_matrix(np.array([[1, 2, 1]]))
+    pair = np.array([[1, 2, 1]])
     center = _freqitems(pair, np.ones(3), alpha=0.6)
     assert center.indices.tolist() == [1]
     assert center.data.tolist() == [1.0]
     # one member {3,8} under weights 2 and 1
-    single = sparse.csr_matrix(([1, 1], [3, 8], [0, 2]), shape=(1, 10))
+    single = np.zeros((1, 10), dtype=np.int64)
+    single[0, [3, 8]] = 1
     omega = np.zeros(10)
     omega[[3, 8]] = [2.0, 1.0]
     every = _freqitems(single, omega, alpha=0.0)
@@ -231,12 +233,12 @@ def test_freqitem_center_examples():
     peak = _freqitems(single, omega, alpha=1.0)
     assert peak.indices.tolist() == [3]
     # rows are independent centers; an empty row stays empty
-    both = _freqitems(sparse.vstack([pair, sparse.csr_matrix((1, 3))]).tocsr(), np.ones(3), alpha=0.6)
+    both = _freqitems(np.vstack([pair, np.zeros((1, 3), dtype=np.int64)]), np.ones(3), alpha=0.6)
     assert np.diff(both.indptr).tolist() == [1, 0]
-    first = _freqitems(sparse.vstack([sparse.csr_matrix((1, 3)), pair]).tocsr(), np.ones(3), alpha=0.6)
+    first = _freqitems(np.vstack([np.zeros((1, 3), dtype=np.int64), pair]), np.ones(3), alpha=0.6)
     assert np.diff(first.indptr).tolist() == [0, 1]
     assert first.indices.tolist() == [1]
-    none = _freqitems(sparse.csr_matrix((2, 3), dtype=np.int64), np.ones(3), alpha=0.6)
+    none = _freqitems(np.zeros((2, 3), dtype=np.int64), np.ones(3), alpha=0.6)
     assert none.shape == (2, 3) and none.nnz == 0
 
 
@@ -319,6 +321,53 @@ def _silk_inputs():
     X = sparse.vstack([empty, random_sparse_binary(rng, 60, 12)], format="csr")[rng.permutation(90)]
     omega = np.r_[np.zeros(6), rng.uniform(0.3, 1.0, 6)]
     yield "empty and non-empty effective supports", X, omega, ClusterParams(k=4, seed=9)
+    # coordinates past 255 and weights over four decades, so that signatures
+    # differ in a coordinate's high byte and companions reach -20 and below
+    base = random_sparse_binary(rng, n=20, p=300, min_nnz=4, max_nnz=8)
+    omega = 10.0 ** rng.uniform(-4.0, 0.0, 300)
+    yield "wide, weights over decades", base[rng.integers(0, 20, 150)], omega, \
+        ClusterParams(k=5, beta=0.4, seed=10)
+
+
+@pytest.mark.parametrize("block_entries", [wkfreq.BAND_BLOCK_ENTRIES, 1, 997])
+def test_band_buckets_match_per_band_reference(monkeypatch, block_entries):
+    # Signatures are drawn from a few shared values per band, so buckets
+    # form; coordinates reach 70,000 and companions are negative or beyond
+    # 2^20, where the order of little-endian bytes is not numeric order.
+    monkeypatch.setattr(wkfreq, "BAND_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(29)
+    params = ClusterParams(k=2)
+    bands, rows = params.lsh_tables * params.lsh_bands, params.lsh_rows
+    edge_coords = np.array([0, 1, 255, 256, 257, 511, 65535, 65536, 70000])
+    edge_comps = np.array([-1, 0, 1, -256, 255, 256, 2**20 + 1, -(2**20) - 3, 2**33 + 5])
+    seen = {"dead": 0, "lone pair": 0, "wide": 0, "negative": 0, "large": 0}
+    for _ in range(40):
+        n = int(rng.integers(1, 120))
+        pool = int(rng.integers(1, 6))
+        shared_c = rng.choice(np.r_[edge_coords, rng.integers(0, 70001, 8)], (bands, pool, rows))
+        shared_t = rng.choice(np.r_[edge_comps, rng.integers(-2**21, 2**21, 8)], (bands, pool, rows))
+        pick = rng.integers(0, pool, (n, bands))
+        coords = shared_c[np.arange(bands), pick].reshape(n, bands * rows)
+        comps = shared_t[np.arange(bands), pick].reshape(n, bands * rows)
+        own = rng.random((n, bands)) < 0.3
+        coords[np.repeat(own, rows, axis=1)] = rng.integers(0, 70001, own.sum() * rows)
+        comps[np.repeat(own, rows, axis=1)] = rng.integers(-2**21, 2**21, own.sum() * rows)
+        live = rng.random(n) < 0.85
+        coords[~live], comps[~live] = -1, 0
+        mult = rng.choice([1, 1, 1, 2, 5], n)
+        got = wkfreq._band_buckets(coords, comps, live, mult, params)
+        want = reference_band_buckets(coords, comps, live, mult, params)
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        sizes = np.diff(got.indptr)
+        seen["dead"] += int(np.sum(~live))
+        seen["lone pair"] += int(np.sum(got.data[got.indptr[:-1][sizes == 1]] == 2))
+        seen["wide"] += int(np.sum(coords[live] >= 256))
+        seen["negative"] += int(np.sum(comps[live] < 0))
+        seen["large"] += int(np.sum(np.abs(comps[live]) > 2**20))
+    assert min(seen.values()) > 0, seen
 
 
 def test_silk_seed_matches_per_bucket_reference(monkeypatch):
@@ -339,6 +388,34 @@ def test_silk_seed_matches_per_bucket_reference(monkeypatch):
         assert np.array_equal(got_sizes, want_sizes), name
         assert got.shape[0] == params.k, name
         assert_same_centers(got, want)
+
+
+def test_count_and_band_budgets_are_invisible(monkeypatch):
+    # one group per count block and one band per sort give the same seeds
+    # and the same Lloyd runs as the default budgets
+    rng = np.random.default_rng(41)
+    truth = rng.integers(0, 4, 300)
+    L = np.where(rng.random((300, 8)) < 0.8, truth[:, None], rng.integers(0, 6, (300, 8)))
+    stage_two = ("stage-two records", one_hot_records(L, 6), None, ClusterParams(k=4, seed=12))
+    cases = list(_silk_inputs()) + [stage_two]
+
+    def run_all():
+        out = []
+        for _, X, omega, params in cases:
+            seed_omega = np.ones(X.shape[1]) if omega is None else omega / omega.max()
+            out.append((silk_seed(X, seed_omega, params), cluster(X, params, omega)))
+        return out
+
+    want = run_all()
+    monkeypatch.setattr(wkfreq, "COUNT_BLOCK_CELLS", 1)
+    monkeypatch.setattr(wkfreq, "BAND_BLOCK_ENTRIES", 1)
+    got = run_all()
+    for (name, *_), (seeds, res), (want_seeds, want_res) in zip(cases, got, want):
+        assert_same_centers(seeds, want_seeds)
+        assert np.array_equal(res.labels, want_res.labels), name
+        assert_same_centers(res.centers, want_res.centers)
+        assert res.mean_distance == want_res.mean_distance, name
+        assert res.n_iter == want_res.n_iter, name
 
 
 def test_cluster_perfect_partition():
