@@ -66,6 +66,16 @@ def derive_seed(master: int, *tokens) -> int:
     return state
 
 
+def derive_seeds(master: int, *tokens, lanes: np.ndarray) -> np.ndarray:
+    """``derive_seed(master, *tokens, lane)`` for every integer lane, as uint64.
+
+    The lane is the last token, so one ``mix64_array`` over the lanes
+    finishes every derivation at once.
+    """
+    lanes = np.asarray(lanes).astype(np.uint64)
+    return mix64_array(np.uint64(derive_seed(master, *tokens)) ^ lanes)
+
+
 def unit_from_bits(z: np.ndarray) -> np.ndarray:
     """Map uint64 words to floats in the open interval (0, 1).
 
@@ -85,9 +95,8 @@ def keyed_uniform_grid(seed: int, lane: int | Sequence[int], hash_ids: np.ndarra
     ``(len(hash_ids), len(coords))``, for a sequence of lanes one such
     grid per lane, stacked.
     """
-    lanes = np.atleast_1d(np.asarray(lane, dtype=np.int64)).astype(np.uint64)
-    # mix64(derive_seed(seed, "lane", lane)) of every lane at once
-    inner = mix64_array(mix64_array(np.uint64(derive_seed(seed, "lane")) ^ lanes))
+    lanes = np.atleast_1d(np.asarray(lane, dtype=np.int64))
+    inner = mix64_array(derive_seeds(seed, "lane", lanes=lanes))
     with np.errstate(over="ignore"):
         hkey = mix64_array(
             ((hash_ids.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))[None, :]

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rng import derive_seed
+from ._rng import derive_seeds
 # Not called here.  The benchmark's tracer wraps ``wise.forest.design_matrix``
 # and drops its design-matrix count while this name is missing.
 from .data_model import design_matrix  # noqa: F401
@@ -819,8 +819,8 @@ def train_forest(
     T, sample_size = params.T, params.sample_size(n)
     rngs, train, heldout = [], [], []
     for seed in seeds:
-        for u in range(T):
-            rng = np.random.default_rng(derive_seed(seed, "tree", u))
+        for tree_seed in derive_seeds(seed, "tree", lanes=np.arange(T)).tolist():
+            rng = np.random.default_rng(tree_seed)
             rows = np.sort(rng.choice(n, size=sample_size, replace=False))
             held = np.ones(n, dtype=bool)
             held[rows] = False

@@ -20,10 +20,14 @@ sum to at least two), bucket sketches are hashed again to merge
 near-duplicate buckets into bins, and each bin contributes one FreqItem
 candidate; candidates are deduplicated and reduced to k by a
 distance-weighted sampling pass.  The work is batched: ``_padded`` lays
-a CSR block's rows out as one (n, W) block, so a sketch hash is one
-argmin over keys gathered through it; ``_distinct_rows`` groups equal
-codes and bucket sketches, and one lexsort groups the band signatures of
-all bands; buckets form one membership matrix M of the members'
+a CSR block's rows out as one (n, W) block.  Rows share omega, so the
+level-1 keys of each hash are ranked once over the positive-weight
+coordinates, and a row's sketch is its least rank, read through the
+block from one integer rank table; a level-2 hash, whose keys differ
+per bucket, is one argmin over keys gathered through it.
+``_distinct_rows`` groups equal codes and bucket sketches, and one
+lexsort groups the band signatures of all bands; buckets form one
+membership matrix M of the members'
 multiplicities, so ``M @ X_codes`` gives every bucket's integer column
 counts over rows; bins are unions of buckets with equal sketches,
 numbered by first occurrence, counted by one more product.  Counts are
@@ -97,6 +101,8 @@ PAIR_BLOCK_CELLS = 1 << 18
 COUNT_BLOCK_CELLS = 1 << 18
 # bands x live codes signature entries per sort of _band_buckets
 BAND_BLOCK_ENTRIES = 1 << 16
+# stored positions x rows x hashes rank cells per gather of cws_signatures
+SKETCH_BLOCK_CELLS = 1 << 19
 
 
 def _row_totals(C: sparse.csr_matrix) -> np.ndarray:
@@ -191,21 +197,6 @@ def _icws_keys(values: np.ndarray, r, ln_c, beta):
     return ln_a, t_k.astype(np.int64)
 
 
-def _key_grid(omega: np.ndarray, hash_ids: np.ndarray, seed: int):
-    """Precomputed ICWS keys for every coordinate (rows share weights).
-
-    Coordinates with zero weight get +inf keys so they never win.
-    Returns (keys, companions), each of shape (len(hash_ids), omega.size).
-    """
-    coords = np.arange(omega.size, dtype=np.int64)
-    r, ln_c, beta = _icws_parts(seed, hash_ids, coords)
-    active = omega > 0
-    safe = np.where(active, omega, 1.0)
-    ln_a, t_k = _icws_keys(safe[None, :], r, ln_c, beta)
-    ln_a[:, ~active] = np.inf
-    return ln_a, t_k
-
-
 def _first_minima(keys: np.ndarray, block: np.ndarray) -> np.ndarray:
     """(n, len(keys)): per row of ``block`` (column indices into ``keys``) and
     per key row, the entry holding the row's first minimum key."""
@@ -218,16 +209,53 @@ def _first_minima(keys: np.ndarray, block: np.ndarray) -> np.ndarray:
 def cws_signatures(X: sparse.csr_matrix, omega, hash_ids: np.ndarray, seed: int):
     """Sketch every row: (coords, companions), each (n, len(hash_ids)).
 
-    Rows whose effective support is empty get coordinate -1 and companion 0.
+    Rows share omega, so each hash's keys are ranked once over the
+    positive-weight coordinates, by a stable argsort that breaks ties
+    toward the lower coordinate, and a row's coordinate is the one with
+    its least rank: its first minimum key.  A pad column ranks last under
+    every hash and stands for zero-weight coordinates and row padding, so
+    rows whose effective support is empty get coordinate -1 and
+    companion 0.  Ranks are gathered for at most ``SKETCH_BLOCK_CELLS``
+    (stored position, row, hash) cells at a time.
     """
-    # coordinate p pads every row; its zero weight gives it +inf keys
-    keys, tks = _key_grid(np.append(omega, 0.0), hash_ids, seed)
-    coords = _first_minima(keys, np.append(X.indices, X.shape[1])[_padded(X)])
+    active = np.flatnonzero(omega > 0)
     hashes = np.arange(len(hash_ids))
-    empty = ~np.isfinite(keys[hashes, coords])
-    comps = tks[hashes, coords]
-    coords[empty], comps[empty] = -1, 0
-    return coords, comps
+    r, ln_c, beta = _icws_parts(seed, hash_ids, active)
+    ln_a, t_k = _icws_keys(omega[active][None, :], r, ln_c, beta)
+    # column active.size is the pad: +inf keys, coordinate -1, companion 0
+    order = np.argsort(np.pad(ln_a, ((0, 0), (0, 1)), constant_values=np.inf),
+                       axis=1, kind="stable")
+    dtype = np.int16 if active.size <= np.iinfo(np.int16).max else np.int32
+    rank = np.empty(order.shape[::-1], dtype=dtype)
+    rank[order, hashes[:, None]] = np.arange(order.shape[1], dtype=dtype)
+    # the rank-table row of each stored coordinate, position-major
+    column = np.full(X.shape[1] + 1, active.size, dtype=X.indices.dtype)
+    column[active] = np.arange(active.size)
+    block = column[np.append(X.indices, X.shape[1])[_padded(X).T]]
+    least = np.empty((X.shape[0], hashes.size), dtype=np.intp)
+    step = max(1, SKETCH_BLOCK_CELLS // (block.shape[0] * max(1, hashes.size)))
+    for lo in range(0, X.shape[0], step):
+        least[lo:lo + step] = rank[block[:, lo:lo + step]].min(axis=0)
+    # hash h's rank i is entry h * order.shape[1] + i of the raveled (hash, rank)
+    # tables of coordinates and companions
+    least += hashes * order.shape[1]
+    coords = np.append(active, -1)[order]
+    comps = np.take_along_axis(np.pad(t_k, ((0, 0), (0, 1))), order, axis=1)
+    return coords.ravel()[least], comps.ravel()[least]
+
+
+def _center_sketches(C: sparse.csr_matrix, hash_ids: np.ndarray, seed: int) -> np.ndarray:
+    """Each row's ICWS sketch under its own values: (coords | companions), (m, 2H).
+
+    One ICWS grid over the columns the rows hold serves every row; the
+    keys of a row's coordinates are its own ICWS keys.
+    """
+    held, at = np.unique(C.indices, return_inverse=True)
+    r, ln_c, shift = _icws_parts(seed, hash_ids, held)
+    ln_a, t_k = _icws_keys(C.data[None, :], r[:, at], ln_c[:, at], shift[:, at])
+    # stored position C.nnz pads every row with a +inf key
+    pos = _first_minima(np.pad(ln_a, ((0, 0), (0, 1)), constant_values=np.inf), _padded(C))
+    return np.concatenate([C.indices[pos], t_k[np.arange(len(hash_ids)), pos]], axis=1)
 
 
 # --- FreqItem centers ---------------------------------------------------------
@@ -392,16 +420,7 @@ def _bin_candidates(
     if not np.all(np.isfinite(C.data) & (C.data > 0)):
         raise InvariantError("bucket center values must be finite and positive")
 
-    # One ICWS grid over all coordinates serves every bucket sketch; keys
-    # of each bucket's retained coordinates are its own ICWS keys.
-    r, ln_c, shift = _icws_parts(seed, hash_ids, np.arange(X.shape[1], dtype=np.int64))
-    cols = C.indices
-    ln_a, t_k = _icws_keys(C.data[None, :], r[:, cols], ln_c[:, cols], shift[:, cols])
-    # stored position C.nnz pads every row with a +inf key
-    pos = _first_minima(np.pad(ln_a, ((0, 0), (0, 1)), constant_values=np.inf), _padded(C))
-    sig = np.concatenate([cols[pos], t_k[np.arange(len(hash_ids)), pos]], axis=1)
-
-    first, inverse, _ = _distinct_rows(sig)
+    first, inverse, _ = _distinct_rows(_center_sketches(C, hash_ids, seed))
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
     union = _indicator(rank[inverse], first.size) @ buckets
@@ -490,7 +509,10 @@ def _reduce_candidates(weights, sim, k, rng) -> list[int]:
         total = score.sum()
         if total <= 0:
             return int(np.flatnonzero(score >= 0)[0])
-        return int(rng.choice(m, p=score / total))
+        # Generator.choice(m, p=score / total), without its per-call checks
+        cdf = (score / total).cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(rng.random(), side="right"))
 
     best_choice, best_cost = None, np.inf
     for restart in range(8):

@@ -754,6 +754,49 @@ def reference_silk_seed(X, omega, params):
     return _seed_from_candidates(C, sizes, X, omega, nonempty, params, rng)
 
 
+def reference_reduce_candidates(weights, sim, k, rng) -> list[int]:
+    """``wkfreq._reduce_candidates`` with every weighted pick drawn by
+    ``Generator.choice``.
+
+    Indices of k candidates picked by weight*distance^2 sampling, best of
+    8 restarts under the weighted quantization cost over the candidate set.
+    ``sim`` holds the candidates' pairwise weighted Jaccard similarities.
+
+    The first restart anchors on the heaviest candidate; later restarts
+    sample the first pick by weight, so a misleadingly heavy blended
+    candidate cannot dominate every restart.
+    """
+    m = len(weights)
+    if m <= k:
+        return list(range(m))
+    weights = np.asarray(weights, dtype=np.float64)
+    dmat = 1.0 - sim
+
+    def sample(score) -> int:
+        total = score.sum()
+        if total <= 0:
+            return int(np.flatnonzero(score >= 0)[0])
+        return int(rng.choice(m, p=score / total))
+
+    best_choice, best_cost = None, np.inf
+    for restart in range(8):
+        first = int(np.argmax(weights)) if restart == 0 else sample(weights.copy())
+        chosen = [first]
+        dist = dmat[first].copy()
+        while len(chosen) < k:
+            score = weights * dist**2
+            score[chosen] = 0.0
+            nxt = sample(score)
+            if nxt in chosen:  # all mass on chosen: pick any unchosen
+                nxt = int(next(i for i in range(m) if i not in chosen))
+            chosen.append(nxt)
+            dist = np.minimum(dist, dmat[nxt])
+        cost = float((weights * dist**2).sum())
+        if cost < best_cost:
+            best_choice, best_cost = chosen, cost
+    return best_choice
+
+
 def assert_same_centers(got, want):
     """Center blocks agree in shape and every row's coordinates and value bits."""
     assert got.shape == want.shape

@@ -6,6 +6,7 @@ import pytest
 from wise._rng import (
     MASK64,
     derive_seed,
+    derive_seeds,
     fnv1a64,
     keyed_uniform_grid,
     mix64,
@@ -39,6 +40,17 @@ def test_derive_seed_is_path_sensitive():
     assert derive_seed(master, "a", "b") != derive_seed(master, "b", "a")
     assert derive_seed(master) != derive_seed(master + 1)
     assert 0 <= derive_seed(master, "x") <= MASK64
+
+
+def test_derive_seeds_match_per_lane_derive_seed():
+    lanes = [0, 1, 2**63, 2**64 - 1]
+    for master, tokens in ((0, ()), (42, ("tree",)), (2**64 - 5, ("a", 7))):
+        got = derive_seeds(master, *tokens, lanes=np.array(lanes, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [derive_seed(master, *tokens, lane) for lane in lanes]
+    # a signed lane is taken mod 2**64, as derive_seed takes an int token
+    assert derive_seeds(3, "x", lanes=np.array([-1, 5])).tolist() == \
+        [derive_seed(3, "x", 2**64 - 1), derive_seed(3, "x", 5)]
 
 
 def test_derive_seed_rejects_bad_tokens():

@@ -35,6 +35,7 @@ from helpers import (
     reference_band_buckets,
     reference_centers,
     reference_lloyd,
+    reference_reduce_candidates,
     reference_silk_seed,
     weighted_jaccard,
 )
@@ -208,6 +209,40 @@ def test_cws_signatures_match_per_row_sketches():
     assert min(sketched.values()) > 0, sketched
 
 
+@pytest.mark.parametrize("block_cells", [wkfreq.SKETCH_BLOCK_CELLS, 1])
+def test_rank_sketches_match_per_row_sketches(monkeypatch, block_cells):
+    # Seeded inputs with many zero-weight coordinates (some rows hold nothing
+    # else) and weights over six decades; the first has more positive-weight
+    # coordinates than an int16 rank holds, so its rank table is int32.
+    monkeypatch.setattr(wkfreq, "SKETCH_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(24)
+    seen = {"zero weight": 0, "wholly zero": 0, "decades": 0, "int32 table": 0}
+    for trial in range(25):
+        p = 40_000 if trial == 0 else int(rng.integers(1, 150))
+        X = random_sparse_binary(rng, int(rng.integers(1, 40)), p, 0, min(p, 12))
+        omega = 10.0 ** rng.uniform(-6.0, 0.0, p)
+        if trial > 0:
+            omega[rng.random(p) < rng.uniform(0.0, 0.9)] = 0.0
+        hash_ids = int(rng.integers(0, 100)) + np.arange(rng.integers(1, 9), dtype=np.int64)
+        coords, comps = cws_signatures(X, omega, hash_ids, seed=trial)
+        assert coords.shape == comps.shape == (X.shape[0], hash_ids.size)
+        positive = omega[omega > 0]
+        seen["int32 table"] += positive.size > np.iinfo(np.int16).max + 1
+        seen["decades"] += positive.size > 0 and positive.max() / positive.min() > 1e4
+        for i in range(X.shape[0]):
+            support = X.indices[X.indptr[i]:X.indptr[i + 1]].astype(np.int64)
+            live = support[omega[support] > 0]
+            seen["zero weight"] += live.size < support.size
+            if live.size == 0:
+                seen["wholly zero"] += support.size > 0
+                assert np.all(coords[i] == -1) and np.all(comps[i] == 0)
+                continue
+            c, t = cws_sketch(SparseWeightedVector(live, omega[live]), hash_ids, seed=trial)
+            assert np.array_equal(coords[i], c)
+            assert np.array_equal(comps[i], t)
+    assert min(seen.values()) > 0, seen
+
+
 def test_cws_signatures_skip_zero_weight_support():
     X = sparse.csr_matrix(np.array([[1, 1, 0], [0, 0, 1]], dtype=np.uint8))
     omega = np.array([1.0, 1.0, 0.0])
@@ -240,6 +275,30 @@ def test_freqitem_center_examples():
     assert first.indices.tolist() == [1]
     none = _freqitems(np.zeros((2, 3), dtype=np.int64), np.ones(3), alpha=0.6)
     assert none.shape == (2, 3) and none.nnz == 0
+
+
+def test_reduce_candidates_matches_choice_reference():
+    # the inverse-CDF picks are Generator.choice's: same picks, same final state
+    rng = np.random.default_rng(43)
+    seen = {"m <= k": 0, "m > k": 0, "k = 1": 0, "zero weights": 0, "all-zero scores": 0}
+    for trial in range(300):
+        m, k = int(rng.integers(1, 25)), int(rng.integers(1, 8))
+        weights = rng.uniform(0.0, 5.0, m) * (rng.random(m) < rng.uniform(0.3, 1.0))
+        sim = rng.random((m, m)) if trial % 4 else np.ones((m, m))
+        sim = np.maximum(sim, sim.T)
+        np.fill_diagonal(sim, 1.0)
+        seed = derive_seed(trial, "reduce")
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = wkfreq._reduce_candidates(weights.tolist(), sim, k, got_rng)
+        assert got == reference_reduce_candidates(weights.tolist(), sim, k, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        seen["m <= k"] += m <= k
+        seen["m > k"] += m > k
+        seen["k = 1"] += k == 1 < m
+        seen["zero weights"] += m > k and bool(np.any(weights == 0))
+        # every candidate the same: each restart's scores after its first pick are 0
+        seen["all-zero scores"] += m > k > 1 and trial % 4 == 0
+    assert min(seen.values()) > 0, seen
 
 
 def test_cluster_params_validation():
@@ -391,8 +450,8 @@ def test_silk_seed_matches_per_bucket_reference(monkeypatch):
 
 
 def test_count_and_band_budgets_are_invisible(monkeypatch):
-    # one group per count block and one band per sort give the same seeds
-    # and the same Lloyd runs as the default budgets
+    # one group per count block, one band per sort and one row per sketch
+    # gather give the same seeds and the same Lloyd runs as the default budgets
     rng = np.random.default_rng(41)
     truth = rng.integers(0, 4, 300)
     L = np.where(rng.random((300, 8)) < 0.8, truth[:, None], rng.integers(0, 6, (300, 8)))
@@ -409,6 +468,7 @@ def test_count_and_band_budgets_are_invisible(monkeypatch):
     want = run_all()
     monkeypatch.setattr(wkfreq, "COUNT_BLOCK_CELLS", 1)
     monkeypatch.setattr(wkfreq, "BAND_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(wkfreq, "SKETCH_BLOCK_CELLS", 1)
     got = run_all()
     for (name, *_), (seeds, res), (want_seeds, want_res) in zip(cases, got, want):
         assert_same_centers(seeds, want_seeds)
