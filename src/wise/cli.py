@@ -34,6 +34,7 @@ from .pipeline import (
     make_views,
     run_wise,
     stage_one,
+    stage_pool,
     stage_two,
 )
 from .synth import SynthParams, write_synth
@@ -393,11 +394,13 @@ def cmd_cluster(args) -> int:
     names = [c.name for c in table.schema]
     bepm = encode_table(table, cfg.bep)
     workers = _workers(args)
-    if args.weights is not None:
-        views = read_views(args.weights, names)
-    else:
-        views = make_views(table, cfg, ablation=args.ablation or "uniform", workers=workers)
-    L = stage_one(bepm, views, cfg, workers)
+    views = read_views(args.weights, names) if args.weights is not None else None
+    rounds = table.d * cfg.qd.m if views is None else len(views)
+    with stage_pool(bepm, rounds, workers) as pool:
+        if views is None:
+            views = make_views(table, cfg, ablation=args.ablation or "uniform", workers=workers,
+                               pool=pool)
+        L = stage_one(bepm, views, cfg, workers, pool)
     y = stage_two(L, cfg)
     os.makedirs(args.out, exist_ok=True)
     write_records(os.path.join(args.out, "records.csv"), L, cfg.k0, table.row_ids)

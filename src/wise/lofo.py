@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._pool import map_indices
+from ._pool import Pool, map_tasks
 from ._rng import derive_seed
 from .data_model import MixedTable, design_matrix
 from .errors import ConfigError, DataError
@@ -222,7 +222,8 @@ def grow_forests(X, is_nominal, n_classes, targets, params: ForestParams, seeds)
 
 
 def _sense_chunk(shared, c: int):
-    X, is_nominal, n_classes, chunks, forest_params, qd_params, seed, explain_cap, background_size = shared
+    (X, is_nominal, n_classes, chunks, forest_params, qd_params, seed, explain_cap,
+     background_size) = shared["lofo"]
     d = X.shape[1]
     targets = chunks[c].tolist()
     seeds = [derive_seed(seed, "lofo", j) for j in targets]
@@ -246,14 +247,18 @@ def sense_all(
     explain_cap: int,
     background_size: int,
     workers: int = 1,
+    pool: Pool | None = None,
 ) -> list[FeatureWeightVector]:
     """All R = d*m weighted views, ordered by (target column, greedy rank).
 
     Targets are independent tasks on one design matrix.  They are cut
     into ``min(workers, d)`` runs of consecutive columns, one pool task
-    each, and the forests of a run grow together (``grow_forests``).
-    Target j's forest is seeded with ``derive_seed(seed, "lofo", j)``, so
-    the result is identical for any worker count.
+    each, and the forests of a run grow together (``grow_forests``).  The
+    tasks map over ``pool``, which must not have forked yet (the design
+    matrix reaches its workers through the fork), or over a pool opened
+    for this call.  Target j's forest is seeded with
+    ``derive_seed(seed, "lofo", j)``, so the result is identical for any
+    worker count.
     """
     if qd_params.m > forest_params.T:
         raise ConfigError(f"cannot select m={qd_params.m} trees from forests of T={forest_params.T}")
@@ -268,7 +273,8 @@ def sense_all(
     chunks = np.array_split(np.arange(table.d), max(1, min(workers, table.d)))
     shared = (X, is_nominal, n_classes, chunks, forest_params, qd_params, seed, explain_cap,
               background_size)
-    views = [v for chunk in map_indices(_sense_chunk, shared, len(chunks), workers) for v in chunk]
+    per_chunk = map_tasks(_sense_chunk, {"lofo": shared}, list(range(len(chunks))), workers, pool)
+    views = [v for chunk in per_chunk for v in chunk]
     check_simplex(views)
     return views
 

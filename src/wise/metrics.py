@@ -36,14 +36,7 @@ def _comb2(x) -> int:
     return int(x) * (int(x) - 1) // 2
 
 
-def ari(y_pred, y_true) -> float:
-    """Adjusted Rand index via exact integer pair counts.
-
-    With N2 = C(n,2), I = sum of C(n_ij,2), A/B the marginal pair sums:
-    ARI = 2(N2*I - A*B) / (N2*(A+B) - 2AB); a zero denominator means both
-    partitions are trivial and identical in pair structure, giving 1.
-    """
-    counts = contingency(y_pred, y_true)
+def _ari(counts: np.ndarray) -> float:
     N2 = _comb2(counts.sum())
     I = sum(_comb2(v) for v in counts.ravel())
     A = sum(_comb2(v) for v in counts.sum(axis=1))
@@ -55,14 +48,17 @@ def ari(y_pred, y_true) -> float:
     return num / den
 
 
-def nmi(y_pred, y_true) -> float:
-    """I(U;V) / sqrt(H(U) H(V)), natural logs.
+def ari(y_pred, y_true) -> float:
+    """Adjusted Rand index via exact integer pair counts.
 
-    A zero-entropy side carries no information: both sides constant
-    means the partitions agree trivially (1); exactly one constant side
-    shares nothing (0).
+    With N2 = C(n,2), I = sum of C(n_ij,2), A/B the marginal pair sums:
+    ARI = 2(N2*I - A*B) / (N2*(A+B) - 2AB); a zero denominator means both
+    partitions are trivial and identical in pair structure, giving 1.
     """
-    counts = contingency(y_pred, y_true)
+    return _ari(contingency(y_pred, y_true))
+
+
+def _nmi(counts: np.ndarray) -> float:
     n = int(counts.sum())
     row_sums, col_sums = counts.sum(axis=1), counts.sum(axis=0)
     hu = -sum((r / n) * math.log(r / n) for r in row_sums if r > 0)
@@ -80,9 +76,27 @@ def nmi(y_pred, y_true) -> float:
     return mi / math.sqrt(hu * hv)
 
 
-def purity(y_pred, y_true) -> float:
-    counts = contingency(y_pred, y_true)
+def nmi(y_pred, y_true) -> float:
+    """I(U;V) / sqrt(H(U) H(V)), natural logs.
+
+    A zero-entropy side carries no information: both sides constant
+    means the partitions agree trivially (1); exactly one constant side
+    shares nothing (0).
+    """
+    return _nmi(contingency(y_pred, y_true))
+
+
+def _purity(counts: np.ndarray) -> float:
     return float(counts.max(axis=1).sum()) / int(counts.sum())
+
+
+def purity(y_pred, y_true) -> float:
+    return _purity(contingency(y_pred, y_true))
+
+
+def _acc(counts: np.ndarray) -> float:
+    rows, cols = linear_sum_assignment(-counts)
+    return float(counts[rows, cols].sum()) / int(counts.sum())
 
 
 def acc_hungarian(y_pred, y_true) -> float:
@@ -92,9 +106,7 @@ def acc_hungarian(y_pred, y_true) -> float:
     smaller label set into the larger, which is exactly the padded
     square formulation.
     """
-    counts = contingency(y_pred, y_true)
-    rows, cols = linear_sum_assignment(-counts)
-    return float(counts[rows, cols].sum()) / int(counts.sum())
+    return _acc(contingency(y_pred, y_true))
 
 
 SWC_SUBSAMPLE = 5000
@@ -186,9 +198,10 @@ def evaluate(table: MixedTable, y_pred, y_true=None, seed: int = 0) -> dict:
     except DataError:
         report["swc"] = None
     if y_true is not None:
-        report["K_true"] = int(np.unique(np.asarray(y_true)).size)
-        report["ari"] = ari(y_pred, y_true)
-        report["nmi"] = nmi(y_pred, y_true)
-        report["purity"] = purity(y_pred, y_true)
-        report["acc"] = acc_hungarian(y_pred, y_true)
+        counts = contingency(y_pred, y_true)
+        report["K_true"] = counts.shape[1]
+        report["ari"] = _ari(counts)
+        report["nmi"] = _nmi(counts)
+        report["purity"] = _purity(counts)
+        report["acc"] = _acc(counts)
     return report

@@ -6,6 +6,10 @@ round labels into the record matrix, cluster its one-hot embedding into
 the final K groups, and derive all explanations from the label
 frequencies.  Every stage seeds itself from (master seed, stage tag,
 index), so results are identical for any worker-pool size.
+
+Sensing and stage one map over one worker pool per run (``stage_pool``).
+It forks at the first map, with the bit matrix and the design matrix in
+place, and is shut down before stage two, which runs in this process.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from ._pool import map_indices
+from ._pool import Pool, map_tasks, open_pool
 from ._rng import derive_seed
 from .bep import BepConfig, BepMatrix, encode_table
 from .data_model import MixedTable
@@ -106,6 +110,7 @@ def make_views(
     config: PipelineConfig,
     ablation: str = "none",
     workers: int = 1,
+    pool: Pool | None = None,
 ) -> list[FeatureWeightVector]:
     if ablation not in ABLATIONS:
         raise ConfigError(f"ablation must be one of {ABLATIONS}, got {ablation!r}")
@@ -119,14 +124,20 @@ def make_views(
         explain_cap=config.explain_cap,
         background_size=config.background,
         workers=workers,
+        pool=pool,
     )
 
 
-def _run_round(shared, r: int) -> np.ndarray:
-    X, omegas, config = shared
-    params = ClusterParams(k=config.k0, alpha=config.alpha0, beta=config.beta0,
-                           max_iter=config.max_iter, seed=derive_seed(config.seed, "stage1", r))
-    return cluster(X, params, weights=omegas[r]).labels
+def stage_pool(bep: BepMatrix, rounds: int, workers: int):
+    """The pool that sensing and stage one of a run share (``open_pool``):
+    at most one process per round, as sensing has at most d <= rounds
+    tasks, and the bit matrix in place before it forks."""
+    return open_pool(min(workers, rounds), bits=bep.matrix)
+
+
+def _run_round(shared, task) -> np.ndarray:
+    omega, params = task
+    return cluster(shared["bits"], params, weights=omega).labels
 
 
 def stage_one(
@@ -134,12 +145,20 @@ def stage_one(
     views: list[FeatureWeightVector],
     config: PipelineConfig,
     workers: int = 1,
+    pool: Pool | None = None,
 ) -> np.ndarray:
-    """One weighted clustering round per view; labels land in L by round index."""
+    """One weighted clustering round per view; labels land in L by round index.
+
+    A round's task carries its omega and parameters; the bit matrix is
+    shared with ``pool``, or with a pool opened for this call.
+    """
     if not views:
         raise ConfigError("stage one needs at least one view")
-    omegas = [lift_weights(view.w, bep.bit_groups) for view in views]
-    rounds = map_indices(_run_round, (bep.matrix, omegas, config), len(views), workers)
+    tasks = [(lift_weights(view.w, bep.bit_groups),
+              ClusterParams(k=config.k0, alpha=config.alpha0, beta=config.beta0,
+                            max_iter=config.max_iter, seed=derive_seed(config.seed, "stage1", r)))
+             for r, view in enumerate(views)]
+    rounds = map_tasks(_run_round, {"bits": bep.matrix}, tasks, workers, pool)
     L = np.stack(rounds, axis=1)
     if L.min() < 0 or L.max() >= config.k0:
         raise InvariantError("round labels escaped {0..k0-1}")
@@ -174,8 +193,9 @@ def run_wise(
     """Full run: encode, sense views, round clusterings, final clustering,
     explanations.  Pure function of (table, config, ablation)."""
     bep = encode_table(table, config.bep)
-    views = make_views(table, config, ablation, workers)
-    L = stage_one(bep, views, config, workers)
+    with stage_pool(bep, table.d * config.qd.m, workers) as pool:
+        views = make_views(table, config, ablation, workers, pool)
+        L = stage_one(bep, views, config, workers, pool)
     y = stage_two(L, config)
     explanations = compute_explanations(
         L, y, views_matrix(views), config.K, config.k0, config.eps,

@@ -477,6 +477,7 @@ def silk_seed(
         raise DataError("all rows have empty effective support")
 
     buckets = _band_buckets(coords, comps, live, mult, params)
+    del coords, comps  # only the buckets read them; free them before the level-2 counts
 
     # Level 2: sketch each bucket's FreqItem with a short hash band and
     # merge buckets whose signatures agree.  A band, not a single hash:

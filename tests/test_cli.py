@@ -4,12 +4,13 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
 import warnings
 
 import numpy as np
 import pytest
 
-from wise import cli, lofo
+from wise import cli, lofo, pipeline
 from wise.data_model import ColumnSchema, table_from_raw, write_table
 from wise.errors import ConfigError, DataError
 from wise.lofo import FeatureWeightVector
@@ -279,6 +280,39 @@ def test_cluster_command_senses_with_workers(tmp_path, monkeypatch):
          "--workers", "2", "--seed", "42"] + FAST_OVERRIDES
     ) == 0
     assert seen == [2]
+
+
+def test_cluster_command_forks_one_pool_and_pooling_is_invisible(tmp_path, pools_made):
+    csv_path, schema_path = synth_dataset(tmp_path)
+    outs = []
+    for workers in (1, 2):
+        pools_made.clear()
+        out = tmp_path / f"c{workers}"
+        assert cli.main(
+            ["cluster", "--data", str(csv_path), "--schema", str(schema_path),
+             "--truth-column", "label", "--ablation", "none", "--out", str(out),
+             "--workers", str(workers), "--seed", "42"] + FAST_OVERRIDES
+        ) == 0
+        # sensing and stage one share one pool; one worker makes none
+        assert pools_made == ([2] if workers == 2 else [])
+        outs.append([(out / name).read_bytes() for name in ("records.csv", "labels.csv")])
+    assert outs[0] == outs[1]
+
+
+def test_run_exits_three_when_a_pooled_round_fails(tmp_path, capsys, monkeypatch, pools_made):
+    def fail(*args, **kwargs):
+        raise DataError("planted round failure")
+
+    csv_path, schema_path = synth_dataset(tmp_path)
+    # patched before the fork, so the workers fail every stage-one round
+    monkeypatch.setattr(pipeline, "cluster", fail)
+    assert cli.main(
+        ["run", "--data", str(csv_path), "--schema", str(schema_path), "--truth-column", "label",
+         "--out", str(tmp_path / "run"), "--workers", "2", "--seed", "42"] + FAST_OVERRIDES
+    ) == 3
+    assert "data error: planted round failure" in capsys.readouterr().err
+    assert pools_made == [2]
+    assert multiprocessing.active_children() == []
 
 
 def test_cluster_takes_weights_or_ablation_not_both(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """End-to-end pipeline: weight lifting, round clusterings, record embedding,
 final clustering, determinism."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from helpers import random_mixed_table
-from wise import _pool
+from wise import _pool, pipeline
 from wise._rng import derive_seed
 from wise.bep import BepConfig, encode_table
 from wise.data_model import ColumnSchema, table_from_columns
@@ -159,7 +161,7 @@ def test_stage_one_worker_pool_is_invisible():
 
 
 def _square(shared, i):
-    return shared * i * i
+    return shared["base"] * i * i
 
 
 class _InlinePool:
@@ -167,30 +169,93 @@ class _InlinePool:
 
     sizes = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers, mp_context, initializer, initargs):
         self.sizes.append(max_workers)
         initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def map(self, fn, items):
         return map(fn, items)
 
+    def shutdown(self, wait, cancel_futures):
+        pass
 
-def test_map_indices_starts_at_most_count_workers(monkeypatch):
+
+def test_map_tasks_starts_at_most_count_workers(monkeypatch):
     monkeypatch.setattr(_pool, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    assert _pool.map_indices(_square, 2, 8, 16) == [2 * i * i for i in range(8)]
-    assert _pool.map_indices(_square, 3, 5, 2) == [3 * i * i for i in range(5)]
+    monkeypatch.setattr(_pool, "_shared", None)
+    assert _pool.map_tasks(_square, {"base": 2}, list(range(8)), 16) == [2 * i * i for i in range(8)]
+    assert _pool.map_tasks(_square, {"base": 3}, list(range(5)), 2) == [3 * i * i for i in range(5)]
     assert _InlinePool.sizes == [8, 2]
     # one task or none runs in this process
-    assert _pool.map_indices(_square, 1, 1, 4) == [0]
-    assert _pool.map_indices(_square, 1, 0, 4) == []
+    assert _pool.map_tasks(_square, {"base": 1}, [1], 4) == [1]
+    assert _pool.map_tasks(_square, {"base": 1}, [], 4) == []
     assert _InlinePool.sizes == [8, 2]
+    with _pool.open_pool(1, base=1) as pool:
+        assert pool is None
+
+
+def test_one_pool_serves_every_map_and_forks_once(monkeypatch):
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_pool, "_shared", None)
+    base, late = 5, 7
+    with _pool.open_pool(3) as pool:
+        assert _pool.map_tasks(_square, {"base": base}, [2], 3, pool) == [20]
+        assert _InlinePool.sizes == []   # a map of one task forks nothing
+        assert _pool.map_tasks(_square, {"base": base}, [1, 2, 3, 4], 3, pool) == [5, 20, 45, 80]
+        assert pool.map(_square, {}, [3, 1]) == [45, 5]
+        assert _InlinePool.sizes == [3]
+        # the workers hold what was shared at the fork, so nothing new may be shared
+        with pytest.raises(RuntimeError, match="after the pool forked"):
+            pool.map(_square, {"base": late}, [1, 2])
+        with pytest.raises(RuntimeError, match="after the pool forked"):
+            pool.map(_square, {"late": late}, [1, 2])
+    assert _InlinePool.sizes == [3]
+
+
+@pytest.mark.parametrize("ablation", ["none", "uniform"])
+def test_run_wise_forks_one_pool_and_pooling_is_invisible(pools_made, ablation):
+    table = random_mixed_table(np.random.default_rng(11), n=120)
+    results = []
+    for workers in (1, 2):
+        pools_made.clear()
+        results.append(run_wise(table, SMALL_CONFIG, ablation=ablation, workers=workers))
+        # sensing (when it runs) and stage one share one pool; one worker makes none
+        assert pools_made == ([2] if workers == 2 else [])
+    serial, pooled = results
+    assert serial.labels.dtype == pooled.labels.dtype
+    assert serial.labels.tobytes() == pooled.labels.tobytes()
+    assert serial.L.dtype == pooled.L.dtype and serial.L.tobytes() == pooled.L.tobytes()
+    assert [v.w.tobytes() for v in serial.views] == [v.w.tobytes() for v in pooled.views]
+
+
+def _planted_failure(*args, **kwargs):
+    raise DataError("planted round failure")
+
+
+def test_round_error_in_a_pool_worker_comes_out_as_data_error(monkeypatch, pools_made):
+    # patched before the fork, so the workers fail every stage-one round
+    monkeypatch.setattr(pipeline, "cluster", _planted_failure)
+    table = random_mixed_table(np.random.default_rng(12), n=120)
+    with pytest.raises(DataError, match="planted round failure") as info:
+        run_wise(table, SMALL_CONFIG, workers=2)
+    # raised in a worker: the executor chains the worker's traceback
+    assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
+    assert pools_made == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_parent_error_between_sense_and_stage_one_shuts_the_pool(monkeypatch, pools_made):
+    def fail(*args):
+        raise ConfigError("planted parent failure")
+
+    monkeypatch.setattr(pipeline, "lift_weights", fail)
+    table = random_mixed_table(np.random.default_rng(12), n=120)
+    with pytest.raises(ConfigError, match="planted parent failure"):
+        run_wise(table, SMALL_CONFIG, workers=2)
+    assert pools_made == [2]  # sensing forked it
+    assert multiprocessing.active_children() == []
 
 
 def test_stage_one_requires_views():
