@@ -9,6 +9,7 @@ runs byte-identical across platforms and worker-pool sizes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -85,6 +86,15 @@ def unit_from_bits(z: np.ndarray) -> np.ndarray:
     return ((z >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
+@lru_cache(maxsize=64)
+def _lane_keys(seed: int, lanes: tuple) -> np.ndarray:
+    """The mixed key of each lane under ``seed``, read-only.  Cached: a
+    forest's grower draws one grid per step under the same seed and lane."""
+    keys = mix64_array(derive_seeds(seed, "lane", lanes=np.array(lanes, dtype=np.int64)))
+    keys.flags.writeable = False
+    return keys
+
+
 def keyed_uniform_grid(seed: int, lane: int | Sequence[int], hash_ids: np.ndarray,
                        coords: np.ndarray) -> np.ndarray:
     """Counter-based uniforms over a (lane, hash, coordinate) grid.
@@ -96,7 +106,7 @@ def keyed_uniform_grid(seed: int, lane: int | Sequence[int], hash_ids: np.ndarra
     grid per lane, stacked.
     """
     lanes = np.atleast_1d(np.asarray(lane, dtype=np.int64))
-    inner = mix64_array(derive_seeds(seed, "lane", lanes=lanes))
+    inner = _lane_keys(int(seed), tuple(lanes.tolist()))
     with np.errstate(over="ignore"):
         hkey = mix64_array(
             ((hash_ids.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN))[None, :]

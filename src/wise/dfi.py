@@ -182,7 +182,7 @@ def _probe_tree_scores(X: np.ndarray, y: np.ndarray, cols: np.ndarray, is_nomina
         T=1, max_depth=6, min_samples_leaf=1, train_sample_frac=1.0,
         features_per_split=1.0,
     )
-    _, pred = train_tree(X[:, cols], y, params, np.random.default_rng(0), task="classification",
+    _, pred = train_tree(X[:, cols], y, params, 0, task="classification",
                          is_nominal=is_nominal[cols], n_classes=n_classes)
     return float(np.mean(pred == y)), _macro_f1(y, pred, n_classes)
 

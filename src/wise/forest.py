@@ -11,12 +11,13 @@ The trees of a forest, and of the forests of several target columns that
 share a task and a class count, grow together (``_Grower``) on a frontier
 of arrays: every node is a record of one node table, its training rows a
 range of one row buffer, and each step pops the top node of every tree's
-stack and scans all their candidate splits in a few array passes.  Every
-tree keeps its own node order, random stream and input columns, so it
-comes out bit for bit as it would grown alone.  One batched reader of the
-trees' own PCG64 streams (``_FeatureDraws``) draws the split features of
-every node of a step, as the trees' ``Generator.choice`` calls would draw
-them.
+stack and scans all their candidate splits in a few array passes.
+Randomness is counter-keyed (``_rng.keyed_uniform_grid``): a tree's
+training rows are the rows with the least uniforms under its seed, and
+each node draws its split features from its own key, which a child takes
+from its parent's key and its side.  No draw depends on the draws before
+it, so a tree comes out bit for bit as it would grown alone, in any
+order of its nodes.
 Held-out rows take no part in growth.  Once the trees are grown, one
 partition per depth level sends them down every tree together, and each
 takes the value of the leaf it reaches; the probe tree, which holds out
@@ -34,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rng import derive_seeds
+from ._rng import derive_seeds, keyed_uniform_grid, mix64_array
 # Not called here.  The benchmark's tracer wraps ``wise.forest.design_matrix``
 # and drops its design-matrix count while this name is missing.
 from .data_model import design_matrix  # noqa: F401
@@ -331,109 +332,9 @@ def _blocks(width, per_row):
         i += step
 
 
-class _FeatureDraws:
-    """Every tree's ``choice(d, mtry, replace=False)`` of numpy's ``Generator``, in one batch.
-
-    numpy's ``choice`` reads its generator's 32-bit stream: a pending half
-    of a PCG64 word first, then the low and the high half of each new
-    word.  Each draw is Lemire's bounded integer in [0, b]: it rejects a
-    half whose product with b + 1 has a low part below 2^32 mod (b + 1),
-    and bound 0 reads nothing.  For d <= 10000, or mtry <= d // 50, it
-    picks by Floyd's algorithm (bounds d - mtry .. d - 1) and then
-    shuffles the picks (bounds mtry - 1 .. 1); otherwise it shuffles the
-    tail of arange(d) (bounds d - 1 .. max(d - mtry, 1)).
-
-    Here each tree reads words ahead from its own PCG64 into row u of one
-    table of halves: entry 0 is the state's ``uinteger``, pending or not,
-    and entries 2k + 1 and 2k + 2 are the low and high half of word k.
-    The draws of every tree of a step are made at once, and ``finish``
-    leaves each generator where its ``choice`` calls would have left it.
-    """
-
-    def __init__(self, rngs):
-        for rng in rngs:
-            if not isinstance(rng.bit_generator, np.random.PCG64):
-                raise ConfigError("forest trees draw from PCG64 generators, not "
-                                  f"{type(rng.bit_generator).__name__}")
-        self.rngs = rngs
-        self.snapshot = [rng.bit_generator.state for rng in rngs]
-        self.half = np.array([[s["uinteger"]] for s in self.snapshot], dtype=np.uint32)
-        self.read = np.ones(len(rngs), dtype=np.intp)  # table entries filled, per tree
-        self.pos = np.array([1 - s["has_uint32"] for s in self.snapshot], dtype=np.intp)
-        self.start = self.pos.copy()
-
-    def _reserve(self, tree, need):
-        """Read words ahead until tree ``tree[i]`` has ``need[i]`` table entries."""
-        short = (need > self.read[tree]).nonzero()[0]
-        for u, m in zip(tree[short].tolist(), need[short].tolist()):
-            have = int(self.read[u])
-            words = max((m - have + 1) // 2, have, 32)  # at least triple the entries
-            end = have + 2 * words
-            if end > self.half.shape[1]:
-                wider = np.zeros((self.half.shape[0], max(end, 2 * self.half.shape[1])),
-                                 dtype=np.uint32)
-                wider[:, :self.half.shape[1]] = self.half
-                self.half = wider
-            raw = self.rngs[u].bit_generator.random_raw(words)
-            self.half[u, have:end:2] = raw & 0xFFFFFFFF
-            self.half[u, have + 1:end:2] = raw >> 32
-            self.read[u] = end
-
-    def _bounded(self, tree, bounds):
-        """Per tree, Lemire's draw in [0, b] for each bound b >= 1 in turn."""
-        if not bounds.size:
-            return np.zeros((tree.size, 0), dtype=np.intp)
-        excl = bounds.astype(np.uint64) + 1
-        threshold = (1 << 32) % excl
-        at = self.pos[tree][:, None] + np.arange(bounds.size)
-        while True:
-            self._reserve(tree, at[:, -1] + 1)
-            m = self.half[tree[:, None], at] * excl
-            reject = (m & 0xFFFFFFFF) < threshold
-            if not reject.any():
-                break
-            # a rejected half is skipped: its draw and every later one read one entry on
-            rows = reject.any(axis=1).nonzero()[0]
-            at[rows] += np.arange(bounds.size) >= reject[rows].argmax(axis=1)[:, None]
-        self.pos[tree] = at[:, -1] + 1
-        return (m >> 32).astype(np.intp)
-
-    def draw(self, tree, d, mtry):
-        """Sorted ``choice(d, mtry, replace=False)`` of each tree ``tree[i]``, as rows."""
-        if d > 10000 and mtry > d // 50:
-            bounds = np.arange(d - 1, max(d - mtry, 1) - 1, -1)
-            j = self._bounded(tree, bounds)
-            idx = np.tile(np.arange(d), (tree.size, 1))
-            row = np.arange(tree.size)
-            for c, i in enumerate(bounds.tolist()):
-                idx[row, i], idx[row, j[:, c]] = idx[row, j[:, c]], idx[row, i]
-            picks = idx[:, d - mtry:]
-        else:
-            top = np.arange(d - mtry, d)
-            floyd = top[top > 0]
-            picks = np.zeros((tree.size, mtry), dtype=np.intp)
-            picks[:, mtry - floyd.size:] = self._bounded(
-                tree, np.concatenate([floyd, np.arange(mtry - 1, 0, -1)]))[:, :floyd.size]
-            # a value picked before gives way to its bound, which no earlier pick reaches
-            for c in range(1, mtry):
-                seen = (picks[:, :c] == picks[:, c, None]).any(axis=1)
-                picks[seen, c] = top[c]
-        picks.sort(axis=1)
-        return picks
-
-    def finish(self):
-        """Put every generator that drew where its ``choice`` calls would leave it."""
-        for u in (self.pos != self.start).nonzero()[0].tolist():
-            e = int(self.pos[u])
-            bg = self.rngs[u].bit_generator
-            bg.state = self.snapshot[u]
-            bg.advance(e // 2)
-            state = bg.state
-            # an even entry is the pending half; past an odd one, numpy keeps
-            # the half before it as ``uinteger``
-            state["has_uint32"] = int(e % 2 == 0)
-            state["uinteger"] = int(self.half[u, e - e % 2])
-            bg.state = state
+def _least(u, k):
+    """Per row of u, the sorted positions of its k least entries."""
+    return np.sort(np.argpartition(u, k - 1, axis=1)[:, :k], axis=1)
 
 
 def _ranges(start, size):
@@ -441,13 +342,13 @@ def _ranges(start, size):
     return np.repeat(start - (size.cumsum() - size), size) + np.arange(int(size.sum()))
 
 
-# A node record: its tree and depth, its training rows (a range of the row
-# buffer), its split (local feature, threshold or a range of the category
+# A node record: its tree, depth and key, its training rows (a range of the
+# row buffer), its split (local feature, threshold or a range of the category
 # codes; feature -1 on a leaf and a pending node) and the id of its right
 # child, whose left sibling follows it.  The leaf value is added per task.
-_NODE = [("tree", np.intp), ("depth", np.intp), ("start", np.intp), ("size", np.intp),
-         ("feature", np.intp), ("threshold", np.float64), ("child", np.intp),
-         ("code_start", np.intp), ("n_codes", np.intp)]
+_NODE = [("tree", np.intp), ("depth", np.intp), ("key", np.uint64), ("start", np.intp),
+         ("size", np.intp), ("feature", np.intp), ("threshold", np.float64),
+         ("child", np.intp), ("code_start", np.intp), ("n_codes", np.intp)]
 
 
 class _Grower:
@@ -456,17 +357,19 @@ class _Grower:
     Forest f predicts its target ``Y[f]`` from the columns ``cols[f]`` of
     X: a tree of forest f draws local feature i and reads column
     ``cols[f, i]``, and its nodes keep the local index.  The trees come
-    forest by forest, equally many per forest.  Each tree keeps its own
-    depth-first order (left subtree first) and its own rng, so its feature
-    draws come in the order of a tree grown alone.
+    forest by forest, equally many per forest.  Tree u's root has key
+    ``keys[u]``; a node's left child has key ``mix64(key ^ 0)`` and its
+    right child ``mix64(key ^ 1)``.  A node that tries to split reads the
+    ``mtry`` local features with the least lane-1 uniforms under its key,
+    so its draw depends on its path from the root alone.
 
     The frontier is made of arrays.  Every node, pending or made, is a
     record of one table (``nodes``), and its training rows are a range of
     one row buffer, which starts with each tree's rows in row order; a
     split partitions its node's range stably in place, left rows first.
     Each tree's stack is a row of one int array.  A step pops the top node
-    of every tree, draws all their features in one batch from the trees'
-    own streams, scans all their (node, drawn feature) pairs at once and
+    of every tree, draws all their features from their keys in one call,
+    scans all their (node, drawn feature) pairs at once and
     pushes each split's right child, then its left one.  A node is settled
     as a leaf when it is made, so the pending nodes are the ones that try
     to split.
@@ -476,7 +379,7 @@ class _Grower:
     tree's ``TreeNode``s to be built from its records when first asked for.
     """
 
-    def __init__(self, X, is_nominal, Y, cols, task, params, n_classes, rngs, train):
+    def __init__(self, X, is_nominal, Y, cols, task, params, n_classes, keys, train):
         X = np.asarray(X, dtype=np.float64)
         n, d = X.shape
         is_nominal = np.zeros(d, dtype=bool) if is_nominal is None else np.asarray(is_nominal, dtype=bool)
@@ -485,7 +388,7 @@ class _Grower:
         self.is_nominal = is_nominal
         self.cols = np.asarray(cols, dtype=np.intp)
         self.mtry = _mtry(self.cols.shape[1], task, params)
-        F, T = len(Y), len(rngs)
+        F, T = len(Y), len(keys)
         self.forest = np.arange(T) // (T // F)  # per tree
         # forest f's row r sits at f * (n + 1) + r in the targets and their
         # statistics, as column c's row r does in xt; row n of each block is a zero pad
@@ -504,13 +407,12 @@ class _Grower:
         if codes.size and codes.min() < 0:
             raise DataError("category codes must be non-negative")
         self.levels = int(codes.max()) + 1 if codes.size else 0
-        self.draws = _FeatureDraws(rngs)
         size = np.array([rows.size for rows in train], dtype=np.intp)
         self.buf = np.concatenate(train).astype(np.intp, copy=False)
         value = ("value", np.float64) if task == "regression" else ("value", np.float64, (n_classes,))
         self.nodes = np.zeros(4 * T, dtype=_NODE + [value])  # widens as nodes come
         self.count = 0
-        self._add(np.arange(T), 0, size.cumsum() - size, size)  # tree u's root is node u
+        self._add(np.arange(T), 0, keys, size.cumsum() - size, size)  # tree u's root is node u
         self.code_parts, self.n_codes = [], 0  # the category splits' codes, split by split
         self.stack = np.zeros((T, 8), dtype=np.intp)
         self.top = np.zeros(T, dtype=np.intp)  # per tree, its stack's height
@@ -523,12 +425,11 @@ class _Grower:
         self._make_leaves(roots[~tries])
         while self.top.any():
             self._step()
-        self.draws.finish()
         self.nodes = self.nodes[:self.count]
         self.codes = np.concatenate(self.code_parts + [np.zeros(0, dtype=np.int64)])
         self.buf = self.stats = None  # growth's own arrays
 
-    def _add(self, tree, depth, start, size):
+    def _add(self, tree, depth, key, start, size):
         """Records for new nodes of trees ``tree``, not yet split; returns their ids."""
         first = self.count
         self.count += tree.size
@@ -537,7 +438,8 @@ class _Grower:
             wider[:first] = self.nodes[:first]
             self.nodes = wider
         new = self.nodes[first:self.count]
-        new["tree"], new["depth"], new["start"], new["size"] = tree, depth, start, size
+        new["tree"], new["depth"], new["key"] = tree, depth, key
+        new["start"], new["size"] = start, size
         new["feature"] = -1
         return np.arange(first, self.count)
 
@@ -590,7 +492,8 @@ class _Grower:
         ids = self.stack[tree, self.top[tree]]
         A, n, mtry = ids.size, self.n, self.mtry
         min_leaf = self.params.min_samples_leaf
-        draws = self.draws.draw(tree, self.cols.shape[1], mtry)
+        d = self.cols.shape[1]
+        draws = _least(keyed_uniform_grid(0, 1, self.nodes["key"][ids], np.arange(d)), mtry)
         local = draws.ravel()  # pair a * mtry + j: node a, its j-th drawn feature
         feat = np.take_along_axis(self.cols[self.forest[tree]], draws, axis=1).ravel()
         rec = self.nodes[ids]
@@ -669,7 +572,9 @@ class _Grower:
         nl = np.add.reduceat(goes, size.cumsum() - size, dtype=np.intp)
         self.buf[_ranges(start, nl)] = rows[goes]
         self.buf[_ranges(start + nl, size - nl)] = rows[~goes]
+        side = np.tile(np.array([1, 0], dtype=np.uint64), K)
         new = self._add(np.repeat(rec["tree"], 2), np.repeat(rec["depth"] + 1, 2),
+                        mix64_array(np.repeat(rec["key"], 2) ^ side),
                         np.column_stack([start + nl, start]).ravel(),
                         np.column_stack([size - nl, nl]).ravel())
         right, left = new[0::2], new[1::2]
@@ -774,7 +679,7 @@ def train_tree(
     X: np.ndarray,
     y: np.ndarray,
     params: ForestParams,
-    rng: np.random.Generator,
+    seed: int,
     task: str = "regression",
     is_nominal: np.ndarray | None = None,
     n_classes: int = 0,
@@ -782,15 +687,15 @@ def train_tree(
     """Grow one CART tree greedily on every row; ties go to the lowest feature index.
 
     Returns the root and each row's prediction: its leaf's value, or the
-    leaf's first most probable class.  ``rng`` must be a PCG64 generator
-    (``np.random.default_rng``); it ends where one ``choice(d, mtry,
-    replace=False)`` call on it per split attempt would leave it.
+    leaf's first most probable class.  ``seed``, an integer in
+    [0, 2**64), is the root's key, from which every node draws its split
+    features.
     """
     if X.shape[0] == 0:
         raise DataError("cannot train a tree on zero rows")
     rows = np.arange(X.shape[0])
     grower = _Grower(X, is_nominal, [y], [np.arange(X.shape[1])], task, params, n_classes,
-                     [rng], [rows])
+                     np.array([seed], dtype=np.uint64), [rows])
     grower.grow()
     return grower.roots()[0](), grower.route([rows])
 
@@ -810,26 +715,22 @@ def train_forest(
     together.  Forest i predicts column ``targets[i]`` from the other
     columns in column order, so its trees' features index those columns.
     It has T trees on independent row subsamples, each scored on its
-    held-out rows; tree u draws its rows, then its split features, from
-    the stream ``derive_seed(seeds[i], "tree", u)``.  The model's trees
-    are target-major: forest i's are ``trees[i * T:(i + 1) * T]``.  A
-    tree's ``root`` is built when first read.
+    held-out rows.  Tree u's seed is ``derive_seed(seeds[i], "tree", u)``:
+    it trains on the ``sample_size(n)`` rows with the least lane-0
+    uniforms under that seed, and the seed is its root's key.  The
+    model's trees are target-major: forest i's are ``trees[i * T:(i + 1)
+    * T]``.  A tree's ``root`` is built when first read.
     """
     n, d = X.shape
-    T, sample_size = params.T, params.sample_size(n)
-    rngs, train, heldout = [], [], []
-    for seed in seeds:
-        for tree_seed in derive_seeds(seed, "tree", lanes=np.arange(T)).tolist():
-            rng = np.random.default_rng(tree_seed)
-            rows = np.sort(rng.choice(n, size=sample_size, replace=False))
-            held = np.ones(n, dtype=bool)
-            held[rows] = False
-            rngs.append(rng)
-            train.append(rows)
-            heldout.append(np.flatnonzero(held))
+    T = params.T
+    keys = np.concatenate([derive_seeds(seed, "tree", lanes=np.arange(T)) for seed in seeds])
+    train = _least(keyed_uniform_grid(0, 0, keys, np.arange(n)), params.sample_size(n))
+    held = np.ones((keys.size, n), dtype=bool)
+    held[np.arange(keys.size)[:, None], train] = False
+    heldout = [np.flatnonzero(h) for h in held]
     Y = X[:, targets].T
     cols = [np.flatnonzero(np.arange(d) != j) for j in targets]
-    grower = _Grower(X, is_nominal, Y, cols, task, params, n_classes, rngs, train)
+    grower = _Grower(X, is_nominal, Y, cols, task, params, n_classes, keys, train)
     grower.grow()
     pred = grower.route(heldout)
     trees = []

@@ -212,7 +212,7 @@ def random_tree(rng, d, task="regression", n_classes=0, depth=3, nominal_frac=0.
         y = rng.random(n) + X[:, 0]
     params = ForestParams(T=1, max_depth=depth, min_samples_leaf=1,
                           train_sample_frac=1.0, features_per_split=1.0)
-    root, _ = train_tree(X, y, params, rng, task, is_nominal, n_classes)
+    root, _ = train_tree(X, y, params, int(rng.integers(0, 2**63)), task, is_nominal, n_classes)
     return root, X, is_nominal
 
 
@@ -480,12 +480,17 @@ def reference_train_tree(
     X: np.ndarray,
     y: np.ndarray,
     params: ForestParams,
-    rng: np.random.Generator,
+    seed: int,
     task: str = "regression",
     is_nominal: np.ndarray | None = None,
     n_classes: int = 0,
 ) -> TreeNode:
-    """Grow one CART tree greedily; ties go to the lowest feature index."""
+    """Grow one CART tree greedily; ties go to the lowest feature index.
+
+    ``seed`` is the root's key; a child's key is ``reference_mix64`` of its
+    parent's key xor its side (0 left, 1 right).  A node draws the mtry
+    features with the least lane-1 uniforms under its key.
+    """
     if X.shape[0] == 0:
         raise DataError("cannot train a tree on zero rows")
     d = X.shape[1]
@@ -493,7 +498,7 @@ def reference_train_tree(
         is_nominal = np.zeros(d, dtype=bool)
     mtry = _mtry(d, task, params)
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
+    def grow(idx: np.ndarray, depth: int, key: int) -> TreeNode:
         yn = y[idx]
         if (
             depth >= params.max_depth
@@ -501,7 +506,8 @@ def reference_train_tree(
             or reference_impurity(yn, task, n_classes) == 0.0
         ):
             return _ref_leaf(yn, task, n_classes)
-        chosen = np.sort(rng.choice(d, size=mtry, replace=False))
+        u = reference_keyed_uniform_grid(0, 1, np.array([key], dtype=np.uint64), np.arange(d))[0]
+        chosen = np.sort(np.argsort(u, kind="stable")[:mtry])
         stats = _target_stats(yn, task, n_classes)
         best = None
         for f in chosen:
@@ -514,11 +520,11 @@ def reference_train_tree(
         _, f, threshold, cats = best
         node = TreeNode(n_samples=idx.size, feature=f, threshold=threshold, categories=cats)
         mask = node.goes_left(X[idx, f])
-        node.left = grow(idx[mask], depth + 1)
-        node.right = grow(idx[~mask], depth + 1)
+        node.left = grow(idx[mask], depth + 1, reference_mix64(key ^ 0))
+        node.right = grow(idx[~mask], depth + 1, reference_mix64(key ^ 1))
         return node
 
-    return grow(np.arange(X.shape[0]), 0)
+    return grow(np.arange(X.shape[0]), 0, seed)
 
 
 def reference_fit_forest(
@@ -530,16 +536,24 @@ def reference_fit_forest(
     is_nominal: np.ndarray | None = None,
     n_classes: int = 0,
 ) -> ForestModel:
-    """Train T trees on independent row subsamples; score each on its held-out rows."""
+    """Train T trees on independent row subsamples; score each on its held-out rows.
+
+    Tree u's seed is ``derive_seed(seed, "tree", u)``; it trains on the
+    sample_size rows with the least lane-0 uniforms under that seed, and
+    grows from it as its root's key.
+    """
     n = X.shape[0]
     trees = []
     sample_size = max(1, int(round(params.train_sample_frac * n)))
     for u in range(params.T):
-        rng = np.random.default_rng(derive_seed(seed, "tree", u))
-        train_rows = np.sort(rng.choice(n, size=sample_size, replace=False))
+        tree_seed = derive_seed(seed, "tree", u)
+        keyed = reference_keyed_uniform_grid(0, 0, np.array([tree_seed], dtype=np.uint64),
+                                             np.arange(n))[0]
+        train_rows = np.sort(np.argsort(keyed, kind="stable")[:sample_size])
         heldout = np.setdiff1d(np.arange(n), train_rows, assume_unique=True)
         y_tr = y[train_rows]
-        root = reference_train_tree(X[train_rows], y_tr, params, rng, task, is_nominal, n_classes)
+        root = reference_train_tree(X[train_rows], y_tr, params, tree_seed, task, is_nominal,
+                                    n_classes)
         majority = int(np.bincount(y_tr.astype(np.int64), minlength=n_classes).argmax()) if task == "classification" else None
         quality = _ref_heldout_quality(root, X, y, heldout, task)
         trees.append(TreeFit(root, train_rows, heldout, quality, majority))

@@ -18,13 +18,13 @@ from helpers import (
     reference_train_tree,
 )
 from wise import forest, lofo
+from wise._rng import derive_seeds
 from wise.data_model import ColumnSchema, design_matrix, table_from_raw
 from wise.errors import ConfigError, DataError
 from wise.forest import (
     ForestModel,
     ForestParams,
     TreeNode,
-    _FeatureDraws,
     _heldout_quality,
     _pure,
     _scan_categories,
@@ -64,7 +64,7 @@ def test_forest_params_validation():
 def test_constant_target_gives_single_leaf():
     X = np.linspace(0, 1, 10)[:, None]
     y = np.full(10, 3.25)
-    root, _ = train_tree(X, y, grow_params(), np.random.default_rng(0))
+    root, _ = train_tree(X, y, grow_params(), 0)
     assert root.is_leaf
     assert root.value == 3.25
     assert np.allclose(predict_tree(root, X), 3.25)
@@ -73,7 +73,7 @@ def test_constant_target_gives_single_leaf():
 def test_perfect_1d_split_builds_a_stump():
     X = np.array([[0.1], [0.2], [0.3], [0.4], [0.6], [0.7], [0.8], [0.9]])
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    root, _ = train_tree(X, y, grow_params(max_depth=3), np.random.default_rng(0),
+    root, _ = train_tree(X, y, grow_params(max_depth=3), 0,
                          task="classification", n_classes=2)
     assert not root.is_leaf
     assert root.feature == 0
@@ -86,11 +86,11 @@ def test_perfect_1d_split_builds_a_stump():
 def test_max_depth_zero_gives_mean_leaf():
     X = np.arange(8, dtype=float)[:, None]
     y = np.arange(8, dtype=float)
-    root, _ = train_tree(X, y, grow_params(max_depth=0), np.random.default_rng(0))
+    root, _ = train_tree(X, y, grow_params(max_depth=0), 0)
     assert root.is_leaf
     assert root.value == pytest.approx(3.5)
     probs, _ = train_tree(X, (y > 3).astype(float), grow_params(max_depth=0),
-                          np.random.default_rng(0), task="classification", n_classes=2)
+                          0, task="classification", n_classes=2)
     assert np.allclose(probs.value, [0.5, 0.5])
 
 
@@ -99,7 +99,7 @@ def test_nominal_split_finds_category_subset():
     codes = rng.integers(0, 4, 200).astype(float)
     y = np.isin(codes, [0, 2]).astype(np.int64)
     root, _ = train_tree(codes[:, None], y, grow_params(max_depth=2),
-                         np.random.default_rng(0), task="classification",
+                         0, task="classification",
                          is_nominal=np.array([True]), n_classes=2)
     assert root.categories is not None
     side = {int(c) for c in root.categories}
@@ -112,7 +112,7 @@ def test_nominal_split_regression_target():
     codes = rng.integers(0, 3, 150).astype(float)
     y = np.where(codes == 1, 5.0, 0.0) + rng.normal(0, 0.01, 150)
     root, _ = train_tree(codes[:, None], y, grow_params(max_depth=2, min_samples_leaf=5),
-                         np.random.default_rng(0), is_nominal=np.array([True]))
+                         0, is_nominal=np.array([True]))
     assert root.categories is not None
     pred = predict_tree(root, codes[:, None])
     assert abs(pred[codes == 1].mean() - 5.0) < 0.1
@@ -280,9 +280,9 @@ def test_lockstep_forest_matches_per_node_grower(task, T):
                               train_sample_frac=frac)
         args = (X, y, task, params, T + min_leaf, is_nominal, n_classes)
         assert_same_forest(train_one_forest(*args), reference_fit_forest(*args))
-        tree, _ = train_tree(X, y, params, np.random.default_rng(min_leaf), task, is_nominal,
+        tree, _ = train_tree(X, y, params, min_leaf, task, is_nominal,
                              n_classes)
-        want = reference_train_tree(X, y, params, np.random.default_rng(min_leaf), task,
+        want = reference_train_tree(X, y, params, min_leaf, task,
                                     is_nominal, n_classes)
         assert node_fields(tree) == node_fields(want)
 
@@ -301,7 +301,7 @@ def test_train_tree_predictions_are_the_reference_routing(task):
     X, y, is_nominal, n_classes = mixed_inputs(rng, 150, task)
     for min_leaf, max_depth in [(1, 6), (5, 6), (1, 0), (5, 0), (1, 20), (5, 20)]:
         params = grow_params(max_depth=max_depth, min_samples_leaf=min_leaf)
-        root, pred = train_tree(X, y, params, np.random.default_rng(min_leaf), task, is_nominal,
+        root, pred = train_tree(X, y, params, min_leaf, task, is_nominal,
                                 n_classes)
         routed = reference_routing(root, X, task)
         assert pred.dtype == routed.dtype and pred.tobytes() == routed.tobytes()
@@ -367,6 +367,55 @@ def test_grouped_forests_match_per_target_forests(T):
                 want = reference_fit_forest(X[:, inputs], X[:, j], task, params, seed,
                                             is_nominal[inputs], C)
                 assert_same_forest(ForestModel(model.trees[k * T:(k + 1) * T], task), want)
+
+
+class ShuffledGrower(forest._Grower):
+    """A grower that takes a random pending node of every tree per step,
+    not the top of its stack, by the generator ``visit``."""
+
+    visit = None
+
+    def _step(self):
+        for u in self.top.nonzero()[0].tolist():
+            top = int(self.top[u]) - 1
+            j = int(self.visit.integers(top + 1))
+            self.stack[u, [j, top]] = self.stack[u, [top, j]]
+        super()._step()
+
+
+@pytest.mark.parametrize("T", [1, 7])
+def test_trees_do_not_depend_on_visit_order(monkeypatch, T):
+    """Every tree of a lockstep call equals the tree grown alone from its rows
+    and key, the tree of a one-target call, and the tree grown with its
+    nodes visited in random order."""
+    rng = np.random.default_rng(60 + T)
+    n = 150
+    X, is_nominal, n_classes = grouped_design(rng, n)
+    groups = [([0, 3, 6], "regression"), ([1, 4], "classification"), ([5], "classification")]
+    params = ForestParams(T=T, max_depth=8, min_samples_leaf=2, train_sample_frac=0.6)
+    deep = 0  # trees whose root's children both split: they have nodes to visit out of order
+    for targets, task in groups:
+        C = n_classes[targets[0]]
+        seeds = [31 * j + T for j in targets]
+        shared = train_forest(X, targets, task, params, seeds, is_nominal, C)
+        with monkeypatch.context() as m:
+            m.setattr(forest, "_Grower", ShuffledGrower)
+            m.setattr(ShuffledGrower, "visit", np.random.default_rng(T))
+            shuffled = train_forest(X, targets, task, params, seeds, is_nominal, C)
+        assert_same_forest(shuffled, shared)
+        deep += sum(not (fit.root.is_leaf or fit.root.left.is_leaf or fit.root.right.is_leaf)
+                    for fit in shared.trees)
+        for k, (j, seed) in enumerate(zip(targets, seeds)):
+            mine = ForestModel(shared.trees[k * T:(k + 1) * T], task)
+            assert_same_forest(train_forest(X, [j], task, params, [seed], is_nominal, C), mine)
+            inputs = np.arange(X.shape[1]) != j
+            keys = derive_seeds(seed, "tree", lanes=np.arange(T)).tolist()
+            for fit, key in zip(mine.trees, keys):
+                rows = fit.train_rows
+                alone, _ = train_tree(X[rows][:, inputs], X[rows, j], params, key, task,
+                                      is_nominal[inputs], C)
+                assert node_fields(alone) == node_fields(fit.root)
+    assert deep >= T
 
 
 def unseen_codes(root, X, train, held):
@@ -505,8 +554,8 @@ def test_degenerate_numbers_grow_the_per_node_grower_trees():
                               train_sample_frac=1.0)
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got, pred = train_tree(X, y, params, np.random.default_rng(0), task, None, n_classes)
-            want = reference_train_tree(X, y, params, np.random.default_rng(0), task, None, n_classes)
+            got, pred = train_tree(X, y, params, 0, task, None, n_classes)
+            want = reference_train_tree(X, y, params, 0, task, None, n_classes)
             routed = reference_routing(got, X, task)
         assert node_fields(got) == node_fields(want)
         assert pred.dtype == routed.dtype and pred.tobytes() == routed.tobytes()
@@ -514,7 +563,7 @@ def test_degenerate_numbers_grow_the_per_node_grower_trees():
     assert got.threshold == a and got.left.n_samples == 2 and got.right.n_samples == 2
 
 
-def test_purity_is_decided_as_np_var():
+def test_purity_is_decided_as_np_var(monkeypatch):
     rng = np.random.default_rng(6)
     cases = [
         np.full(10, 0.3),              # constant, but its mean is not 0.3: np.var > 0
@@ -537,43 +586,49 @@ def test_purity_is_decided_as_np_var():
     # split (0.3) and not otherwise (0.5), as the per-node grower does
     X = rng.random((10, 3))
     params = ForestParams(T=1, max_depth=4, min_samples_leaf=1, train_sample_frac=1.0)
-    states = []
+    drawn = []  # per feature draw, the number of nodes that draw
+    draw = forest.keyed_uniform_grid
+
+    def counted(seed, lane, keys, coords):
+        drawn.append(keys.size)
+        return draw(seed, lane, keys, coords)
+
+    monkeypatch.setattr(forest, "keyed_uniform_grid", counted)
+    nodes = []
     for y in cases[:2]:
-        mine, theirs = np.random.default_rng(0), np.random.default_rng(0)
-        got, _ = train_tree(X, y, params, mine)
-        assert node_fields(got) == node_fields(reference_train_tree(X, y, params, theirs))
-        assert mine.bit_generator.state == theirs.bit_generator.state
-        states.append(mine.bit_generator.state)
-    assert states[0] != states[1] == np.random.default_rng(0).bit_generator.state
+        drawn.clear()
+        got, _ = train_tree(X, y, params, 0)
+        assert node_fields(got) == node_fields(reference_train_tree(X, y, params, 0))
+        nodes.append(sum(drawn))
+    assert nodes[0] > 0 == nodes[1]
 
 
-@pytest.mark.parametrize("pending", [False, True])
-def test_batched_feature_draws_are_generator_choice(pending):
-    """Each tree's batched draws are its sorted ``Generator.choice(d, mtry,
-    replace=False)``, and its generator ends in the state the ``choice``
-    calls leave, from a stream with or without a pending 32-bit half."""
-    # numpy's tail shuffle (d > 10000 and mtry > d // 50) for (10001, 201) and
-    # (12000, 5000), Floyd's picks otherwise; (2, 1) can read just the pending
-    # half, and bounds near 2^31 reject about half of the 32-bit halves
-    cases = [(1, 1), (2, 1), (7, 2), (7, 3), (7, 7), (23, 8), (10001, 200), (10001, 201),
-             (12000, 5000), (2 ** 31 + 1, 3)]
-    for d, mtry in cases:
-        mine = [np.random.default_rng(seed) for seed in range(200)]
-        theirs = [np.random.default_rng(seed) for seed in range(200)]
-        if pending:
-            for rng in mine + theirs:
-                rng.integers(0, 5)
-        draws = _FeatureDraws(mine)
-        start = draws.pos.copy()
-        # every tree draws, then every third tree draws again from mid-stream
-        for tree in (np.arange(200), np.arange(0, 200, 3)):
-            want = [np.sort(theirs[u].choice(d, size=mtry, replace=False)) for u in tree]
-            assert np.array_equal(draws.draw(tree, d, mtry), want)
-        if d > 2 ** 31:
-            assert (draws.pos - start).max() > 2 * (2 * mtry - 1)  # some halves were rejected
-        draws.finish()
-        assert [rng.bit_generator.state for rng in mine] == \
-            [rng.bit_generator.state for rng in theirs]
+def test_keyed_draws_are_uniform(monkeypatch):
+    """Over 2,400 tree keys, every row joins a tree's sample and every local
+    feature joins a root's draw at the rate of a uniform subset, within 5 sigma."""
+    drawn = []
+    least = forest._least
+
+    def recorded(u, k):
+        out = least(u, k)
+        drawn.append(out)
+        return out
+
+    monkeypatch.setattr(forest, "_least", recorded)
+    rng = np.random.default_rng(14)
+    n, d, N = 60, 8, 2400
+    X = rng.random((n, d))
+    params = ForestParams(T=N, max_depth=1, min_samples_leaf=1, train_sample_frac=0.25,
+                          features_per_split=3 / 7)
+    model = train_forest(X, [d - 1], "regression", params, [5])
+    rows, features = drawn  # the row samples, then the roots' draws
+    assert features.shape == (N, 3) and rows.shape == (N, 15)
+    for picks, size, trials in ((rows, n, N), (features, d - 1, N)):
+        p = picks.shape[1] / size
+        rate = np.bincount(picks.ravel(), minlength=size) / trials
+        assert np.all(np.abs(rate - p) <= 5 * np.sqrt(p * (1 - p) / trials))
+        assert np.all(np.diff(picks, axis=1) > 0)  # sorted and distinct
+    assert np.array_equal(rows, [fit.train_rows for fit in model.trees])
 
 
 def test_segment_means_have_the_bits_of_numpy_means():
@@ -590,13 +645,6 @@ def test_segment_means_have_the_bits_of_numpy_means():
         assert (np.add.reduceat(y, start) / size).tolist() != want
 
 
-def test_train_tree_requires_pcg64():
-    X, y = np.random.default_rng(0).random((20, 3)), np.arange(20.0)
-    for bit_generator in (np.random.MT19937(0), np.random.PCG64DXSM(0), np.random.Philox(0)):
-        with pytest.raises(ConfigError, match="PCG64"):
-            train_tree(X, y, grow_params(), np.random.Generator(bit_generator))
-
-
 def test_growing_and_predicting_leave_no_cyclic_garbage():
     table, truth = synth_table(SynthParams(n=400, seed=3))
     params = ForestParams(T=20, min_samples_leaf=5, train_sample_frac=0.5)
@@ -609,7 +657,7 @@ def test_growing_and_predicting_leave_no_cyclic_garbage():
         # the probe tree of the faithfulness harness, with its predictions
         X, is_nominal = design_matrix(table)
         labels = np.array([int(c[1:]) for c in truth])
-        root, pred = train_tree(X, labels, grow_params(), np.random.default_rng(0),
+        root, pred = train_tree(X, labels, grow_params(), 0,
                                 "classification", is_nominal, int(labels.max()) + 1)
         assert pred.shape == labels.shape
         del root, pred
@@ -620,7 +668,7 @@ def test_growing_and_predicting_leave_no_cyclic_garbage():
 
 def test_train_tree_rejects_empty_input():
     with pytest.raises(DataError, match="zero rows"):
-        train_tree(np.zeros((0, 2)), np.zeros(0), grow_params(), np.random.default_rng(0))
+        train_tree(np.zeros((0, 2)), np.zeros(0), grow_params(), 0)
 
 
 def test_predict_tree_stump():

@@ -29,29 +29,29 @@ RECORDED = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
 # `wise run --workers 2 --set m=1 --faithfulness --instances --dump-records`
 # on the planted n=2000 CSV of synth seed 11, per output file
 CLI_DIGESTS = {
-    "labels.csv": "ba6d9af1b7fbe2fc3a76dd39d6d2b3a3",
-    "weights.csv": "0932b3433a55416b53321e94ea7978a2",
-    "result.json": "0e6f16c7be9648cd26b000d98463caff",
-    "explanations.json": "4d3c077a960bc8fd5bd5f43ea4018dc1",
-    "metrics.json": "6b7e5a68499fb79307ad64e369a7e723",
+    "labels.csv": "7d94b0d19bc11fe1be0629d6504161cf",
+    "weights.csv": "6d1e6012336c7dad5900c2975524196a",
+    "result.json": "0561d3a3a5cabf7362242240b9ad708d",
+    "explanations.json": "64af245bd29cd1c7e271c9a374be9cfc",
+    "metrics.json": "3153beb345672c6afede3fd2f9015ca6",
 }
 
 # run_wise, 1 worker, deep-sense settings on the n=400 table of synth seed 4
 DEEP_SENSE_SETS = {"T": 20, "min_samples_leaf": 5, "train_sample_frac": 0.5, "m": 1}
 DEEP_SENSE_DIGESTS = {
-    "labels": "816045602bc341c763fddf601b68245e",
-    "L": "0458e23a2af92339b0173dbf21190fe8",
-    "views": "5889a2274fba020b4e944cb96c00ff4a",
+    "labels": "a2e190d53f4372c9fe589278601b3b19",
+    "L": "fc718183139dac2b6d6a16174a5b679d",
+    "views": "b11e8460f18e53500d3c9f8bdc39442c",
 }
 
 # make_views, default config (m=3 of T=10 trees per target), 1 worker, on the
 # n=1500 table of synth seed 6
-DEFAULT_VIEWS_DIGEST = "10cd000b0e43577e4d444b0e6eb0f761"
+DEFAULT_VIEWS_DIGEST = "28058d78f0f47ee950b78e5b472c16fb"
 # stage_one and stage_two, default config, 1 worker, on those views: 24 rounds,
 # 9 of them on collapsed one-hot views
 DEFAULT_ROUNDS_DIGESTS = {
-    "L": "9abbbecbe9a82f7b706d9af05e689133",
-    "labels": "9f5aeff06e2dfe7a8209c0bc915fdb2e",
+    "L": "7414c789abf49a9c287612820cf0770a",
+    "labels": "f8ecd11aeb6202894a5f5f6f88065a16",
 }
 
 
