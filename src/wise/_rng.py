@@ -19,6 +19,8 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+# mix64_array's constants and shifts, in the order it applies them
+_MIX_WORDS = tuple(np.uint64(c) for c in (_GOLDEN, 30, _MIX_A, 27, _MIX_B, 31))
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x00000100000001B3
@@ -30,12 +32,17 @@ def mix64(x: int) -> int:
 
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finalizer over a uint64 array."""
-    with np.errstate(over="ignore"):
-        z = x + np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-        return z ^ (z >> np.uint64(31))
+    """Vectorised splitmix64 finalizer over a uint64 array, computed in place
+    on a copy: ``x`` is never written, and uint64 arrays wrap silently."""
+    golden, s30, a, s27, b, s31 = _MIX_WORDS
+    z = np.array(x, dtype=np.uint64)
+    z += golden
+    z ^= z >> s30
+    z *= a
+    z ^= z >> s27
+    z *= b
+    z ^= z >> s31
+    return z
 
 
 def fnv1a64(data: bytes) -> int:

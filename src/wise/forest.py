@@ -10,8 +10,8 @@ ordering categories by their target statistic and scanning prefixes.
 The trees of a forest, and of the forests of several target columns that
 share a task and a class count, grow together (``_Grower``) on a frontier
 of arrays: every node is a record of one node table, its training rows a
-range of one row buffer, and each step pops the top node of every tree's
-stack and scans all their candidate splits in a few array passes.
+range of one row buffer, and each step takes one depth level of every
+tree and scans all its nodes' candidate splits in a few array passes.
 Randomness is counter-keyed (``_rng.keyed_uniform_grid``): a tree's
 training rows are the rows with the least uniforms under its seed, and
 each node draws its split features from its own key, which a child takes
@@ -367,12 +367,14 @@ class _Grower:
     record of one table (``nodes``), and its training rows are a range of
     one row buffer, which starts with each tree's rows in row order; a
     split partitions its node's range stably in place, left rows first.
-    Each tree's stack is a row of one int array.  A step pops the top node
-    of every tree, draws all their features from their keys in one call,
-    scans all their (node, drawn feature) pairs at once and
-    pushes each split's right child, then its left one.  A node is settled
-    as a leaf when it is made, so the pending nodes are the ones that try
-    to split.
+    A node is settled as a leaf when it is made, so the pending nodes are
+    the ones that try to split.  A step takes every pending node, which is
+    one depth level of every tree, draws all their features from their
+    keys in one call, scans all their (node, drawn feature) pairs at once
+    and makes each split's right child, then its left one; the children
+    that try to split are the next step's.  Ids thus come level by level,
+    every parent before its children and every right child just before
+    its left sibling.
 
     Held-out rows take no part in growth: ``route`` sends them down the
     grown trees, one partition per depth level.  ``roots`` gives each
@@ -414,17 +416,15 @@ class _Grower:
         self.count = 0
         self._add(np.arange(T), 0, keys, size.cumsum() - size, size)  # tree u's root is node u
         self.code_parts, self.n_codes = [], 0  # the category splits' codes, split by split
-        self.stack = np.zeros((T, 8), dtype=np.intp)
-        self.top = np.zeros(T, dtype=np.intp)  # per tree, its stack's height
 
     def grow(self):
-        """Grow every tree."""
-        roots = np.arange(self.top.size)
+        """Grow every tree, one depth level of every tree per step."""
+        roots = np.arange(self.forest.size)
         tries = self._tries(roots)
-        self._push(roots[tries])
         self._make_leaves(roots[~tries])
-        while self.top.any():
-            self._step()
+        pending = roots[tries]
+        while pending.size:
+            pending = self._step(pending)
         self.nodes = self.nodes[:self.count]
         self.codes = np.concatenate(self.code_parts + [np.zeros(0, dtype=np.int64)])
         self.buf = self.stats = None  # growth's own arrays
@@ -442,15 +442,6 @@ class _Grower:
         new["start"], new["size"] = start, size
         new["feature"] = -1
         return np.arange(first, self.count)
-
-    def _push(self, ids):
-        """Push nodes of distinct trees on their trees' stacks."""
-        tree = self.nodes["tree"][ids]
-        top = self.top[tree]
-        if top.size and top.max() >= self.stack.shape[1]:
-            self.stack = np.pad(self.stack, ((0, 0), (0, self.stack.shape[1])))
-        self.stack[tree, top] = ids
-        self.top[tree] = top + 1
 
     def _targets(self, ids):
         """The targets of the nodes' training rows, node by node."""
@@ -485,11 +476,10 @@ class _Grower:
             counts = np.bincount(leaf * C + yv, minlength=size.size * C).reshape(-1, C)
             self.nodes["value"][ids] = counts / size[:, None]
 
-    def _step(self):
-        """Try to split the top pending node of every tree."""
-        tree = self.top.nonzero()[0]
-        self.top[tree] -= 1
-        ids = self.stack[tree, self.top[tree]]
+    def _step(self, ids):
+        """Try to split the pending nodes ``ids``; returns their children that
+        try to split."""
+        tree = self.nodes["tree"][ids]
         A, n, mtry = ids.size, self.n, self.mtry
         min_leaf = self.params.min_samples_leaf
         d = self.cols.shape[1]
@@ -531,15 +521,14 @@ class _Grower:
         # first best feature of each node; the draws are sorted, so ties go to the lowest
         pick = gain.reshape(A, mtry).argmax(axis=1) + np.arange(A) * mtry
         splits = gain[pick] > 0.0
-        leaves = ids[~splits]
-        if splits.any():
-            leaves = np.concatenate([leaves, self._split(ids[splits], pick[splits], local, feat,
-                                                         threshold, scans)])
-        self._make_leaves(leaves)
+        leaves, pending = self._split(ids[splits], pick[splits], local, feat, threshold, scans)
+        self._make_leaves(np.concatenate([ids[~splits], leaves]))
+        return pending
 
     def _split(self, ids, pairs, local, feat, threshold, scans):
         """Split nodes ``ids`` on their pairs' features, partition their rows
-        and make their children; returns the children that are leaves."""
+        and make their children; returns the children that are leaves and
+        the ones that try to split."""
         n, K = self.n, ids.size
         thr = threshold[pairs]  # NaN on a category split
         self.nodes["feature"][ids] = local[pairs]
@@ -577,12 +566,9 @@ class _Grower:
                         mix64_array(np.repeat(rec["key"], 2) ^ side),
                         np.column_stack([start + nl, start]).ravel(),
                         np.column_stack([size - nl, nl]).ravel())
-        right, left = new[0::2], new[1::2]
-        self.nodes["child"][ids] = right
+        self.nodes["child"][ids] = new[0::2]  # the right children
         tries = self._tries(new)
-        self._push(right[tries[0::2]])
-        self._push(left[tries[1::2]])
-        return new[~tries]
+        return new[~tries], new[tries]
 
     def route(self, heldout):
         """Every tree's predictions of its held-out rows: tree u's of row r,
@@ -640,7 +626,7 @@ class _Grower:
     def roots(self):
         """Per tree, a zero-argument callable that builds its ``TreeNode``s and
         returns the root; it holds that tree's records and codes only."""
-        T = self.top.size
+        T = self.forest.size
         order = np.argsort(self.nodes["tree"], kind="stable")
         rec = self.nodes[order]  # tree by tree, each in id order: parents before children
         count = np.bincount(rec["tree"], minlength=T)

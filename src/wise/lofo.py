@@ -190,9 +190,10 @@ def candidates_from_forest(
 
 # One train_forest call grows forests of at most this many trees times
 # rows in all, or one forest: the grower's held-out rows, predictions and
-# step arrays grow in proportion.  Lockstep growth saves a step's fixed
-# costs, which matter on small tables; a larger table grows one forest
-# per call, in the memory of a forest grown alone.
+# step arrays grow in proportion (a step is one depth level, whose rows are
+# at most the roots').  Lockstep growth saves a step's fixed costs, which
+# matter on small tables; a larger table grows one forest per call, in the
+# memory of a forest grown alone.
 _GROUP_ROWS = 1 << 16
 
 

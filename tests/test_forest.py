@@ -370,24 +370,23 @@ def test_grouped_forests_match_per_target_forests(T):
 
 
 class ShuffledGrower(forest._Grower):
-    """A grower that takes a random pending node of every tree per step,
-    not the top of its stack, by the generator ``visit``."""
+    """A grower that splits a random non-empty subset of the pending nodes
+    per step, in random order, by the generator ``visit``; the rest stay
+    pending alongside the new children, so a step mixes depths and trees."""
 
     visit = None
 
-    def _step(self):
-        for u in self.top.nonzero()[0].tolist():
-            top = int(self.top[u]) - 1
-            j = int(self.visit.integers(top + 1))
-            self.stack[u, [j, top]] = self.stack[u, [top, j]]
-        super()._step()
+    def _step(self, ids):
+        ids = self.visit.permutation(ids)
+        k = int(self.visit.integers(1, ids.size + 1))
+        return np.concatenate([ids[k:], super()._step(ids[:k])])
 
 
 @pytest.mark.parametrize("T", [1, 7])
 def test_trees_do_not_depend_on_visit_order(monkeypatch, T):
     """Every tree of a lockstep call equals the tree grown alone from its rows
     and key, the tree of a one-target call, and the tree grown with its
-    nodes visited in random order."""
+    nodes visited in random order and random batches."""
     rng = np.random.default_rng(60 + T)
     n = 150
     X, is_nominal, n_classes = grouped_design(rng, n)
@@ -416,6 +415,44 @@ def test_trees_do_not_depend_on_visit_order(monkeypatch, T):
                                       is_nominal[inputs], C)
                 assert node_fields(alone) == node_fields(fit.root)
     assert deep >= T
+
+
+def leaf_depths(root):
+    """The depth of every leaf below ``root``."""
+    out, pending = [], [(root, 0)]
+    while pending:
+        node, depth = pending.pop()
+        if node.is_leaf:
+            out.append(depth)
+        else:
+            pending += [(node.left, depth + 1), (node.right, depth + 1)]
+    return out
+
+
+@pytest.mark.parametrize("T", [1, 7])
+def test_each_step_grows_one_depth_level(monkeypatch, T):
+    """A grower step takes the pending nodes of one depth level of every tree
+    of the call, the levels come in order from the roots', and a call takes
+    at most one step more than its deepest leaf's depth."""
+    rng = np.random.default_rng(80 + T)
+    X, is_nominal, n_classes = grouped_design(rng, 150)
+    groups = [([0, 3, 6], "regression"), ([1, 4], "classification"), ([5], "classification")]
+    params = ForestParams(T=T, max_depth=8, min_samples_leaf=2, train_sample_frac=0.6)
+    step = forest._Grower._step
+    depths = []  # per step of the current call, the depths of its nodes
+
+    def spy(self, ids):
+        depths.append(np.unique(self.nodes["depth"][ids]).tolist())
+        return step(self, ids)
+
+    monkeypatch.setattr(forest._Grower, "_step", spy)
+    for targets, task in groups:
+        depths.clear()
+        model = train_forest(X, targets, task, params, [13 * j + T for j in targets],
+                             is_nominal, n_classes[targets[0]])
+        assert depths == [[level] for level in range(len(depths))]
+        deepest = max(max(leaf_depths(fit.root)) for fit in model.trees)
+        assert 2 <= len(depths) <= deepest + 1
 
 
 def unseen_codes(root, X, train, held):

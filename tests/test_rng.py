@@ -1,8 +1,11 @@
 """Deterministic hashing and counter-based uniforms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from helpers import reference_mix64
 from wise._rng import (
     MASK64,
     derive_seed,
@@ -26,6 +29,26 @@ def test_mix64_array_matches_scalar():
     vec = mix64_array(xs)
     for i in (0, 1, 17, 2047):
         assert int(vec[i]) == mix64(int(xs[i]))
+
+
+def test_mix64_array_leaves_its_input_and_takes_any_layout():
+    """Bits of the integer form on wrapping words, a read-only input left as
+    it is, 2-d and strided inputs mixed elementwise, and no overflow warning."""
+    rng = np.random.default_rng(27)
+    words = rng.integers(0, MASK64, 48, dtype=np.uint64, endpoint=True)
+    words[:2] = 0, MASK64
+    want = np.array([reference_mix64(int(x)) for x in words], dtype=np.uint64)
+    frozen = words.copy()
+    frozen.flags.writeable = False
+    grid = np.ascontiguousarray(words.reshape(6, 8).T)  # 8 x 6 over the same words
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mix64_array(frozen)
+        assert got.dtype == np.uint64 and got.flags.writeable
+        assert got.tolist() == want.tolist() and frozen.tolist() == words.tolist()
+        assert mix64_array(words.reshape(6, 8)).tolist() == want.reshape(6, 8).tolist()
+        assert mix64_array(grid.T).tolist() == want.reshape(6, 8).tolist()  # not contiguous
+        assert mix64_array(words[::3]).tolist() == want[::3].tolist()
 
 
 def test_fnv1a64_known_distinct():
