@@ -21,17 +21,14 @@ order of its nodes.
 Held-out rows take no part in growth.  Once the trees are grown, one
 partition per depth level sends them down every tree together, and each
 takes the value of the leaf it reaches; the probe tree, which holds out
-every row, reads its predictions from the same pass.  A tree's
-``TreeNode``s are built from its records when its root is first read
-(``TreeFit.root``), so a run that explains one tree per target builds
-those trees' nodes only.
+every row, reads its predictions from the same pass.  A tree is kept
+once, as records: every tree of a call is read from one shared,
+read-only table of them through ``TreeNode`` cursors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,69 +64,71 @@ class ForestParams:
         return max(1, int(round(self.train_sample_frac * n)))
 
 
-@dataclass
 class TreeNode:
-    n_samples: int
-    # leaf payload: float (regression) or class-probability vector
-    value: object = None
-    # internal payload
-    feature: int | None = None
-    threshold: float | None = None
-    categories: frozenset | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    # categories as a lookup table: entry c + 1 says whether code c goes left
-    _left_codes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    """A read-only cursor at one node of a grown tree: it reads the node's
+    record and category codes in place, from the tables of the call that
+    grew it, and ``left`` and ``right`` are new cursors.  A leaf has a
+    ``value`` and ``feature``, ``threshold`` and ``categories`` None; an
+    internal node has ``value`` None, a ``feature`` index and either a
+    ``threshold`` or the set of ``categories`` that go left.
+    """
 
-    def __post_init__(self):
-        if self.categories is not None:
-            codes = np.fromiter(self.categories, dtype=np.int64)
-            if (codes < 0).any():
-                raise DataError("category codes must be non-negative")
-            # entry 0 and the last entry stay False: negative codes clip to the
-            # first, codes past the largest category to the last
-            table = np.zeros(int(codes.max(initial=-1)) + 3, dtype=bool)
-            table[codes + 1] = True
-            self._left_codes = table
+    __slots__ = ("_nodes", "_codes", "_id")
+
+    def __init__(self, nodes: np.ndarray, codes: np.ndarray, id: int):
+        self._nodes, self._codes, self._id = nodes, codes, id
+
+    def _field(self, name):
+        return self._nodes[name].item(self._id)
+
+    def _split_codes(self) -> list[int]:
+        start = self._field("code_start")
+        return self._codes[start:start + self._field("n_codes")].tolist()
+
+    is_leaf = property(lambda self: self._field("feature") < 0)
+    n_samples = property(lambda self: self._field("size"))
+    feature = property(lambda self: None if (f := self._field("feature")) < 0 else f)
+    threshold = property(lambda self: None if self.is_leaf or self._field("n_codes")
+                         else self._field("threshold"))
+    categories = property(lambda self: frozenset(self._split_codes()) or None)
+    left = property(lambda self: TreeNode(self._nodes, self._codes, self._field("child") + 1))
+    right = property(lambda self: TreeNode(self._nodes, self._codes, self._field("child")))
 
     @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    def value(self):
+        """Leaf payload: a float (regression) or a class-probability vector."""
+        if not self.is_leaf:
+            return None
+        value = self._nodes["value"][self._id]
+        return float(value) if value.ndim == 0 else value
 
     def goes_left(self, column: np.ndarray) -> np.ndarray:
         """Routing of this node's split feature values: True means left.
 
         Nominal splits send listed category codes left, every other code
-        right; threshold splits send values <= threshold left.
+        (negative or never seen in training) right; threshold splits send
+        values <= threshold left.
         """
-        if self._left_codes is not None:
-            return self._left_codes.take(column.astype(np.int64) + 1, mode="clip")
-        return column <= self.threshold
+        if not self._field("n_codes"):
+            return column <= self._field("threshold")
+        codes = self._split_codes()
+        # entry c + 1 says whether code c goes left; entry 0 and the last stay
+        # False: negative codes clip to the first, codes past the largest to the last
+        table = np.zeros(max(codes) + 3, dtype=bool)
+        table[[c + 1 for c in codes]] = True
+        return table.take(column.astype(np.int64) + 1, mode="clip")
 
 
+@dataclass(eq=False)
 class TreeFit:
     """A grown tree, the rows it was trained on and held out from, its
-    held-out quality and, for classification, its training majority class.
+    held-out quality and, for classification, its training majority class."""
 
-    ``root`` may be given as a zero-argument callable; it is then called on
-    the first read of ``root`` and its result kept.
-    """
-
-    __slots__ = ("_root", "train_rows", "heldout_rows", "quality", "majority_class")
-
-    def __init__(self, root: TreeNode | Callable[[], TreeNode], train_rows: np.ndarray,
-                 heldout_rows: np.ndarray, quality: float, majority_class: int | None):
-        self._root = root
-        self.train_rows = train_rows
-        self.heldout_rows = heldout_rows
-        self.quality = quality
-        self.majority_class = majority_class
-
-    @property
-    def root(self) -> TreeNode:
-        if callable(self._root):
-            self._root = self._root()
-        return self._root
+    root: TreeNode
+    train_rows: np.ndarray
+    heldout_rows: np.ndarray
+    quality: float
+    majority_class: int | None
 
 
 @dataclass
@@ -377,8 +376,9 @@ class _Grower:
     its left sibling.
 
     Held-out rows take no part in growth: ``route`` sends them down the
-    grown trees, one partition per depth level.  ``roots`` gives each
-    tree's ``TreeNode``s to be built from its records when first asked for.
+    grown trees, one partition per depth level.  Every tree's ``TreeNode``s
+    read the grown records and ``codes``, the category splits' codes, split
+    by split, in place; tree u's root is record u.
     """
 
     def __init__(self, X, is_nominal, Y, cols, task, params, n_classes, keys, train):
@@ -425,8 +425,10 @@ class _Grower:
         pending = roots[tries]
         while pending.size:
             pending = self._step(pending)
-        self.nodes = self.nodes[:self.count]
+        # a copy without the spare rows: the trees' TreeNodes keep it after growth
+        self.nodes = self.nodes[:self.count].copy()
         self.codes = np.concatenate(self.code_parts + [np.zeros(0, dtype=np.int64)])
+        self.nodes.flags.writeable = self.codes.flags.writeable = False
         self.buf = self.stats = None  # growth's own arrays
 
     def _add(self, tree, depth, key, start, size):
@@ -623,43 +625,6 @@ class _Grower:
             size = np.concatenate([nl, size - nl])
         return pred
 
-    def roots(self):
-        """Per tree, a zero-argument callable that builds its ``TreeNode``s and
-        returns the root; it holds that tree's records and codes only."""
-        T = self.forest.size
-        order = np.argsort(self.nodes["tree"], kind="stable")
-        rec = self.nodes[order]  # tree by tree, each in id order: parents before children
-        count = np.bincount(rec["tree"], minlength=T)
-        local = np.empty(order.size, dtype=np.intp)
-        local[order] = np.arange(order.size) - np.repeat(count.cumsum() - count, count)
-        rec["child"] = local[rec["child"]]
-        codes = self.codes[_ranges(rec["code_start"], rec["n_codes"])]
-        end = count.cumsum()
-        code_end = np.add.reduceat(rec["n_codes"], end - count).cumsum()
-        return [partial(_tree_root, r.copy(), c.copy())
-                for r, c in zip(np.split(rec, end[:-1]), np.split(codes, code_end[:-1]))]
-
-
-def _tree_root(rec, codes):
-    """The ``TreeNode``s of one tree's node records, root first, every child
-    after its parent; ``codes`` holds its category splits' codes, split by split."""
-    size, feature, threshold, child, n_codes = (rec[f].tolist() for f in (
-        "size", "feature", "threshold", "child", "n_codes"))
-    end = rec["n_codes"].cumsum().tolist()
-    value = rec["value"].tolist() if rec["value"].ndim == 1 else list(rec["value"])
-    made = [None] * len(size)
-    for i in range(len(size) - 1, -1, -1):
-        if feature[i] < 0:
-            made[i] = TreeNode(n_samples=size[i], value=value[i])
-        elif n_codes[i]:
-            made[i] = TreeNode(n_samples=size[i], feature=feature[i],
-                               categories=frozenset(codes[end[i] - n_codes[i]:end[i]].tolist()),
-                               left=made[child[i] + 1], right=made[child[i]])
-        else:
-            made[i] = TreeNode(n_samples=size[i], feature=feature[i], threshold=threshold[i],
-                               left=made[child[i] + 1], right=made[child[i]])
-    return made[0]
-
 
 def train_tree(
     X: np.ndarray,
@@ -683,7 +648,7 @@ def train_tree(
     grower = _Grower(X, is_nominal, [y], [np.arange(X.shape[1])], task, params, n_classes,
                      np.array([seed], dtype=np.uint64), [rows])
     grower.grow()
-    return grower.roots()[0](), grower.route([rows])
+    return TreeNode(grower.nodes, grower.codes, 0), grower.route([rows])
 
 
 def train_forest(
@@ -705,7 +670,8 @@ def train_forest(
     it trains on the ``sample_size(n)`` rows with the least lane-0
     uniforms under that seed, and the seed is its root's key.  The
     model's trees are target-major: forest i's are ``trees[i * T:(i + 1)
-    * T]``.  A tree's ``root`` is built when first read.
+    * T]``.  Each tree's ``root`` is a ``TreeNode`` cursor into one
+    read-only table of the call's node records.
     """
     n, d = X.shape
     T = params.T
@@ -720,12 +686,13 @@ def train_forest(
     grower.grow()
     pred = grower.route(heldout)
     trees = []
-    for t, root in enumerate(grower.roots()):
+    for t in range(keys.size):
         y = Y[t // T]
         y_tr = y[train[t]]
         majority = int(np.bincount(y_tr.astype(np.int64), minlength=n_classes).argmax()) if task == "classification" else None
         quality = _heldout_quality(pred[t * n + heldout[t]], y[heldout[t]], task)
-        trees.append(TreeFit(root, train[t], heldout[t], quality, majority))
+        trees.append(TreeFit(TreeNode(grower.nodes, grower.codes, t), train[t], heldout[t],
+                             quality, majority))
     return ForestModel(trees=trees, task=task)
 
 

@@ -79,6 +79,8 @@ def _leaves(node: TreeNode, XZ: np.ndarray, follows: dict, out: list) -> list:
     ``follows[f]`` says, per row of XZ, whether the row routes toward the
     leaf at every split on feature f along its path.  Each internal node
     routes all rows once; a feature that repeats on a path ANDs its masks.
+    Nodes are read by ``TreeNode``'s interface alone (``is_leaf``,
+    ``value``, ``feature``, ``goes_left``, ``left``, ``right``).
     """
     if node.is_leaf:
         out.append((node.value, follows))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import factorial
 
@@ -24,7 +24,6 @@ from wise.forest import (
     ForestModel,
     ForestParams,
     TreeFit,
-    TreeNode,
     _mtry,
     _target_stats,
     train_tree,
@@ -153,7 +152,51 @@ def random_sparse_binary(rng, n, p, min_nnz=3, max_nnz=10):
     )
 
 
-def predict_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
+@dataclass
+class RefNode:
+    """A hand-built tree node with the reading interface of ``forest.TreeNode``:
+    the reference grower's nodes and the hand-made trees of the TreeSHAP
+    tests."""
+
+    n_samples: int
+    # leaf payload: float (regression) or class-probability vector
+    value: object = None
+    # internal payload
+    feature: int | None = None
+    threshold: float | None = None
+    categories: frozenset | None = None
+    left: "RefNode | None" = None
+    right: "RefNode | None" = None
+    # categories as a lookup table: entry c + 1 says whether code c goes left
+    _left_codes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.categories is not None:
+            codes = np.fromiter(self.categories, dtype=np.int64)
+            if (codes < 0).any():
+                raise DataError("category codes must be non-negative")
+            # entry 0 and the last entry stay False: negative codes clip to the
+            # first, codes past the largest category to the last
+            table = np.zeros(int(codes.max(initial=-1)) + 3, dtype=bool)
+            table[codes + 1] = True
+            self._left_codes = table
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
+    def goes_left(self, column: np.ndarray) -> np.ndarray:
+        """Routing of this node's split feature values: True means left.
+
+        Nominal splits send listed category codes left, every other code
+        right; threshold splits send values <= threshold left.
+        """
+        if self._left_codes is not None:
+            return self._left_codes.take(column.astype(np.int64) + 1, mode="clip")
+        return column <= self.threshold
+
+
+def predict_tree(root, X: np.ndarray) -> np.ndarray:
     """Batch traversal; returns values (n,) or probability rows (n, C)."""
     probe = root
     while not probe.is_leaf:
@@ -388,11 +431,11 @@ def reference_impurity(y: np.ndarray, task: str, n_classes: int) -> float:
     return float(1.0 - np.dot(frac, frac))
 
 
-def _ref_leaf(y: np.ndarray, task: str, n_classes: int) -> TreeNode:
+def _ref_leaf(y: np.ndarray, task: str, n_classes: int) -> RefNode:
     if task == "regression":
-        return TreeNode(n_samples=y.size, value=float(y.mean()))
+        return RefNode(n_samples=y.size, value=float(y.mean()))
     probs = np.bincount(y.astype(np.int64), minlength=n_classes) / y.size
-    return TreeNode(n_samples=y.size, value=probs)
+    return RefNode(n_samples=y.size, value=probs)
 
 
 # The scan runs once per candidate feature of every node, so it and the two
@@ -484,7 +527,7 @@ def reference_train_tree(
     task: str = "regression",
     is_nominal: np.ndarray | None = None,
     n_classes: int = 0,
-) -> TreeNode:
+) -> RefNode:
     """Grow one CART tree greedily; ties go to the lowest feature index.
 
     ``seed`` is the root's key; a child's key is ``reference_mix64`` of its
@@ -498,7 +541,7 @@ def reference_train_tree(
         is_nominal = np.zeros(d, dtype=bool)
     mtry = _mtry(d, task, params)
 
-    def grow(idx: np.ndarray, depth: int, key: int) -> TreeNode:
+    def grow(idx: np.ndarray, depth: int, key: int) -> RefNode:
         yn = y[idx]
         if (
             depth >= params.max_depth
@@ -518,7 +561,7 @@ def reference_train_tree(
         if best is None:
             return _ref_leaf(yn, task, n_classes)
         _, f, threshold, cats = best
-        node = TreeNode(n_samples=idx.size, feature=f, threshold=threshold, categories=cats)
+        node = RefNode(n_samples=idx.size, feature=f, threshold=threshold, categories=cats)
         mask = node.goes_left(X[idx, f])
         node.left = grow(idx[mask], depth + 1, reference_mix64(key ^ 0))
         node.right = grow(idx[~mask], depth + 1, reference_mix64(key ^ 1))
@@ -560,7 +603,7 @@ def reference_fit_forest(
     return ForestModel(trees=trees, task=task)
 
 
-def _ref_heldout_quality(root: TreeNode, X, y, heldout: np.ndarray, task: str) -> float:
+def _ref_heldout_quality(root: RefNode, X, y, heldout: np.ndarray, task: str) -> float:
     """Accuracy (classification) or R+ = max(0, R^2) (regression) on held-out rows."""
     if heldout.size == 0:
         return 0.0

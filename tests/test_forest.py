@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    RefNode,
     lofo_forest,
     predict_tree,
     random_tree,
@@ -24,7 +25,6 @@ from wise.errors import ConfigError, DataError
 from wise.forest import (
     ForestModel,
     ForestParams,
-    TreeNode,
     _heldout_quality,
     _pure,
     _scan_categories,
@@ -501,16 +501,17 @@ def test_heldout_predictions_are_the_reference_routing(monkeypatch):
     assert unseen > 0
 
 
-def test_sense_builds_tree_nodes_of_explained_trees_only(monkeypatch):
-    """With m=1, sensing builds the TreeNodes of the d explained trees and of no other."""
-    made, explained = [], []
+def test_sense_explains_one_root_per_target(monkeypatch):
+    """With m=1, sensing explains d roots, each its own fit's ``root``."""
+    fits, explained = [], []
+    train = lofo.train_forest
 
-    class Counted(TreeNode):
-        def __post_init__(self):
-            made.append(self)
-            super().__post_init__()
+    def training(*args):
+        model = train(*args)
+        fits.extend(model.trees)
+        return model
 
-    monkeypatch.setattr(forest, "TreeNode", Counted)
+    monkeypatch.setattr(lofo, "train_forest", training)
     explain = lofo.aggregate_global
 
     def explaining(root, *args):
@@ -522,13 +523,58 @@ def test_sense_builds_tree_nodes_of_explained_trees_only(monkeypatch):
     params = ForestParams(T=5, max_depth=8, min_samples_leaf=3, train_sample_frac=0.5)
     views = sense_all(table, params, QdParams(m=1), seed=4, explain_cap=32, background_size=16)
     assert len(views) == len(explained) == table.d
-    nodes, pending = [], list(explained)
+    assert len(fits) == table.d * params.T
+    owners = [[fit for fit in fits if fit.root is root] for root in explained]
+    assert all(len(owner) == 1 for owner in owners)
+    assert len({id(owner[0]) for owner in owners}) == table.d
+
+
+def walk_records(root):
+    """The node records the walk from ``root`` reaches, and its leaves' records."""
+    ids, leaves, pending = [], [], [root]
     while pending:
         node = pending.pop()
-        nodes.append(node)
-        if not node.is_leaf:
+        ids.append(node._id)
+        if node.is_leaf:
+            leaves.append(node._id)
+        else:
             pending += [node.left, node.right]
-    assert sorted(map(id, made)) == sorted(map(id, nodes))
+    return ids, leaves
+
+
+@pytest.mark.parametrize("T", [1, 7])
+def test_each_root_walks_its_own_tree_records_once(monkeypatch, T):
+    """The walk from each grown root reaches exactly its tree's node records,
+    once each, and its leaves are the tree's records with feature < 0, which
+    is what a leaf count by walking the roots counts."""
+    growers = []
+
+    class Kept(forest._Grower):
+        def grow(self):
+            super().grow()
+            growers.append(self)
+
+    monkeypatch.setattr(forest, "_Grower", Kept)
+
+    def check(roots, grower):
+        tree, feature = grower.nodes["tree"], grower.nodes["feature"]
+        for u, root in enumerate(roots):
+            assert root._nodes is grower.nodes and root._id == u
+            ids, leaves = walk_records(root)
+            assert sorted(ids) == np.flatnonzero(tree == u).tolist()
+            assert sorted(leaves) == np.flatnonzero((tree == u) & (feature < 0)).tolist()
+
+    rng = np.random.default_rng(93 + T)
+    X, is_nominal, n_classes = grouped_design(rng, 150)
+    params = ForestParams(T=T, max_depth=8, min_samples_leaf=2, train_sample_frac=0.6)
+    for targets, task in [([0, 3, 6], "regression"), ([1, 4], "classification")]:
+        model = train_forest(X, targets, task, params, [11 * j + T for j in targets],
+                             is_nominal, n_classes[targets[0]])
+        assert len(model.trees) == len(targets) * T
+        check([fit.root for fit in model.trees], growers[-1])
+    root, _ = train_tree(X[:, :6], X[:, 6], grow_params(), T, "regression", is_nominal[:6])
+    check([root], growers[-1])
+    assert len(growers) == 3 and len(walk_records(root)[0]) > 7
 
 
 def test_roots_are_built_once_on_first_read():
@@ -709,9 +755,9 @@ def test_train_tree_rejects_empty_input():
 
 
 def test_predict_tree_stump():
-    leaf0 = TreeNode(n_samples=1, value=0.0)
-    leaf1 = TreeNode(n_samples=1, value=1.0)
-    stump = TreeNode(n_samples=2, feature=0, threshold=0.5, left=leaf0, right=leaf1)
+    leaf0 = RefNode(n_samples=1, value=0.0)
+    leaf1 = RefNode(n_samples=1, value=1.0)
+    stump = RefNode(n_samples=2, feature=0, threshold=0.5, left=leaf0, right=leaf1)
     assert predict_tree(stump, np.array([[0.2]]))[0] == 0.0
     assert predict_tree(stump, np.array([[0.7]]))[0] == 1.0
     assert predict_tree(stump, np.array([[0.5]]))[0] == 0.0   # ties go left
@@ -719,9 +765,9 @@ def test_predict_tree_stump():
 
 def test_goes_left_routes_like_predict_tree():
     # threshold and float-coded nominal splits, each leaf valued by its side
-    left, right = TreeNode(n_samples=1, value=0.0), TreeNode(n_samples=1, value=1.0)
-    numeric = TreeNode(n_samples=2, feature=1, threshold=0.4, left=left, right=right)
-    nominal = TreeNode(n_samples=2, feature=0, categories=frozenset({0, 2}), left=left, right=right)
+    left, right = RefNode(n_samples=1, value=0.0), RefNode(n_samples=1, value=1.0)
+    numeric = RefNode(n_samples=2, feature=1, threshold=0.4, left=left, right=right)
+    nominal = RefNode(n_samples=2, feature=0, categories=frozenset({0, 2}), left=left, right=right)
     rng = np.random.default_rng(12)
     X = np.column_stack([rng.integers(0, 4, 100).astype(float), rng.random(100)])
     X[:5, 1] = 0.4
@@ -755,22 +801,38 @@ def isin_predict(root, X):
 
 
 def test_category_lookup_routes_like_isin():
-    # codes missing from the set, codes past its largest, negative codes and an empty set
-    left, right = TreeNode(n_samples=1, value=0.0), TreeNode(n_samples=1, value=1.0)
+    # codes missing from the set, codes past its largest, negative codes and an
+    # empty set, on hand-built stumps and on stumps grown on codes 0..9
+    left, right = RefNode(n_samples=1, value=0.0), RefNode(n_samples=1, value=1.0)
     codes = np.arange(-3, 12, dtype=float)
     background = np.array([[0.0], [2.0], [7.0], [11.0]])
+    train = np.repeat(np.arange(10.0), 2)[:, None]
     for cats in ({0, 2}, {1}, {3, 5, 6}, {0}, {9}, set()):
-        node = TreeNode(n_samples=2, feature=0, categories=frozenset(cats), left=left, right=right)
+        stumps = [RefNode(n_samples=2, feature=0, categories=frozenset(cats), left=left,
+                          right=right)]
+        if cats:
+            # the one perfect split sends the codes of target 0 left
+            y = np.isin(train[:, 0], list(cats), invert=True).astype(float)
+            grown, _ = train_tree(train, y, grow_params(max_depth=1), 0, "regression",
+                                  np.array([True]))
+            assert grown.categories == cats and grown.threshold is None
+            stumps.append(grown)
         want = np.isin(codes.astype(np.int64), list(cats))
-        assert np.array_equal(node.goes_left(codes), want)
-        assert np.array_equal(predict_tree(node, codes[:, None]), (~want).astype(float))
-        # a stump's attribution is its output minus the mean reference output
-        phi, base = shap_matrix(node, codes[:, None], background)
-        f_z = 1.0 - np.isin(background[:, 0], list(cats))
-        assert base == f_z.mean()
-        assert np.allclose(phi[:, 0], (~want) - f_z.mean(), rtol=0.0, atol=1e-12)
-    with pytest.raises(DataError, match="non-negative"):
-        TreeNode(n_samples=2, feature=0, categories=frozenset({-1, 2}))
+        for node in stumps:
+            assert np.array_equal(node.goes_left(codes), want)
+            assert np.array_equal(predict_tree(node, codes[:, None]), (~want).astype(float))
+            # a stump's attribution is its output minus the mean reference output
+            phi, base = shap_matrix(node, codes[:, None], background)
+            f_z = 1.0 - np.isin(background[:, 0], list(cats))
+            assert base == f_z.mean()
+            assert np.allclose(phi[:, 0], (~want) - f_z.mean(), rtol=0.0, atol=1e-12)
+    # the grower rejects a negative nominal code, for one tree and for a forest
+    X = np.column_stack([np.arange(6.0), [0.0, 1.0, -1.0, 2.0, 1.0, 0.0]])
+    is_nominal = np.array([False, True])
+    with pytest.raises(DataError, match="category codes must be non-negative"):
+        train_tree(X, X[:, 0], grow_params(), 0, "regression", is_nominal)
+    with pytest.raises(DataError, match="category codes must be non-negative"):
+        train_forest(X, [0], "regression", grow_params(), [0], is_nominal)
 
 
 def test_grown_trees_route_unseen_codes_like_isin():

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import lofo_forest, predict_tree, random_tree, reference_shap_matrix, shap_oracle
+from helpers import (
+    RefNode,
+    lofo_forest,
+    predict_tree,
+    random_tree,
+    reference_shap_matrix,
+    shap_oracle,
+)
 from wise import treeshap
 from wise.errors import ConfigError, DataError
 from wise.forest import ForestParams, TreeNode
@@ -12,16 +19,16 @@ from wise.treeshap import aggregate_global, shap_matrix
 
 
 def test_depth_zero_tree_has_no_attribution():
-    root = TreeNode(n_samples=5, value=2.5)
+    root = RefNode(n_samples=5, value=2.5)
     phi, base = shap_matrix(root, np.array([0.3, 0.7])[None], np.random.random((4, 2)))
     assert np.allclose(phi, 0.0)
     assert base == 2.5
 
 
 def test_stump_attribution_example():
-    leaf0 = TreeNode(n_samples=1, value=0.0)
-    leaf1 = TreeNode(n_samples=1, value=1.0)
-    stump = TreeNode(n_samples=2, feature=1, threshold=0.5, left=leaf0, right=leaf1)
+    leaf0 = RefNode(n_samples=1, value=0.0)
+    leaf1 = RefNode(n_samples=1, value=1.0)
+    stump = RefNode(n_samples=2, feature=1, threshold=0.5, left=leaf0, right=leaf1)
     x = np.array([0.9, 1.0, 0.1])
     background = np.array([[0.0, 0.0, 0.0]])
     phi, base = shap_matrix(stump, x[None], background)
@@ -69,7 +76,7 @@ def test_classification_requires_output_index():
 
 
 def test_input_validation():
-    root = TreeNode(n_samples=1, value=0.0)
+    root = RefNode(n_samples=1, value=0.0)
     with pytest.raises(DataError, match="non-empty"):
         shap_matrix(root, np.zeros((1, 2)), np.zeros((0, 2)))
     with pytest.raises(DataError, match="feature count"):
@@ -77,9 +84,9 @@ def test_input_validation():
 
 
 def test_aggregate_global_conventions():
-    leaf0 = TreeNode(n_samples=1, value=0.0)
-    leaf1 = TreeNode(n_samples=1, value=1.0)
-    stump = TreeNode(n_samples=2, feature=1, threshold=0.5, left=leaf0, right=leaf1)
+    leaf0 = RefNode(n_samples=1, value=0.0)
+    leaf1 = RefNode(n_samples=1, value=1.0)
+    stump = RefNode(n_samples=2, feature=1, threshold=0.5, left=leaf0, right=leaf1)
     rng = np.random.default_rng(7)
     E = rng.random((10, 3))
     background = rng.random((5, 3))
@@ -88,7 +95,7 @@ def test_aggregate_global_conventions():
     assert agg.s[0] == 0.0 and agg.s[2] == 0.0
     assert agg.explained_count == 10
 
-    constant = TreeNode(n_samples=1, value=4.0)
+    constant = RefNode(n_samples=1, value=4.0)
     assert np.allclose(aggregate_global(constant, E, background).s, 0.0)
 
     one = aggregate_global(stump, E[:1], background)
@@ -149,10 +156,10 @@ def test_bitwise_equal_to_per_leaf_reference():
 def test_bitwise_equal_beyond_64_path_features():
     # a right-going chain over 70 features: the deepest leaves have 70 path features
     d = 70
-    node = TreeNode(n_samples=1, value=100.0)
+    node = RefNode(n_samples=1, value=100.0)
     for f in reversed(range(d)):
-        node = TreeNode(n_samples=1, feature=f, threshold=0.5,
-                        left=TreeNode(n_samples=1, value=float(f)), right=node)
+        node = RefNode(n_samples=1, feature=f, threshold=0.5,
+                       left=RefNode(n_samples=1, value=float(f)), right=node)
     rng = np.random.default_rng(43)
     base_row = np.where(rng.random(d) < 0.9, 0.9, 0.1)
     rows = np.tile(base_row, (30, 1))
@@ -174,14 +181,15 @@ def test_one_walk_routes_each_internal_node_once(monkeypatch):
     goes_left = TreeNode.goes_left
 
     def counted(self, column):
-        calls[id(self)] = calls.get(id(self), 0) + 1
+        # every .left/.right read makes a new cursor, so count per node record
+        calls[self._id] = calls.get(self._id, 0) + 1
         return goes_left(self, column)
 
     monkeypatch.setattr(TreeNode, "goes_left", counted)
     shap_matrix(root, X[:25], X[25:])
     nodes = internal_nodes(root)
     assert len(nodes) > 3
-    assert calls == {id(node): 1 for node in nodes}
+    assert calls == {node._id: 1 for node in nodes}
 
 
 def leaf_patterns(root, rows):
