@@ -23,11 +23,14 @@ partition per depth level sends them down every tree together, and each
 takes the value of the leaf it reaches; the probe tree, which holds out
 every row, reads its predictions from the same pass.  A tree is kept
 once, as records: every tree of a call is read from one shared,
-read-only table of them through ``TreeNode`` cursors.
+read-only table of them through ``TreeNode`` cursors, and a category
+split once, as a row of the call's one read-only boolean table ``left``,
+which the scan writes and growth, the held-out pass and cursors read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,33 +69,29 @@ class ForestParams:
 
 class TreeNode:
     """A read-only cursor at one node of a grown tree: it reads the node's
-    record and category codes in place, from the tables of the call that
-    grew it, and ``left`` and ``right`` are new cursors.  A leaf has a
-    ``value`` and ``feature``, ``threshold`` and ``categories`` None; an
-    internal node has ``value`` None, a ``feature`` index and either a
-    ``threshold`` or the set of ``categories`` that go left.
+    record and category split in place, from the ``nodes`` and ``left``
+    tables of the call that grew it, and ``left`` and ``right`` are new
+    cursors.  A leaf has a ``value`` and ``feature``, ``threshold`` and
+    ``categories`` None; an internal node has ``value`` None, a
+    ``feature`` index and either a ``threshold`` or, when its record's
+    threshold is NaN, the set of ``categories`` that go left.
     """
 
-    __slots__ = ("_nodes", "_codes", "_id")
+    __slots__ = ("_nodes", "_left", "_id")
 
-    def __init__(self, nodes: np.ndarray, codes: np.ndarray, id: int):
-        self._nodes, self._codes, self._id = nodes, codes, id
+    def __init__(self, nodes: np.ndarray, left: np.ndarray, id: int):
+        self._nodes, self._left, self._id = nodes, left, id
 
     def _field(self, name):
         return self._nodes[name].item(self._id)
 
-    def _split_codes(self) -> list[int]:
-        start = self._field("code_start")
-        return self._codes[start:start + self._field("n_codes")].tolist()
-
     is_leaf = property(lambda self: self._field("feature") < 0)
     n_samples = property(lambda self: self._field("size"))
     feature = property(lambda self: None if (f := self._field("feature")) < 0 else f)
-    threshold = property(lambda self: None if self.is_leaf or self._field("n_codes")
-                         else self._field("threshold"))
-    categories = property(lambda self: frozenset(self._split_codes()) or None)
-    left = property(lambda self: TreeNode(self._nodes, self._codes, self._field("child") + 1))
-    right = property(lambda self: TreeNode(self._nodes, self._codes, self._field("child")))
+    threshold = property(lambda self: None if self.is_leaf
+                         or math.isnan(t := self._field("threshold")) else t)
+    left = property(lambda self: TreeNode(self._nodes, self._left, self._field("child") + 1))
+    right = property(lambda self: TreeNode(self._nodes, self._left, self._field("child")))
 
     @property
     def value(self):
@@ -102,6 +101,13 @@ class TreeNode:
         value = self._nodes["value"][self._id]
         return float(value) if value.ndim == 0 else value
 
+    @property
+    def categories(self):
+        """The codes that go left at a category split, read off its row of ``left``."""
+        if not math.isnan(self._field("threshold")):
+            return None
+        return frozenset((np.flatnonzero(self._left[self._field("cut")]) - 1).tolist())
+
     def goes_left(self, column: np.ndarray) -> np.ndarray:
         """Routing of this node's split feature values: True means left.
 
@@ -109,14 +115,12 @@ class TreeNode:
         (negative or never seen in training) right; threshold splits send
         values <= threshold left.
         """
-        if not self._field("n_codes"):
-            return column <= self._field("threshold")
-        codes = self._split_codes()
-        # entry c + 1 says whether code c goes left; entry 0 and the last stay
-        # False: negative codes clip to the first, codes past the largest to the last
-        table = np.zeros(max(codes) + 3, dtype=bool)
-        table[[c + 1 for c in codes]] = True
-        return table.take(column.astype(np.int64) + 1, mode="clip")
+        threshold = self._field("threshold")
+        if not math.isnan(threshold):
+            return column <= threshold
+        # the row's first and last entries are False: negative codes clip to
+        # the first, codes past the last level to the last
+        return self._left[self._field("cut")].take(column.astype(np.int64) + 1, mode="clip")
 
 
 @dataclass(eq=False)
@@ -236,20 +240,21 @@ def _scan_thresholds(rows, values, size, stats, task, min_leaf):
     return gain, threshold
 
 
-def _scan_categories(pair, codes, rows, count, stats, task, min_leaf):
+def _scan_categories(pair, codes, rows, count, stats, task, min_leaf, levels):
     """Best category-membership split of each of ``count`` nodes, each on one feature.
 
-    Element i puts row ``rows[i]``, whose feature code is ``codes[i]``, in
-    node ``pair[i]``; each node lists its rows in row order.  Categories are
-    ordered by their target statistic (mean target for regression, share of
-    the node's majority class for classification) and prefixes of that
-    order are scanned, the standard CART device.  Per-category sums add a
-    node's rows in row order, as one-node sums do.  Returns per node the
-    gain (-inf: no split), its categories in scan order (padded with -1)
-    and how many of them go left.
+    Element i puts row ``rows[i]``, whose feature code ``codes[i]`` lies
+    in [0, levels), in node ``pair[i]``; each node lists its rows in row
+    order.  Categories are ordered by their target statistic (mean target
+    for regression, share of the node's majority class for
+    classification) and prefixes of that order are scanned, the standard
+    CART device.  Per-category sums add a node's rows in row order, as
+    one-node sums do.  Returns per node the gain (-inf: no split) and its
+    best cut, a row of a (count, levels + 2) boolean table whose entry c + 1
+    says whether code c goes left; the first and last entries, and every
+    entry of a node without a split, are False.
     """
     s = stats.shape[1]
-    levels = int(codes.max()) + 1
     key = pair * levels + codes
     cnt = np.bincount(key, minlength=count * levels).reshape(count, levels)
     flat = (key[:, None] * s + np.arange(s)).ravel()
@@ -280,7 +285,11 @@ def _scan_categories(pair, codes, rows, count, stats, task, min_leaf):
     total = prefix[np.arange(count), np.maximum(m - 1, 0)]
     gains = _cut_gains(prefix[node, pos], nl[node, pos], node, total, size, task)
     gain, best = _first_best(node, pos, gains, count, width)
-    return gain, np.append(c, -1)[src], best + 1
+    # a cut sends the categories in scan positions 0..best left
+    k, j = ((col <= best[:, None]) & (gain > -np.inf)[:, None]).nonzero()
+    left = np.zeros((count, levels + 2), dtype=bool)
+    left[k, c[src[k, j]] + 1] = True
+    return gain, left
 
 
 def _pure(y, start, size, task):
@@ -342,12 +351,26 @@ def _ranges(start, size):
 
 
 # A node record: its tree, depth and key, its training rows (a range of the
-# row buffer), its split (local feature, threshold or a range of the category
-# codes; feature -1 on a leaf and a pending node) and the id of its right
-# child, whose left sibling follows it.  The leaf value is added per task.
+# row buffer), its split (local feature and threshold, or NaN and ``cut``, its
+# row of the grower's ``left``; feature -1 on a leaf and a pending node) and the
+# id of its right child, whose left sibling follows it.  The leaf value is added
+# per task.
 _NODE = [("tree", np.intp), ("depth", np.intp), ("key", np.uint64), ("start", np.intp),
          ("size", np.intp), ("feature", np.intp), ("threshold", np.float64),
-         ("child", np.intp), ("code_start", np.intp), ("n_codes", np.intp)]
+         ("child", np.intp), ("cut", np.intp)]
+
+
+def _goes_left(values, size, threshold, cut, left):
+    """Whether each value goes left at its node.  The values come node by
+    node, ``size[i]`` of node i, whose split is ``threshold[i]`` (values <=
+    it go left) or, where that is NaN, row ``cut[i]`` of ``left`` (code c
+    goes left where its entry c + 1 is set)."""
+    goes = values <= np.repeat(threshold, size)
+    nominal = np.isnan(threshold)
+    if nominal.any():
+        at = np.repeat(nominal, size).nonzero()[0]
+        goes[at] = left[np.repeat(cut[nominal], size[nominal]), values[at].astype(np.intp) + 1]
+    return goes
 
 
 class _Grower:
@@ -377,8 +400,8 @@ class _Grower:
 
     Held-out rows take no part in growth: ``route`` sends them down the
     grown trees, one partition per depth level.  Every tree's ``TreeNode``s
-    read the grown records and ``codes``, the category splits' codes, split
-    by split, in place; tree u's root is record u.
+    read the grown records and ``left``, which ``_split`` fills with one
+    scanned row per category split, in place; tree u's root is record u.
     """
 
     def __init__(self, X, is_nominal, Y, cols, task, params, n_classes, keys, train):
@@ -409,13 +432,13 @@ class _Grower:
         if codes.size and codes.min() < 0:
             raise DataError("category codes must be non-negative")
         self.levels = int(codes.max()) + 1 if codes.size else 0
+        self.left = np.zeros((0, self.levels + 2), dtype=bool)  # the category splits
         size = np.array([rows.size for rows in train], dtype=np.intp)
         self.buf = np.concatenate(train).astype(np.intp, copy=False)
         value = ("value", np.float64) if task == "regression" else ("value", np.float64, (n_classes,))
         self.nodes = np.zeros(4 * T, dtype=_NODE + [value])  # widens as nodes come
         self.count = 0
         self._add(np.arange(T), 0, keys, size.cumsum() - size, size)  # tree u's root is node u
-        self.code_parts, self.n_codes = [], 0  # the category splits' codes, split by split
 
     def grow(self):
         """Grow every tree, one depth level of every tree per step."""
@@ -427,8 +450,7 @@ class _Grower:
             pending = self._step(pending)
         # a copy without the spare rows: the trees' TreeNodes keep it after growth
         self.nodes = self.nodes[:self.count].copy()
-        self.codes = np.concatenate(self.code_parts + [np.zeros(0, dtype=np.int64)])
-        self.nodes.flags.writeable = self.codes.flags.writeable = False
+        self.nodes.flags.writeable = self.left.flags.writeable = False
         self.buf = self.stats = None  # growth's own arrays
 
     def _add(self, tree, depth, key, start, size):
@@ -510,16 +532,16 @@ class _Grower:
             gain[p], threshold[p] = _scan_thresholds(
                 padded.take(order) + offset[p][:, None], values.take(order), width[p], self.stats,
                 self.task, min_leaf)
-        scans = []  # per block of nominal pairs: (pairs, categories in scan order, left counts)
+        scans = []  # per block of nominal pairs: (pairs, their best cuts as rows of left)
         nom = nominal.nonzero()[0]
         for g in _blocks(np.full(nom.size, self.levels), s):
             p, w = nom[g], width[nom[g]]
             seg = np.repeat(np.arange(p.size), w)
             member = self.buf[_ranges(start[p], w)]
             codes = self.xt.take(feat[p][seg] * (n + 1) + member).astype(np.int64)
-            gain[p], ordered, n_left = _scan_categories(
-                seg, codes, member + offset[p][seg], p.size, self.stats, self.task, min_leaf)
-            scans.append((p, ordered, n_left))
+            gain[p], cuts = _scan_categories(seg, codes, member + offset[p][seg], p.size,
+                                             self.stats, self.task, min_leaf, self.levels)
+            scans.append((p, cuts))
         # first best feature of each node; the draws are sorted, so ties go to the lowest
         pick = gain.reshape(A, mtry).argmax(axis=1) + np.arange(A) * mtry
         splits = gain[pick] > 0.0
@@ -535,30 +557,17 @@ class _Grower:
         thr = threshold[pairs]  # NaN on a category split
         self.nodes["feature"][ids] = local[pairs]
         self.nodes["threshold"][ids] = thr
-        nominal = np.isnan(thr)
-        if nominal.any():
-            # entry (k, c): category split k sends code c left
-            table = np.zeros((K, self.levels), dtype=bool)
-            split = np.full(feat.size, -1)
-            split[pairs] = np.arange(K)
-            for p, ordered, n_left in scans:
-                i = (split[p] >= 0).nonzero()[0]
-                k, m = split[p[i]], n_left[i]
-                cats = ordered[i][np.arange(ordered.shape[1]) < m[:, None]]
-                table[np.repeat(k, m), cats] = True
-                self.nodes["code_start"][ids[k]] = self.n_codes + m.cumsum() - m
-                self.nodes["n_codes"][ids[k]] = m
-                self.code_parts.append(cats)
-                self.n_codes += cats.size
+        node = np.full(feat.size, -1)
+        node[pairs] = ids  # the node each winning pair splits; -1 for the others
+        for p, cuts in scans:
+            won = node[p] >= 0
+            self.nodes["cut"][node[p[won]]] = len(self.left) + np.arange(won.sum())
+            self.left = np.concatenate([self.left, cuts[won]])
         rec = self.nodes[ids]
         size, start = rec["size"], rec["start"]
         rows = self.buf[_ranges(start, size)]
-        seg = np.repeat(np.arange(K), size)
-        values = self.xt.take(rows + (feat[pairs] * (n + 1))[seg])
-        goes = values <= thr[seg]
-        if nominal.any():
-            part = nominal[seg].nonzero()[0]
-            goes[part] = table[seg[part], values[part].astype(np.intp)]
+        values = self.xt.take(rows + np.repeat(feat[pairs] * (n + 1), size))
+        goes = _goes_left(values, size, thr, rec["cut"], self.left)
         # every splitting node has rows, so no segment is empty
         nl = np.add.reduceat(goes, size.cumsum() - size, dtype=np.intp)
         self.buf[_ranges(start, nl)] = rows[goes]
@@ -600,20 +609,8 @@ class _Grower:
             nodes, size = nodes[size > 0], size[size > 0]
             if not nodes.size:
                 break
-            thr = rec["threshold"][nodes]
             values = self.xt.take(np.repeat(base[nodes], size) + rows)
-            goes = values <= np.repeat(thr, size)
-            nominal = np.isnan(thr)
-            if nominal.any():
-                # entry k * levels + c: the level's k-th category split sends code c left
-                at = nodes[nominal]
-                m = rec["n_codes"][at]
-                first = np.arange(at.size) * self.levels
-                table = np.zeros(at.size * self.levels, dtype=bool)
-                table[np.repeat(first, m) + self.codes[_ranges(rec["code_start"][at], m)]] = True
-                part = np.repeat(nominal, size)
-                goes[part] = table.take(np.repeat(first, size[nominal])
-                                        + values[part].astype(np.intp))
+            goes = _goes_left(values, size, rec["threshold"][nodes], rec["cut"][nodes], self.left)
             nl = np.add.reduceat(goes, size.cumsum() - size, dtype=np.intp)
             went = int(nl.sum())
             sent = np.empty_like(rows)
@@ -648,7 +645,7 @@ def train_tree(
     grower = _Grower(X, is_nominal, [y], [np.arange(X.shape[1])], task, params, n_classes,
                      np.array([seed], dtype=np.uint64), [rows])
     grower.grow()
-    return TreeNode(grower.nodes, grower.codes, 0), grower.route([rows])
+    return TreeNode(grower.nodes, grower.left, 0), grower.route([rows])
 
 
 def train_forest(
@@ -691,7 +688,7 @@ def train_forest(
         y_tr = y[train[t]]
         majority = int(np.bincount(y_tr.astype(np.int64), minlength=n_classes).argmax()) if task == "classification" else None
         quality = _heldout_quality(pred[t * n + heldout[t]], y[heldout[t]], task)
-        trees.append(TreeFit(TreeNode(grower.nodes, grower.codes, t), train[t], heldout[t],
+        trees.append(TreeFit(TreeNode(grower.nodes, grower.left, t), train[t], heldout[t],
                              quality, majority))
     return ForestModel(trees=trees, task=task)
 

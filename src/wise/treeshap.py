@@ -80,7 +80,9 @@ def _leaves(node: TreeNode, XZ: np.ndarray, follows: dict, out: list) -> list:
     leaf at every split on feature f along its path.  Each internal node
     routes all rows once; a feature that repeats on a path ANDs its masks.
     Nodes are read by ``TreeNode``'s interface alone (``is_leaf``,
-    ``value``, ``feature``, ``goes_left``, ``left``, ``right``).
+    ``value``, ``feature``, ``goes_left``, ``left``, ``right``); a grown
+    category node routes with one lookup in its stored row of the grower's
+    ``left`` table.
     """
     if node.is_leaf:
         out.append((node.value, follows))

@@ -137,14 +137,14 @@ def scan_nodes(nodes, task, n_classes, min_leaf):
     gain, threshold = _scan_thresholds(rows, values, size, stats, task, min_leaf)
     pair = np.repeat(np.arange(len(nodes)), size)
     codes = np.concatenate([x for x, _ in nodes]).astype(np.int64)
-    cat_gain, ordered, n_left = _scan_categories(
-        pair, codes, np.arange(size.sum()), len(nodes), stats, task, min_leaf)
+    cat_gain, cuts = _scan_categories(pair, codes, np.arange(size.sum()), len(nodes), stats,
+                                      task, min_leaf, int(codes.max()) + 1)
     out = []
     for p in range(len(nodes)):
         num = (float(gain[p]), float(threshold[p]), None) if gain[p] > -np.inf else None
         cat = None
         if cat_gain[p] > -np.inf:
-            cat = (float(cat_gain[p]), None, frozenset(ordered[p, :n_left[p]].tolist()))
+            cat = (float(cat_gain[p]), None, frozenset((np.flatnonzero(cuts[p]) - 1).tolist()))
         out.append((num, cat))
     return out
 
@@ -529,24 +529,25 @@ def test_sense_explains_one_root_per_target(monkeypatch):
     assert len({id(owner[0]) for owner in owners}) == table.d
 
 
-def walk_records(root):
-    """The node records the walk from ``root`` reaches, and its leaves' records."""
-    ids, leaves, pending = [], [], [root]
+def walk(root):
+    """The cursors the walk from ``root`` reaches."""
+    nodes, pending = [], [root]
     while pending:
         node = pending.pop()
-        ids.append(node._id)
-        if node.is_leaf:
-            leaves.append(node._id)
-        else:
+        nodes.append(node)
+        if not node.is_leaf:
             pending += [node.left, node.right]
-    return ids, leaves
+    return nodes
 
 
 @pytest.mark.parametrize("T", [1, 7])
 def test_each_root_walks_its_own_tree_records_once(monkeypatch, T):
     """The walk from each grown root reaches exactly its tree's node records,
     once each, and its leaves are the tree's records with feature < 0, which
-    is what a leaf count by walking the roots counts."""
+    is what a leaf count by walking the roots counts.  Every root reads the
+    call's one read-only ``left`` table, which holds each category split of
+    the call as one row: its pad entries are False and its set entries, less
+    one, are the node's categories."""
     growers = []
 
     class Kept(forest._Grower):
@@ -557,12 +558,24 @@ def test_each_root_walks_its_own_tree_records_once(monkeypatch, T):
     monkeypatch.setattr(forest, "_Grower", Kept)
 
     def check(roots, grower):
-        tree, feature = grower.nodes["tree"], grower.nodes["feature"]
+        tree, feature, cut = grower.nodes["tree"], grower.nodes["feature"], grower.nodes["cut"]
+        left = grower.left
+        assert not left.flags.writeable and left.shape[1] == grower.levels + 2
+        rows = []
         for u, root in enumerate(roots):
-            assert root._nodes is grower.nodes and root._id == u
-            ids, leaves = walk_records(root)
-            assert sorted(ids) == np.flatnonzero(tree == u).tolist()
-            assert sorted(leaves) == np.flatnonzero((tree == u) & (feature < 0)).tolist()
+            assert root._nodes is grower.nodes and root._left is left and root._id == u
+            nodes = walk(root)
+            assert sorted(node._id for node in nodes) == np.flatnonzero(tree == u).tolist()
+            leaves = sorted(node._id for node in nodes if node.is_leaf)
+            assert leaves == np.flatnonzero((tree == u) & (feature < 0)).tolist()
+            for node in nodes:
+                if node.categories is not None:
+                    row = left[cut[node._id]]
+                    assert not row[0] and not row[-1]
+                    assert (np.flatnonzero(row) - 1).tolist() == sorted(node.categories)
+                    rows.append(int(cut[node._id]))
+        assert sorted(rows) == list(range(len(left)))  # one row per category split
+        assert rows
 
     rng = np.random.default_rng(93 + T)
     X, is_nominal, n_classes = grouped_design(rng, 150)
@@ -574,10 +587,10 @@ def test_each_root_walks_its_own_tree_records_once(monkeypatch, T):
         check([fit.root for fit in model.trees], growers[-1])
     root, _ = train_tree(X[:, :6], X[:, 6], grow_params(), T, "regression", is_nominal[:6])
     check([root], growers[-1])
-    assert len(growers) == 3 and len(walk_records(root)[0]) > 7
+    assert len(growers) == 3 and len(walk(root)) > 7
 
 
-def test_roots_are_built_once_on_first_read():
+def test_root_is_one_object_with_the_per_node_grower_fields():
     """A tree's root is the same object on every read, with the per-node grower's fields."""
     rng = np.random.default_rng(91)
     X, y, is_nominal, n_classes = mixed_inputs(rng, 150, "classification")
