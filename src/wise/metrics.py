@@ -37,10 +37,11 @@ def _comb2(x) -> int:
 
 
 def _ari(counts: np.ndarray) -> float:
-    N2 = _comb2(counts.sum())
-    I = sum(_comb2(v) for v in counts.ravel())
-    A = sum(_comb2(v) for v in counts.sum(axis=1))
-    B = sum(_comb2(v) for v in counts.sum(axis=0))
+    rows = counts.tolist()
+    N2 = _comb2(sum(map(sum, rows)))
+    I = sum(_comb2(v) for row in rows for v in row)
+    A = sum(_comb2(sum(row)) for row in rows)
+    B = sum(_comb2(sum(col)) for col in zip(*rows))
     num = 2 * (N2 * I - A * B)
     den = N2 * (A + B) - 2 * A * B
     if den == 0:
@@ -59,8 +60,9 @@ def ari(y_pred, y_true) -> float:
 
 
 def _nmi(counts: np.ndarray) -> float:
-    n = int(counts.sum())
-    row_sums, col_sums = counts.sum(axis=1), counts.sum(axis=0)
+    rows = counts.tolist()
+    row_sums, col_sums = [sum(row) for row in rows], [sum(col) for col in zip(*rows)]
+    n = sum(row_sums)
     hu = -sum((r / n) * math.log(r / n) for r in row_sums if r > 0)
     hv = -sum((c / n) * math.log(c / n) for c in col_sums if c > 0)
     if hu == 0.0 and hv == 0.0:
@@ -68,11 +70,10 @@ def _nmi(counts: np.ndarray) -> float:
     if hu == 0.0 or hv == 0.0:
         return 0.0
     mi = 0.0
-    for i in range(counts.shape[0]):
-        for j in range(counts.shape[1]):
-            nij = counts[i, j]
+    for row, r in zip(rows, row_sums):
+        for nij, c in zip(row, col_sums):
             if nij > 0:
-                mi += (nij / n) * math.log(n * nij / (row_sums[i] * col_sums[j]))
+                mi += (nij / n) * math.log(n * nij / (r * c))
     return mi / math.sqrt(hu * hv)
 
 

@@ -20,20 +20,24 @@ sum to at least two), bucket sketches are hashed again to merge
 near-duplicate buckets into bins, and each bin contributes one FreqItem
 candidate; candidates are deduplicated and reduced to k by a
 distance-weighted sampling pass.  The work is batched: ``_padded`` lays
-a CSR block's rows out as one (n, W) block.  Rows share omega, so the
-level-1 keys of each hash are ranked once over the positive-weight
-coordinates, and a row's sketch is its least rank, read through the
-block from one integer rank table; a level-2 hash, whose keys differ
-per bucket, is one argmin over keys gathered through it.
-``_distinct_rows`` groups equal codes and bucket sketches, and one
-lexsort groups the band signatures of all bands; buckets form one
-membership matrix M of the members'
-multiplicities, so ``M @ X_codes`` gives every bucket's integer column
-counts over rows; bins are unions of buckets with equal sketches,
-numbered by first occurrence, counted by one more product.  Counts are
-taken as dense blocks of bounded size and reduced to FreqItems there.
-Every count is the exact integer the rows give, so the candidates are
-those of row-level seeding.
+a CSR block's rows out as one (n, W) block.  Both levels sketch under
+the round's omega with ``cws_signatures``: the keys of each hash are
+ranked once over the positive-weight coordinates, and a row's sketch is
+its least rank, read through the block from one integer rank table.  A
+bucket FreqItem's value at a kept coordinate is (F * omega_t) / F,
+omega_t up to one rounding, and an ICWS key depends on its value only
+through floor(ln v / r + beta), so its sketch under omega is its sketch
+under its own values.  For the same reason a companion is a function of
+its hash and coordinate, and both levels group sketches by their
+coordinates alone.  ``_distinct_rows`` groups equal codes and level-2
+coordinates, and one lexsort groups the band coordinates of all bands;
+buckets form one membership matrix M of the members' multiplicities,
+so ``M @ X_codes`` gives every bucket's integer column counts over
+rows; bins are unions of buckets with equal sketches, numbered by first
+occurrence, counted by one more product.  Counts are taken as dense
+blocks of bounded size and reduced to FreqItems there.  Every count is
+the exact integer the rows give, so the candidates are those of
+row-level seeding.
 
 Lloyd shares the distinct codes with seeding.  Distances are measured
 once per code, against a dense block of the centers' min(omega, c)
@@ -54,7 +58,7 @@ import numpy as np
 from scipy import sparse
 
 from ._rng import derive_seed, keyed_uniform_grid
-from .errors import ConfigError, DataError, InvariantError
+from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
 
@@ -197,15 +201,6 @@ def _icws_keys(values: np.ndarray, r, ln_c, beta):
     return ln_a, t_k.astype(np.int64)
 
 
-def _first_minima(keys: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """(n, len(keys)): per row of ``block`` (column indices into ``keys``) and
-    per key row, the entry holding the row's first minimum key."""
-    win = np.empty((block.shape[0], len(keys)), dtype=np.intp)
-    for h, key in enumerate(keys):
-        win[:, h] = np.argmin(key[block], axis=1)
-    return np.take_along_axis(block, win, axis=1)
-
-
 def cws_signatures(X: sparse.csr_matrix, omega, hash_ids: np.ndarray, seed: int):
     """Sketch every row: (coords, companions), each (n, len(hash_ids)).
 
@@ -217,6 +212,12 @@ def cws_signatures(X: sparse.csr_matrix, omega, hash_ids: np.ndarray, seed: int)
     rows whose effective support is empty get coordinate -1 and
     companion 0.  Ranks are gathered for at most ``SKETCH_BLOCK_CELLS``
     (stored position, row, hash) cells at a time.
+
+    It sketches both seeding levels: the codes, and the bucket FreqItems,
+    whose values are omega up to one rounding.  Seeding reads only the
+    coordinates, since a companion is a function of its hash and
+    coordinate under one omega; the companions are returned for the
+    sketch oracles in the tests and the benchmark's bucket tracer.
     """
     active = np.flatnonzero(omega > 0)
     hashes = np.arange(len(hash_ids))
@@ -242,20 +243,6 @@ def cws_signatures(X: sparse.csr_matrix, omega, hash_ids: np.ndarray, seed: int)
     coords = np.append(active, -1)[order]
     comps = np.take_along_axis(np.pad(t_k, ((0, 0), (0, 1))), order, axis=1)
     return coords.ravel()[least], comps.ravel()[least]
-
-
-def _center_sketches(C: sparse.csr_matrix, hash_ids: np.ndarray, seed: int) -> np.ndarray:
-    """Each row's ICWS sketch under its own values: (coords | companions), (m, 2H).
-
-    One ICWS grid over the columns the rows hold serves every row; the
-    keys of a row's coordinates are its own ICWS keys.
-    """
-    held, at = np.unique(C.indices, return_inverse=True)
-    r, ln_c, shift = _icws_parts(seed, hash_ids, held)
-    ln_a, t_k = _icws_keys(C.data[None, :], r[:, at], ln_c[:, at], shift[:, at])
-    # stored position C.nnz pads every row with a +inf key
-    pos = _first_minima(np.pad(ln_a, ((0, 0), (0, 1)), constant_values=np.inf), _padded(C))
-    return np.concatenate([C.indices[pos], t_k[np.arange(len(hash_ids)), pos]], axis=1)
 
 
 # --- FreqItem centers ---------------------------------------------------------
@@ -346,7 +333,7 @@ def _effective_codes(X: sparse.csr_matrix, omega: np.ndarray):
     return eff[first], inverse, mult
 
 
-def _band_buckets(coords: np.ndarray, comps: np.ndarray, live: np.ndarray, mult: np.ndarray,
+def _band_buckets(coords: np.ndarray, live: np.ndarray, mult: np.ndarray,
                   params: ClusterParams):
     """Group live codes by identical band signatures, per table.
 
@@ -354,8 +341,10 @@ def _band_buckets(coords: np.ndarray, comps: np.ndarray, live: np.ndarray, mult:
     members' multiplicities: one row per group of at least two rows (a
     lone code of multiplicity two is a bucket), in (table, band,
     signature) order, members ascending.  A signature is the band's
-    coordinates, then its companions, ordered as their little-endian
-    bytes compare: each value is byte-swapped and read as a uint64.
+    coordinates, ordered as their little-endian bytes compare: each value
+    is byte-swapped and read as a uint64.  Under one omega a companion is
+    a function of its hash and coordinate, so equal coordinates are equal
+    sketches.
     Bands are sorted together, by one stable lexsort over band-major
     entries, in groups of at most ``BAND_BLOCK_ENTRIES`` entries.
     """
@@ -370,9 +359,8 @@ def _band_buckets(coords: np.ndarray, comps: np.ndarray, live: np.ndarray, mult:
         count = min(step, bands - lo)
         hashes = slice(lo * rows, (lo + count) * rows)
         # each signature column as one band-major key array, in signature order
-        parts = [np.asarray(a[live, hashes], dtype=np.int64).byteswap().view(np.uint64).T
-                 for a in (coords, comps)]
-        block = [part[r::rows].ravel() for part in parts for r in range(rows)]
+        part = np.asarray(coords[live, hashes], dtype=np.int64).byteswap().view(np.uint64).T
+        block = [part[r::rows].ravel() for r in range(rows)]
         band = np.repeat(np.arange(count), size)
         order = np.lexsort(block[::-1] + [band])
         # every band holds `size` entries, so bands start at multiples of it
@@ -405,9 +393,12 @@ def _bin_candidates(
     """FreqItem candidates of the ``cap`` largest level-2 bins, one CSR row
     each, and their row counts.
 
-    Each bucket's FreqItem is sketched with the ``hash_ids`` band, and
-    buckets whose sketches agree merge into one bin holding the union of
-    their members.  ``X`` holds the codes, ``mult`` their multiplicities
+    Each bucket's FreqItem is sketched with the ``hash_ids`` band by
+    ``cws_signatures`` under omega: its values are omega up to one
+    rounding, which leaves every key's floor, and so the sketch, as under
+    its own values unless that floor sits within a rounding of an
+    integer.  Buckets whose sketch coordinates agree merge into one bin
+    holding the union of their members.  ``X`` holds the codes, ``mult`` their multiplicities
     and ``buckets`` the members' multiplicities, so every count and size
     is over rows.  Bins are ordered by first occurrence, then stably by
     decreasing size.
@@ -417,10 +408,8 @@ def _bin_candidates(
     buckets, C = buckets[live], C[live]
     if buckets.shape[0] == 0:
         return C, np.zeros(0, dtype=np.int64)
-    if not np.all(np.isfinite(C.data) & (C.data > 0)):
-        raise InvariantError("bucket center values must be finite and positive")
-
-    first, inverse, _ = _distinct_rows(_center_sketches(C, hash_ids, seed))
+    coords, _ = cws_signatures(C, omega, hash_ids, seed)
+    first, inverse, _ = _distinct_rows(coords)
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
     union = _indicator(rank[inverse], first.size) @ buckets
@@ -471,13 +460,13 @@ def silk_seed(
     rng = np.random.default_rng(derive_seed(params.seed, "silk"))
     codes, inverse, mult = _effective_codes(X, omega) if effective is None else effective
     level1 = params.lsh_tables * params.lsh_bands * params.lsh_rows
-    coords, comps = cws_signatures(codes, omega, np.arange(level1, dtype=np.int64), params.seed)
+    coords, _ = cws_signatures(codes, omega, np.arange(level1, dtype=np.int64), params.seed)
     live = coords[:, 0] >= 0
     if not np.any(live):
         raise DataError("all rows have empty effective support")
 
-    buckets = _band_buckets(coords, comps, live, mult, params)
-    del coords, comps  # only the buckets read them; free them before the level-2 counts
+    buckets = _band_buckets(coords, live, mult, params)
+    del coords  # only the buckets read them; free them before the level-2 counts
 
     # Level 2: sketch each bucket's FreqItem with a short hash band and
     # merge buckets whose signatures agree.  A band, not a single hash:

@@ -22,9 +22,12 @@ from wise.wkfreq import (
 )
 from wise._rng import derive_seed
 from wise.bep import encode_table
-from wise.pipeline import PipelineConfig, lift_weights, make_views, one_hot_records
+from wise.cli import build_config
+from wise.pipeline import (PipelineConfig, lift_weights, make_views, one_hot_records, stage_one,
+                           stage_two)
 from wise.synth import SynthParams, synth_table
 from test_acceptance import GATE_SEED
+from test_golden import DEEP_SENSE_SETS
 from helpers import (
     SparseWeightedVector,
     assert_same_centers,
@@ -392,6 +395,8 @@ def test_band_buckets_match_per_band_reference(monkeypatch, block_entries):
     # Signatures are drawn from a few shared values per band, so buckets
     # form; coordinates reach 70,000 and companions are negative or beyond
     # 2^20, where the order of little-endian bytes is not numeric order.
+    # Each companion comes from a per-(hash, coordinate) table, as under one
+    # round's weights, so _band_buckets sees the coordinates alone.
     monkeypatch.setattr(wkfreq, "BAND_BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(29)
     params = ClusterParams(k=2)
@@ -403,17 +408,18 @@ def test_band_buckets_match_per_band_reference(monkeypatch, block_entries):
         n = int(rng.integers(1, 120))
         pool = int(rng.integers(1, 6))
         shared_c = rng.choice(np.r_[edge_coords, rng.integers(0, 70001, 8)], (bands, pool, rows))
-        shared_t = rng.choice(np.r_[edge_comps, rng.integers(-2**21, 2**21, 8)], (bands, pool, rows))
         pick = rng.integers(0, pool, (n, bands))
         coords = shared_c[np.arange(bands), pick].reshape(n, bands * rows)
-        comps = shared_t[np.arange(bands), pick].reshape(n, bands * rows)
         own = rng.random((n, bands)) < 0.3
         coords[np.repeat(own, rows, axis=1)] = rng.integers(0, 70001, own.sum() * rows)
-        comps[np.repeat(own, rows, axis=1)] = rng.integers(-2**21, 2**21, own.sum() * rows)
+        held, at = np.unique(coords, return_inverse=True)
+        table = rng.choice(np.r_[edge_comps, rng.integers(-2**21, 2**21, 8)],
+                           (bands * rows, held.size))
+        comps = table[np.arange(bands * rows), at.reshape(coords.shape)]
         live = rng.random(n) < 0.85
         coords[~live], comps[~live] = -1, 0
         mult = rng.choice([1, 1, 1, 2, 5], n)
-        got = wkfreq._band_buckets(coords, comps, live, mult, params)
+        got = wkfreq._band_buckets(coords, live, mult, params)
         want = reference_band_buckets(coords, comps, live, mult, params)
         assert got.shape == want.shape
         assert np.array_equal(got.indptr, want.indptr)
@@ -425,6 +431,48 @@ def test_band_buckets_match_per_band_reference(monkeypatch, block_entries):
         seen["wide"] += int(np.sum(coords[live] >= 256))
         seen["negative"] += int(np.sum(comps[live] < 0))
         seen["large"] += int(np.sum(np.abs(comps[live]) > 2**20))
+    assert min(seen.values()) > 0, seen
+
+
+def test_round_sketches_depend_on_coordinates_alone(monkeypatch):
+    # Every round of the deep-sense golden table (synth n=400, seed 4) and of
+    # the default n=1500 seed-6 table.  A round's codes share one omega, so a
+    # level-1 companion is a function of its hash and coordinate, and a bucket
+    # FreqItem's value (F * omega_t) / F is omega_t up to one rounding: its
+    # sketch under omega is its sketch under its own values.
+    calls = []
+
+    def recording(X, omega, hash_ids, seed):
+        out = cws_signatures(X, omega, hash_ids, seed)
+        calls.append((X, omega, hash_ids, seed, out))
+        return out
+
+    monkeypatch.setattr(wkfreq, "cws_signatures", recording)
+    for n, seed, config in [(400, 4, build_config(DEEP_SENSE_SETS)), (1500, 6, PipelineConfig())]:
+        table, _ = synth_table(SynthParams(n=n, seed=seed))
+        views = make_views(table, config, workers=1)
+        stage_two(stage_one(encode_table(table, config.bep), views, config, workers=1), config)
+    level1 = ClusterParams.lsh_tables * ClusterParams.lsh_bands * ClusterParams.lsh_rows
+    seen = {"rounds": 0, "centers": 0, "values off omega": 0}
+    for X, omega, hash_ids, seed, (coords, comps) in calls:
+        if hash_ids.size == level1:
+            seen["rounds"] += 1
+            live = coords[:, 0] >= 0
+            hashes = np.broadcast_to(np.arange(level1), coords.shape)[live]
+            pairs = np.unique(np.stack([hashes, coords[live]], axis=-1).reshape(-1, 2), axis=0)
+            triples = np.unique(np.stack([hashes, coords[live], comps[live]], axis=-1)
+                                .reshape(-1, 3), axis=0)
+            assert len(pairs) == len(triples)
+            continue
+        seen["centers"] += X.shape[0]
+        seen["values off omega"] += int(np.sum(X.data != omega[X.indices]))
+        for i in range(X.shape[0]):
+            lo, hi = X.indptr[i], X.indptr[i + 1]
+            c, t = cws_sketch(SparseWeightedVector(X.indices[lo:hi].astype(np.int64),
+                                                   X.data[lo:hi]), hash_ids, seed)
+            assert np.array_equal(coords[i], c)
+            assert np.array_equal(comps[i], t)
+    assert seen["rounds"] == 8 + 24 + 2
     assert min(seen.values()) > 0, seen
 
 
