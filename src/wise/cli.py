@@ -22,21 +22,12 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .bep import dump_bep, encode_table
-from .data_model import MixedTable, load_table
+from .data_model import load_table
 from .dfi import compute_explanations, faithfulness_eval, global_ranking
 from .errors import ConfigError, DataError, InvariantError
 from .lofo import FeatureWeightVector, check_simplex, views_matrix
 from .metrics import evaluate
-from .pipeline import (
-    ABLATIONS,
-    DEFAULT_SEED,
-    PipelineConfig,
-    make_views,
-    run_wise,
-    stage_one,
-    stage_pool,
-    stage_two,
-)
+from .pipeline import ABLATIONS, DEFAULT_SEED, PipelineConfig, cluster_table, make_views, run_wise
 from .synth import SynthParams, write_synth
 
 log = logging.getLogger(__name__)
@@ -116,7 +107,7 @@ def load_config(path, overrides, seed_flag) -> PipelineConfig:
     entries = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file {path} not found") from None
@@ -150,11 +141,6 @@ def _workers(args) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _load_input(args) -> tuple[MixedTable, list | None]:
-    truth = getattr(args, "truth_column", None)
-    return load_table(args.data, args.schema, truth_column=truth)
-
-
 def _write_json(path, obj) -> None:
     """Indented UTF-8 JSON plus a newline.  A NaN or infinity raises before
     the file is opened, so no file that is not JSON gets written."""
@@ -163,31 +149,37 @@ def _write_json(path, obj) -> None:
         fh.write(text + "\n")
 
 
-def write_labels(path, labels, row_ids=None) -> None:
-    """One line per row: its source data-row index (default 0..n-1) and label."""
-    if row_ids is None:
-        row_ids = range(len(labels))
+def _write_stage_file(path, head: list[list], rows) -> None:
+    """A stage file: the ``head`` lines, then ``rows`` (an iterable of cell
+    lists), written as they come."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["row_index", "cluster_id"])
-        for i, c in zip(row_ids, labels):
-            writer.writerow([int(i), int(c)])
+        writer.writerows(head)
+        writer.writerows(rows)
 
 
-def _read_int_rows(path, reader, width: int, row_ids) -> np.ndarray:
-    """The reader's remaining lines as an int64 array of ``width`` columns.
+def _read_stage_file(path, head: int) -> tuple[list[list[str]], list[tuple[int, list[str]]]]:
+    """A stage file's first ``head`` lines (a missing one is empty) and its
+    remaining lines, each with its line number.  A leading byte-order mark
+    is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        lines = [next(reader, None) or [] for _ in range(head)]
+        return lines, [(reader.line_num, row) for row in reader]
 
-    Given ``row_ids``, the first column (row_index) must equal them.
-    """
-    rows = []
-    for row in reader:
+
+def _int_rows(path, body, width: int, row_ids) -> np.ndarray:
+    """Body lines as an int64 array of ``width`` columns; given ``row_ids``,
+    the first column (row_index) must equal them."""
+    for line, row in body:
         if len(row) != width:
-            raise DataError(f"{path} line {reader.line_num}: expected {width} cells, got {len(row)}")
-        rows.append(row)
-    if not rows:
+            raise DataError(f"{path} line {line}: expected {width} cells, got {len(row)}")
+    if not body:
         raise DataError(f"{path}: no rows")
+    data = np.empty((len(body), width), dtype=np.int64)
     try:
-        data = np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
+        for i, (_, row) in enumerate(body):
+            data[i] = [int(x) for x in row]
     except (ValueError, OverflowError) as exc:
         raise DataError(f"{path}: expected integer cells ({exc})") from None
     if row_ids is not None and not np.array_equal(data[:, 0], row_ids):
@@ -195,57 +187,55 @@ def _read_int_rows(path, reader, width: int, row_ids) -> np.ndarray:
     return data
 
 
+def write_labels(path, labels, row_ids=None) -> None:
+    """One line per row: its source data-row index (default 0..n-1) and label."""
+    if row_ids is None:
+        row_ids = range(len(labels))
+    _write_stage_file(path, [["row_index", "cluster_id"]],
+                      ([int(i), int(c)] for i, c in zip(row_ids, labels)))
+
+
 def read_labels(path, row_ids=None) -> np.ndarray:
     """Cluster ids in file order; given ``row_ids``, the row_index column must equal them."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["row_index", "cluster_id"]:
-            raise DataError(f"{path}: expected header row_index,cluster_id")
-        data = _read_int_rows(path, reader, 2, row_ids)
-    labels = data[:, 1]
+    (header,), body = _read_stage_file(path, 1)
+    if header != ["row_index", "cluster_id"]:
+        raise DataError(f"{path}: expected header row_index,cluster_id")
+    labels = _int_rows(path, body, 2, row_ids)[:, 1]
     if labels.min() < 0 or labels.max() >= labels.size:
         raise DataError(f"{path}: cluster_id must lie in 0..{labels.size - 1}")
     return labels
 
 
 def write_views(path, views: list[FeatureWeightVector], names: list[str]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target", "rank", "tree", "quality"] + names)
-        for v in views:
-            writer.writerow(
-                [names[v.target], v.rank, v.tree, repr(float(v.quality))]
-                + [repr(float(x)) for x in v.w]
-            )
+    _write_stage_file(path, [["target", "rank", "tree", "quality"] + names],
+                      ([names[v.target], v.rank, v.tree, repr(float(v.quality))]
+                       + [repr(float(x)) for x in v.w] for v in views))
 
 
 def read_views(path, names: list[str]) -> list[FeatureWeightVector]:
     index = {name: j for j, name in enumerate(names)}
+    (header,), body = _read_stage_file(path, 1)
+    if header[:4] != ["target", "rank", "tree", "quality"]:
+        raise DataError(f"{path}: expected a weights dump header")
+    if header[4:] != names:
+        raise DataError(f"{path}: weight columns do not match the schema")
     views = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:4] != ["target", "rank", "tree", "quality"]:
-            raise DataError(f"{path}: expected a weights dump header")
-        if header[4:] != names:
-            raise DataError(f"{path}: weight columns do not match the schema")
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(row) != len(header) or row[0] not in index:
-                raise DataError(f"{where}: expected {len(header)} cells led by a column name")
-            try:
-                views.append(
-                    FeatureWeightVector(
-                        w=np.array([float(x) for x in row[4:]]),
-                        target=index[row[0]],
-                        tree=int(row[2]),
-                        quality=float(row[3]),
-                        rank=int(row[1]),
-                    )
+    for line, row in body:
+        where = f"{path} line {line}"
+        if len(row) != len(header) or row[0] not in index:
+            raise DataError(f"{where}: expected {len(header)} cells led by a column name")
+        try:
+            views.append(
+                FeatureWeightVector(
+                    w=np.array([float(x) for x in row[4:]]),
+                    target=index[row[0]],
+                    tree=int(row[2]),
+                    quality=float(row[3]),
+                    rank=int(row[1]),
                 )
-            except ValueError as exc:
-                raise DataError(f"{where}: {exc}") from None
+            )
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from None
     if not views:
         raise DataError(f"{path}: no weight vectors")
     check_simplex(views)
@@ -256,28 +246,20 @@ def write_records(path, L: np.ndarray, k0: int, row_ids=None) -> None:
     """The record matrix, one line per row led by its source data-row index."""
     if row_ids is None:
         row_ids = range(L.shape[0])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k0", k0])
-        writer.writerow(["row_index"] + [f"round_{r}" for r in range(L.shape[1])])
-        for i, row in zip(row_ids, L):
-            writer.writerow([int(i)] + [int(x) for x in row])
+    _write_stage_file(path, [["k0", k0], ["row_index"] + [f"round_{r}" for r in range(L.shape[1])]],
+                      ([int(i)] + [int(x) for x in row] for i, row in zip(row_ids, L)))
 
 
 def read_records(path, row_ids=None) -> tuple[np.ndarray, int]:
     """Record matrix and k0; given ``row_ids``, the row_index column must equal them."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None) or []
-        header = next(reader, None) or []
-        if len(first) != 2 or first[0] != "k0" or len(header) < 2 or header[0] != "row_index":
-            raise DataError(f"{path}: expected a record-matrix dump")
-        try:
-            k0 = int(first[1])
-        except ValueError:
-            raise DataError(f"{path}: k0 must be an integer, got {first[1]!r}") from None
-        data = _read_int_rows(path, reader, len(header), row_ids)
-    L = data[:, 1:]
+    (first, header), body = _read_stage_file(path, 2)
+    if len(first) != 2 or first[0] != "k0" or len(header) < 2 or header[0] != "row_index":
+        raise DataError(f"{path}: expected a record-matrix dump")
+    try:
+        k0 = int(first[1])
+    except ValueError:
+        raise DataError(f"{path}: k0 must be an integer, got {first[1]!r}") from None
+    L = _int_rows(path, body, len(header), row_ids)[:, 1:]
     if L.min() < 0 or L.max() >= k0:
         raise DataError(f"{path}: records must lie in 0..k0-1 (k0={k0})")
     return L, k0
@@ -323,7 +305,7 @@ def cmd_run(args) -> int:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
     workers = _workers(args)
     print(f"seed {cfg.seed}, {workers} workers, ablation {args.ablation}")
-    table, truth = _load_input(args)
+    table, truth = load_table(args.data, args.schema, truth_column=args.truth_column)
     if args.faithfulness and args.top_q > table.d:
         raise ConfigError(f"--top-q {args.top_q} exceeds the table's {table.d} features")
     result = run_wise(table, cfg, ablation=args.ablation, workers=workers)
@@ -372,7 +354,7 @@ def cmd_run(args) -> int:
 
 def cmd_encode(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
-    table, _ = _load_input(args)
+    table, _ = load_table(args.data, args.schema, truth_column=args.truth_column)
     bepm = encode_table(table, cfg.bep)
     dump_bep(bepm, args.out)
     print(f"{bepm.n} rows x {bepm.p} bits -> {args.out}")
@@ -381,7 +363,7 @@ def cmd_encode(args) -> int:
 
 def cmd_sense(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
-    table, _ = _load_input(args)
+    table, _ = load_table(args.data, args.schema, truth_column=args.truth_column)
     views = make_views(table, cfg, ablation=args.ablation, workers=_workers(args))
     write_views(args.out, views, [c.name for c in table.schema])
     print(f"{len(views)} weight vectors -> {args.out}")
@@ -390,18 +372,11 @@ def cmd_sense(args) -> int:
 
 def cmd_cluster(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
-    table, _ = _load_input(args)
-    names = [c.name for c in table.schema]
-    bepm = encode_table(table, cfg.bep)
-    workers = _workers(args)
-    views = read_views(args.weights, names) if args.weights is not None else None
-    rounds = table.d * cfg.qd.m if views is None else len(views)
-    with stage_pool(bepm, rounds, workers) as pool:
-        if views is None:
-            views = make_views(table, cfg, ablation=args.ablation or "uniform", workers=workers,
-                               pool=pool)
-        L = stage_one(bepm, views, cfg, workers, pool)
-    y = stage_two(L, cfg)
+    table, _ = load_table(args.data, args.schema, truth_column=args.truth_column)
+    views = None
+    if args.weights is not None:
+        views = read_views(args.weights, [c.name for c in table.schema])
+    _, L, y = cluster_table(table, cfg, views, args.ablation or "uniform", _workers(args))
     os.makedirs(args.out, exist_ok=True)
     write_records(os.path.join(args.out, "records.csv"), L, cfg.k0, table.row_ids)
     write_labels(os.path.join(args.out, "labels.csv"), y, table.row_ids)
@@ -411,7 +386,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_explain(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
-    table, _ = _load_input(args)
+    table, _ = load_table(args.data, args.schema, truth_column=args.truth_column)
     names = [c.name for c in table.schema]
     L, k0 = read_records(args.records, table.row_ids)
     y = read_labels(args.labels, table.row_ids)
@@ -429,7 +404,7 @@ def cmd_explain(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, args.set, args.seed)
-    table, truth = _load_input(args)
+    table, truth = load_table(args.data, args.schema, truth_column=args.truth_column)
     y = read_labels(args.labels, table.row_ids)
     metrics = evaluate(table, y, truth, seed=cfg.seed)
     _write_json(args.out, metrics)

@@ -7,9 +7,10 @@ the final K groups, and derive all explanations from the label
 frequencies.  Every stage seeds itself from (master seed, stage tag,
 index), so results are identical for any worker-pool size.
 
-Sensing and stage one map over one worker pool per run (``stage_pool``).
-It forks at the first map, with the bit matrix and the design matrix in
-place, and is shut down before stage two, which runs in this process.
+Sensing and stage one map over one worker pool per run, which
+``cluster_table`` opens.  It forks at the first map, with the bit matrix
+and the design matrix in place, and is shut down before stage two, which
+runs in this process.
 """
 
 from __future__ import annotations
@@ -128,13 +129,6 @@ def make_views(
     )
 
 
-def stage_pool(bep: BepMatrix, rounds: int, workers: int):
-    """The pool that sensing and stage one of a run share (``open_pool``):
-    at most one process per round, as sensing has at most d <= rounds
-    tasks, and the bit matrix in place before it forks."""
-    return open_pool(min(workers, rounds), bits=bep.matrix)
-
-
 def _run_round(shared, task) -> np.ndarray:
     omega, params = task
     return cluster(shared["bits"], params, weights=omega).labels
@@ -184,19 +178,38 @@ def stage_two(L: np.ndarray, config: PipelineConfig) -> np.ndarray:
     return cluster(one_hot_records(L, config.k0), params, weights=None).labels
 
 
+def cluster_table(
+    table: MixedTable,
+    config: PipelineConfig,
+    views: list[FeatureWeightVector] | None = None,
+    ablation: str = "none",
+    workers: int = 1,
+) -> tuple[list[FeatureWeightVector], np.ndarray, np.ndarray]:
+    """Encode, sense (unless ``views`` are given), round clusterings, final
+    clustering: the views, the record matrix L and the final labels.
+
+    Sensing and stage one share one pool of at most one process per round
+    (sensing has at most d <= rounds tasks), which forks with the bit
+    matrix in place.
+    """
+    bep = encode_table(table, config.bep)
+    rounds = table.d * config.qd.m if views is None else len(views)
+    with open_pool(min(workers, rounds), bits=bep.matrix) as pool:
+        if views is None:
+            views = make_views(table, config, ablation, workers=workers, pool=pool)
+        L = stage_one(bep, views, config, workers, pool)
+    return views, L, stage_two(L, config)
+
+
 def run_wise(
     table: MixedTable,
     config: PipelineConfig,
     ablation: str = "none",
     workers: int = 1,
 ) -> WiseResult:
-    """Full run: encode, sense views, round clusterings, final clustering,
-    explanations.  Pure function of (table, config, ablation)."""
-    bep = encode_table(table, config.bep)
-    with stage_pool(bep, table.d * config.qd.m, workers) as pool:
-        views = make_views(table, config, ablation, workers, pool)
-        L = stage_one(bep, views, config, workers, pool)
-    y = stage_two(L, config)
+    """Full run: ``cluster_table``, then explanations.  Pure function of
+    (table, config, ablation)."""
+    views, L, y = cluster_table(table, config, ablation=ablation, workers=workers)
     explanations = compute_explanations(
         L, y, views_matrix(views), config.K, config.k0, config.eps,
     )

@@ -404,8 +404,6 @@ def _bin_candidates(
     decreasing size.
     """
     C = _group_freqitems(buckets, X, omega, beta)
-    live = np.diff(C.indptr) > 0
-    buckets, C = buckets[live], C[live]
     if buckets.shape[0] == 0:
         return C, np.zeros(0, dtype=np.int64)
     coords, _ = cws_signatures(C, omega, hash_ids, seed)
@@ -453,7 +451,7 @@ def silk_seed(
 
     ``effective`` is ``_effective_codes(X, omega)`` when the caller has it.
     """
-    n, p = X.shape
+    n = X.shape[0]
     k = params.k
     if n < k:
         raise DataError(f"need at least k={k} rows, got {n}")

@@ -157,6 +157,39 @@ def test_records_file_round_trip(tmp_path):
         cli.read_records(path)
 
 
+def _records(path):
+    L, k0 = cli.read_records(path)
+    return L.tolist(), k0
+
+
+def _views(path):
+    return [(v.w.tolist(), v.target, v.tree, v.quality, v.rank)
+            for v in cli.read_views(path, ["a", "b"])]
+
+
+BOM_FILES = {   # file -> (writer, reader of a comparable value)
+    "labels.csv": (lambda path: cli.write_labels(path, np.array([1, 0])),
+                   lambda path: cli.read_labels(path).tolist()),
+    "records.csv": (lambda path: cli.write_records(path, np.array([[0, 2], [1, 1]]), k0=3),
+                    _records),
+    "weights.csv": (lambda path: cli.write_views(path, [FeatureWeightVector(
+                        w=np.array([0.25, 0.75]), target=1, tree=2, quality=0.5, rank=0)],
+                        ["a", "b"]),
+                    _views),
+    "config.json": (lambda path: path.write_text(json.dumps({"K": 4, "α0": 0.3})),
+                    lambda path: cli.load_config(path, None, None)),
+}
+
+
+@pytest.mark.parametrize("name", list(BOM_FILES))
+def test_input_files_read_the_same_with_a_byte_order_mark(tmp_path, name):
+    write, read = BOM_FILES[name]
+    plain, marked = tmp_path / name, tmp_path / ("bom-" + name)
+    write(plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read(marked) == read(plain)
+
+
 def synth_dataset(tmp_path, n=200):
     out = tmp_path / "data"
     assert cli.main(["synth", "--out", str(out), "--n", str(n), "--seed", "5"]) == 0
@@ -267,13 +300,13 @@ def test_stagewise_commands_compose(tmp_path):
 def test_cluster_command_senses_with_workers(tmp_path, monkeypatch):
     csv_path, schema_path = synth_dataset(tmp_path)
     seen = []
-    make_views = cli.make_views
+    make_views = pipeline.make_views
 
     def spy(*args, **kwargs):
         seen.append(kwargs.get("workers", 1))
         return make_views(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "make_views", spy)
+    monkeypatch.setattr(pipeline, "make_views", spy)
     assert cli.main(
         ["cluster", "--data", str(csv_path), "--schema", str(schema_path),
          "--truth-column", "label", "--ablation", "none", "--out", str(tmp_path / "c"),

@@ -120,3 +120,32 @@ def test_default_config_rounds_match_golden_digests(default_views):
         "labels": digest(np.ascontiguousarray(stage_two(L, config), dtype=np.int64).tobytes()),
     }
     assert got == DEFAULT_ROUNDS_DIGESTS
+
+
+# `wise sense`, then `wise cluster --weights` on its weights, then
+# `wise cluster --ablation gaussian`, each with `--workers 2 --set m=1`, on
+# the n=700 CSV of synth seed 3, per output file
+STAGED_DIGESTS = {
+    "weights.csv": "e5dcc238b85c62ec1e8ef73e1150c6c5",
+    "weighted/records.csv": "a490f33cd0b83d86d1cb2cc2fe19b8e5",
+    "weighted/labels.csv": "af49405c0302992c0aed6ead9674c495",
+    "gaussian/records.csv": "6ee12ce2a8483a297148b31576de537d",
+    "gaussian/labels.csv": "4f2c10fe044a2bad2919f6258464b8a4",
+}
+
+
+def test_staged_cli_outputs_match_golden_digests(tmp_path):
+    csv_path, schema_path = tmp_path / "data.csv", tmp_path / "schema.json"
+    write_synth(SynthParams(n=700, seed=3), csv_path, schema_path)
+    common = ["--data", str(csv_path), "--schema", str(schema_path), "--truth-column", "label",
+              "--workers", "2", "--set", "m=1"]
+    out = tmp_path / "out"
+    weights = out / "weights.csv"
+    out.mkdir()
+    assert cli.main(["sense"] + common + ["--out", str(weights)]) == 0
+    assert cli.main(["cluster"] + common + ["--weights", str(weights),
+                                            "--out", str(out / "weighted")]) == 0
+    assert cli.main(["cluster"] + common + ["--ablation", "gaussian",
+                                            "--out", str(out / "gaussian")]) == 0
+    got = {name: digest((out / name).read_bytes()) for name in STAGED_DIGESTS}
+    assert got == STAGED_DIGESTS

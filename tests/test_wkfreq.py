@@ -465,6 +465,9 @@ def test_round_sketches_depend_on_coordinates_alone(monkeypatch):
             assert len(pairs) == len(triples)
             continue
         seen["centers"] += X.shape[0]
+        # every bucket member is a live code, so every bucket FreqItem
+        # keeps at least its peak coordinate
+        assert np.all(np.diff(X.indptr) > 0)
         seen["values off omega"] += int(np.sum(X.data != omega[X.indices]))
         for i in range(X.shape[0]):
             lo, hi = X.indptr[i], X.indptr[i + 1]
