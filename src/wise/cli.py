@@ -12,7 +12,9 @@ invariant violation or unexpected failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import logging
 import os
@@ -158,30 +160,48 @@ def _write_stage_file(path, head: list[list], rows) -> None:
         writer.writerows(rows)
 
 
-def _read_stage_file(path, head: int) -> tuple[list[list[str]], list[tuple[int, list[str]]]]:
-    """A stage file's first ``head`` lines (a missing one is empty) and its
-    remaining lines, each with its line number.  A leading byte-order mark
-    is skipped."""
+@contextlib.contextmanager
+def _read_stage_file(path, head: int):
+    """A stage file opened for reading: its first ``head`` lines (a missing
+    one is empty) and an iterator over its remaining lines, each with its
+    line number, read as the iterator goes.  A leading byte-order mark is
+    skipped."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         lines = [next(reader, None) or [] for _ in range(head)]
-        return lines, [(reader.line_num, row) for row in reader]
+        yield lines, ((reader.line_num, row) for row in reader)
+
+
+# body lines typed per block by _int_rows
+_TYPE_BLOCK_LINES = 1 << 12
 
 
 def _int_rows(path, body, width: int, row_ids) -> np.ndarray:
     """Body lines as an int64 array of ``width`` columns; given ``row_ids``,
-    the first column (row_index) must equal them."""
-    for line, row in body:
-        if len(row) != width:
-            raise DataError(f"{path} line {line}: expected {width} cells, got {len(row)}")
-    if not body:
+    the first column (row_index) must equal them.
+
+    The lines are typed in blocks of ``_TYPE_BLOCK_LINES`` straight into
+    one array, preallocated for the file's line count, so no more than a
+    block of lines is held as strings.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        capacity = sum(1 for _ in fh)   # lines end as the reader's do, at \n, \r or \r\n
+    data = np.empty((capacity, width), dtype=np.int64)
+    count = 0
+    while block := list(itertools.islice(body, _TYPE_BLOCK_LINES)):
+        for line, row in block:
+            if len(row) != width:
+                raise DataError(f"{path} line {line}: expected {width} cells, got {len(row)}")
+        try:
+            data[count:count + len(block)] = np.fromiter(
+                map(int, itertools.chain.from_iterable(row for _, row in block)),
+                dtype=np.int64, count=len(block) * width).reshape(len(block), width)
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: expected integer cells ({exc})") from None
+        count += len(block)
+    if not count:
         raise DataError(f"{path}: no rows")
-    data = np.empty((len(body), width), dtype=np.int64)
-    try:
-        for i, (_, row) in enumerate(body):
-            data[i] = [int(x) for x in row]
-    except (ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: expected integer cells ({exc})") from None
+    data = data[:count]
     if row_ids is not None and not np.array_equal(data[:, 0], row_ids):
         raise DataError(f"{path}: row_index does not name the {len(row_ids)} rows of the table")
     return data
@@ -197,10 +217,10 @@ def write_labels(path, labels, row_ids=None) -> None:
 
 def read_labels(path, row_ids=None) -> np.ndarray:
     """Cluster ids in file order; given ``row_ids``, the row_index column must equal them."""
-    (header,), body = _read_stage_file(path, 1)
-    if header != ["row_index", "cluster_id"]:
-        raise DataError(f"{path}: expected header row_index,cluster_id")
-    labels = _int_rows(path, body, 2, row_ids)[:, 1]
+    with _read_stage_file(path, 1) as ((header,), body):
+        if header != ["row_index", "cluster_id"]:
+            raise DataError(f"{path}: expected header row_index,cluster_id")
+        labels = _int_rows(path, body, 2, row_ids)[:, 1]
     if labels.min() < 0 or labels.max() >= labels.size:
         raise DataError(f"{path}: cluster_id must lie in 0..{labels.size - 1}")
     return labels
@@ -214,28 +234,28 @@ def write_views(path, views: list[FeatureWeightVector], names: list[str]) -> Non
 
 def read_views(path, names: list[str]) -> list[FeatureWeightVector]:
     index = {name: j for j, name in enumerate(names)}
-    (header,), body = _read_stage_file(path, 1)
-    if header[:4] != ["target", "rank", "tree", "quality"]:
-        raise DataError(f"{path}: expected a weights dump header")
-    if header[4:] != names:
-        raise DataError(f"{path}: weight columns do not match the schema")
     views = []
-    for line, row in body:
-        where = f"{path} line {line}"
-        if len(row) != len(header) or row[0] not in index:
-            raise DataError(f"{where}: expected {len(header)} cells led by a column name")
-        try:
-            views.append(
-                FeatureWeightVector(
-                    w=np.array([float(x) for x in row[4:]]),
-                    target=index[row[0]],
-                    tree=int(row[2]),
-                    quality=float(row[3]),
-                    rank=int(row[1]),
+    with _read_stage_file(path, 1) as ((header,), body):
+        if header[:4] != ["target", "rank", "tree", "quality"]:
+            raise DataError(f"{path}: expected a weights dump header")
+        if header[4:] != names:
+            raise DataError(f"{path}: weight columns do not match the schema")
+        for line, row in body:
+            where = f"{path} line {line}"
+            if len(row) != len(header) or row[0] not in index:
+                raise DataError(f"{where}: expected {len(header)} cells led by a column name")
+            try:
+                views.append(
+                    FeatureWeightVector(
+                        w=np.array([float(x) for x in row[4:]]),
+                        target=index[row[0]],
+                        tree=int(row[2]),
+                        quality=float(row[3]),
+                        rank=int(row[1]),
+                    )
                 )
-            )
-        except ValueError as exc:
-            raise DataError(f"{where}: {exc}") from None
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from None
     if not views:
         raise DataError(f"{path}: no weight vectors")
     check_simplex(views)
@@ -252,14 +272,14 @@ def write_records(path, L: np.ndarray, k0: int, row_ids=None) -> None:
 
 def read_records(path, row_ids=None) -> tuple[np.ndarray, int]:
     """Record matrix and k0; given ``row_ids``, the row_index column must equal them."""
-    (first, header), body = _read_stage_file(path, 2)
-    if len(first) != 2 or first[0] != "k0" or len(header) < 2 or header[0] != "row_index":
-        raise DataError(f"{path}: expected a record-matrix dump")
-    try:
-        k0 = int(first[1])
-    except ValueError:
-        raise DataError(f"{path}: k0 must be an integer, got {first[1]!r}") from None
-    L = _int_rows(path, body, len(header), row_ids)[:, 1:]
+    with _read_stage_file(path, 2) as ((first, header), body):
+        if len(first) != 2 or first[0] != "k0" or len(header) < 2 or header[0] != "row_index":
+            raise DataError(f"{path}: expected a record-matrix dump")
+        try:
+            k0 = int(first[1])
+        except ValueError:
+            raise DataError(f"{path}: k0 must be an integer, got {first[1]!r}") from None
+        L = _int_rows(path, body, len(header), row_ids)[:, 1:]
     if L.min() < 0 or L.max() >= k0:
         raise DataError(f"{path}: records must lie in 0..k0-1 (k0={k0})")
     return L, k0

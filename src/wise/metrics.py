@@ -17,14 +17,29 @@ from .data_model import MixedTable, unit_column
 from .errors import DataError
 
 
+# integer label arrays of at most this many entries are tabled in Python,
+# where numpy's per-call costs would outweigh the counting
+SMALL_LABELS = 128
+
+
 def contingency(y_pred, y_true) -> np.ndarray:
-    """K_pred x K_true counts of label pairs."""
+    """K_pred x K_true counts of label pairs, rows and columns in sorted
+    label order."""
     y_pred = np.asarray(y_pred)
     y_true = np.asarray(y_true)
     if y_pred.shape != y_true.shape or y_pred.ndim != 1:
         raise DataError(f"label shapes differ: {y_pred.shape} vs {y_true.shape}")
     if y_pred.size == 0:
         raise DataError("empty label arrays")
+    if y_pred.size <= SMALL_LABELS and y_pred.dtype.kind in "biu" and y_true.dtype.kind in "biu":
+        pred, true = y_pred.tolist(), y_true.tolist()
+        row = {v: i for i, v in enumerate(sorted(set(pred)))}
+        col = {v: i for i, v in enumerate(sorted(set(true)))}
+        width = len(col)
+        flat = [0] * (len(row) * width)
+        for u, v in zip(pred, true):
+            flat[row[u] * width + col[v]] += 1
+        return np.array(flat, dtype=np.int64).reshape(len(row), width)
     # np.unique sorts, so rows and columns follow sorted label order
     rows, pi = np.unique(y_pred, return_inverse=True)
     cols, ti = np.unique(y_true, return_inverse=True)

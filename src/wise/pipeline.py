@@ -29,7 +29,7 @@ from .dfi import Explanations, compute_explanations
 from .errors import ConfigError, DataError, InvariantError
 from .forest import ForestParams
 from .lofo import FeatureWeightVector, QdParams, sense_all, views_matrix
-from .wkfreq import ClusterParams, cluster
+from .wkfreq import ClusterParams, cluster, cluster_rounds
 
 log = logging.getLogger(__name__)
 
@@ -129,9 +129,9 @@ def make_views(
     )
 
 
-def _run_round(shared, task) -> np.ndarray:
-    omega, params = task
-    return cluster(shared["bits"], params, weights=omega).labels
+def _run_rounds(shared, task) -> list[np.ndarray]:
+    omegas, params = task
+    return [result.labels for result in cluster_rounds(shared["bits"], params, omegas)]
 
 
 def stage_one(
@@ -143,17 +143,23 @@ def stage_one(
 ) -> np.ndarray:
     """One weighted clustering round per view; labels land in L by round index.
 
-    A round's task carries its omega and parameters; the bit matrix is
-    shared with ``pool``, or with a pool opened for this call.
+    Rounds are independent.  They are cut into ``min(workers, R)`` runs of
+    consecutive rounds, one pool task each, whose rounds cluster in
+    lockstep (``cluster_rounds``).  A task carries its rounds' omegas and
+    parameters; round r is seeded with ``derive_seed(seed, "stage1", r)``,
+    so L is identical for any worker count.  The bit matrix is shared
+    with ``pool``, or with a pool opened for this call.
     """
     if not views:
         raise ConfigError("stage one needs at least one view")
-    tasks = [(lift_weights(view.w, bep.bit_groups),
-              ClusterParams(k=config.k0, alpha=config.alpha0, beta=config.beta0,
-                            max_iter=config.max_iter, seed=derive_seed(config.seed, "stage1", r)))
-             for r, view in enumerate(views)]
-    rounds = map_tasks(_run_round, {"bits": bep.matrix}, tasks, workers, pool)
-    L = np.stack(rounds, axis=1)
+    omegas = [lift_weights(view.w, bep.bit_groups) for view in views]
+    params = [ClusterParams(k=config.k0, alpha=config.alpha0, beta=config.beta0,
+                            max_iter=config.max_iter, seed=derive_seed(config.seed, "stage1", r))
+              for r in range(len(views))]
+    runs = np.array_split(np.arange(len(views)), max(1, min(workers, len(views))))
+    tasks = [([omegas[r] for r in run], [params[r] for r in run]) for run in runs]
+    per_run = map_tasks(_run_rounds, {"bits": bep.matrix}, tasks, workers, pool)
+    L = np.stack([labels for run in per_run for labels in run], axis=1)
     if L.min() < 0 or L.max() >= config.k0:
         raise InvariantError("round labels escaped {0..k0-1}")
     return L

@@ -338,7 +338,7 @@ def test_run_exits_three_when_a_pooled_round_fails(tmp_path, capsys, monkeypatch
 
     csv_path, schema_path = synth_dataset(tmp_path)
     # patched before the fork, so the workers fail every stage-one round
-    monkeypatch.setattr(pipeline, "cluster", fail)
+    monkeypatch.setattr(pipeline, "cluster_rounds", fail)
     assert cli.main(
         ["run", "--data", str(csv_path), "--schema", str(schema_path), "--truth-column", "label",
          "--out", str(tmp_path / "run"), "--workers", "2", "--seed", "42"] + FAST_OVERRIDES

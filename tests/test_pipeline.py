@@ -1,19 +1,20 @@
 """End-to-end pipeline: weight lifting, round clusterings, record embedding,
 final clustering, determinism."""
 
+import logging
 import multiprocessing
 
 import numpy as np
 import pytest
 
 from helpers import random_mixed_table
-from wise import _pool, pipeline
+from wise import _pool, pipeline, wkfreq
 from wise._rng import derive_seed
 from wise.bep import BepConfig, encode_table
 from wise.data_model import ColumnSchema, table_from_columns
 from wise.errors import ConfigError, DataError
 from wise.forest import ForestParams
-from wise.lofo import QdParams
+from wise.lofo import FeatureWeightVector, QdParams
 from wise.metrics import ari, evaluate
 from wise.pipeline import (
     PipelineConfig,
@@ -24,6 +25,7 @@ from wise.pipeline import (
     stage_one,
     stage_two,
 )
+from wise.synth import SynthParams, synth_table
 from wise.wkfreq import ClusterParams, cluster
 
 SMALL_CONFIG = PipelineConfig(
@@ -160,6 +162,42 @@ def test_stage_one_worker_pool_is_invisible():
     assert np.array_equal(serial, pooled)
 
 
+def test_stage_one_batching_is_invisible(monkeypatch, caplog):
+    # The 24 gaussian views of synth n=2000 seed 19, whose round 16 stops on a
+    # 4-cycle, plus a view on the 4-level nominal cat_noise_0 alone: its
+    # round has zero-weight groups and 4 distinct codes for k0=6 clusters, so
+    # seeding pads and Lloyd repairs empty clusters.  L is the same when each
+    # round runs alone, when all rounds run in one batch and with 2 workers.
+    table, _ = synth_table(SynthParams(n=2000, seed=19))
+    config = PipelineConfig()
+    bep = encode_table(table, config.bep)
+    views = make_views(table, config, ablation="gaussian")
+    j = [c.name for c in table.schema].index("cat_noise_0")
+    views.append(FeatureWeightVector(w=np.eye(table.d)[j], target=-1, tree=-1, quality=0.0, rank=0))
+    padded = []
+    pad_with_rows = wkfreq._pad_with_rows
+
+    def counting(C, *args):
+        padded.append(C.shape[0])
+        return pad_with_rows(C, *args)
+
+    monkeypatch.setattr(wkfreq, "_pad_with_rows", counting)
+    with caplog.at_level(logging.WARNING, logger="wise.wkfreq"):
+        want = stage_one(bep, views, config)
+    assert "labels alternate among 4 labellings" in caplog.text
+    assert np.any(views[-1].w == 0) and padded
+    codes = np.unique(bep.matrix[:, slice(*bep.bit_groups[j])].toarray(), axis=0)
+    # 4 codes reach all 6 labels only through repairs
+    assert len(codes) < config.k0 == len(np.unique(want[:, -1]))
+    runs = {}
+    for name, budget, workers in [("alone", 1, 1), ("one batch", 1 << 30, 1),
+                                  ("2 workers", wkfreq.BATCH_ROWS, 2)]:
+        monkeypatch.setattr(wkfreq, "BATCH_ROWS", budget)
+        runs[name] = stage_one(bep, views, config, workers=workers)
+    for name, got in runs.items():
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
 def _square(shared, i):
     return shared["base"] * i * i
 
@@ -236,7 +274,7 @@ def _planted_failure(*args, **kwargs):
 
 def test_round_error_in_a_pool_worker_comes_out_as_data_error(monkeypatch, pools_made):
     # patched before the fork, so the workers fail every stage-one round
-    monkeypatch.setattr(pipeline, "cluster", _planted_failure)
+    monkeypatch.setattr(pipeline, "cluster_rounds", _planted_failure)
     table = random_mixed_table(np.random.default_rng(12), n=120)
     with pytest.raises(DataError, match="planted round failure") as info:
         run_wise(table, SMALL_CONFIG, workers=2)

@@ -439,15 +439,28 @@ def test_round_sketches_depend_on_coordinates_alone(monkeypatch):
     # the default n=1500 seed-6 table.  A round's codes share one omega, so a
     # level-1 companion is a function of its hash and coordinate, and a bucket
     # FreqItem's value (F * omega_t) / F is omega_t up to one rounding: its
-    # sketch under omega is its sketch under its own values.
-    calls = []
+    # sketch under omega is its sketch under its own values.  Stage one
+    # sketches a batch of rounds per call, so every sketch is recorded with
+    # the weights, hash ids and seeds of the rank tables it read.
+    made, calls = {}, []
+    rank_tables, sketch = wkfreq._rank_tables, wkfreq._sketch
 
-    def recording(X, omega, hash_ids, seed):
-        out = cws_signatures(X, omega, hash_ids, seed)
-        calls.append((X, omega, hash_ids, seed, out))
-        return out
+    def recording_tables(omega, hash_ids, seeds):
+        tables = rank_tables(omega, hash_ids, seeds)
+        made[id(tables)] = (tables, omega, hash_ids, seeds)
+        return tables
 
-    monkeypatch.setattr(wkfreq, "cws_signatures", recording)
+    def recording(X, rounds, tables, hashes, companions=False):
+        coords, comps = sketch(X, rounds, tables, hashes, companions=True)
+        _, omega, hash_ids, seeds = made[id(tables)]
+        for r in np.unique(rounds):
+            rows = rounds == r
+            calls.append((X[rows], omega[r], hash_ids[hashes], seeds[r],
+                          (coords[rows], comps[rows])))
+        return (coords, comps) if companions else coords
+
+    monkeypatch.setattr(wkfreq, "_rank_tables", recording_tables)
+    monkeypatch.setattr(wkfreq, "_sketch", recording)
     for n, seed, config in [(400, 4, build_config(DEEP_SENSE_SETS)), (1500, 6, PipelineConfig())]:
         table, _ = synth_table(SynthParams(n=n, seed=seed))
         views = make_views(table, config, workers=1)
@@ -476,6 +489,61 @@ def test_round_sketches_depend_on_coordinates_alone(monkeypatch):
             assert np.array_equal(coords[i], c)
             assert np.array_equal(comps[i], t)
     assert seen["rounds"] == 8 + 24 + 2
+    assert min(seen.values()) > 0, seen
+
+
+def test_cluster_rounds_match_each_round_alone(monkeypatch):
+    # Seeded batches of rounds over one matrix: weights with zero coordinates
+    # (some rows keep nothing, some rounds keep one coordinate), duplicated
+    # rows, and tables of fewer distinct rows than k, which pad and repair.
+    # Each round's result, centers and history included, is the one cluster
+    # gives it alone, for one batch and for one round per batch.
+    rng = np.random.default_rng(53)
+    budgets = (wkfreq.BATCH_ROWS, 1)
+    seen = {"zero weights": 0, "one coordinate": 0, "padded": 0, "batches": 0}
+    pad_with_rows = wkfreq._pad_with_rows
+
+    def counting(C, *args):
+        seen["padded"] += 1
+        return pad_with_rows(C, *args)
+
+    monkeypatch.setattr(wkfreq, "_pad_with_rows", counting)
+    for trial in range(12):
+        n, p = int(rng.integers(6, 60)), int(rng.integers(4, 30))
+        X = random_sparse_binary(rng, int(rng.integers(3, n + 1)), p, 1, min(p, 6))
+        X = X[rng.integers(0, X.shape[0], n)]
+        k = int(rng.integers(1, 6))
+        weights = []
+        for _ in range(int(rng.integers(1, 6))):
+            w = rng.random(p)
+            w[rng.random(p) < rng.uniform(0.0, 0.7)] = 0.0
+            if rng.random() < 0.2:
+                w = np.eye(p)[int(rng.integers(0, p))]
+                seen["one coordinate"] += 1
+            w[int(rng.integers(0, p))] = 0.5 + rng.random()   # never all zero
+            seen["zero weights"] += int(np.any(w == 0))
+            weights.append(w)
+        params = [ClusterParams(k=k, alpha=0.4, beta=0.4, max_iter=20, seed=int(s))
+                  for s in rng.integers(0, 2**31, len(weights))]
+        alone = []
+        for q, w in zip(params, weights):
+            try:
+                alone.append(cluster(X, q, w))
+            except DataError as exc:
+                alone.append(str(exc))
+        for budget in budgets:
+            monkeypatch.setattr(wkfreq, "BATCH_ROWS", budget)
+            if any(isinstance(a, str) for a in alone):
+                with pytest.raises(DataError):
+                    wkfreq.cluster_rounds(X, params, weights)
+                continue
+            seen["batches"] += 1
+            for got, want in zip(wkfreq.cluster_rounds(X, params, weights), alone):
+                assert got.labels.dtype == want.labels.dtype
+                assert got.labels.tobytes() == want.labels.tobytes()
+                assert_same_centers(got.centers, want.centers)
+                assert (got.n_iter, got.mean_distance, got.history) == \
+                    (want.n_iter, want.mean_distance, want.history)
     assert min(seen.values()) > 0, seen
 
 
