@@ -3,7 +3,7 @@
 A run maps independent tasks over worker processes in two stages: the
 LOFO targets of sensing and the rounds of stage one.  Both map over one
 ``Pool``, which forks at its first map of more than one task.  The large
-inputs shared with it by then (the design matrix, the bit matrix) reach
+inputs shared with it by then (the design matrix, the group codes) reach
 each worker through the fork, never pickled; a task carries only its
 index and small values of its own.  A stage called without a pool opens
 one of the same kind for that call alone.

@@ -4,12 +4,14 @@ Each numeric or ordinal column gets a 2B-bit window holding a contiguous
 block of B ones whose offset tracks the normalized value, so nearby
 values share bits and the Jaccard distance between codes brackets the
 value gap.  Nominal columns get an indicator bit: a one-hot block, a
-hashed bucket, or a width-c one-hot block depending on the mode.
+hashed bucket, or a width-c one-hot block depending on the mode.  A row
+is thus one run of bits per column, kept as one offset each (``GroupCodes``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -34,22 +36,60 @@ class BepConfig:
             raise ConfigError(f"nominal_mode must be one of {NOMINAL_MODES}")
 
 
-@dataclass
-class BepMatrix:
-    """Encoded table: sparse binary rows plus the feature-to-bits map."""
+@dataclass(frozen=True)
+class GroupCodes:
+    """Binary rows as one run of set bits per group: row i sets ``width[g]``
+    bits of group g's window ``start[g]:start[g + 1]``, from ``start[g] +
+    offsets[i, g]`` on, or none where that offset is -1.  Offsets are kept
+    in the smallest signed integer type that holds them."""
 
-    matrix: sparse.csr_matrix            # n x p, uint8
-    bit_groups: list[tuple[int, int]]    # per feature, [start, stop) bit range
-    group_kinds: list[str]
-    config: BepConfig
+    offsets: np.ndarray     # (n, d)
+    start: np.ndarray       # (d + 1,) int64, from 0 up to p
+    width: np.ndarray       # (d,) int64
+
+    def __post_init__(self):
+        last = np.diff(self.start) - self.width
+        bad = (self.offsets < -1) | (self.offsets > last)
+        if np.any(bad):
+            raise DataError(f"group offset {self.offsets[bad][0]} outside its bit window")
+        dtype = np.min_scalar_type(-int(last.max(initial=1)) - 1)
+        object.__setattr__(self, "offsets", self.offsets.astype(dtype, copy=False))
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.offsets.shape[0]
 
     @property
     def p(self) -> int:
-        return self.matrix.shape[1]
+        return int(self.start[-1])
+
+    @property
+    def bit_groups(self) -> list[tuple[int, int]]:
+        """Per group, its [start, stop) bit range."""
+        start = self.start.tolist()
+        return list(zip(start[:-1], start[1:]))
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """The rows' bits as an n x p uint8 CSR, each row's bits ascending."""
+        present = self.offsets >= 0
+        runs = np.where(present, self.width, 0)
+        indptr = np.r_[0, np.cumsum(runs.sum(axis=1))]
+        first = (self.start[:-1] + self.offsets)[present]
+        runs = runs[present]
+        # bit e is bit e - (its run's place in the row list) of the run's first
+        indices = np.repeat(first - (np.cumsum(runs) - runs), runs) + np.arange(indptr[-1])
+        return sparse.csr_matrix((np.ones(indices.size, dtype=np.uint8), indices, indptr),
+                                 shape=(self.n, self.p))
+
+
+@dataclass(frozen=True)
+class BepMatrix(GroupCodes):
+    """Encoded table: one group per feature, with the features' kinds and
+    the encoding's settings."""
+
+    group_kinds: list[str]
+    config: BepConfig
 
 
 def block_offset(x, B: int):
@@ -81,38 +121,24 @@ def _group_width(col: ColumnSchema, cfg: BepConfig) -> int:
 
 
 def encode_table(table: MixedTable, cfg: BepConfig) -> BepMatrix:
-    """Encode every column of the table into one sparse binary matrix."""
+    """Encode every column of the table as one group of bits: a numeric or
+    ordinal value's block of B bits, or a nominal level's bit, per row."""
     B = cfg.B
-    bit_groups = []
-    p = 0
-    for col in table.schema:
-        bit_groups.append((p, p + _group_width(col, cfg)))
-        p = bit_groups[-1][1]
-
-    per_col_indices = []
-    for j, (col, (start, _)) in enumerate(zip(table.schema, bit_groups)):
-        if col.kind == "nominal":
-            if cfg.nominal_mode == "hash":
-                level_bits = np.array(
-                    [nominal_bit(lab, B, cfg.hash_seed) for lab in col.levels], dtype=np.int64
-                )
-            else:
-                level_bits = np.arange(col.n_levels(), dtype=np.int64)
-            per_col_indices.append(start + level_bits[table.column(j)][:, None])
+    start = np.cumsum([0] + [_group_width(col, cfg) for col in table.schema])
+    offsets = []
+    for j, col in enumerate(table.schema):
+        if col.kind != "nominal":
+            offsets.append(block_offset(unit_column(table, j), B))
             continue
-        offsets = block_offset(unit_column(table, j), B)
-        per_col_indices.append(start + offsets[:, None] + np.arange(B, dtype=np.int64)[None, :])
-
-    indices = np.concatenate(per_col_indices, axis=1)
-    nnz_per_row = indices.shape[1]
-    indptr = np.arange(table.n + 1, dtype=np.int64) * nnz_per_row
-    matrix = sparse.csr_matrix(
-        (np.ones(indices.size, dtype=np.uint8), indices.ravel(), indptr),
-        shape=(table.n, p),
-    )
-    return BepMatrix(
-        matrix=matrix, bit_groups=bit_groups, group_kinds=[c.kind for c in table.schema], config=cfg
-    )
+        if cfg.nominal_mode == "hash":
+            level_bits = np.array(
+                [nominal_bit(lab, B, cfg.hash_seed) for lab in col.levels], dtype=np.int64
+            )
+        else:
+            level_bits = np.arange(col.n_levels(), dtype=np.int64)
+        offsets.append(level_bits[table.column(j)])
+    width = np.array([1 if col.kind == "nominal" else B for col in table.schema], dtype=np.int64)
+    return BepMatrix(np.stack(offsets, axis=1), start, width, [c.kind for c in table.schema], cfg)
 
 
 def jaccard_distance(a, b) -> float:

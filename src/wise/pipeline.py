@@ -1,14 +1,15 @@
 """End-to-end orchestration.
 
-Encode the table into sparse bits, sense one weight vector per (target,
-rank) view, run one weighted clustering round per view, collect the
-round labels into the record matrix, cluster its one-hot embedding into
-the final K groups, and derive all explanations from the label
-frequencies.  Every stage seeds itself from (master seed, stage tag,
-index), so results are identical for any worker-pool size.
+Encode the table into group codes (one run of bits per column), sense
+one weight vector per (target, rank) view, run one weighted clustering
+round per view, collect the round labels into the record matrix, cluster
+its rows (one width-1 run per round: their one-hot embedding) into the
+final K groups, and derive all explanations from the label frequencies.
+Every stage seeds itself from (master seed, stage tag, index), so results
+are identical for any worker-pool size.
 
 Sensing and stage one map over one worker pool per run, which
-``cluster_table`` opens.  It forks at the first map, with the bit matrix
+``cluster_table`` opens.  It forks at the first map, with the group codes
 and the design matrix in place, and is shut down before stage two, which
 runs in this process.
 """
@@ -19,11 +20,10 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from ._pool import Pool, map_tasks, open_pool
 from ._rng import derive_seed
-from .bep import BepConfig, BepMatrix, encode_table
+from .bep import BepConfig, BepMatrix, GroupCodes, encode_table
 from .data_model import MixedTable
 from .dfi import Explanations, compute_explanations
 from .errors import ConfigError, DataError, InvariantError
@@ -131,7 +131,7 @@ def make_views(
 
 def _run_rounds(shared, task) -> list[np.ndarray]:
     omegas, params = task
-    return [result.labels for result in cluster_rounds(shared["bits"], params, omegas)]
+    return [result.labels for result in cluster_rounds(shared["codes"], params, omegas)]
 
 
 def stage_one(
@@ -147,8 +147,8 @@ def stage_one(
     consecutive rounds, one pool task each, whose rounds cluster in
     lockstep (``cluster_rounds``).  A task carries its rounds' omegas and
     parameters; round r is seeded with ``derive_seed(seed, "stage1", r)``,
-    so L is identical for any worker count.  The bit matrix is shared
-    with ``pool``, or with a pool opened for this call.
+    so L is identical for any worker count.  The table's group codes are
+    shared with ``pool``, or with a pool opened for this call.
     """
     if not views:
         raise ConfigError("stage one needs at least one view")
@@ -158,30 +158,24 @@ def stage_one(
               for r in range(len(views))]
     runs = np.array_split(np.arange(len(views)), max(1, min(workers, len(views))))
     tasks = [([omegas[r] for r in run], [params[r] for r in run]) for run in runs]
-    per_run = map_tasks(_run_rounds, {"bits": bep.matrix}, tasks, workers, pool)
+    per_run = map_tasks(_run_rounds, {"codes": bep}, tasks, workers, pool)
     L = np.stack([labels for run in per_run for labels in run], axis=1)
     if L.min() < 0 or L.max() >= config.k0:
         raise InvariantError("round labels escaped {0..k0-1}")
     return L
 
 
-def one_hot_records(L: np.ndarray, k0: int) -> sparse.csr_matrix:
-    """n x (R*k0) indicator matrix; exactly R ones per row."""
-    L = np.asarray(L, dtype=np.int64)
-    n, R = L.shape
-    if L.size and (L.min() < 0 or L.max() >= k0):
-        raise DataError("record matrix entries must lie in {0..k0-1}")
-    indices = (L + np.arange(R) * k0).ravel()
-    indptr = np.arange(0, n * R + 1, R)
-    data = np.ones(n * R, dtype=np.uint8)
-    return sparse.csr_matrix((data, indices, indptr), shape=(n, R * k0))
-
-
 def stage_two(L: np.ndarray, config: PipelineConfig) -> np.ndarray:
-    """Final unweighted clustering of the one-hot record embedding."""
+    """Final unweighted clustering of the one-hot record embedding: R width-1
+    groups of k0 bits, round r's label being its group's offset."""
+    L = np.asarray(L)
+    if L.size and (L.min() < 0 or L.max() >= config.k0):
+        raise DataError("record matrix entries must lie in {0..k0-1}")
+    R = L.shape[1]
+    records = GroupCodes(L, np.arange(R + 1) * config.k0, np.ones(R, dtype=np.int64))
     params = ClusterParams(k=config.K, alpha=config.alpha, beta=config.beta0,
                            max_iter=config.max_iter, seed=derive_seed(config.seed, "stage2"))
-    return cluster(one_hot_records(L, config.k0), params, weights=None).labels
+    return cluster(records, params, weights=None).labels
 
 
 def cluster_table(
@@ -195,12 +189,12 @@ def cluster_table(
     clustering: the views, the record matrix L and the final labels.
 
     Sensing and stage one share one pool of at most one process per round
-    (sensing has at most d <= rounds tasks), which forks with the bit
-    matrix in place.
+    (sensing has at most d <= rounds tasks), which forks with the group
+    codes in place.
     """
     bep = encode_table(table, config.bep)
     rounds = table.d * config.qd.m if views is None else len(views)
-    with open_pool(min(workers, rounds), bits=bep.matrix) as pool:
+    with open_pool(min(workers, rounds), codes=bep) as pool:
         if views is None:
             views = make_views(table, config, ablation, workers=workers, pool=pool)
         L = stage_one(bep, views, config, workers, pool)

@@ -1,59 +1,28 @@
-"""Weighted k-FreqItems clustering over sparse binary supports.
+"""Weighted k-FreqItems clustering over binary rows given as group codes.
 
-The engine's data model mirrors the weighting construction upstream:
-rows are binary supports (a CSR matrix) and a single non-negative weight
-vector over coordinates is shared by all rows of a round, so row i's
-weighted vector is omega * x_i.  A set of centers is one k x p CSR
-block: row c keeps center c's retained coordinates, each valued by its
-average contribution, and a center's total is its row's 1-D sum.  Passing
-``weights=None`` means omega = 1, which is plain k-FreqItems: every
-FreqItem value is 1.0 and every row total, intersection and union is an
-exact small integer in float64, so each weighted Jaccard distance is the
-same IEEE division as the integer plain-Jaccard one.
+Rows are group codes (``bep.GroupCodes``): one run of set bits per group,
+as a BEP column (B bits in a 2B-bit window, or one nominal bit) and a
+stage-two record (one width-1 run per round) are; a binary CSR is p
+width-1 groups.  A round's rows share one weight vector omega, all zero
+or all positive over each group's bits.  Centers are one k x p CSR block
+of retained coordinates valued by their average contribution; omega = 1
+(``weights=None``) is plain k-FreqItems with integer-exact Jaccard sums.
 
-Rounds run in batches.  ``cluster_rounds`` clusters one matrix under
-many weight vectors (stage one's rounds), as many rounds at a time as
-fit ``BATCH_ROWS`` rows x rounds, and ``cluster`` is the batch of one
-round.  A batch stacks its rounds' arrays in round order and does each
-step for all of them in shared array passes keyed by round; a round's
-order-sensitive steps (its ICWS rank tables, random stream, candidate
-reduction, padding, empty-cluster repair and cycle stop) stay its own,
-so every round's result is the one it gets alone.
-
-Seeding is a two-level MinHash scheme run on distinct effective codes:
-rows that agree on every coordinate of positive weight are one point
-to the kernel, so X is first mapped to its distinct rows under omega
-(zero-weight coordinates dropped), each with an integer multiplicity.
-Band signatures group codes into buckets (a group whose multiplicities
-sum to at least two), bucket sketches are hashed again to merge
-near-duplicate buckets into bins, and each bin contributes one FreqItem
-candidate; candidates are deduplicated and reduced to k by a
-distance-weighted sampling pass.  The work is batched: ``_padded`` lays
-a CSR block's rows out as one (n, W) block.  Both levels sketch under
-the round's omega: the keys of each hash are ranked once over the
-round's positive-weight coordinates, and a row's sketch is its least
-rank, read through the block from the batch's stacked rank tables.  A
-bucket FreqItem's value at a kept coordinate is (F * omega_t) / F,
-omega_t up to one rounding, and an ICWS key depends on its value only
-through floor(ln v / r + beta), so its sketch under omega is its sketch
-under its own values.  For the same reason a companion is a function of
-its hash and coordinate, and both levels group sketches by their
-coordinates alone.  ``_distinct_rows`` groups equal codes and level-2
-coordinates behind a round prefix, and one int64 key per band entry
-groups the band coordinates; buckets form one membership matrix M of
-the members' multiplicities, so ``M @ X_codes`` gives every bucket's
-integer column counts over rows; bins are unions of a round's buckets
-with equal sketches, numbered by first occurrence, counted by one more
-product.  Counts are taken as dense blocks of bounded size and reduced
-to FreqItems there.  Every count is the exact integer the rows give, so
-the candidates are those of row-level seeding.
-
-Lloyd shares the distinct codes with seeding and iterates every round
-of a batch that has not stopped.  Distances are measured once per code,
-against a dense block of its round's min(omega, c) values, and every row
-reads its code's distances: a zero-weight coordinate adds nothing to any
-sum.  Padding, assignment, empty-cluster repair and the cycle stop run
-on rows; recentering counts each cluster's rows through their codes.
+``cluster_rounds`` runs one table's rounds in batches of ``BATCH_ROWS``
+rows x rounds, each step one array pass over the batch keyed by round,
+while each round keeps its order-sensitive steps, so a result is the one
+its round gets alone (``cluster``).  Seeding is two-level MinHash on the
+distinct effective codes (rows equal on every kept group, with integer
+multiplicities, in any order): bands bucket codes, bucket FreqItems are
+sketched again to merge buckets into bins, and bin FreqItems are the
+candidates, reduced to k by distance-weighted sampling.  Each hash ranks
+a round's positive-weight coordinates once, and a sketch is the least
+rank: of one window minimum per group for codes, of the coordinates for
+FreqItems, whose values are omega up to one rounding and so sketch as
+omega does.  Every FreqItem count is a per-group multiplicity histogram
+plus a box sum, the exact integers of row-level counting.  Lloyd measures
+each code once as a CSR row of its bits, adding in ascending coordinate
+order, and assigns, repairs and stops on rows.
 """
 
 from __future__ import annotations
@@ -67,6 +36,7 @@ import numpy as np
 from scipy import sparse
 
 from ._rng import derive_seed, keyed_uniform_grid
+from .bep import GroupCodes
 from .errors import ConfigError, DataError, InvariantError
 
 log = logging.getLogger(__name__)
@@ -114,14 +84,11 @@ PAIR_BLOCK_CELLS = 1 << 18
 COUNT_BLOCK_CELLS = 1 << 16
 # bands x live codes signature entries per sort of _band_buckets
 BAND_BLOCK_ENTRIES = 1 << 16
-# stored positions x rows x hashes rank cells per gather of cws_signatures
+# groups or stored positions x rows x hashes rank cells per gather of _sketch
 SKETCH_BLOCK_CELLS = 1 << 19
 # rows x rounds per batch of cluster_rounds; a larger table runs one round
 # per batch
 BATCH_ROWS = 1 << 13
-# codes x coordinates cells up to which a batch counts rows from a dense
-# block of its codes, which is faster than a sparse product on few codes
-DENSE_CODE_CELLS = 1 << 18
 
 
 def _row_totals(C: sparse.csr_matrix) -> np.ndarray:
@@ -199,20 +166,30 @@ def _padded(C: sparse.csr_matrix) -> np.ndarray:
     return pos
 
 
-def _distinct_rows(A: np.ndarray):
-    """Distinct rows of A in byte order: (first row, inverse, row count) per group."""
-    A = np.ascontiguousarray(A)
-    view = A.view(np.dtype((np.void, A.itemsize * A.shape[1]))).ravel()
-    _, first, inverse, counts = np.unique(view, return_index=True, return_inverse=True,
-                                          return_counts=True)
-    return first, inverse, counts
+def _distinct_rows(key: np.ndarray, size: int, columns, return_index: bool = False):
+    """np.unique's ([first,] inverse, counts) of the rows of an int64 key below
+    ``size`` and (values, radix) columns, packed into the key while it fits
+    in int64 and rank-compressed before a column that would overflow it."""
+    for values, radix in columns:
+        if size * int(radix) > np.iinfo(np.int64).max:
+            _, key = np.unique(key, return_inverse=True)
+            size = int(key.max(initial=0)) + 1
+        key = key * radix + values
+        size *= int(radix)
+    return np.unique(key, return_index=return_index, return_inverse=True, return_counts=True)[1:]
 
 
-def _round_prefix(rounds: np.ndarray, dtype) -> np.ndarray:
-    """Each round as a ``dtype`` column whose bytes are the round's big-endian
-    ones, so that rows led by it order by round first in byte order."""
-    dtype = np.dtype(dtype)
-    return np.asarray(rounds).astype(dtype.newbyteorder(">")).view(dtype)[:, None]
+def _as_groups(X) -> GroupCodes:
+    """X as group codes: itself, or a binary matrix as p width-1 groups.  A
+    stored 0 is an unset bit; any value other than 0 or 1 raises DataError."""
+    if isinstance(X, GroupCodes):
+        return X
+    X = sparse.csr_matrix(X)
+    bad = X.data[(X.data != 0) & (X.data != 1)]
+    if bad.size:
+        raise DataError(f"binary rows hold only 0 and 1, got {bad[0]}")
+    p = X.shape[1]
+    return GroupCodes(X.toarray().astype(np.int8) - 1, np.arange(p + 1), np.ones(p, dtype=np.int64))
 
 
 # --- Consistent Weighted Sampling -------------------------------------------
@@ -280,22 +257,33 @@ def _rank_tables(omega: np.ndarray, hash_ids: np.ndarray, seeds):
             np.take_along_axis(comps, order, axis=2))
 
 
-def _sketch(X: sparse.csr_matrix, rounds: np.ndarray, tables, hashes: np.ndarray,
+def _sketch(X: GroupCodes | sparse.csr_matrix, rounds: np.ndarray, tables, hashes: np.ndarray,
             companions: bool = False):
     """Sketch row i of X with the ``hashes`` entries of ``tables`` of its round
     ``rounds[i]``: its coordinates, (n, hashes.size), and with ``companions``
-    also theirs.
-
-    A row's coordinate under a hash is the one with its least rank: its
-    first minimum key.  Ranks are gathered for at most
-    ``SKETCH_BLOCK_CELLS`` (stored position, row, hash) cells at a time.
-    """
+    also theirs.  A row's coordinate is its least rank's, read per group of
+    group codes from each run's window minimum, or per stored coordinate
+    of a CSR block, for at most ``SKETCH_BLOCK_CELLS`` cells at a time."""
     rank, column, coords, comps = tables
-    n, p = X.shape
     B, H, A = coords.shape
     table = rank[:, hashes]
-    # the rank-table row of each stored coordinate, position-major
-    block = column[rounds[None, :], np.append(X.indices, p)[_padded(X).T]]
+    if isinstance(X, GroupCodes):
+        # every run, group by group and offset by offset, and each row's runs
+        count = np.diff(X.start) - X.width + 1
+        base = np.cumsum(count) - count
+        first = np.repeat(X.start[:-1] - base, count) + np.arange(count.sum())
+        width = np.repeat(X.width, count)
+        run = np.where(X.offsets >= 0, base + X.offsets, first.size)
+        ranks = table[column]             # (rounds, p + 1, hashes), the pad's last
+        least = ranks[:, first]
+        for i in range(1, int(width.max(initial=1))):   # a narrower run rereads its last bit
+            np.minimum(least, ranks[:, first + np.minimum(i, width - 1)], out=least)
+        table = np.concatenate([least, ranks[:, -1:]], axis=1).reshape(-1, hashes.size)
+        block = (run + rounds[:, None] * (first.size + 1)).T
+    else:
+        # the rank-table row of each stored coordinate, position-major
+        block = column[rounds[None, :], np.append(X.indices, X.shape[1])[_padded(X).T]]
+    n = block.shape[1]
     least = np.empty((n, hashes.size), dtype=np.intp)
     step = max(1, SKETCH_BLOCK_CELLS // (block.shape[0] * max(1, hashes.size)))
     for lo in range(0, n, step):
@@ -307,37 +295,20 @@ def _sketch(X: sparse.csr_matrix, rounds: np.ndarray, tables, hashes: np.ndarray
     return coords.ravel()[least], comps.ravel()[least]
 
 
-def cws_signatures(X: sparse.csr_matrix, omega, hash_ids: np.ndarray, seed: int):
-    """Sketch every row: (coords, companions), each (n, len(hash_ids)).
-
-    Rows share omega, so each hash's keys are ranked once over the
-    positive-weight coordinates, by a stable argsort that breaks ties
-    toward the lower coordinate, and a row's coordinate is the one with
-    its least rank: its first minimum key.  A pad column ranks last under
-    every hash and stands for zero-weight coordinates and row padding, so
-    rows whose effective support is empty get coordinate -1 and
-    companion 0.  Ranks are gathered for at most ``SKETCH_BLOCK_CELLS``
-    (stored position, row, hash) cells at a time.
-
-    It is the one-round case of ``_sketch``, with which ``silk_seed``
-    sketches a round's codes.  Seeding reads only the coordinates, since
-    a companion is a function of its hash and coordinate under one omega;
-    the companions are returned for the sketch oracles in the tests and
-    the benchmark's bucket tracer.
-    """
+def cws_signatures(X, omega, hash_ids: np.ndarray, seed: int):
+    """Sketch every row of X, group codes or a binary matrix: (coords,
+    companions), each (n, len(hash_ids)); a row with an empty effective
+    support gets coordinate -1 and companion 0.  It is the one-round case
+    of ``_sketch``, with which ``silk_seed`` sketches a round's codes.
+    Seeding reads only the coordinates; the companions serve the sketch
+    oracles and the benchmark's bucket tracer."""
+    X = _as_groups(X)
     tables = _rank_tables(np.asarray(omega, dtype=np.float64)[None, :], hash_ids, [seed])
-    return _sketch(X, np.zeros(X.shape[0], dtype=np.intp), tables, np.arange(len(hash_ids)),
+    return _sketch(X, np.zeros(X.n, dtype=np.intp), tables, np.arange(len(hash_ids)),
                    companions=True)
 
 
 # --- FreqItem centers ---------------------------------------------------------
-
-
-def _indicator(groups: np.ndarray, n_groups: int) -> sparse.csr_matrix:
-    """Groups x items 0/1 matrix marking the group of each item."""
-    items = np.arange(groups.size)
-    data = np.ones(groups.size, dtype=np.int64)
-    return sparse.csr_matrix((data, (groups, items)), shape=(n_groups, groups.size))
 
 
 def _freqitems(F: np.ndarray, omega: np.ndarray, alpha: float) -> sparse.csr_matrix:
@@ -358,24 +329,44 @@ def _freqitems(F: np.ndarray, omega: np.ndarray, alpha: float) -> sparse.csr_mat
     return sparse.csr_matrix((val, cols, indptr), shape=F.shape)
 
 
-def _group_freqitems(M: sparse.csr_matrix, X: sparse.csr_matrix | np.ndarray,
-                     omega: np.ndarray, alpha: float, rounds: np.ndarray) -> sparse.csr_matrix:
-    """FreqItem centers of the groups of ``M``, one CSR row each.
+def _bit_counts(indptr: np.ndarray, members: np.ndarray, weight: np.ndarray, codes: _Codes,
+                live: np.ndarray) -> np.ndarray:
+    """Dense (groups, p) bit counts of the CSR rows ``(indptr, members,
+    weight)``: group g stands for ``weight[e]`` rows of code ``members[e]``.
+    Per bit group in ``live`` (the others must hold no member's bit), a
+    histogram counts each group's rows per offset, and its box sum over
+    each run's bits (times ``_Codes.box``) gives the exact ``M @ X``."""
+    G = codes.groups
+    # a histogram row: no bit, then each offset
+    stride = int((np.diff(G.start) - G.width).max(initial=0)) + 2
+    m = indptr.size - 1
+    row = np.repeat(np.arange(m) * stride, np.diff(indptr))
+    weight = weight.astype(np.float64)    # once, not per bincount
+    F = np.zeros((m, G.p))
+    for g in live:
+        at = codes.held[g][members]
+        at += row
+        hist = np.bincount(at, weight, m * stride).reshape(m, stride)
+        F[:, G.start[g]:G.start[g + 1]] = hist[:, 1:codes.box[g].shape[0] + 1] @ codes.box[g]
+    return F
 
-    ``X`` is binary rows, as CSR or as a dense float64 block.  Row g of
-    ``M`` says how many binary rows of group g each row of ``X`` stands
-    for (1, or a code's multiplicity), so ``M @ X`` counts each group's
-    rows per coordinate, exactly, as integers far below 2^53; group g is
-    valued under the weights ``omega[rounds[g]]`` of its round.  The
-    counts are taken for at most ``COUNT_BLOCK_CELLS`` dense cells of
-    groups at a time, each block reduced per round to FreqItems.
-    """
-    step = max(1, COUNT_BLOCK_CELLS // max(1, X.shape[1]))
+
+def _group_freqitems(M: sparse.csr_matrix, codes: _Codes, omega: np.ndarray, alpha: float,
+                     rounds: np.ndarray) -> sparse.csr_matrix:
+    """FreqItem centers of the groups of ``M``, one CSR row each: row g of
+    ``M`` says how many rows of group g each code stands for, valued under
+    ``omega[rounds[g]]``.  Groups are counted (``_bit_counts``) over the
+    bit groups their rounds keep, for at most ``COUNT_BLOCK_CELLS`` dense
+    cells at a time, and each block is reduced to FreqItems."""
+    step = max(1, COUNT_BLOCK_CELLS // max(1, codes.groups.p))
     blocks = []
     for lo in range(0, max(1, M.shape[0]), step):
-        F = M[lo:lo + step] @ X
-        blocks.append(_freqitems(F.toarray() if sparse.issparse(F) else F,
-                                 omega[rounds[lo:lo + step]], alpha))
+        hi = min(lo + step, M.shape[0])
+        a, b = M.indptr[lo], M.indptr[hi]
+        w = omega[rounds[lo:hi]]
+        live = np.flatnonzero((w[:, codes.groups.start[:-1]] > 0).any(axis=0))
+        F = _bit_counts(M.indptr[lo:hi + 1] - a, M.indices[a:b], M.data[a:b], codes, live)
+        blocks.append(_freqitems(F, w, alpha))
     return blocks[0] if len(blocks) == 1 else sparse.vstack(blocks, format="csr")
 
 
@@ -412,21 +403,18 @@ def _distances(X, tot, omega, C, running, slot) -> np.ndarray:
 
 @dataclass
 class _Codes:
-    """The distinct effective codes of a batch of rounds.
+    """The distinct effective codes of a batch of rounds: a row's offsets with
+    the round's zero-weight groups masked to -1, rounds in order and a
+    round's codes in any order, as ``groups``, as bits (``rows``) and as
+    offsets + 1 per group (``held``, 0: no bit); ``box[g]`` marks the bits
+    of bit group g that a run at each offset sets.  Round r's codes are
+    ``bounds[r]:bounds[r + 1]``, row i's code in it is ``inverse[r, i]``,
+    and code c has ``mult[c]`` rows."""
 
-    A row's code in a round is its support without that round's
-    zero-weight coordinates.  ``rows`` holds each round's distinct codes
-    once, rounds in order and a round's codes in byte order, each as a
-    copy of its first row with those coordinates dropped; ``counted`` is
-    what count products take: the same block as dense float64 when it
-    has at most ``DENSE_CODE_CELLS`` cells, else ``rows``.
-    Round r's codes are rows ``bounds[r]:bounds[r + 1]``, row i has code
-    ``inverse[r, i]`` in round r, and code c has ``mult[c]`` rows.  A
-    round's rows with no positive-weight coordinate share one empty code.
-    """
-
+    groups: GroupCodes
     rows: sparse.csr_matrix
-    counted: sparse.csr_matrix | np.ndarray
+    held: np.ndarray
+    box: list
     bounds: np.ndarray
     inverse: np.ndarray
     mult: np.ndarray
@@ -436,32 +424,26 @@ class _Codes:
         return np.repeat(np.arange(self.bounds.size - 1), np.diff(self.bounds))
 
 
-def _effective_codes(X: sparse.csr_matrix, omega: np.ndarray) -> _Codes:
-    """Distinct rows of X under each round's weights; ``omega`` holds one
-    round's weights per row."""
-    B = omega.shape[0]
-    n, p = X.shape
-    positive = omega > 0
-    keep = positive[:, X.indices].ravel()
-    # each row's kept entries, per round: the support's positive-weight count
-    support = sparse.csr_matrix((np.ones(X.nnz), X.indices, X.indptr), shape=X.shape)
-    indptr = np.zeros(B * n + 1, dtype=np.int64)
-    np.cumsum((support @ positive.T.astype(np.float64)).T.ravel().astype(np.int64), out=indptr[1:])
-    eff = sparse.csr_matrix((np.tile(X.data, B)[keep], np.tile(X.indices, B)[keep], indptr),
-                            shape=(B * n, p))
-    pad = np.array([-1], dtype=eff.indices.dtype)
-    # a row's round leads its key, so each round's codes keep their own byte order
-    first, inverse, mult = _distinct_rows(np.hstack([
-        _round_prefix(np.arange(B * n) // n, eff.indices.dtype),
-        np.concatenate([eff.indices, pad])[_padded(eff)]]))
-    codes = eff[first]
-    counted = codes
-    if codes.shape[0] * p <= DENSE_CODE_CELLS:
-        counted = np.zeros(codes.shape)
-        counted[np.repeat(np.arange(codes.shape[0]), np.diff(codes.indptr)), codes.indices] = \
-            codes.data
-    return _Codes(codes, counted, np.searchsorted(first // n, np.arange(B + 1)),
-                  inverse.reshape(B, n), mult)
+def _effective_codes(G: GroupCodes, omega: np.ndarray) -> _Codes:
+    """Distinct rows of G under each round's weights (one round's per row of
+    ``omega``, all zero or all positive over each group's bits), keyed by
+    the round, then each group's offset + 1 (0 where masked or no bit)."""
+    held = np.add.reduceat(omega > 0, G.start[:-1], axis=1, dtype=np.int64)
+    if np.any((held > 0) & (held < np.diff(G.start))):
+        raise ConfigError("weights must be all zero or all positive over each group's bits")
+    B, n, kept = omega.shape[0], G.n, held > 0
+    radix = np.diff(G.start) - G.width + 2
+    inverse, mult = _distinct_rows(np.repeat(np.arange(B, dtype=np.int64), n), B, (
+        (((G.offsets[:, g].astype(np.int64) + 1) * kept[:, g, None]).ravel(), radix[g])
+        for g in np.flatnonzero(kept.any(axis=0))))
+    row = np.empty(mult.size, dtype=np.intp)   # any row-round of each code
+    row[inverse] = np.arange(inverse.size)
+    rounds = row // n
+    codes = GroupCodes(np.where(kept[rounds], G.offsets[row % n], -1), G.start, G.width)
+    box = [sum(np.eye(span - w + 1, span, k) for k in range(w))
+           for span, w in zip(np.diff(G.start).tolist(), G.width.tolist())]
+    return _Codes(codes, codes.matrix, codes.offsets.T.astype(np.intp) + 1, box,
+                  np.searchsorted(rounds, np.arange(B + 1)), inverse.reshape(B, n), mult)
 
 
 def _band_buckets(coords: np.ndarray, live: np.ndarray, mult: np.ndarray,
@@ -477,8 +459,8 @@ def _band_buckets(coords: np.ndarray, live: np.ndarray, mult: np.ndarray,
     bytes compare.  Under one omega a companion is a function of its hash
     and coordinate, so equal coordinates are equal sketches.
     Each entry is one int64 key: its round, then its band, then the rank
-    of each coordinate in little-endian byte order.  One stable argsort
-    of the keys groups a block of bands of every round, of at most
+    of each coordinate in little-endian byte order, then its code.  One
+    sort of the keys groups a block of bands of every round, of at most
     ``BAND_BLOCK_ENTRIES`` entries or one band; the buckets of several
     blocks are then put in round order, stably.
     """
@@ -501,7 +483,7 @@ def _band_buckets(coords: np.ndarray, live: np.ndarray, mult: np.ndarray,
     le_rank = np.empty(held[-1] - low + 1 if held.size else 0, dtype=np.int64)
     le_rank[held[order] - low] = np.arange(held.size)
     span = held.size ** rows
-    if (bounds.size - 1) * bands * span > np.iinfo(np.int64).max:
+    if (bounds.size - 1) * bands * span * max(size, 1) > np.iinfo(np.int64).max:
         raise InvariantError("band keys overflow int64")
     members, sizes, units = [], [], []
     step = max(1, BAND_BLOCK_ENTRIES // max(1, size))
@@ -512,15 +494,16 @@ def _band_buckets(coords: np.ndarray, live: np.ndarray, mult: np.ndarray,
         for r in range(rows):
             key *= held.size
             key += le_rank[coords[live, lo * rows + r:(lo + count) * rows:rows] - low]
-        key = key.ravel()
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+        # each entry's code last, so that one sort puts a key's codes in order
+        key *= size
+        key += np.arange(size)[:, None]
+        key = np.sort(key, axis=None)
+        code = key % size
+        key //= size
         start = np.ones(key.size, dtype=bool)
         start[1:] = key[1:] != key[:-1]
         group = np.cumsum(start)
         group -= 1
-        code = order
-        code //= count
         shared = np.bincount(group, weights=weight[code]) >= 2
         members.append(live[code[shared[group]]])
         sizes.append(np.bincount(group)[shared])
@@ -535,11 +518,10 @@ def _band_buckets(coords: np.ndarray, live: np.ndarray, mult: np.ndarray,
 
 
 def _bin_candidates(
-    X: sparse.csr_matrix | np.ndarray,
+    codes: _Codes,
     omega: np.ndarray,
     buckets: sparse.csr_matrix,
     rounds: np.ndarray,
-    mult: np.ndarray,
     beta: float,
     tables,
     hashes: np.ndarray,
@@ -550,30 +532,32 @@ def _bin_candidates(
 
     Bucket b belongs to round ``rounds[b]`` (buckets come in round order).
     Each bucket's FreqItem is sketched with the ``hashes`` band of its
-    round's ``tables`` (``_rank_tables``), under its round's omega: its
-    values are omega up to one rounding, which leaves every key's floor,
-    and so the sketch, as under its own values unless that floor sits
-    within a rounding of an integer.  A round's buckets whose sketch
-    coordinates agree merge into one bin holding the union of their
-    members.  ``X`` holds the codes (``_Codes.counted``), ``mult`` their
-    multiplicities and ``buckets`` the members' multiplicities, so every
+    round's ``tables`` under its round's omega, which its values equal up to
+    one rounding: every key keeps its floor, and so the sketch, unless the
+    floor sits within a rounding of an integer.  A round's buckets whose
+    sketch coordinates agree merge into one bin holding the union of their
+    members.  ``buckets`` holds the members' multiplicities, so every
     count and size is over rows.  A round's bins are ordered by first
     occurrence, then stably by decreasing size.
     """
-    C = _group_freqitems(buckets, X, omega, beta, rounds)
+    C = _group_freqitems(buckets, codes, omega, beta, rounds)
     if buckets.shape[0] == 0:
         return C, np.zeros(0, dtype=np.int64), rounds
     coords = _sketch(C, rounds, tables, hashes)
-    first, inverse, _ = _distinct_rows(np.hstack([_round_prefix(rounds, coords.dtype), coords]))
+    first, inverse, _ = _distinct_rows(rounds.astype(np.int64), int(rounds.max()) + 1, (
+        (c + 1, tables[1].shape[1]) for c in coords.T), return_index=True)   # c + 1 in 0..p
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
-    union = _indicator(rank[inverse], first.size) @ buckets
-    union.data = mult[union.indices]
+    # each bin's buckets as a bins x buckets 0/1 matrix, times their members
+    size = inverse.size
+    union = sparse.csr_matrix((np.ones(size, dtype=np.int64), (rank[inverse], np.arange(size))),
+                              shape=(first.size, size)) @ buckets
+    union.data = codes.mult[union.indices]
     sizes = np.asarray(union.sum(axis=1)).ravel()
     owner = rounds[np.sort(first)]
     order = np.lexsort((-sizes, owner))
     top = order[np.arange(order.size) - np.searchsorted(owner, owner) < cap]
-    return _group_freqitems(union[top], X, omega, beta, owner[top]), sizes[top], owner[top]
+    return _group_freqitems(union[top], codes, omega, beta, owner[top]), sizes[top], owner[top]
 
 
 def _seed_from_candidates(C, sizes, X, omega, nonempty, params: ClusterParams, rng,
@@ -623,9 +607,8 @@ def _silk_seeds(X, omega, params: list[ClusterParams], codes: _Codes, coords, ta
     # merge a round's buckets whose signatures agree.  A band, not a single
     # hash: one hash collides with probability J_w, which would glue
     # together buckets that are only mildly similar.
-    C, sizes, owner = _bin_candidates(codes.counted, omega, buckets,
-                                      bucket_round, mult, params[0].beta, tables, level2,
-                                      cap=max(4 * k, 32))
+    C, sizes, owner = _bin_candidates(codes, omega, buckets, bucket_round, params[0].beta,
+                                      tables, level2, cap=max(4 * k, 32))
     n_buckets = np.bincount(bucket_round, minlength=len(params))
     del buckets
     cuts = np.searchsorted(owner, np.arange(len(params) + 1))
@@ -637,32 +620,30 @@ def _silk_seeds(X, omega, params: list[ClusterParams], codes: _Codes, coords, ta
         rng = np.random.default_rng(derive_seed(q.seed, "silk"))
         lo, hi = cuts[r], cuts[r + 1]
         log.debug("silk_seed: %d rows, %d distinct codes, %d buckets, %d candidates",
-                  X.shape[0], bounds[r + 1] - bounds[r], n_buckets[r], hi - lo)
+                  X.n, bounds[r + 1] - bounds[r], n_buckets[r], hi - lo)
         seeds.append(_seed_from_candidates(C[lo:hi], sizes[lo:hi], X, omega[r],
                                            live[codes.inverse[r]], q, rng, sims[r]))
     return seeds
 
 
 def silk_seed(
-    X: sparse.csr_matrix,
+    X,
     omega: np.ndarray,
     params: ClusterParams,
     effective=None,
 ) -> sparse.csr_matrix:
-    """Two-level MinHash overseeding reduced to k initial centers (k x p CSR).
-
-    ``effective`` is ``_effective_codes(X, omega[None, :])`` when the
-    caller has it.  It is the one-round case of a batch's seeding.
-    """
-    n = X.shape[0]
+    """Two-level MinHash overseeding reduced to k initial centers (k x p CSR),
+    the one-round case of a batch's seeding; ``effective`` is
+    ``_effective_codes(X, omega[None, :])`` when the caller has it."""
+    X = _as_groups(X)
     k = params.k
-    if n < k:
-        raise DataError(f"need at least k={k} rows, got {n}")
+    if X.n < k:
+        raise DataError(f"need at least k={k} rows, got {X.n}")
     omega = np.asarray(omega, dtype=np.float64)[None, :]
     effective = _effective_codes(X, omega) if effective is None else effective
     tables = _rank_tables(omega, _LEVEL2, [params.seed])
     return _silk_seeds(X, omega, [params], effective,
-                       cws_signatures(effective.rows, omega[0], _LEVEL1, params.seed)[0],
+                       cws_signatures(effective.groups, omega[0], _LEVEL1, params.seed)[0],
                        tables, np.arange(_LEVEL2.size))[0]
 
 
@@ -710,7 +691,9 @@ def _reduce_candidates(weights, sim, k, rng) -> list[int]:
 
 
 def _pad_with_rows(C, X, omega, nonempty, k, rng) -> sparse.csr_matrix:
-    """Append omega-valued supports of distinct rows to C; duplicates only as a last resort."""
+    """Append omega-valued supports of distinct rows of X (group codes or a
+    binary CSR) to C; duplicates only as a last resort."""
+    X = X.matrix if isinstance(X, GroupCodes) else X
     seen = {C.indices[lo:hi].astype(np.int64).tobytes()
             for lo, hi in zip(C.indptr[:-1], C.indptr[1:])}
     candidates = np.flatnonzero(nonempty)
@@ -774,7 +757,7 @@ def _recenter(codes: _Codes, omega, alpha, k, rounds, labels) -> sparse.csr_matr
     np.cumsum(np.bincount(row, minlength=len(rounds) * k), out=indptr[1:])
     members = sparse.csr_matrix((counts[cell], col + bounds[rounds][slot], indptr),
                                 shape=(len(rounds) * k, codes.rows.shape[0]))
-    return _group_freqitems(members, codes.counted, omega, alpha, np.repeat(rounds, k))
+    return _group_freqitems(members, codes, omega, alpha, np.repeat(rounds, k))
 
 
 def _lloyd(omega, params: list[ClusterParams], codes: _Codes, seeds) -> list[ClusterResult]:
@@ -877,7 +860,7 @@ def _lloyd(omega, params: list[ClusterParams], codes: _Codes, seeds) -> list[Clu
 
 
 def cluster_rounds(
-    X: sparse.csr_matrix,
+    X,
     params: list[ClusterParams],
     weights: list,
 ) -> list[ClusterResult]:
@@ -888,8 +871,8 @@ def cluster_rounds(
     ``BATCH_ROWS`` rows x rounds, and each round's result is the one
     ``cluster`` gives it alone.
     """
-    X = X.tocsr()
-    n, p = X.shape
+    X = _as_groups(X)
+    n, p = X.n, X.p
     if len({(q.k, q.alpha, q.beta, q.max_iter) for q in params}) > 1:
         raise ConfigError("the rounds of one call must share k, alpha, beta and max_iter")
     if params and n < params[0].k:
@@ -902,7 +885,7 @@ def cluster_rounds(
         codes = _effective_codes(X, w)
         # both levels' tables at once: a round's ranks of one hash ignore the others
         tables = _rank_tables(w, np.r_[_LEVEL1, _LEVEL2], [q.seed for q in part])
-        seeds = _silk_seeds(X, w, part, codes, _sketch(codes.rows, codes.round, tables, _LEVEL1),
+        seeds = _silk_seeds(X, w, part, codes, _sketch(codes.groups, codes.round, tables, _LEVEL1),
                             tables, _LEVEL2)
         del tables  # Lloyd reads only the codes
         results += _lloyd(w, part, codes, seeds)
@@ -910,21 +893,18 @@ def cluster_rounds(
 
 
 def cluster(
-    X: sparse.csr_matrix,
+    X,
     params: ClusterParams,
     weights: np.ndarray | None = None,
 ) -> ClusterResult:
-    """Weighted k-FreqItems: assign to nearest center, recompute FreqItems.
-
-    ``weights`` is the shared per-coordinate weight vector; None means all
-    ones, plain k-FreqItems.  Weights are scale-normalized to max 1,
-    which leaves every weighted Jaccard distance unchanged.  It is the
-    one-round case of ``cluster_rounds``, seeded through ``silk_seed``.
-    """
-    X = X.tocsr()
-    n, p = X.shape
-    if n < params.k:
-        raise DataError(f"need at least k={params.k} rows, got {n}")
-    omega = _round_weights(weights, p)[None, :]
+    """Weighted k-FreqItems on group codes or a binary matrix: assign to the
+    nearest center, recompute FreqItems.  ``weights`` is the shared
+    per-coordinate weight vector (None: all ones, plain k-FreqItems),
+    scale-normalized to max 1.  It is the one-round case of
+    ``cluster_rounds``, seeded through ``silk_seed``."""
+    X = _as_groups(X)
+    if X.n < params.k:
+        raise DataError(f"need at least k={params.k} rows, got {X.n}")
+    omega = _round_weights(weights, X.p)[None, :]
     codes = _effective_codes(X, omega)
     return _lloyd(omega, [params], codes, [silk_seed(X, omega[0], params, codes)])[0]

@@ -10,7 +10,7 @@ import numpy as np
 from scipy import sparse
 
 from wise._rng import MASK64, derive_seed, mix64, mix64_array, unit_from_bits
-from wise.bep import block_offset
+from wise.bep import block_offset, nominal_bit
 from wise.data_model import (
     ColumnSchema,
     MixedTable,
@@ -32,7 +32,6 @@ from wise.lofo import QdParams, TreeCandidate, cosine_distance, grow_forests, ma
 from wise.metrics import SWC_SUBSAMPLE
 from wise.treeshap import _weight_tables, aggregate_global
 from wise.wkfreq import (
-    _distinct_rows,
     _icws_keys,
     _icws_parts,
     _seed_from_candidates,
@@ -736,6 +735,93 @@ def reference_centers(X, labels, omega, alpha, k):
                         X.shape[1])
 
 
+def one_hot_records(L: np.ndarray, k0: int) -> sparse.csr_matrix:
+    """n x (R*k0) indicator matrix of a record matrix; exactly R ones per row."""
+    L = np.asarray(L, dtype=np.int64)
+    n, R = L.shape
+    if L.size and (L.min() < 0 or L.max() >= k0):
+        raise DataError("record matrix entries must lie in {0..k0-1}")
+    indices = (L + np.arange(R) * k0).ravel()
+    indptr = np.arange(0, n * R + 1, R)
+    data = np.ones(n * R, dtype=np.uint8)
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, R * k0))
+
+
+def byte_distinct_rows(A: np.ndarray):
+    """Distinct rows of A in the order of their bytes: (first row, inverse, row
+    count) per group, from one ``np.unique`` over a byte view."""
+    A = np.ascontiguousarray(A)
+    view = A.view(np.dtype((np.void, A.itemsize * A.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(view, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    return first, inverse, counts
+
+
+def reference_bit_matrix(table: MixedTable, B: int, nominal_mode: str, hash_seed: int = 0):
+    """The BEP bit matrix as the encoder wrote it before group codes: each
+    column's bit indices as one (n, bits) block, the blocks concatenated
+    per row.  Returns (matrix, bit_groups)."""
+    bit_groups = []
+    p = 0
+    for col in table.schema:
+        if col.kind in ("numeric", "ordinal"):
+            width = 2 * B
+        else:
+            width = col.n_levels() if nominal_mode == "expand" else B
+        bit_groups.append((p, p + width))
+        p += width
+    per_col_indices = []
+    for j, (col, (start, _)) in enumerate(zip(table.schema, bit_groups)):
+        if col.kind == "nominal":
+            if nominal_mode == "hash":
+                level_bits = np.array([nominal_bit(lab, B, hash_seed) for lab in col.levels],
+                                      dtype=np.int64)
+            else:
+                level_bits = np.arange(col.n_levels(), dtype=np.int64)
+            per_col_indices.append(start + level_bits[table.column(j)][:, None])
+            continue
+        offsets = block_offset(unit_column(table, j), B)
+        per_col_indices.append(start + offsets[:, None] + np.arange(B, dtype=np.int64)[None, :])
+    indices = np.concatenate(per_col_indices, axis=1)
+    indptr = np.arange(table.n + 1, dtype=np.int64) * indices.shape[1]
+    matrix = sparse.csr_matrix((np.ones(indices.size, dtype=np.uint8), indices.ravel(), indptr),
+                               shape=(table.n, p))
+    return matrix, bit_groups
+
+
+def reference_effective_codes(X: sparse.csr_matrix, omega: np.ndarray):
+    """Distinct rows of the binary CSR X under each round's weights (one
+    round's weights per row of ``omega``), as the CSR kernel grouped them
+    before group codes: the rows' supports without zero-weight coordinates,
+    one byte-view ``np.unique`` of the padded index rows behind a big-endian
+    round prefix.  Returns (codes as a CSR, bounds, inverse (rounds, n),
+    mult): round r's codes are rows ``bounds[r]:bounds[r + 1]``."""
+    B = omega.shape[0]
+    n, p = X.shape
+    positive = omega > 0
+    keep = positive[:, X.indices].ravel()
+    support = sparse.csr_matrix((np.ones(X.nnz), X.indices, X.indptr), shape=X.shape)
+    indptr = np.zeros(B * n + 1, dtype=np.int64)
+    np.cumsum((support @ positive.T.astype(np.float64)).T.ravel().astype(np.int64), out=indptr[1:])
+    eff = sparse.csr_matrix((np.tile(X.data, B)[keep], np.tile(X.indices, B)[keep], indptr),
+                            shape=(B * n, p))
+    lens = np.diff(eff.indptr)
+    width = np.arange(max(int(lens.max(initial=0)), 1))
+    pos = eff.indptr[:-1, None] + width
+    pos[width >= lens[:, None]] = eff.nnz
+    dtype = eff.indices.dtype
+    prefix = (np.arange(B * n) // n).astype(dtype.newbyteorder(">")).view(dtype)[:, None]
+    first, inverse, mult = byte_distinct_rows(np.hstack([
+        prefix, np.append(eff.indices, np.array([-1], dtype=dtype))[pos]]))
+    return eff[first], np.searchsorted(first // n, np.arange(B + 1)), inverse.reshape(B, n), mult
+
+
+def reference_counts(M: sparse.csr_matrix, codes: sparse.csr_matrix) -> np.ndarray:
+    """Each group's rows per coordinate as the CSR kernel counted them:
+    ``M @ X`` over the codes' bits, dense."""
+    return (M @ codes).toarray()
+
+
 def reference_band_buckets(coords, comps, live, mult, params):
     """Per-band form of ``wkfreq._band_buckets``: one byte-view ``np.unique``
     of each band's signatures, whose void sort orders them by their
@@ -749,7 +835,7 @@ def reference_band_buckets(coords, comps, live, mult, params):
             [coords[:, h:h + params.lsh_rows], comps[:, h:h + params.lsh_rows]],
             axis=1,
         )
-        _, inverse, counts = _distinct_rows(sig)
+        _, inverse, counts = byte_distinct_rows(sig)
         order = np.argsort(inverse, kind="stable")
         shared = np.bincount(inverse, weights=weight) >= 2
         members.append(live[order[shared[inverse[order]]]])

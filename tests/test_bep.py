@@ -17,7 +17,7 @@ from wise.bep import (
 )
 from wise.data_model import ColumnSchema, normalize_numeric, ordinal_to_scalar, table_from_raw
 from wise.errors import ConfigError, DataError
-from helpers import encode_numeric_value, numeric_table
+from helpers import encode_numeric_value, numeric_table, reference_bit_matrix
 
 
 def test_block_code_endpoints():
@@ -202,3 +202,62 @@ def test_dump_bep_writes_header_and_row_lines(tmp_path):
     m = bepm.matrix
     assert lines == [f"{i}: " + " ".join(map(str, m.indices[m.indptr[i]:m.indptr[i + 1]]))
                      for i in range(20)]
+
+
+def _encoding_cases():
+    """(config, table): every nominal mode at B in {2, 8}, with numeric and
+    ordinal values at exactly 0 and 1 and, under hashing, labels that share
+    their bit."""
+    rng = np.random.default_rng(17)
+    for B in (2, 8):
+        seen, labels = {}, None
+        for t in range(1000):
+            bit = nominal_bit(f"l{t}", B, 3)
+            if bit in seen:
+                labels = [seen[bit], f"l{t}"]
+                break
+            seen[bit] = f"l{t}"
+        for mode in ("one_hot", "hash", "expand"):
+            levels = labels[:B] if mode == "one_hot" else labels + [f"m{u}" for u in range(4)]
+            schema = [ColumnSchema("x", "numeric"),
+                      ColumnSchema("o", "ordinal", ordered_levels=["a", "b", "c"]),
+                      ColumnSchema("c", "nominal")]
+            x = rng.random(30)
+            x[:2] = [-3.0, 5.0]                       # the column's 0 and 1
+            rows = [(float(v), "abc"[i % 3], levels[i % len(levels)]) for i, v in enumerate(x)]
+            yield BepConfig(B=B, nominal_mode=mode, hash_seed=3), table_from_raw(schema, rows)
+
+
+def test_offsets_and_widths_are_the_encoding(tmp_path):
+    for cfg, table in _encoding_cases():
+        bepm = encode_table(table, cfg)
+        assert bepm.offsets.shape == (table.n, table.d)
+        assert bepm.offsets.dtype == np.int8
+        assert bepm.width.tolist() == [cfg.B, cfg.B, 1]
+        # each row's bits, group by group, from its offsets alone
+        m = bepm.matrix
+        assert m.dtype == np.uint8 and np.all(m.data == 1)
+        for i in range(table.n):
+            bits = [start + off + b for (start, _), off, w in
+                    zip(bepm.bit_groups, bepm.offsets[i].tolist(), bepm.width.tolist())
+                    for b in range(w)]
+            assert m.indices[m.indptr[i]:m.indptr[i + 1]].tolist() == bits
+        assert {0, cfg.B} <= set(bepm.offsets[:, 0].tolist())   # numeric 0 and 1
+        assert {0, cfg.B} <= set(bepm.offsets[:, 1].tolist())   # ordinal 0 and 1
+        # the encoder before group codes, entry for entry and in `wise encode`'s file
+        want, bit_groups = reference_bit_matrix(table, cfg.B, cfg.nominal_mode, cfg.hash_seed)
+        assert bepm.bit_groups == bit_groups and m.shape == want.shape
+        assert np.array_equal(m.indptr, want.indptr) and np.array_equal(m.indices, want.indices)
+        assert np.array_equal(m.data, want.data)
+        path = tmp_path / "bep.txt"
+        dump_bep(bepm, path)
+        header = {"n": table.n, "p": want.shape[1], "bit_groups": [list(g) for g in bit_groups],
+                  "group_kinds": ["numeric", "ordinal", "nominal"], "B": cfg.B,
+                  "nominal_mode": cfg.nominal_mode, "hash_seed": cfg.hash_seed}
+        lines = [json.dumps(header)] + [
+            f"{i}: " + " ".join(str(b) for b in want.indices[want.indptr[i]:want.indptr[i + 1]])
+            for i in range(table.n)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    hashed = [encode_table(t, c) for c, t in _encoding_cases() if c.nominal_mode == "hash"]
+    # the first two labels share one bit
+    assert all(h.offsets[0, 2] == h.offsets[1, 2] for h in hashed)

@@ -7,7 +7,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from helpers import random_mixed_table
+from helpers import one_hot_records, random_mixed_table
 from wise import _pool, pipeline, wkfreq
 from wise._rng import derive_seed
 from wise.bep import BepConfig, encode_table
@@ -20,7 +20,6 @@ from wise.pipeline import (
     PipelineConfig,
     lift_weights,
     make_views,
-    one_hot_records,
     run_wise,
     stage_one,
     stage_two,
@@ -320,6 +319,13 @@ def test_one_hot_row_weight_and_identical_rows():
 def test_one_hot_rejects_out_of_range():
     with pytest.raises(DataError, match="0..k0-1"):
         one_hot_records(np.array([[3]]), k0=3)
+
+
+def test_stage_two_rejects_records_out_of_range():
+    for bad in (3, -1):
+        L = np.array([[0, 1], [2, bad]])
+        with pytest.raises(DataError, match="0..k0-1"):
+            stage_two(L, PipelineConfig(k0=3, K=2, seed=0))
 
 
 def test_stage_two_reproduces_shared_partition():

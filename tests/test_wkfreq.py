@@ -21,10 +21,10 @@ from wise.wkfreq import (
     silk_seed,
 )
 from wise._rng import derive_seed
-from wise.bep import encode_table
+from wise.bep import BepConfig, GroupCodes, encode_table, nominal_bit
 from wise.cli import build_config
-from wise.pipeline import (PipelineConfig, lift_weights, make_views, one_hot_records, stage_one,
-                           stage_two)
+from wise.data_model import ColumnSchema, table_from_columns
+from wise.pipeline import PipelineConfig, lift_weights, make_views, stage_one, stage_two
 from wise.synth import SynthParams, synth_table
 from test_acceptance import GATE_SEED
 from test_golden import DEEP_SENSE_SETS
@@ -33,9 +33,13 @@ from helpers import (
     assert_same_centers,
     center_block,
     cws_sketch,
+    one_hot_records,
+    random_mixed_table,
     random_sparse_binary,
     reference_band_buckets,
     reference_centers,
+    reference_counts,
+    reference_effective_codes,
     reference_lloyd,
     reference_reduce_candidates,
     reference_silk_seed,
@@ -455,8 +459,9 @@ def test_round_sketches_depend_on_coordinates_alone(monkeypatch):
         _, omega, hash_ids, seeds = made[id(tables)]
         for r in np.unique(rounds):
             rows = rounds == r
-            calls.append((X[rows], omega[r], hash_ids[hashes], seeds[r],
-                          (coords[rows], comps[rows])))
+            # level-1 codes come as group codes; the checks read center blocks alone
+            calls.append((X[rows] if sparse.issparse(X) else None, omega[r], hash_ids[hashes],
+                          seeds[r], (coords[rows], comps[rows])))
         return (coords, comps) if companions else coords
 
     monkeypatch.setattr(wkfreq, "_rank_tables", recording_tables)
@@ -767,3 +772,207 @@ def test_icws_parts_match_the_per_lane_formula():
             args = (seed, np.arange(hashes, dtype=np.int64), np.arange(coords, dtype=np.int64))
             got, want = wkfreq._icws_parts(*args), helpers.reference_icws_parts(*args)
             assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+# --- group codes ----------------------------------------------------------------
+
+
+def _colliding_labels(B, seed, count):
+    """``count`` labels, the first two of which share their hashed bit."""
+    seen = {}
+    for t in range(10_000):
+        bit = nominal_bit(f"l{t}", B, seed)
+        if bit in seen:
+            rest = [f"m{u}" for u in range(count - 2)]
+            return [seen[bit], f"l{t}"] + rest
+        seen[bit] = f"l{t}"
+    raise AssertionError("no collision")
+
+
+def _feature_weights(rng, d, rounds):
+    """Per-round feature weights, some zero; the last round keeps one feature."""
+    out = []
+    for r in range(rounds):
+        w = rng.random(d)
+        w[rng.random(d) < 0.35] = 0.0
+        if r == rounds - 1:
+            w = np.eye(d)[int(rng.integers(0, d))] * 0.7
+        w[int(rng.integers(0, d))] += 0.1
+        out.append(w)
+    return out
+
+
+def _group_code_inputs():
+    """(name, group codes, one round's bit weights per row): BEP tables in
+    every nominal mode, hash with colliding labels and expand with p > 256,
+    each with an ordinal column and zero-weight groups, and stage-two
+    records with R * k0 > 256."""
+    rng = np.random.default_rng(67)
+    ords = ["lo", "mid", "hi"]
+    for mode, B, levels, n in [("hash", 4, _colliding_labels(4, 9, 6), 300),
+                               ("expand", 8, [f"v{t}" for t in range(300)], 400),
+                               ("one_hot", 4, ["a", "b", "c", "d"], 200)]:
+        schema = [ColumnSchema("x", "numeric"), ColumnSchema("y", "numeric"),
+                  ColumnSchema("o", "ordinal", ordered_levels=ords), ColumnSchema("c", "nominal")]
+        cols = [np.round(rng.random(n), 1), rng.random(n), rng.choice(ords, n),
+                rng.choice(levels[:4] if mode == "hash" else levels, n)]
+        bep = encode_table(table_from_columns(schema, cols), BepConfig(B=B, nominal_mode=mode,
+                                                                      hash_seed=9))
+        omega = np.array([lift_weights(w, bep.bit_groups)
+                          for w in _feature_weights(rng, len(schema), 4)])
+        yield f"BEP {mode}, p={bep.p}", bep, omega / omega.max(axis=1, keepdims=True)
+    truth = rng.integers(0, 5, 300)
+    L = np.where(rng.random((300, 30)) < 0.7, truth[:, None], rng.integers(0, 10, (300, 30)))
+    records = GroupCodes(L, np.arange(31) * 10, np.ones(30, dtype=np.int64))
+    omega = np.repeat(_feature_weights(rng, 30, 3), 10, axis=1)
+    yield "stage-two records, p=300", records, np.vstack([np.ones(300), omega > 0])
+
+
+def _oracle_codes(codes, G, omega):
+    """The CSR kernel's codes of the same rows, and each group code's oracle code."""
+    rows, bounds, inverse, mult = reference_effective_codes(G.matrix, omega)
+    to_oracle = np.full(codes.mult.size, -1)
+    to_oracle[codes.inverse.ravel()] = inverse.ravel()
+    return rows, bounds, mult, to_oracle
+
+
+def test_group_codes_match_the_csr_kernel_codes():
+    # per round, the same partition of the rows, the same multiplicities and
+    # the same bits per code; the order of a round's codes may differ
+    for name, G, omega in _group_code_inputs():
+        codes = wkfreq._effective_codes(G, omega)
+        rows, bounds, mult, to_oracle = _oracle_codes(codes, G, omega)
+        assert np.array_equal(codes.bounds, bounds), name
+        for r in range(omega.shape[0]):
+            got = codes.inverse[r]
+            assert np.all((got >= codes.bounds[r]) & (got < codes.bounds[r + 1])), name
+            # a bijection between the round's codes and the oracle's
+            assert len(set(zip(got.tolist(), to_oracle[got].tolist()))) == np.unique(got).size
+        assert np.array_equal(codes.mult, mult[to_oracle]), name
+        oracle = rows[to_oracle]
+        assert np.array_equal(codes.rows.indptr, oracle.indptr), name
+        assert np.array_equal(codes.rows.indices, oracle.indices), name
+        # zero-weight groups are masked to "no bit"
+        kept = omega[:, G.start[:-1]] > 0
+        assert np.all((codes.groups.offsets >= 0) <= kept[codes.round]), name
+
+
+def test_bit_counts_match_csr_products():
+    # random groups of a round's codes with integer multiplicities, counted
+    # over all bit groups and over the groups a block's rounds keep
+    rng = np.random.default_rng(71)
+    for name, G, omega in _group_code_inputs():
+        codes = wkfreq._effective_codes(G, omega)
+        rows, _, _, to_oracle = _oracle_codes(codes, G, omega)
+        owner = np.sort(rng.integers(0, omega.shape[0], 40))
+        members = [rng.choice(np.arange(codes.bounds[r], codes.bounds[r + 1]),
+                              int(rng.integers(1, 30)), replace=True) for r in owner]
+        members = [np.unique(m) for m in members]
+        indptr = np.r_[0, np.cumsum([m.size for m in members])]
+        indices = np.concatenate(members)
+        data = rng.integers(1, 6, indices.size)
+        M = sparse.csr_matrix((data, to_oracle[indices], indptr), shape=(40, rows.shape[0]))
+        want = reference_counts(M, rows)
+        kept = np.flatnonzero((omega[owner][:, G.start[:-1]] > 0).any(axis=0))
+        for live in (np.arange(G.start.size - 1), kept):
+            got = wkfreq._bit_counts(indptr, indices, data, codes, live)
+            assert np.array_equal(got, want), name
+
+
+def test_window_min_sketches_match_per_code_sketches():
+    # each group code's level-1 sketch, read from the table of window minima,
+    # is the per-vector ICWS sketch of its support under its round's weights
+    rng = np.random.default_rng(73)
+    hash_ids = np.arange(5, 13)
+    for name, G, omega in _group_code_inputs():
+        codes = wkfreq._effective_codes(G, omega)
+        seeds = rng.integers(0, 2**31, omega.shape[0]).tolist()
+        tables = wkfreq._rank_tables(omega, hash_ids, seeds)
+        coords, comps = wkfreq._sketch(codes.groups, codes.round, tables,
+                                       np.arange(hash_ids.size), companions=True)
+        for c in rng.choice(codes.mult.size, min(codes.mult.size, 150), replace=False):
+            r = codes.round[c]
+            support = codes.rows.indices[codes.rows.indptr[c]:codes.rows.indptr[c + 1]]
+            if support.size == 0:
+                assert np.all(coords[c] == -1) and np.all(comps[c] == 0), name
+                continue
+            want = cws_sketch(SparseWeightedVector(support, omega[r, support]), hash_ids, seeds[r])
+            assert np.array_equal(coords[c], want[0]), name
+            assert np.array_equal(comps[c], want[1]), name
+
+
+def test_code_order_reaches_no_output(monkeypatch):
+    # Permuting each round's distinct codes (and remapping the row-to-code map)
+    # leaves every result bit for bit: each use of the order is an exact
+    # integer sum or a value computed per code.
+    effective_codes = wkfreq._effective_codes
+    rng = np.random.default_rng(79)
+
+    def permuted(G, omega):
+        codes = effective_codes(G, omega)
+        order = np.concatenate([lo + rng.permutation(hi - lo) for lo, hi
+                                in zip(codes.bounds[:-1], codes.bounds[1:])]).astype(np.intp)
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        groups = GroupCodes(codes.groups.offsets[order], G.start, G.width)
+        return replace(codes, groups=groups, rows=codes.rows[order], held=codes.held[:, order],
+                       inverse=place[codes.inverse], mult=codes.mult[order])
+
+    table = random_mixed_table(np.random.default_rng(5), n=150, numeric=3, nominal=2, levels=4)
+    bep = encode_table(table, BepConfig(B=4))
+    w = _feature_weights(np.random.default_rng(6), table.d, 4)
+    bep_case = (bep, [lift_weights(v, bep.bit_groups) for v in w],
+                [ClusterParams(k=4, alpha=0.4, beta=0.4, seed=s) for s in range(4)])
+    L = np.where(rng.random((200, 6)) < 0.8, rng.integers(0, 3, 200)[:, None],
+                 rng.integers(0, 4, (200, 6)))
+    records = GroupCodes(L, np.arange(7) * 4, np.ones(6, dtype=np.int64))
+    records_case = (records, [None], [ClusterParams(k=3, seed=8)])
+    # 3 disjoint codes plus noise bits of zero weight for k=5: seeding pads
+    # and Lloyd repairs empty clusters
+    X, _ = repeated_disjoint(k=3, copies=12)
+    X = sparse.hstack([X, random_sparse_binary(np.random.default_rng(7), 36, 6, 1, 3)],
+                      format="csr")
+    csr_case = (X, [np.r_[np.ones(15), np.zeros(6)], np.r_[np.full(15, 0.5), np.zeros(6)]],
+                [ClusterParams(k=5, seed=s) for s in (3, 4)])
+    padded = []
+    pad_with_rows = wkfreq._pad_with_rows
+
+    def counting(C, *args):
+        padded.append(C.shape[0])
+        return pad_with_rows(C, *args)
+
+    monkeypatch.setattr(wkfreq, "_pad_with_rows", counting)
+    for X, weights, params in (bep_case, records_case, csr_case):
+        want = [wkfreq.cluster_rounds(X, params, weights)]
+        want.append([cluster(X, q, w) for q, w in zip(params, weights)])
+        monkeypatch.setattr(wkfreq, "_effective_codes", permuted)
+        got = [wkfreq.cluster_rounds(X, params, weights)]
+        got.append([cluster(X, q, w) for q, w in zip(params, weights)])
+        monkeypatch.setattr(wkfreq, "_effective_codes", effective_codes)
+        for g, h in zip(sum(got, []), sum(want, [])):
+            assert g.labels.dtype == h.labels.dtype and g.labels.tobytes() == h.labels.tobytes()
+            assert_same_centers(g.centers, h.centers)
+            assert (g.n_iter, g.mean_distance, g.history) == (h.n_iter, h.mean_distance, h.history)
+    assert padded
+
+
+def test_cluster_reads_stored_zeros_as_absent_and_rejects_other_values():
+    rng = np.random.default_rng(83)
+    for t in range(20):
+        X = random_sparse_binary(rng, 200, 30)
+        X.data[rng.random(X.nnz) < 0.1] = 0
+        clean = X.copy()
+        clean.eliminate_zeros()
+        assert clean.nnz < X.nnz
+        params = ClusterParams(k=4, seed=t)
+        got, want = cluster(X, params), cluster(clean, params)
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert_same_centers(got.centers, want.centers)
+    twos = random_sparse_binary(rng, 50, 30)
+    twos.data[:] = 2
+    with pytest.raises(DataError, match="got 2"):
+        cluster(twos, ClusterParams(k=3))
+    half = random_sparse_binary(rng, 50, 30).astype(np.float64)
+    half.data[7] = 0.5
+    with pytest.raises(DataError, match="got 0.5"):
+        cws_signatures(half, np.ones(30), np.arange(4), seed=0)
