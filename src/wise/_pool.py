@@ -2,11 +2,13 @@
 
 A run maps independent tasks over worker processes in two stages: the
 LOFO targets of sensing and the rounds of stage one.  Both map over one
-``Pool``, which forks at its first map of more than one task.  The large
+``Pool`` of ``workers`` workers, the calling process among them: it forks
+``workers - 1`` processes at its first map of more than one task, and
+runs a map's first task itself while they run the rest.  The large
 inputs shared with it by then (the design matrix, the group codes) reach
-each worker through the fork, never pickled; a task carries only its
-index and small values of its own.  A stage called without a pool opens
-one of the same kind for that call alone.
+each forked process through the fork, never pickled; a task carries only
+its index and small values of its own.  A stage called without a pool
+opens one of the same kind for that call alone.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-# the inputs shared with the pool a worker process serves, by name; set
-# only inside pool workers, by the initializer
+# the inputs shared with the pool a forked process serves, by name; set
+# only inside forked processes, by the initializer
 _shared = None
 
 
@@ -31,8 +33,8 @@ def _run(func, task):
 
 
 class Pool:
-    """``workers`` processes that every map of a run shares, forked at its
-    first map of more than one task."""
+    """``workers`` workers that every map of a run shares: this process and
+    ``workers - 1`` processes forked at its first map of more than one task."""
 
     def __init__(self, workers: int, shared: dict):
         self.workers = workers
@@ -44,8 +46,9 @@ class Pool:
         ``inputs`` holds ``shared`` and whatever else the pool shares.
 
         After the fork every input must already be shared, as the very same
-        object: the workers hold what they forked with.  A map of one task
-        runs in this process.
+        object: the forked processes hold what they forked with.  The first
+        task runs in this process while the forked ones run the rest; a map
+        of one task forks nothing.
         """
         for name, value in shared.items():
             if self._executor is None:
@@ -56,12 +59,14 @@ class Pool:
             return [func(self._shared, task) for task in tasks]
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=multiprocessing.get_context("fork"),
+                max_workers=self.workers - 1, mp_context=multiprocessing.get_context("fork"),
                 initializer=_install, initargs=(self._shared,))
-        return list(self._executor.map(partial(_run, func), tasks))
+        # the executor submits every task before this process runs its own
+        rest = self._executor.map(partial(_run, func), tasks[1:])
+        return [func(self._shared, tasks[0]), *rest]
 
     def close(self) -> None:
-        """Cancel the tasks not yet started and reap every worker."""
+        """Cancel the tasks not yet started and reap every forked process."""
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
@@ -69,8 +74,8 @@ class Pool:
 
 @contextlib.contextmanager
 def open_pool(workers: int, **shared):
-    """A ``Pool`` of ``workers`` processes sharing ``shared``, closed on
-    exit; ``None`` for a single worker, which makes no pool."""
+    """A ``Pool`` of ``workers`` workers sharing ``shared``, closed on exit;
+    ``None`` for a single worker, which makes no pool."""
     if workers <= 1:
         yield None
         return
@@ -83,7 +88,7 @@ def open_pool(workers: int, **shared):
 
 def map_tasks(func, shared: dict, tasks: list, workers: int, pool: Pool | None = None) -> list:
     """``[func(shared, task) for task in tasks]`` over ``pool``, or over a
-    pool of at most ``min(workers, len(tasks))`` processes opened for this
+    pool of at most ``min(workers, len(tasks))`` workers opened for this
     call."""
     if pool is not None:
         return pool.map(func, shared, tasks)

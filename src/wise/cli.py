@@ -455,7 +455,8 @@ def _add_io(sub, data=True, config=True):
         sub.add_argument("--seed", type=int, default=None,
                          help=f"master seed (default {DEFAULT_SEED})")
         sub.add_argument("--workers", type=int, default=None,
-                         help=f"worker processes (default ${WORKERS_ENV} or all cores)")
+                         help=f"workers, counting this process, so 2 forks one process "
+                              f"(default ${WORKERS_ENV} or all cores)")
 
 
 def build_parser() -> argparse.ArgumentParser:

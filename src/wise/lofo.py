@@ -256,10 +256,10 @@ def sense_all(
     into ``min(workers, d)`` runs of consecutive columns, one pool task
     each, and the forests of a run grow together (``grow_forests``).  The
     tasks map over ``pool``, which must not have forked yet (the design
-    matrix reaches its workers through the fork), or over a pool opened
-    for this call.  Target j's forest is seeded with
-    ``derive_seed(seed, "lofo", j)``, so the result is identical for any
-    worker count.
+    matrix reaches its forked processes through the fork), or over a pool
+    opened for this call; this process grows the first run itself.  Target
+    j's forest is seeded with ``derive_seed(seed, "lofo", j)``, so the
+    result is identical for any worker count.
     """
     if qd_params.m > forest_params.T:
         raise ConfigError(f"cannot select m={qd_params.m} trees from forests of T={forest_params.T}")

@@ -9,9 +9,10 @@ Every stage seeds itself from (master seed, stage tag, index), so results
 are identical for any worker-pool size.
 
 Sensing and stage one map over one worker pool per run, which
-``cluster_table`` opens.  It forks at the first map, with the group codes
-and the design matrix in place, and is shut down before stage two, which
-runs in this process.
+``cluster_table`` opens.  This process is one of its workers and runs
+the first task of each map; the others are forked at the first map, with
+the group codes and the design matrix in place, and are reaped before
+stage two, which runs in this process.
 """
 
 from __future__ import annotations
@@ -188,9 +189,9 @@ def cluster_table(
     """Encode, sense (unless ``views`` are given), round clusterings, final
     clustering: the views, the record matrix L and the final labels.
 
-    Sensing and stage one share one pool of at most one process per round
-    (sensing has at most d <= rounds tasks), which forks with the group
-    codes in place.
+    Sensing and stage one share one pool of ``min(workers, rounds)``
+    workers: this process and at most ``min(workers, rounds) - 1`` forked
+    ones, which fork with the group codes in place.
     """
     bep = encode_table(table, config.bep)
     rounds = table.d * config.qd.m if views is None else len(views)

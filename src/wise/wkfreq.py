@@ -180,16 +180,20 @@ def _distinct_rows(key: np.ndarray, size: int, columns, return_index: bool = Fal
 
 
 def _as_groups(X) -> GroupCodes:
-    """X as group codes: itself, or a binary matrix as p width-1 groups.  A
-    stored 0 is an unset bit; any value other than 0 or 1 raises DataError."""
+    """X as group codes: itself, or a binary matrix as p width-1 groups.
+    Duplicate entries are summed; a stored 0 is an unset bit, and any other
+    value than 0 or 1 raises DataError."""
     if isinstance(X, GroupCodes):
         return X
-    X = sparse.csr_matrix(X)
+    X = sparse.csr_matrix(X, copy=True)
+    X.sum_duplicates()
     bad = X.data[(X.data != 0) & (X.data != 1)]
     if bad.size:
         raise DataError(f"binary rows hold only 0 and 1, got {bad[0]}")
-    p = X.shape[1]
-    return GroupCodes(X.toarray().astype(np.int8) - 1, np.arange(p + 1), np.ones(p, dtype=np.int64))
+    n, p = X.shape
+    offsets = np.full((n, p), -1, dtype=np.int8)
+    offsets[np.repeat(np.arange(n), np.diff(X.indptr)), X.indices] = X.data - 1
+    return GroupCodes(offsets, np.arange(p + 1), np.ones(p, dtype=np.int64))
 
 
 # --- Consistent Weighted Sampling -------------------------------------------

@@ -26,7 +26,9 @@ def no_child_process_left():
 
 @pytest.fixture
 def pools_made(monkeypatch):
-    """The sizes of the worker pools made during the test, in order.
+    """The number of processes each worker pool made during the test
+    forks, in order: one fewer than its workers, since the calling process
+    is one of them.
 
     The pools are real ones and fork as usual; only their construction is
     recorded.

@@ -327,7 +327,7 @@ def test_cluster_command_forks_one_pool_and_pooling_is_invisible(tmp_path, pools
              "--workers", str(workers), "--seed", "42"] + FAST_OVERRIDES
         ) == 0
         # sensing and stage one share one pool; one worker makes none
-        assert pools_made == ([2] if workers == 2 else [])
+        assert pools_made == ([1] if workers == 2 else [])
         outs.append([(out / name).read_bytes() for name in ("records.csv", "labels.csv")])
     assert outs[0] == outs[1]
 
@@ -344,7 +344,7 @@ def test_run_exits_three_when_a_pooled_round_fails(tmp_path, capsys, monkeypatch
          "--out", str(tmp_path / "run"), "--workers", "2", "--seed", "42"] + FAST_OVERRIDES
     ) == 3
     assert "data error: planted round failure" in capsys.readouterr().err
-    assert pools_made == [2]
+    assert pools_made == [1]
     assert multiprocessing.active_children() == []
 
 

@@ -3,6 +3,7 @@ final clustering, determinism."""
 
 import logging
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -223,11 +224,11 @@ def test_map_tasks_starts_at_most_count_workers(monkeypatch):
     monkeypatch.setattr(_pool, "_shared", None)
     assert _pool.map_tasks(_square, {"base": 2}, list(range(8)), 16) == [2 * i * i for i in range(8)]
     assert _pool.map_tasks(_square, {"base": 3}, list(range(5)), 2) == [3 * i * i for i in range(5)]
-    assert _InlinePool.sizes == [8, 2]
+    assert _InlinePool.sizes == [7, 1]
     # one task or none runs in this process
     assert _pool.map_tasks(_square, {"base": 1}, [1], 4) == [1]
     assert _pool.map_tasks(_square, {"base": 1}, [], 4) == []
-    assert _InlinePool.sizes == [8, 2]
+    assert _InlinePool.sizes == [7, 1]
     with _pool.open_pool(1, base=1) as pool:
         assert pool is None
 
@@ -242,13 +243,31 @@ def test_one_pool_serves_every_map_and_forks_once(monkeypatch):
         assert _InlinePool.sizes == []   # a map of one task forks nothing
         assert _pool.map_tasks(_square, {"base": base}, [1, 2, 3, 4], 3, pool) == [5, 20, 45, 80]
         assert pool.map(_square, {}, [3, 1]) == [45, 5]
-        assert _InlinePool.sizes == [3]
+        assert _InlinePool.sizes == [2]
         # the workers hold what was shared at the fork, so nothing new may be shared
         with pytest.raises(RuntimeError, match="after the pool forked"):
             pool.map(_square, {"base": late}, [1, 2])
         with pytest.raises(RuntimeError, match="after the pool forked"):
             pool.map(_square, {"late": late}, [1, 2])
-    assert _InlinePool.sizes == [3]
+    assert _InlinePool.sizes == [2]
+
+
+def _task_and_pid(shared, task):
+    if task:
+        shared["barrier"].wait()   # so each forked process takes one task
+    return task, os.getpid()
+
+
+def test_the_calling_process_runs_the_first_task_and_forks_one_fewer():
+    barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
+    with _pool.open_pool(3, barrier=barrier) as pool:
+        maps = [pool.map(_task_and_pid, {}, [0, 1, 2]) for _ in range(2)]
+        forked = sorted(child.pid for child in multiprocessing.active_children())
+    assert len(forked) == 2
+    for results in maps:   # the second map ran on the processes the first forked
+        assert [task for task, _ in results] == [0, 1, 2]
+        assert results[0][1] == os.getpid()
+        assert sorted(pid for _, pid in results[1:]) == forked
 
 
 @pytest.mark.parametrize("ablation", ["none", "uniform"])
@@ -259,7 +278,7 @@ def test_run_wise_forks_one_pool_and_pooling_is_invisible(pools_made, ablation):
         pools_made.clear()
         results.append(run_wise(table, SMALL_CONFIG, ablation=ablation, workers=workers))
         # sensing (when it runs) and stage one share one pool; one worker makes none
-        assert pools_made == ([2] if workers == 2 else [])
+        assert pools_made == ([1] if workers == 2 else [])
     serial, pooled = results
     assert serial.labels.dtype == pooled.labels.dtype
     assert serial.labels.tobytes() == pooled.labels.tobytes()
@@ -267,20 +286,38 @@ def test_run_wise_forks_one_pool_and_pooling_is_invisible(pools_made, ablation):
     assert [v.w.tobytes() for v in serial.views] == [v.w.tobytes() for v in pooled.views]
 
 
-def _planted_failure(*args, **kwargs):
-    raise DataError("planted round failure")
+def _planted_failure(in_child: bool):
+    """``cluster_rounds`` that fails in the forked processes only, or in
+    this process only."""
+    parent = os.getpid()
+
+    def rounds(*args, **kwargs):
+        if (os.getpid() != parent) == in_child:
+            raise DataError("planted round failure")
+        return wkfreq.cluster_rounds(*args, **kwargs)
+
+    return rounds
 
 
 def test_round_error_in_a_pool_worker_comes_out_as_data_error(monkeypatch, pools_made):
-    # patched before the fork, so the workers fail every stage-one round
-    monkeypatch.setattr(pipeline, "cluster_rounds", _planted_failure)
+    # patched before the fork, so the forked process fails its stage-one rounds
+    monkeypatch.setattr(pipeline, "cluster_rounds", _planted_failure(in_child=True))
     table = random_mixed_table(np.random.default_rng(12), n=120)
     with pytest.raises(DataError, match="planted round failure") as info:
         run_wise(table, SMALL_CONFIG, workers=2)
-    # raised in a worker: the executor chains the worker's traceback
+    # raised in a forked process: the executor chains its traceback
     assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
-    assert pools_made == [2]
+    assert pools_made == [1]
     assert multiprocessing.active_children() == []
+
+
+def test_round_error_in_the_parents_share_propagates_and_reaps_the_pool(monkeypatch, pools_made):
+    monkeypatch.setattr(pipeline, "cluster_rounds", _planted_failure(in_child=False))
+    table = random_mixed_table(np.random.default_rng(12), n=120)
+    with pytest.raises(DataError, match="planted round failure") as info:
+        run_wise(table, SMALL_CONFIG, workers=2)
+    assert info.value.__cause__ is None   # raised here, not in the forked process
+    assert pools_made == [1]   # the forked process is reaped by the autouse fixture's check
 
 
 def test_parent_error_between_sense_and_stage_one_shuts_the_pool(monkeypatch, pools_made):
@@ -291,7 +328,7 @@ def test_parent_error_between_sense_and_stage_one_shuts_the_pool(monkeypatch, po
     table = random_mixed_table(np.random.default_rng(12), n=120)
     with pytest.raises(ConfigError, match="planted parent failure"):
         run_wise(table, SMALL_CONFIG, workers=2)
-    assert pools_made == [2]  # sensing forked it
+    assert pools_made == [1]  # sensing forked it
     assert multiprocessing.active_children() == []
 
 

@@ -976,3 +976,18 @@ def test_cluster_reads_stored_zeros_as_absent_and_rejects_other_values():
     half.data[7] = 0.5
     with pytest.raises(DataError, match="got 0.5"):
         cws_signatures(half, np.ones(30), np.arange(4), seed=0)
+
+
+def test_cluster_sums_duplicate_entries_and_leaves_the_input_unchanged():
+    rng = np.random.default_rng(84)
+    X = random_sparse_binary(rng, 50, 30)
+    # row 0 stores its first entry twice: the pair sums to 2, which is no bit
+    first = X.indptr[0]
+    doubled = sparse.csr_matrix((np.insert(X.data, first, 1), np.insert(X.indices, first, X.indices[first]),
+                                 X.indptr + np.r_[0, np.ones(X.shape[0], dtype=X.indptr.dtype)]),
+                                shape=X.shape)
+    before = [doubled.data.copy(), doubled.indices.copy(), doubled.indptr.copy()]
+    with pytest.raises(DataError, match="binary rows hold only 0 and 1, got 2"):
+        cluster(doubled, ClusterParams(k=3))
+    for got, want in zip([doubled.data, doubled.indices, doubled.indptr], before):
+        assert got.tobytes() == want.tobytes()
